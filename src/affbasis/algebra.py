@@ -38,9 +38,6 @@ class Weight:
         return (self.a1, self.a2)
 
 
-ZERO_WEIGHT = Weight(0, 0)
-
-
 # --- defining 3x3 realization -------------------------------------------
 #
 # Matrices are 9-tuples in row-major order, exact integers throughout.
@@ -175,10 +172,6 @@ class LieElement:
         return self.coeffs[color - 1]
 
 
-def basis_element(color: int) -> LieElement:
-    return LieElement.basis(color)
-
-
 def bracket(x: LieElement, y: LieElement) -> LieElement:
     acc = [Fraction(0)] * 8
     for a, xa in x.items():
@@ -196,15 +189,3 @@ def invariant_form(x: LieElement, y: LieElement) -> Fraction:
             if f:
                 total += xa * yb * f
     return total
-
-
-def weight_of(x: LieElement) -> Weight | None:
-    """Common weight of the nonzero components, or None if mixed."""
-    found = None
-    for c, _ in x.items():
-        w = WEIGHT[c]
-        if found is None:
-            found = w
-        elif found != w:
-            return None
-    return found if found is not None else ZERO_WEIGHT

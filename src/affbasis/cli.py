@@ -46,7 +46,6 @@ class Config:
     window: int = 8
     order: int = 200
     fmt: str = "text"
-    seed: int = 0
     timings: bool = False
 
     def __post_init__(self):
@@ -117,13 +116,6 @@ class Report:
             ]
             lines.append(",".join('"' + cell.replace('"', '""') + '"' for cell in cells))
         return "\n".join(lines)
-
-
-def _env_default(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    return type(fallback)(raw) if not isinstance(fallback, str) else raw
 
 
 def _parse_weight(text: str) -> Weight:
@@ -338,7 +330,6 @@ def _cmd_verify(args, cfg: Config) -> int:
             "max_degree": cfg.max_degree,
             "window": cfg.window,
             "order": cfg.order,
-            "seed": cfg.seed,
         },
     )
     started = time.monotonic()
@@ -371,41 +362,57 @@ def _cmd_tables(args, cfg: Config) -> int:
     raise AssertionError(args.which)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_flags(with_defaults: bool) -> argparse.ArgumentParser:
+    """The flags accepted before and after the subcommand.  Only the
+    top-level copy carries defaults: a subcommand copy leaves an unset flag
+    alone, so a value given before the subcommand survives.  Defaults come
+    from the environment as strings, which argparse converts and validates
+    like a flag on the command line."""
+
+    def default(name: str, fallback: str):
+        if not with_defaults:
+            return argparse.SUPPRESS
+        return os.environ.get(ENV_PREFIX + name, fallback)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--max-degree",
         type=int,
-        default=_env_default("MAX_DEGREE", 5),
+        default=default("MAX_DEGREE", "5"),
         help="largest module depth for graded verifications",
     )
     common.add_argument(
         "--window",
         type=int,
-        default=_env_default("WINDOW", 8),
+        default=default("WINDOW", "8"),
         help="annihilation-weight bound of the truncation window",
     )
     common.add_argument(
         "--order",
         type=int,
-        default=_env_default("ORDER", 200),
+        default=default("ORDER", "200"),
         help="series truncation order",
     )
     common.add_argument(
         "--format",
         choices=("text", "json", "csv"),
-        default=_env_default("FORMAT", "text"),
+        default=default("FORMAT", "text"),
     )
-    common.add_argument("--seed", type=int, default=_env_default("SEED", 0))
     common.add_argument(
         "--timings",
         action="store_true",
+        default=False if with_defaults else argparse.SUPPRESS,
         help="include wall-clock timings in JSON reports "
         "(omitted by default so identical inputs give identical bytes)",
     )
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _common_flags(with_defaults=False)
     parser = argparse.ArgumentParser(
         prog="affbasis",
-        parents=[common],
+        parents=[_common_flags(with_defaults=True)],
         description="Exact checks for the colored-partition basis of the "
         "level-one vacuum module of affine sl(3).",
     )
@@ -443,7 +450,6 @@ def main(argv=None) -> int:
             window=args.window,
             order=args.order,
             fmt=args.format,
-            seed=args.seed,
             timings=args.timings,
         )
     except ValueError as exc:

@@ -24,7 +24,7 @@ from .algebra import BRACKET, FORM, LieElement, Weight
 from .partitions import (
     ColoredPartition,
     Part,
-    parts_compare,
+    order_key,
     parts_degree,
     parts_weight,
     part_key,
@@ -40,33 +40,19 @@ class WindowError(RuntimeError):
 @dataclass(frozen=True)
 class Window:
     """Truncation descriptor.  `annihilation_bound` is the certified exact
-    region; `min_total_degree`, when set, additionally drops monomials of
-    smaller total degree at admission time."""
+    region."""
 
     annihilation_bound: int
-    min_total_degree: int | None = None
 
     def admits(self, parts: tuple[Part, ...]) -> bool:
-        if annihilation_weight(parts) > self.annihilation_bound:
-            return False
-        if self.min_total_degree is not None and parts_degree(parts) < self.min_total_degree:
-            return False
-        return True
+        return annihilation_weight(parts) <= self.annihilation_bound
 
     def narrowed(self, bound: int) -> "Window":
-        return Window(min(self.annihilation_bound, bound), self.min_total_degree)
+        return Window(min(self.annihilation_bound, bound))
 
 
 def annihilation_weight(parts: tuple[Part, ...]) -> int:
     return sum(d for _, d in parts if d > 0)
-
-
-def creation_part(parts: tuple[Part, ...]) -> tuple[Part, ...]:
-    return tuple(p for p in parts if p[1] < 0)
-
-
-def annihilation_part(parts: tuple[Part, ...]) -> tuple[Part, ...]:
-    return tuple(p for p in parts if p[1] >= 0)
 
 
 # --- straightening ------------------------------------------------------------
@@ -185,8 +171,7 @@ class EnvElement:
         """X_mode * self.  Multiplying by a creation mode keeps the window;
         an annihilation mode costs its degree in certified bound."""
         color, degree = mode
-        new_bound = self.window.annihilation_bound - max(degree, 0)
-        window = Window(new_bound, self.window.min_total_degree)
+        window = Window(self.window.annihilation_bound - max(degree, 0))
         out: dict[tuple[Part, ...], Fraction] = {}
         for w, c in self.terms.items():
             for term, coef in straighten_word((mode,) + w).items():
@@ -201,9 +186,7 @@ class EnvElement:
         # an annihilation mode shifts every term's weight up by its degree,
         # so the certified region moves with it; a creation mode can merge
         # into the annihilation side and costs its absolute degree.
-        window = Window(
-            self.window.annihilation_bound + degree, self.window.min_total_degree
-        )
+        window = Window(self.window.annihilation_bound + degree)
         out: dict[tuple[Part, ...], Fraction] = {}
         for w, c in self.terms.items():
             for term, coef in straighten_word(w + (mode,)).items():
@@ -218,9 +201,7 @@ class EnvElement:
             pieces = list(x.items())
         else:
             pieces = [(x, Fraction(1))]
-        window = Window(
-            self.window.annihilation_bound - abs(k), self.window.min_total_degree
-        )
+        window = Window(self.window.annihilation_bound - abs(k))
         out: dict[tuple[Part, ...], Fraction] = {}
 
         def accumulate(word, coef):
@@ -252,7 +233,7 @@ class EnvElement:
         degree = self.total_degree()
         if degree is None:
             raise ValueError("leading terms are defined for homogeneous elements")
-        best = min(self.terms, key=_PartsOrder)
+        best = min(self.terms, key=order_key)
         limit = max_length if max_length is not None else self.max_length()
         if len(best) < limit:
             raise WindowError(
@@ -268,21 +249,11 @@ class EnvElement:
         return bound
 
     def sorted_terms(self) -> list[tuple[ColoredPartition, Fraction]]:
-        items = sorted(self.terms.items(), key=lambda kv: _PartsOrder(kv[0]))
+        items = sorted(self.terms.items(), key=lambda kv: order_key(kv[0]))
         return [(ColoredPartition(w), c) for w, c in items]
 
     def __repr__(self) -> str:
         return f"EnvElement({len(self.terms)} terms, window={self.window})"
-
-
-class _PartsOrder:
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = parts
-
-    def __lt__(self, other):
-        return parts_compare(self.parts, other.parts) < 0
 
 
 def straighten(word, window: Window, rng: random.Random | None = None) -> EnvElement:
@@ -331,10 +302,6 @@ def mode_on_partition(mode: Part, parts: tuple[Part, ...]):
     result = tuple((w, c) for w, c in out.items() if c)
     _MODE_CACHE[key] = result
     return result
-
-
-def clear_action_cache() -> None:
-    _MODE_CACHE.clear()
 
 
 class VermaVector:
@@ -454,5 +421,5 @@ def graded_basis(n: int, weight: Weight | None = None) -> list[ColoredPartition]
                 )
 
     rec(1, n, [])
-    results.sort()
+    results.sort(key=lambda p: order_key(p.parts))
     return results

@@ -1,9 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
-Two tools: an incremental span reducer with a totally ordered column set
-(used to echelonize relation spaces and orbit spans, where pivots must be
-taken at the minimal column in the monomial order), and a fraction-free
-integer rank for the large graded elimination.
+Two engines: an incremental span reducer over a totally ordered column set,
+and a fraction-free integer rank for the large graded elimination.  The
+reducer echelonizes relation spaces and orbit spans, where pivots must sit
+at the minimal column under a key built from ``partitions.order_key``.  It
+also does the small exact solves (the transport map and the q27
+nullspace): each column carries a tag, and the tags sort the columns to be
+eliminated before the columns that hold the answer.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ class SpanReducer:
     def __init__(self, column_key):
         self.column_key = column_key
         self.rows: dict = {}  # pivot column -> {column: Fraction}, pivot coeff 1
-        self.order: list = []  # pivots in insertion order
 
     def _pivot(self, vec: dict):
         return min(vec, key=self.column_key)
@@ -48,7 +50,6 @@ class SpanReducer:
         p = self._pivot(red)
         c = red[p]
         self.rows[p] = {k: v / c for k, v in red.items()}
-        self.order.append(p)
         return True
 
     @property

@@ -5,10 +5,11 @@ Parts are ordered by degree first and, at equal degree, by *descending*
 color index (X1 is the greatest color, X8 the least).  A colored partition
 is a multiset of parts, stored as a tuple sorted in that part order.
 
-The module also owns the strict total order on partitions used everywhere
-for leading terms, the forbidden-factor set (54 quadratic families plus
-two cubic families per degree), the difference-condition enumeration of
-the spanning ideal, and the embedding counts behind the coloring totals.
+The module also owns the strict total order on partitions, written once as
+the tuple key ``order_key`` and used everywhere for leading terms and
+pivots; the forbidden-factor set (54 quadratic families plus two cubic
+families per degree); the difference-condition enumeration of the spanning
+ideal; and the embedding counts behind the coloring totals.
 """
 
 from __future__ import annotations
@@ -44,33 +45,18 @@ def parts_shape(parts: tuple[Part, ...]) -> tuple[int, ...]:
     return tuple(d for _, d in parts)
 
 
-def shape_compare(s: tuple[int, ...], t: tuple[int, ...]) -> int:
-    """Order on plain partitions: longer < ; then smaller total < ; then the
-    positional scan from the top part downward, smaller degree first."""
-    if s == t:
-        return 0
-    if len(s) != len(t):
-        return -1 if len(s) > len(t) else 1
-    ds, dt = sum(s), sum(t)
-    if ds != dt:
-        return -1 if ds < dt else 1
-    for a, b in zip(reversed(s), reversed(t)):
-        if a != b:
-            return -1 if a < b else 1
-    return 0
+def shape_key(shape: tuple[int, ...]) -> tuple:
+    """Sort key of the order on plain partitions: longer first; then smaller
+    total; then the positional scan from the top part downward, smaller
+    degree first."""
+    return (-len(shape), sum(shape), shape[::-1])
 
 
-def parts_compare(p: tuple[Part, ...], q: tuple[Part, ...]) -> int:
-    if p == q:
-        return 0
-    c = shape_compare(parts_shape(p), parts_shape(q))
-    if c:
-        return c
-    # equal shapes: reverse positional scan on colors, greater index first
-    for (ca, _), (cb, _) in zip(reversed(p), reversed(q)):
-        if ca != cb:
-            return -1 if ca > cb else 1
-    return 0
+def order_key(parts: tuple[Part, ...]) -> tuple:
+    """Sort key of the strict monomial order on sorted part tuples: the
+    shape key, then at equal shape the reverse positional scan on colors,
+    greater color index first.  This is the one definition of the order."""
+    return shape_key(parts_shape(parts)) + (tuple(-c for c, _ in reversed(parts)),)
 
 
 @total_ordering
@@ -154,7 +140,7 @@ class ColoredPartition:
         return hash(self.parts)
 
     def __lt__(self, other: "ColoredPartition") -> bool:
-        return parts_compare(self.parts, other.parts) < 0
+        return order_key(self.parts) < order_key(other.parts)
 
     def __repr__(self) -> str:
         return f"ColoredPartition({format_partition(self)!r})"
@@ -164,7 +150,9 @@ EMPTY = ColoredPartition()
 
 
 def compare(p: ColoredPartition, q: ColoredPartition) -> int:
-    return parts_compare(p.parts, q.parts)
+    """-1, 0 or 1 as p is below, equal to or above q in the monomial order."""
+    a, b = order_key(p.parts), order_key(q.parts)
+    return (a > b) - (a < b)
 
 
 # --- plain-text format ------------------------------------------------------
@@ -433,8 +421,6 @@ def enumerate_ideal(n: int, weight: Weight | None = None) -> list[ColoredPartiti
             cost = depth * len(layer)
             if cost > budget:
                 continue
-            if not layer and budget > 0 and depth > budget:
-                continue
             if not compatible_layers(layer, shallower):
                 continue
             rec(
@@ -445,7 +431,7 @@ def enumerate_ideal(n: int, weight: Weight | None = None) -> list[ColoredPartiti
             )
 
     rec(1, n, frozenset(), [])
-    results.sort()
+    results.sort(key=lambda p: order_key(p.parts))
     return results
 
 
@@ -456,13 +442,14 @@ def _shapes_at_most(top_shape: tuple[int, ...], length: int, degree: int):
     """Nondecreasing degree tuples of the given length and total that are
     <= top_shape in the shape order."""
     cap = top_shape[-1]
+    top_key = shape_key(top_shape)
     out = []
 
     def rec(slots: int, remaining: int, current_cap: int, acc: list[int]):
         if slots == 0:
             if remaining == 0:
                 shape = tuple(reversed(acc))
-                if shape_compare(shape, top_shape) <= 0:
+                if shape_key(shape) <= top_key:
                     out.append(shape)
             return
         lo = -(-remaining // slots)  # ceil division
@@ -508,10 +495,11 @@ def partitions_at_most(
         raise ValueError("bound must have the requested length")
     out = []
     top_shape = bound.shape()
+    top_key, bound_key = shape_key(top_shape), order_key(bound.parts)
     for shape in _shapes_at_most(top_shape, length, degree):
-        strictly_lower = shape_compare(shape, top_shape) < 0
+        strictly_lower = shape_key(shape) < top_key
         for q in colorings_of_shape(shape):
-            if strictly_lower or compare(q, bound) <= 0:
+            if strictly_lower or order_key(q.parts) <= bound_key:
                 out.append(q)
     return out
 

@@ -8,6 +8,7 @@ count) are produced by independent machinery.
 
 from __future__ import annotations
 
+import math
 
 from .partitions import (
     INDEPENDENT_COLOR_SETS,
@@ -375,7 +376,7 @@ def a2_theta_series(order: int, sign: int = -1) -> Series:
         raise ValueError("off-diagonal sign must be +1 or -1")
     coeffs = [0] * (order + 1)
     # the norm form is at least (3/4) x^2 over integer points
-    bound = int((4 * order / 3) ** 0.5) + 2
+    bound = math.isqrt(4 * order // 3) + 2
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
             norm = x * x + sign * x * y + y * y

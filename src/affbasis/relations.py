@@ -16,7 +16,6 @@ computation that verifies the basis theorem degree by degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .algebra import (
     BRACKET,
@@ -26,6 +25,7 @@ from .algebra import (
     F2_COLOR,
     H1_COLOR,
     H2_COLOR,
+    WEIGHT,
     Weight,
 )
 from .enveloping import (
@@ -34,6 +34,7 @@ from .enveloping import (
     Window,
     WindowError,
     act,
+    apply_mode,
     graded_basis,
 )
 from .linalg import SpanReducer, sparse_rank
@@ -43,14 +44,14 @@ from .partitions import (
     ColoredPartition,
     Part,
     RelationLabel,
-    parts_compare,
+    enumerate_ideal,
+    order_key,
     partitions_at_most,
     quad_adjacent_label,
     quad_same_label,
     quadratic_leading_labels,
 )
-
-_PARTS_KEY = cmp_to_key(parts_compare)
+from .qseries import character_oracle, colored_part_count_series
 
 
 def x1_square_modes(n: int, window: Window) -> EnvElement:
@@ -87,7 +88,7 @@ class RelationSpace:
         self.n = n
         self.window = window
         seed = x1_square_modes(n, window)
-        reducer = SpanReducer(_PARTS_KEY)
+        reducer = SpanReducer(order_key)
         queue = []
         red = reducer.reduce(seed.terms)
         if reducer.insert(red):
@@ -119,7 +120,7 @@ class RelationSpace:
             labels.append(label)
             self.elements[label] = elem
             self.leading[label] = lead.parts
-        self.labels = sorted(labels, key=lambda l: _PARTS_KEY(l.partition().parts))
+        self.labels = sorted(labels, key=lambda l: order_key(l.partition().parts))
 
     def element(self, label: RelationLabel) -> EnvElement:
         return self.elements[label]
@@ -173,11 +174,11 @@ def label_for_quadratic(p: ColoredPartition) -> RelationLabel | None:
     return None
 
 
-_SPACE_CACHE: dict[tuple[int, int, int | None], RelationSpace] = {}
+_SPACE_CACHE: dict[tuple[int, int], RelationSpace] = {}
 
 
 def relation_space(n: int, window: Window) -> RelationSpace:
-    key = (n, window.annihilation_bound, window.min_total_degree)
+    key = (n, window.annihilation_bound)
     space = _SPACE_CACHE.get(key)
     if space is None:
         space = RelationSpace(n, window)
@@ -233,7 +234,7 @@ _SHIFT_CACHE: dict = {}
 def shift_matrix(x_color: int, k: int, n: int, window: Window):
     """Matrix of ad(x(k)) from the degree-n relation space to degree n+k,
     in the canonical bases.  Certified by an in-window residual check."""
-    key = (x_color, k, n, window.annihilation_bound, window.min_total_degree)
+    key = (x_color, k, n, window.annihilation_bound)
     hit = _SHIFT_CACHE.get(key)
     if hit is not None:
         return hit
@@ -298,8 +299,6 @@ class LoopTensor:
         return LoopTensor(self.n, out, lo, hi, sc)
 
     def weight(self) -> Weight | None:
-        from .algebra import WEIGHT
-
         seen = set()
         for (color, _), label in self.terms:
             w = WEIGHT[color] + label.partition().weight()
@@ -332,7 +331,7 @@ def _space_window(window: Window) -> Window:
     bound is padded so that spaces at label degrees a little above the
     target bound still have full rank in window; the final collapse is
     narrowed back to the target."""
-    return Window(window.annihilation_bound + 12, window.min_total_degree)
+    return Window(window.annihilation_bound + 12)
 
 
 def syzygy_tensor_64(n: int, window: Window, margin: int = 4) -> LoopTensor:
@@ -379,122 +378,69 @@ def transport_matrix(m: int, window: Window):
     """The equivariant identification of the reference relation space (at
     degree -2) with the degree-m space, in canonical coordinates: the image
     of an abstract relation vector under 'same vector, degree m'.  Aligned
-    on the quadratic generator and extended by the zero-mode action; the
-    overdetermined solve certifies equivariance."""
-    key = ("transport", m, window.annihilation_bound, window.min_total_degree)
+    on the quadratic generator and extended by the zero-mode lowering
+    action.  Each pair of a reference vector and its degree-m image is a
+    row [ref | tgt] of one reducer whose columns put every reference label
+    before every target label; after back elimination the row with pivot
+    ("ref", lab) carries T(e_lab) in its target part.  An image whose
+    reference part reduces to zero must reduce to zero outright, which
+    certifies equivariance."""
+    key = ("transport", m, window.annihilation_bound)
     hit = _SHIFT_CACHE.get(key)
     if hit is not None:
         return hit
     ref_labels = relation_space(-2, window).labels
-    ref_action = {
-        c: shift_matrix(c, 0, -2, window) for c in (F1_COLOR, F2_COLOR)
+    action = {
+        side: {c: shift_matrix(c, 0, n, window) for c in (F1_COLOR, F2_COLOR)}
+        for side, n in (("ref", -2), ("tgt", m))
     }
-    tgt_action = {
-        c: shift_matrix(c, 0, m, window) for c in (F1_COLOR, F2_COLOR)
-    }
-
-    def act_coords(matrix, vec):
-        out: dict[RelationLabel, Fraction] = {}
-        for lab, c in vec.items():
-            for lab2, w in matrix[lab].items():
-                out[lab2] = out.get(lab2, Fraction(0)) + c * w
-        return {k: v for k, v in out.items() if v}
-
+    reducer = SpanReducer(
+        lambda col: (col[0] != "ref", order_key(col[1].partition().parts))
+    )
     # seed: the quadratic generator instance, leading coefficient matched
-    seed_ref = {_x1x1_label(-2): Fraction(_x1x1_norm(-2))}
-    seed_tgt = {_x1x1_label(m): Fraction(_x1x1_norm(m))}
-    pairs = [(seed_ref, seed_tgt)]
-    reducer = SpanReducer(lambda lab: _PARTS_KEY(lab.partition().parts))
-    reducer.insert(dict(seed_ref))
-    queue = [(seed_ref, seed_tgt)]
+    seed = {
+        ("ref", _x1x1_label(-2)): Fraction(_x1x1_norm(-2)),
+        ("tgt", _x1x1_label(m)): Fraction(_x1x1_norm(m)),
+    }
+    reducer.insert(seed)
+    queue = [seed]
     while queue:
-        ref_v, tgt_v = queue.pop(0)
+        row = queue.pop(0)
         for c in (F1_COLOR, F2_COLOR):
-            new_ref = act_coords(ref_action[c], ref_v)
-            if not new_ref:
+            image: dict[tuple[str, RelationLabel], Fraction] = {}
+            for (side, lab), v in row.items():
+                for lab2, w in action[side][c][lab].items():
+                    col = (side, lab2)
+                    image[col] = image.get(col, Fraction(0)) + v * w
+            red = reducer.reduce(image)
+            if not red:
                 continue
-            if reducer.insert(dict(new_ref)):
-                new_tgt = act_coords(tgt_action[c], tgt_v)
-                pairs.append((new_ref, new_tgt))
-                queue.append((new_ref, new_tgt))
-    if len(pairs) != len(ref_labels):
-        raise WindowError("transport basis did not reach full rank")
-    # solve T . ref = tgt columnwise by eliminating the ref side
-    work = [
-        (dict(ref_v), dict(tgt_v)) for ref_v, tgt_v in pairs
-    ]
-    solved: dict[RelationLabel, dict[RelationLabel, Fraction]] = {}
-    while work:
-        work.sort(key=lambda rv: len(rv[0]))
-        ref_v, tgt_v = work.pop(0)
-        if not ref_v:
-            if any(tgt_v.values()):
+            if all(side == "tgt" for side, _ in red):
                 raise WindowError("transport solve is inconsistent")
-            continue
-        lab = min(ref_v, key=lambda l: _PARTS_KEY(l.partition().parts))
-        c = ref_v[lab]
-        col_ref = {k: v / c for k, v in ref_v.items()}
-        col_tgt = {k: v / c for k, v in tgt_v.items()}
-        new_work = []
-        for rv, tv in work:
-            b = rv.get(lab)
-            if b:
-                rv = {
-                    k: v
-                    for k, v in (
-                        (k, rv.get(k, Fraction(0)) - b * col_ref.get(k, Fraction(0)))
-                        for k in set(rv) | set(col_ref)
-                    )
-                    if v
-                }
-                tv = {
-                    k: v
-                    for k, v in (
-                        (k, tv.get(k, Fraction(0)) - b * col_tgt.get(k, Fraction(0)))
-                        for k in set(tv) | set(col_tgt)
-                    )
-                    if v
-                }
-            new_work.append((rv, tv))
-        work = new_work
-        solved[lab] = (col_ref, col_tgt)
-    if set(solved) != set(ref_labels):
-        raise WindowError("transport solve left reference labels unresolved")
-    # back substitution: express T(e_lab) for each reference label
-    matrix: dict[RelationLabel, dict[RelationLabel, Fraction]] = {}
-
-    def resolve(lab: RelationLabel) -> dict[RelationLabel, Fraction]:
-        if lab in matrix:
-            return matrix[lab]
-        col_ref, col_tgt = solved[lab]
-        out = dict(col_tgt)
-        for other, v in col_ref.items():
-            if other == lab or not v:
-                continue
-            for k, w in resolve(other).items():
-                nv = out.get(k, Fraction(0)) - v * w
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
-        matrix[lab] = out
-        return out
-
-    for lab in ref_labels:
-        resolve(lab)
+            reducer.insert(red)
+            queue.append(image)
+    if reducer.rank != len(ref_labels):
+        raise WindowError("transport basis did not reach full rank")
+    reducer.back_eliminate()
+    matrix = {
+        lab: {
+            lab2: v
+            for (side, lab2), v in reducer.row_for(("ref", lab)).items()
+            if side == "tgt"
+        }
+        for lab in ref_labels
+    }
     _SHIFT_CACHE[key] = matrix
     return matrix
 
 
 def _weight_2theta_pairs(window: Window):
     """Pairs (mode color, reference label) of joint weight 2*theta."""
-    from .algebra import WEIGHT as _W
-
     target = Weight(2, 2)
     pairs = []
     for lab in relation_space(-2, window).labels:
         for a in range(1, 9):
-            if (_W[a] + lab.partition().weight()) == target:
+            if (WEIGHT[a] + lab.partition().weight()) == target:
                 pairs.append((a, lab))
     return pairs
 
@@ -507,13 +453,11 @@ def _q27_combination(window: Window):
     pairs of weight 2*theta whose degree-3 state image is the derivative of
     the quadratic generator state, 2 X1(-2)X1(-1).vac.  Solved exactly in
     the reference coordinates; no truncation enters."""
-    key = (window.annihilation_bound, window.min_total_degree)
+    key = window.annihilation_bound
     hit = _Q27_CACHE.get(key)
     if hit is not None:
         return hit
     pairs = _weight_2theta_pairs(window)
-    from .enveloping import apply_mode
-
     # state image of each pair: X_a(-1) applied to the relation vector
     states = []
     for a, lab in pairs:
@@ -563,11 +507,9 @@ def _q27_combination(window: Window):
             row[len(pairs)] = -tv
         rows.append(row)
     # nullspace of the homogeneous system in len(pairs)+1 unknowns
-    from .linalg import SpanReducer as _SR
-
     tagged = []
     n_unknowns = len(pairs) + 1
-    reducer = _SR(lambda k: k)
+    reducer = SpanReducer(lambda k: k)
     for j in range(n_unknowns):
         vec = {("row", i): row[j] for i, row in enumerate(rows) if row.get(j)}
         vec[("tag", j)] = Fraction(1)
@@ -633,9 +575,7 @@ def collapse(t: LoopTensor, window: Window) -> EnvElement:
     region is kept."""
     bound = window.annihilation_bound
     space_w = _space_window(window)
-    total = EnvElement(
-        {}, Window(bound, window.min_total_degree)
-    )
+    total = EnvElement({}, Window(bound))
     for ((a, i), label), c in t.terms.items():
         body = relation_for(label, space_w)
         if i < 0:
@@ -656,7 +596,7 @@ def collapse(t: LoopTensor, window: Window) -> EnvElement:
 def _tensor_column_key(key):
     (a, i), label = key
     pi = label.partition() * ColoredPartition(((a, i),))
-    return (_PARTS_KEY(pi.parts), i, a, _PARTS_KEY(label.partition().parts))
+    return (order_key(pi.parts), i, a, order_key(label.partition().parts))
 
 
 def orbit_basis(t: LoopTensor, window: Window) -> list[LoopTensor]:
@@ -740,8 +680,6 @@ def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[
     (creation monomials applied to relation vectors), grouped by weight.
     Rows are sparse vectors over depth-n partitions; serialize them with
     linalg.sparse_triplets for external audit."""
-    from .enveloping import apply_mode
-
     blocks: dict[tuple[int, int], list[dict]] = {}
     if n < 2:
         return blocks
@@ -774,9 +712,6 @@ def max_submodule_rank(n: int, window: Window) -> int:
 def basis_counts_report(n_max: int, window: Window, progress=None) -> list[dict]:
     """Per-depth comparison: spanning-ideal count, induced-module dimension
     minus maximal-submodule rank, and the lattice character oracle."""
-    from .partitions import enumerate_ideal
-    from .qseries import character_oracle, colored_part_count_series
-
     oracle = character_oracle(n_max)
     pbw = colored_part_count_series(n_max, 8)
     out = []
@@ -829,6 +764,6 @@ def _proportionality(e: EnvElement, f: EnvElement) -> Fraction | None:
     f = f.narrowed(bound)
     if f.is_zero():
         return Fraction(0) if e.is_zero() else None
-    witness = next(iter(sorted(f.terms, key=_PARTS_KEY)))
+    witness = min(f.terms, key=order_key)
     c = e.terms.get(witness, Fraction(0)) / f.terms[witness]
     return c if (e - f.scale(c)).is_zero() else None

@@ -1,9 +1,11 @@
+import ast
 import itertools
-
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import affbasis
 from affbasis.algebra import (
     BRACKET,
     COLORS,
@@ -90,3 +92,20 @@ def test_lie_element_arithmetic():
     assert as_dict(y) == {1: Fraction(1, 2)}
     with pytest.raises(Exception):
         LieElement((Fraction(0),) * 7 + (Fraction(1),)).coefficient(9)
+
+
+def test_no_floating_point_in_the_package():
+    sources = sorted(Path(affbasis.__file__).parent.rglob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            ):
+                found.append(f"{path.name}:{node.lineno}: float() call")
+    assert found == []

@@ -143,3 +143,25 @@ def test_verify_csv_format(capsys):
     assert lines[0] == "name,verdict,expected,actual,witness"
     assert len(lines) == 9
     assert all('"pass"' in line for line in lines[1:])
+
+
+def test_flags_before_the_subcommand_are_kept(capsys):
+    code, out, _ = run(
+        capsys, "--order", "5", "verify", "theorem-b", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs"]["order"] == 5
+    _, out, _ = run(
+        capsys, "--order", "5", "verify", "theorem-b", "--order", "7",
+        "--format", "json",
+    )
+    assert json.loads(out)["inputs"]["order"] == 7
+
+
+def test_environment_defaults(capsys, monkeypatch):
+    monkeypatch.setenv("AFFBASIS_ORDER", "7")
+    _, out, _ = run(capsys, "verify", "theorem-b", "--format", "json")
+    assert json.loads(out)["inputs"]["order"] == 7
+    monkeypatch.setenv("AFFBASIS_WINDOW", "abc")
+    code, _, err = run(capsys, "verify", "lemma6")
+    assert code == EXIT_USAGE and "--window" in err

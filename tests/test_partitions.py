@@ -1,3 +1,5 @@
+from functools import cmp_to_key
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,15 +25,19 @@ from affbasis.partitions import (
     enumerate_ideal,
     exceptional_class,
     format_partition,
+    order_key,
     overlap_catalogue,
     parse_partition,
     partitions_at_most,
+    parts_shape,
     quad_same_label,
     quadratic_embeddings,
     quadratic_leading_labels,
     relation_set,
     satisfies_difference_conditions,
     shape_class_embedding_total,
+    shape_key,
+    sort_parts,
     colorings_of_shape,
 )
 
@@ -93,6 +99,72 @@ def test_finite_strict_chain_within_degree():
     pool.sort()
     for a, b in zip(pool, pool[1:]):
         assert compare(a, b) < 0
+
+
+# --- the order key against the reference comparators ---------------------
+
+
+def shape_compare(s, t):
+    """Reference order on plain partitions: longer < ; then smaller total < ;
+    then the positional scan from the top part downward, smaller degree
+    first."""
+    if s == t:
+        return 0
+    if len(s) != len(t):
+        return -1 if len(s) > len(t) else 1
+    ds, dt = sum(s), sum(t)
+    if ds != dt:
+        return -1 if ds < dt else 1
+    for a, b in zip(reversed(s), reversed(t)):
+        if a != b:
+            return -1 if a < b else 1
+    return 0
+
+
+def parts_compare(p, q):
+    """Reference monomial order: the shape order, then at equal shapes the
+    reverse positional scan on colors, greater index first."""
+    if p == q:
+        return 0
+    c = shape_compare(parts_shape(p), parts_shape(q))
+    if c:
+        return c
+    for (ca, _), (cb, _) in zip(reversed(p), reversed(q)):
+        if ca != cb:
+            return -1 if ca > cb else 1
+    return 0
+
+
+def sorted_parts(lo, hi, min_size=0, max_size=5):
+    return st.lists(
+        st.tuples(st.integers(1, 8), st.integers(lo, hi)),
+        min_size=min_size,
+        max_size=max_size,
+    ).map(sort_parts)
+
+
+# tensor column keys order partitions with nonnegative degrees too; the
+# narrow equal-length pairs reach the color clause often
+wide_parts = sorted_parts(-5, 3)
+equal_length_pairs = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(sorted_parts(-2, 1, n, n), sorted_parts(-2, 1, n, n))
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.tuples(wide_parts, wide_parts), equal_length_pairs))
+def test_order_key_matches_reference_comparators(pair):
+    p, q = pair
+    assert compare(ColoredPartition(p), ColoredPartition(q)) == parts_compare(p, q)
+    a, b = shape_key(parts_shape(p)), shape_key(parts_shape(q))
+    assert (a > b) - (a < b) == shape_compare(parts_shape(p), parts_shape(q))
+    assert order_key(p)[:3] == a
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(wide_parts, sorted_parts(-2, 1, max_size=3)), max_size=12))
+def test_order_key_sorts_like_reference_comparator(pool):
+    assert sorted(pool, key=order_key) == sorted(pool, key=cmp_to_key(parts_compare))
 
 
 # --- monoid ops ----------------------------------------------------------

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from affbasis.algebra import Weight
-from affbasis.enveloping import VermaVector, Window, act, apply_mode
+from affbasis.algebra import F1_COLOR, Weight
+from affbasis.enveloping import VermaVector, Window, WindowError, act, apply_mode
 from affbasis.partitions import (
     cubic_a_label,
     cubic_b_label,
@@ -147,6 +147,27 @@ def test_transport_aligns_generator():
 
 
 # --- syzygies ----------------------------------------------------------------------
+
+
+def test_transport_solve_certifies_equivariance(monkeypatch):
+    # doubling one column of the target-degree F1 action breaks the
+    # equivariance the transport solve certifies
+    import affbasis.relations as relations
+
+    original = relations.shift_matrix
+    window, m = Window(3), -3
+
+    def doubled(x_color, k, n, w):
+        matrix = original(x_color, k, n, w)
+        if (x_color, k, n) != (F1_COLOR, 0, m):
+            return matrix
+        lab = next(lab for lab, column in matrix.items() if column)
+        return {**matrix, lab: {l2: 2 * v for l2, v in matrix[lab].items()}}
+
+    monkeypatch.setattr(relations, "_SHIFT_CACHE", {})
+    monkeypatch.setattr(relations, "shift_matrix", doubled)
+    with pytest.raises(WindowError, match="inconsistent"):
+        transport_matrix(m, window)
 
 
 def test_syzygy_64_coefficients():
