@@ -115,16 +115,29 @@ for _a in COLORS:
         BRACKET[(_a, _b)] = _decompose(_commutator(_MATRIX[_a], _MATRIX[_b]))
         FORM[(_a, _b)] = _trace(_mul(_MATRIX[_a], _MATRIX[_b]))
 
-WEIGHT: dict[int, Weight] = {
-    1: Weight(1, 1),
-    2: Weight(1, 0),
-    3: Weight(0, 1),
-    4: Weight(0, 0),
-    5: Weight(0, 0),
-    6: Weight(0, -1),
-    7: Weight(-1, 0),
-    8: Weight(-1, -1),
-}
+
+def _eigenvalue(h: tuple[int, ...], m: tuple[int, ...]) -> int:
+    """The integer l with [h, m] = l * m, for a root vector or Cartan m."""
+    image = _commutator(h, m)
+    i = next(k for k, x in enumerate(m) if x)
+    value, rest = divmod(image[i], m[i])
+    if rest or image != tuple(value * x for x in m):
+        raise AssertionError("basis vector is not an eigenvector of ad h")
+    return value
+
+
+def _simple_root_weight(m: tuple[int, ...]) -> Weight:
+    """Write the ad(H1), ad(H2) eigenvalues (l1, l2) of m in the simple-root
+    basis by the inverse Cartan matrix: a1 = (2 l1 + l2)/3, a2 = (l1 + 2 l2)/3."""
+    l1, l2 = _eigenvalue(_H1, m), _eigenvalue(_H2, m)
+    a1, r1 = divmod(2 * l1 + l2, 3)
+    a2, r2 = divmod(l1 + 2 * l2, 3)
+    if r1 or r2:
+        raise AssertionError("eigenvalues do not lie in the root lattice")
+    return Weight(a1, a2)
+
+
+WEIGHT: dict[int, Weight] = {c: _simple_root_weight(_MATRIX[c]) for c in COLORS}
 
 # Chevalley generators by color index.
 E1_COLOR, E2_COLOR, H1_COLOR, H2_COLOR, F2_COLOR, F1_COLOR = 2, 3, 4, 5, 6, 7

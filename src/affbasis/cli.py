@@ -31,6 +31,7 @@ from .partitions import (
     relation_set,
     shape_class_embedding_total,
 )
+from .relations import LeadingTermError
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -333,7 +334,14 @@ def _cmd_verify(args, cfg: Config) -> int:
         },
     )
     started = time.monotonic()
-    target(cfg, report)
+    try:
+        target(cfg, report)
+    except LeadingTermError as exc:
+        report.add(
+            "relation leading terms lie in the color tables",
+            False,
+            witness=format_partition(exc.partition),
+        )
     report.timings["seconds"] = f"{time.monotonic() - started:.3f}"
     if cfg.fmt == "text":
         print(report.to_text())
@@ -360,6 +368,19 @@ def _cmd_tables(args, cfg: Config) -> int:
             print(f"{format_partition(pi)} | {format_partition(rho)}")
         return EXIT_OK
     raise AssertionError(args.which)
+
+
+REPORT_FORMATS = ("text", "json", "csv")
+
+
+def _report_format(text: str) -> str:
+    # a `type` check, unlike `choices`, also applies to a string default,
+    # so a bad AFFBASIS_FORMAT fails like a bad --format
+    if text not in REPORT_FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(REPORT_FORMATS)})"
+        )
+    return text
 
 
 def _common_flags(with_defaults: bool) -> argparse.ArgumentParser:
@@ -395,8 +416,9 @@ def _common_flags(with_defaults: bool) -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--format",
-        choices=("text", "json", "csv"),
+        type=_report_format,
         default=default("FORMAT", "text"),
+        help="report format: " + ", ".join(REPORT_FORMATS),
     )
     common.add_argument(
         "--timings",

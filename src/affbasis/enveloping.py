@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import BRACKET, FORM, LieElement, Weight
+from .linalg import add_scaled
 from .partitions import (
     ColoredPartition,
     Part,
@@ -70,14 +71,20 @@ def _rewrite_once(word: tuple[Part, ...], i: int):
             yield word[:i] + word[i + 2 :], m * f
 
 
-def straighten_word(word, rng: random.Random | None = None) -> dict[tuple[Part, ...], int]:
+def straighten_word(
+    word, rng: random.Random | None = None, on_vacuum: bool = False
+) -> dict[tuple[Part, ...], int]:
     """Expand a mode word over sorted monomials; exact, integer output.
     The optional rng picks which inversion to rewrite first, for
-    confluence testing; the result must not depend on it."""
+    confluence testing; the result must not depend on it.  With
+    `on_vacuum` the word acts on the vacuum: a word whose rightmost mode
+    has degree >= 0 is dropped as soon as it appears."""
     out: dict[tuple[Part, ...], int] = {}
     stack: list[tuple[tuple[Part, ...], int]] = [(tuple(word), 1)]
     while stack:
         w, c = stack.pop()
+        if on_vacuum and w and w[-1][1] >= 0:
+            continue  # the rightmost mode annihilates the vacuum
         inversions = [
             i
             for i in range(len(w) - 1)
@@ -113,26 +120,21 @@ class EnvElement:
     def zero(cls, window: Window) -> "EnvElement":
         return cls({}, window)
 
-    @classmethod
-    def from_word(cls, word, window: Window, coefficient=1) -> "EnvElement":
-        expanded = straighten_word(word)
-        return cls(
-            {w: Fraction(coefficient) * c for w, c in expanded.items()}, window
-        )
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "EnvElement") -> "EnvElement":
+    def _plus(self, other: "EnvElement", s) -> "EnvElement":
         if self.window != other.window:
             raise WindowError("cannot combine elements with different windows")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return EnvElement(out, self.window)
+        return EnvElement(
+            add_scaled(dict(self.terms), other.terms.items(), s), self.window
+        )
+
+    def __add__(self, other: "EnvElement") -> "EnvElement":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "EnvElement") -> "EnvElement":
-        return self + other.scale(-1)
+        return self._plus(other, -1)
 
     def scale(self, s) -> "EnvElement":
         s = Fraction(s)
@@ -174,9 +176,7 @@ class EnvElement:
         window = Window(self.window.annihilation_bound - max(degree, 0))
         out: dict[tuple[Part, ...], Fraction] = {}
         for w, c in self.terms.items():
-            for term, coef in straighten_word((mode,) + w).items():
-                if coef:
-                    out[term] = out.get(term, Fraction(0)) + c * coef
+            add_scaled(out, straighten_word((mode,) + w).items(), c)
         return EnvElement(out, window)
 
     def mul_mode_right(self, mode: Part) -> "EnvElement":
@@ -189,9 +189,7 @@ class EnvElement:
         window = Window(self.window.annihilation_bound + degree)
         out: dict[tuple[Part, ...], Fraction] = {}
         for w, c in self.terms.items():
-            for term, coef in straighten_word(w + (mode,)).items():
-                if coef:
-                    out[term] = out.get(term, Fraction(0)) + c * coef
+            add_scaled(out, straighten_word(w + (mode,)).items(), c)
         return EnvElement(out, window)
 
     def adjoint_mode(self, x: int | LieElement, k: int) -> "EnvElement":
@@ -203,24 +201,17 @@ class EnvElement:
             pieces = [(x, Fraction(1))]
         window = Window(self.window.annihilation_bound - abs(k))
         out: dict[tuple[Part, ...], Fraction] = {}
-
-        def accumulate(word, coef):
-            for term, c2 in straighten_word(word).items():
-                if c2:
-                    out[term] = out.get(term, Fraction(0)) + coef * c2
-
         for w, c in self.terms.items():
             for idx, (b, d) in enumerate(w):
                 for xc, xv in pieces:
+                    s = c * xv
                     for color, coef in BRACKET[(xc, b)]:
-                        accumulate(
-                            w[:idx] + ((color, d + k),) + w[idx + 1 :],
-                            c * xv * coef,
-                        )
-                    if k + d == 0:
-                        f = FORM[(xc, b)]
-                        if f:
-                            accumulate(w[:idx] + w[idx + 1 :], c * xv * k * f)
+                        word = w[:idx] + ((color, d + k),) + w[idx + 1 :]
+                        add_scaled(out, straighten_word(word).items(), s * coef)
+                    f = FORM[(xc, b)] if k + d == 0 else 0
+                    if f:
+                        word = w[:idx] + w[idx + 1 :]
+                        add_scaled(out, straighten_word(word).items(), s * k * f)
         return EnvElement(out, window)
 
     # -- leading terms ----------------------------------------------------------
@@ -270,8 +261,9 @@ def adjoint_action(x: LieElement, e: EnvElement) -> EnvElement:
 # --- the induced vacuum module -------------------------------------------------
 #
 # Vectors are exact combinations of strictly-negative partitions acting on the
-# vacuum.  A single mode acts by commuting into sorted position; the pure
-# integer kernel below is memoized globally.
+# vacuum.  A single mode acts by straightening the word (mode,) + parts on the
+# vacuum, which drops every word whose rightmost mode annihilates it; the
+# pure integer result is memoized globally.
 
 _MODE_CACHE: dict[tuple[Part, tuple[Part, ...]], tuple[tuple[tuple[Part, ...], int], ...]] = {}
 
@@ -281,27 +273,10 @@ def mode_on_partition(mode: Part, parts: tuple[Part, ...]):
     (partition, integer coefficient) pairs."""
     key = (mode, parts)
     hit = _MODE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out: dict[tuple[Part, ...], int] = {}
-    stack: list[tuple[tuple[Part, ...], int]] = [((mode,) + parts, 1)]
-    while stack:
-        w, c = stack.pop()
-        if w and w[-1][1] >= 0:
-            continue  # the rightmost mode annihilates the vacuum
-        idx = -1
-        for i in range(len(w) - 1):
-            if part_key(w[i]) > part_key(w[i + 1]):
-                idx = i
-                break
-        if idx < 0:
-            out[w] = out.get(w, 0) + c
-            continue
-        for term, coef in _rewrite_once(w, idx):
-            stack.append((term, c * coef))
-    result = tuple((w, c) for w, c in out.items() if c)
-    _MODE_CACHE[key] = result
-    return result
+    if hit is None:
+        hit = tuple(straighten_word((mode,) + parts, on_vacuum=True).items())
+        _MODE_CACHE[key] = hit
+    return hit
 
 
 class VermaVector:
@@ -330,13 +305,10 @@ class VermaVector:
         return not self.coords
 
     def __add__(self, other: "VermaVector") -> "VermaVector":
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return VermaVector(out)
+        return VermaVector(add_scaled(dict(self.coords), other.coords.items()))
 
     def __sub__(self, other: "VermaVector") -> "VermaVector":
-        return self + other.scale(-1)
+        return VermaVector(add_scaled(dict(self.coords), other.coords.items(), -1))
 
     def scale(self, s) -> "VermaVector":
         s = Fraction(s)
@@ -358,8 +330,7 @@ class VermaVector:
 def apply_mode(mode: Part, v: VermaVector) -> VermaVector:
     out: dict[tuple[Part, ...], Fraction] = {}
     for parts, c in v.coords.items():
-        for w, coef in mode_on_partition(mode, parts):
-            out[w] = out.get(w, Fraction(0)) + c * coef
+        add_scaled(out, mode_on_partition(mode, parts), c)
     return VermaVector(out)
 
 
@@ -384,10 +355,10 @@ def act(e, v: VermaVector) -> VermaVector:
                 f"window bound {e.window.annihilation_bound} is too shallow "
                 f"for a vector of depth {depth}"
             )
-        out = VermaVector()
+        out: dict[tuple[Part, ...], Fraction] = {}
         for parts, c in e.terms.items():
-            out = out + apply_word(parts, v).scale(c)
-        return out
+            add_scaled(out, apply_word(parts, v).coords.items(), c)
+        return VermaVector(out)
     raise TypeError(f"cannot act with {type(e).__name__}")
 
 

@@ -1,5 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
+Sparse vectors are plain dicts from a key to a nonzero coefficient, and
+``add_scaled`` is the one way they are combined: every layer (monomials,
+module vectors, tensors, reducer rows) accumulates through it.
+
 Two engines: an incremental span reducer over a totally ordered column set,
 and a fraction-free integer rank for the large graded elimination.  The
 reducer echelonizes relation spaces and orbit spans, where pivots must sit
@@ -13,6 +17,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+
+def add_scaled(acc: dict, pairs, scale=1) -> dict:
+    """acc += scale * pairs, in place, over (key, value) pairs.  A key whose
+    sum is zero is removed, so acc never holds a zero.  Returns acc."""
+    for k, v in pairs:
+        s = acc.get(k, 0) + scale * v
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+    return acc
 
 
 class SpanReducer:
@@ -34,13 +50,7 @@ class SpanReducer:
             row = self.rows.get(p)
             if row is None:
                 return vec
-            c = vec[p]
-            for k, v in row.items():
-                nv = vec.get(k, Fraction(0)) - c * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
+            add_scaled(vec, row.items(), -vec[p])
         return vec
 
     def insert(self, vec: dict) -> bool:
@@ -66,13 +76,7 @@ class SpanReducer:
             for q, other in self.rows.items():
                 if q == p or p not in other:
                     continue
-                c = other[p]
-                for k, v in row.items():
-                    nv = other.get(k, Fraction(0)) - c * v
-                    if nv:
-                        other[k] = nv
-                    else:
-                        other.pop(k, None)
+                add_scaled(other, row.items(), -other[p])
 
     def row_for(self, pivot) -> dict:
         return self.rows[pivot]

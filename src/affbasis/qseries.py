@@ -14,7 +14,6 @@ from .partitions import (
     INDEPENDENT_COLOR_SETS,
     ColoredPartition,
     compatible_layers,
-    enumerate_ideal,
 )
 
 

@@ -37,7 +37,7 @@ from .enveloping import (
     apply_mode,
     graded_basis,
 )
-from .linalg import SpanReducer, sparse_rank
+from .linalg import SpanReducer, add_scaled, sparse_rank
 from .partitions import (
     ADJACENT_COLOR_PAIRS,
     SAME_DEGREE_COLOR_PAIRS,
@@ -49,7 +49,6 @@ from .partitions import (
     partitions_at_most,
     quad_adjacent_label,
     quad_same_label,
-    quadratic_leading_labels,
 )
 from .qseries import character_oracle, colored_part_count_series
 
@@ -116,7 +115,7 @@ class RelationSpace:
                 )
             label = label_for_quadratic(lead)
             if label is None:
-                raise AssertionError(f"unexpected leading term {lead}")
+                raise LeadingTermError(lead)
             labels.append(label)
             self.elements[label] = elem
             self.leading[label] = lead.parts
@@ -124,9 +123,6 @@ class RelationSpace:
 
     def element(self, label: RelationLabel) -> EnvElement:
         return self.elements[label]
-
-    def leading_labels(self) -> list[RelationLabel]:
-        return list(self.labels)
 
     def coordinates(self, e: EnvElement) -> dict[RelationLabel, Fraction]:
         """Expand a member of the space over the canonical basis; raises if
@@ -138,12 +134,7 @@ class RelationSpace:
             if not c:
                 continue
             coords[label] = c
-            for k, v in self.elements[label].terms.items():
-                nv = residual.get(k, Fraction(0)) - c * v
-                if nv:
-                    residual[k] = nv
-                else:
-                    residual.pop(k, None)
+            add_scaled(residual, self.elements[label].terms.items(), -c)
         check_bound = min(
             e.window.annihilation_bound, self.window.annihilation_bound
         )
@@ -154,6 +145,15 @@ class RelationSpace:
                     f"space (residual at {parts})"
                 )
         return coords
+
+
+class LeadingTermError(Exception):
+    """A computed relation has a leading term that the color tables do not
+    list; `partition` is the offending leading term."""
+
+    def __init__(self, partition: ColoredPartition):
+        super().__init__(f"unexpected leading term {partition}")
+        self.partition = partition
 
 
 def label_for_quadratic(p: ColoredPartition) -> RelationLabel | None:
@@ -253,14 +253,13 @@ def shift_matrix(x_color: int, k: int, n: int, window: Window):
 
 class LoopTensor:
     """Exact element of the degree-n piece of (loop algebra) tensor
-    (relation spaces): coordinates are keyed by a single mode and a
+    (relation spaces): a sparse vector keyed by a single mode and a
     canonical relation label; x-mode degrees are tracked on the certified
-    interval [i_lo, i_hi].  `scalars` holds the optional plain summand used
-    when a tensor is compared against a bare relation."""
+    interval [i_lo, i_hi]."""
 
-    __slots__ = ("n", "terms", "scalars", "i_lo", "i_hi")
+    __slots__ = ("n", "terms", "i_lo", "i_hi")
 
-    def __init__(self, n, terms, i_lo, i_hi, scalars=None):
+    def __init__(self, n, terms, i_lo, i_hi):
         self.n = n
         self.i_lo = i_lo
         self.i_hi = i_hi
@@ -269,42 +268,28 @@ class LoopTensor:
             c = Fraction(c)
             if c and i_lo <= key[0][1] <= i_hi:
                 self.terms[key] = c
-        self.scalars: dict[RelationLabel, Fraction] = {
-            lab: Fraction(c) for lab, c in (scalars or {}).items() if c
-        }
 
     def is_zero(self) -> bool:
-        return not self.terms and not self.scalars
+        return not self.terms
 
     def scale(self, s) -> "LoopTensor":
         s = Fraction(s)
         return LoopTensor(
-            self.n,
-            {k: s * c for k, c in self.terms.items()},
-            self.i_lo,
-            self.i_hi,
-            {k: s * c for k, c in self.scalars.items()},
+            self.n, {k: s * c for k, c in self.terms.items()}, self.i_lo, self.i_hi
         )
 
     def __sub__(self, other: "LoopTensor") -> "LoopTensor":
         if self.n != other.n:
             raise ValueError("cannot combine tensors of different degrees")
         lo, hi = max(self.i_lo, other.i_lo), min(self.i_hi, other.i_hi)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) - c
-        sc = dict(self.scalars)
-        for k, c in other.scalars.items():
-            sc[k] = sc.get(k, Fraction(0)) - c
-        return LoopTensor(self.n, out, lo, hi, sc)
+        out = add_scaled(dict(self.terms), other.terms.items(), -1)
+        return LoopTensor(self.n, out, lo, hi)
 
     def weight(self) -> Weight | None:
         seen = set()
         for (color, _), label in self.terms:
             w = WEIGHT[color] + label.partition().weight()
             seen.add(w.key())
-        for label in self.scalars:
-            seen.add(label.partition().weight().key())
         if len(seen) == 1:
             a1, a2 = seen.pop()
             return Weight(a1, a2)
@@ -349,19 +334,14 @@ def syzygy_tensor_64(n: int, window: Window, margin: int = 4) -> LoopTensor:
 def loop_action(x_color: int, k: int, t: LoopTensor, window: Window) -> LoopTensor:
     """Action of x(k) on a tensor: bracket on the mode slot plus the
     transported adjoint action on the relation slot."""
-    if t.scalars:
-        raise ValueError("the loop action is defined on the plain tensor part")
     space_w = _space_window(window)
     lo, hi = t.i_lo + max(k, 0), t.i_hi + min(k, 0)
     out: dict[tuple[Part, RelationLabel], Fraction] = {}
     for ((a, i), label), c in t.terms.items():
-        for color, coef in BRACKET[(x_color, a)]:
-            key = ((color, i + k), label)
-            out[key] = out.get(key, Fraction(0)) + c * coef
-        m = label.partition().degree
-        for lab2, w in shift_matrix(x_color, k, m, space_w)[label].items():
-            key = ((a, i), lab2)
-            out[key] = out.get(key, Fraction(0)) + c * w
+        bracket = BRACKET[(x_color, a)]
+        add_scaled(out, ((((color, i + k), label), coef) for color, coef in bracket), c)
+        shift = shift_matrix(x_color, k, label.partition().degree, space_w)[label]
+        add_scaled(out, ((((a, i), lab2), w) for lab2, w in shift.items()), c)
     return LoopTensor(t.n + k, out, lo, hi)
 
 
@@ -409,9 +389,8 @@ def transport_matrix(m: int, window: Window):
         for c in (F1_COLOR, F2_COLOR):
             image: dict[tuple[str, RelationLabel], Fraction] = {}
             for (side, lab), v in row.items():
-                for lab2, w in action[side][c][lab].items():
-                    col = (side, lab2)
-                    image[col] = image.get(col, Fraction(0)) + v * w
+                images = action[side][c][lab].items()
+                add_scaled(image, (((side, lab2), w) for lab2, w in images), v)
             red = reducer.reduce(image)
             if not red:
                 continue
@@ -486,12 +465,10 @@ def _q27_combination(window: Window):
     for e_color in (E1_COLOR, E2_COLOR):
         images = []
         for a, lab in pairs:
-            out: dict = {}
-            for color, coef in BRACKET[(e_color, a)]:
-                out[(color, lab)] = out.get((color, lab), Fraction(0)) + coef
-            for lab2, w in raising[e_color][lab].items():
-                out[(a, lab2)] = out.get((a, lab2), Fraction(0)) + w
-            images.append(out)
+            bracket = BRACKET[(e_color, a)]
+            raised = raising[e_color][lab].items()
+            out = add_scaled({}, (((color, lab), coef) for color, coef in bracket))
+            images.append(add_scaled(out, (((a, lab2), w) for lab2, w in raised)))
         add_constraint(images)
     # state condition: sum c * state = t * target for an extra unknown t
     state_keys = set()
@@ -547,13 +524,8 @@ def syzygy_tensor_27(n: int, window: Window, margin: int = 4) -> LoopTensor:
     for i in range(i_lo, i_hi + 1):
         transport = transport_matrix(n - i, space_w)
         for (a, lab), c in combo:
-            for lab2, w in transport[lab].items():
-                key = ((a, i), lab2)
-                val = terms.get(key, Fraction(0)) + c * w
-                if val:
-                    terms[key] = val
-                else:
-                    terms.pop(key, None)
+            column = transport[lab].items()
+            add_scaled(terms, ((((a, i), lab2), w) for lab2, w in column), c)
     return LoopTensor(n, terms, i_lo, i_hi)
 
 
@@ -570,24 +542,20 @@ def syzygy_tensors(n: int, window: Window) -> dict[str, LoopTensor]:
 def collapse(t: LoopTensor, window: Window) -> EnvElement:
     """The two-sided multiplication image of a tensor: modes of negative
     degree multiply their relation from the left, the others from the
-    right; the plain summand is taken as is.  Exact on the target window:
-    bodies are built on the padded internal window and only the certified
-    region is kept."""
-    bound = window.annihilation_bound
+    right.  Exact on the target window: bodies are built on the padded
+    internal window, the products are summed once, and only the certified
+    region of the sum is kept (window admission is per monomial, so
+    filtering the sum equals summing the filtered products)."""
     space_w = _space_window(window)
-    total = EnvElement({}, Window(bound))
+    total: dict[tuple[Part, ...], Fraction] = {}
     for ((a, i), label), c in t.terms.items():
         body = relation_for(label, space_w)
         if i < 0:
             product = body.mul_mode_left((a, i))
         else:
             product = body.mul_mode_right((a, i))
-        piece = EnvElement(product.terms, total.window)
-        total = total + piece.scale(c)
-    for label, c in t.scalars.items():
-        body = relation_for(label, space_w)
-        total = total + EnvElement(body.terms, total.window).scale(c)
-    return total
+        add_scaled(total, product.terms.items(), c)
+    return EnvElement(total, Window(window.annihilation_bound))
 
 
 # --- orbits and their leading terms -------------------------------------------

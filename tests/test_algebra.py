@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import itertools
 from fractions import Fraction
 from pathlib import Path
@@ -109,3 +111,18 @@ def test_no_floating_point_in_the_package():
             ):
                 found.append(f"{path.name}:{node.lineno}: float() call")
     assert found == []
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the per-layer benchmark wraps these names; a missing one would read 0
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, attribute, _ in tracer.TARGETS:
+        obj = importlib.import_module(f"affbasis.{module}")
+        for name in attribute.split("."):
+            assert hasattr(obj, name), f"{module}.{attribute}"
+            obj = getattr(obj, name)
+        assert callable(obj), f"{module}.{attribute}"

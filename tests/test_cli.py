@@ -1,7 +1,7 @@
 import json
 
 
-from affbasis.cli import EXIT_OK, EXIT_USAGE, main
+from affbasis.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
 from affbasis.fixture_io import load_report_schema
 
 
@@ -165,3 +165,27 @@ def test_environment_defaults(capsys, monkeypatch):
     monkeypatch.setenv("AFFBASIS_WINDOW", "abc")
     code, _, err = run(capsys, "verify", "lemma6")
     assert code == EXIT_USAGE and "--window" in err
+
+
+def test_environment_format_is_validated(capsys, monkeypatch):
+    monkeypatch.setenv("AFFBASIS_FORMAT", "csv")
+    code, out, _ = run(capsys, "verify", "lemma7")
+    assert code == EXIT_OK and out.startswith("name,verdict")
+    monkeypatch.setenv("AFFBASIS_FORMAT", "xml")
+    code, out, err = run(capsys, "verify", "lemma7")
+    assert code == EXIT_USAGE and out == "" and "--format" in err
+    assert run(capsys, "verify", "lemma7", "--format", "xml")[0] == EXIT_USAGE
+
+
+def test_corrupted_color_table_is_a_failed_check(capsys, monkeypatch):
+    from affbasis import partitions, relations
+
+    corrupted = partitions.ADJACENT_COLOR_PAIRS[:-1] + ((8, 7),)
+    monkeypatch.setattr(partitions, "ADJACENT_COLOR_PAIRS", corrupted)
+    monkeypatch.setattr(relations, "ADJACENT_COLOR_PAIRS", corrupted)
+    monkeypatch.setattr(relations, "_SPACE_CACHE", {})
+    code, out, _ = run(capsys, "verify", "lemma1")
+    assert code == EXIT_FALSIFIED
+    fail = [line for line in out.splitlines() if line.startswith("FAIL  ")]
+    assert len(fail) == 1 and fail[0].endswith("witness=8:-5 8:-4")
+    assert out.splitlines()[-1].startswith("FAIL: ")

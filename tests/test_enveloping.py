@@ -11,14 +11,22 @@ from affbasis.enveloping import (
     VermaVector,
     Window,
     WindowError,
+    _rewrite_once,
     act,
     adjoint_action,
     apply_mode,
     graded_basis,
+    mode_on_partition,
     straighten,
     straighten_word,
 )
-from affbasis.partitions import ColoredPartition, format_partition, parse_partition
+from affbasis.linalg import add_scaled
+from affbasis.partitions import (
+    ColoredPartition,
+    format_partition,
+    parse_partition,
+    part_key,
+)
 
 W8 = Window(8)
 
@@ -70,6 +78,63 @@ def test_straighten_is_multiplicative_on_vacuum(u, v):
 
 
 # --- the module action -----------------------------------------------------------
+
+
+def reference_mode_on_partition(mode, parts):
+    """Reference vacuum rewriter: the separate loop mode_on_partition ran
+    before it was folded into straighten_word."""
+    out = {}
+    stack = [((mode,) + parts, 1)]
+    while stack:
+        w, c = stack.pop()
+        if w and w[-1][1] >= 0:
+            continue  # the rightmost mode annihilates the vacuum
+        idx = -1
+        for i in range(len(w) - 1):
+            if part_key(w[i]) > part_key(w[i + 1]):
+                idx = i
+                break
+        if idx < 0:
+            out[w] = out.get(w, 0) + c
+            continue
+        for term, coef in _rewrite_once(w, idx):
+            stack.append((term, c * coef))
+    return tuple((w, c) for w, c in out.items() if c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode_strategy,
+    st.lists(st.tuples(st.integers(1, 8), st.integers(-4, -1)), max_size=4),
+)
+def test_mode_on_partition_matches_reference_rewriter(mode, parts):
+    parts = ColoredPartition(parts).parts
+    expected = reference_mode_on_partition(mode, parts)
+    # equal tuples: same terms, same coefficients, same term order
+    assert mode_on_partition(mode, parts) == expected
+    assert mode_on_partition(mode, parts) == expected  # the cached copy
+
+
+coefficient_strategy = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.dictionaries(st.integers(0, 5), coefficient_strategy.filter(bool), max_size=6),
+    st.lists(st.tuples(st.integers(0, 5), coefficient_strategy), max_size=10),
+    coefficient_strategy,
+)
+def test_add_scaled_is_a_sum_without_zeros(acc, pairs, scale):
+    naive = dict(acc)
+    for k, v in pairs:
+        naive[k] = naive.get(k, 0) + scale * v
+    naive = {k: v for k, v in naive.items() if v}
+    result = add_scaled(acc, pairs, scale)
+    assert result is acc
+    assert acc == naive
+    assert all(acc.values())
 
 
 def test_action_examples():
