@@ -1,6 +1,6 @@
 """Truncated exact computation in the level-one enveloping algebra.
 
-Elements are finite rational combinations of normal-ordered monomials: a
+Elements are finite integer combinations of normal-ordered monomials: a
 monomial is a mode word sorted in the part order, which automatically puts
 creation modes (degree < 0) to the left of annihilation modes (degree >= 0).
 Infinite sums from the completed algebra are represented through windows: a
@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import BRACKET, FORM, LieElement, Weight
-from .linalg import add_scaled
+from .linalg import Scalar, add_scaled
 from .partitions import (
     ColoredPartition,
     Part,
@@ -85,15 +84,17 @@ def straighten_word(
         w, c = stack.pop()
         if on_vacuum and w and w[-1][1] >= 0:
             continue  # the rightmost mode annihilates the vacuum
-        inversions = [
-            i
-            for i in range(len(w) - 1)
-            if part_key(w[i]) > part_key(w[i + 1])
-        ]
-        if not inversions:
+        inversions = (
+            i for i in range(len(w) - 1) if part_key(w[i]) > part_key(w[i + 1])
+        )
+        if rng is None:
+            i = next(inversions, None)  # the first inversion; no full scan
+        else:
+            inversions = list(inversions)
+            i = rng.choice(inversions) if inversions else None
+        if i is None:
             out[w] = out.get(w, 0) + c
             continue
-        i = inversions[0] if rng is None else rng.choice(inversions)
         for term, coef in _rewrite_once(w, i):
             stack.append((term, c * coef))
     return {w: c for w, c in out.items() if c}
@@ -103,17 +104,15 @@ def straighten_word(
 
 
 class EnvElement:
-    """Finite exact combination of sorted monomials inside a window."""
+    """Finite exact combination of sorted monomials inside a window.  The
+    coefficients are ints; a Fraction enters only through a Fraction scale
+    or Lie element."""
 
     __slots__ = ("terms", "window")
 
-    def __init__(self, terms: dict[tuple[Part, ...], Fraction], window: Window):
-        cleaned = {}
-        for parts, coef in terms.items():
-            coef = Fraction(coef)
-            if coef and window.admits(parts):
-                cleaned[parts] = coef
-        self.terms = cleaned
+    def __init__(self, terms: dict[tuple[Part, ...], Scalar], window: Window):
+        admits = window.admits
+        self.terms = {w: c for w, c in terms.items() if c and admits(w)}
         self.window = window
 
     @classmethod
@@ -136,8 +135,7 @@ class EnvElement:
     def __sub__(self, other: "EnvElement") -> "EnvElement":
         return self._plus(other, -1)
 
-    def scale(self, s) -> "EnvElement":
-        s = Fraction(s)
+    def scale(self, s: Scalar) -> "EnvElement":
         if not s:
             return EnvElement.zero(self.window)
         return EnvElement({w: s * c for w, c in self.terms.items()}, self.window)
@@ -145,11 +143,11 @@ class EnvElement:
     def narrowed(self, bound: int) -> "EnvElement":
         return EnvElement(self.terms, self.window.narrowed(bound))
 
-    def coefficient(self, parts) -> Fraction:
+    def coefficient(self, parts) -> Scalar:
         key = sort_parts(parts)
         if not self.window.admits(key):
             raise WindowError(f"monomial {key} lies outside the window")
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, 0)
 
     def total_degree(self) -> int | None:
         degs = {parts_degree(w) for w in self.terms}
@@ -174,7 +172,7 @@ class EnvElement:
         an annihilation mode costs its degree in certified bound."""
         color, degree = mode
         window = Window(self.window.annihilation_bound - max(degree, 0))
-        out: dict[tuple[Part, ...], Fraction] = {}
+        out: dict[tuple[Part, ...], Scalar] = {}
         for w, c in self.terms.items():
             add_scaled(out, straighten_word((mode,) + w).items(), c)
         return EnvElement(out, window)
@@ -187,7 +185,7 @@ class EnvElement:
         # so the certified region moves with it; a creation mode can merge
         # into the annihilation side and costs its absolute degree.
         window = Window(self.window.annihilation_bound + degree)
-        out: dict[tuple[Part, ...], Fraction] = {}
+        out: dict[tuple[Part, ...], Scalar] = {}
         for w, c in self.terms.items():
             add_scaled(out, straighten_word(w + (mode,)).items(), c)
         return EnvElement(out, window)
@@ -198,9 +196,9 @@ class EnvElement:
         if isinstance(x, LieElement):
             pieces = list(x.items())
         else:
-            pieces = [(x, Fraction(1))]
+            pieces = [(x, 1)]
         window = Window(self.window.annihilation_bound - abs(k))
-        out: dict[tuple[Part, ...], Fraction] = {}
+        out: dict[tuple[Part, ...], Scalar] = {}
         for w, c in self.terms.items():
             for idx, (b, d) in enumerate(w):
                 for xc, xv in pieces:
@@ -239,7 +237,7 @@ class EnvElement:
                 )
         return bound
 
-    def sorted_terms(self) -> list[tuple[ColoredPartition, Fraction]]:
+    def sorted_terms(self) -> list[tuple[ColoredPartition, Scalar]]:
         items = sorted(self.terms.items(), key=lambda kv: order_key(kv[0]))
         return [(ColoredPartition(w), c) for w, c in items]
 
@@ -249,8 +247,7 @@ class EnvElement:
 
 def straighten(word, window: Window, rng: random.Random | None = None) -> EnvElement:
     """Normal-order a finite mode word; exact, then admission-filtered."""
-    expanded = straighten_word(word, rng=rng)
-    return EnvElement({w: Fraction(c) for w, c in expanded.items()}, window)
+    return EnvElement(straighten_word(word, rng=rng), window)
 
 
 def adjoint_action(x: LieElement, e: EnvElement) -> EnvElement:
@@ -285,21 +282,16 @@ class VermaVector:
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: dict[tuple[Part, ...], Fraction] | None = None):
-        cleaned = {}
-        for parts, c in (coords or {}).items():
-            c = Fraction(c)
-            if c:
-                cleaned[parts] = c
-        self.coords = cleaned
+    def __init__(self, coords: dict[tuple[Part, ...], Scalar] | None = None):
+        self.coords = {parts: c for parts, c in (coords or {}).items() if c}
 
     @classmethod
     def vacuum(cls) -> "VermaVector":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def basis(cls, p: ColoredPartition) -> "VermaVector":
-        return cls({p.parts: Fraction(1)})
+        return cls({p.parts: 1})
 
     def is_zero(self) -> bool:
         return not self.coords
@@ -310,8 +302,7 @@ class VermaVector:
     def __sub__(self, other: "VermaVector") -> "VermaVector":
         return VermaVector(add_scaled(dict(self.coords), other.coords.items(), -1))
 
-    def scale(self, s) -> "VermaVector":
-        s = Fraction(s)
+    def scale(self, s: Scalar) -> "VermaVector":
         return VermaVector({k: s * v for k, v in self.coords.items()})
 
     def __eq__(self, other) -> bool:
@@ -328,7 +319,7 @@ class VermaVector:
 
 
 def apply_mode(mode: Part, v: VermaVector) -> VermaVector:
-    out: dict[tuple[Part, ...], Fraction] = {}
+    out: dict[tuple[Part, ...], Scalar] = {}
     for parts, c in v.coords.items():
         add_scaled(out, mode_on_partition(mode, parts), c)
     return VermaVector(out)
@@ -355,7 +346,7 @@ def act(e, v: VermaVector) -> VermaVector:
                 f"window bound {e.window.annihilation_bound} is too shallow "
                 f"for a vector of depth {depth}"
             )
-        out: dict[tuple[Part, ...], Fraction] = {}
+        out: dict[tuple[Part, ...], Scalar] = {}
         for parts, c in e.terms.items():
             add_scaled(out, apply_word(parts, v).coords.items(), c)
         return VermaVector(out)

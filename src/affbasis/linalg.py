@@ -1,8 +1,12 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra with integer coefficients.
 
 Sparse vectors are plain dicts from a key to a nonzero coefficient, and
 ``add_scaled`` is the one way they are combined: every layer (monomials,
 module vectors, tensors, reducer rows) accumulates through it.
+Coefficients are Python ints; a ``Fraction`` appears only where a true
+division happens, through ``exact_quotient``: reducer normalization, the
+q27 solve and the scalar c(n) of the collapse.  Ints and Fractions mix
+exactly, and ``Fraction(2) == 2`` with equal hashes.
 
 Two engines: an incremental span reducer over a totally ordered column set,
 and a fraction-free integer rank for the large graded elimination.  The
@@ -18,6 +22,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+Scalar = int | Fraction  # an exact coefficient
+
+
+def exact_quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
 
 def add_scaled(acc: dict, pairs, scale=1) -> dict:
     """acc += scale * pairs, in place, over (key, value) pairs.  A key whose
@@ -32,19 +44,23 @@ def add_scaled(acc: dict, pairs, scale=1) -> dict:
 
 
 class SpanReducer:
-    """Maintains a reduced basis of sparse Fraction vectors.  `column_key`
-    maps a column identifier to a sortable key; pivots sit at the minimal
-    column of each vector."""
+    """Maintains a reduced basis of sparse exact vectors.  `column_key`
+    maps a column identifier to a sortable key, computed once per column
+    and reducer; pivots sit at the minimal column of each vector."""
 
     def __init__(self, column_key):
         self.column_key = column_key
-        self.rows: dict = {}  # pivot column -> {column: Fraction}, pivot coeff 1
+        self.keys: dict = {}  # column -> column_key(column)
+        self.rows: dict = {}  # pivot column -> {column: int or Fraction}, pivot coeff 1
 
     def _pivot(self, vec: dict):
-        return min(vec, key=self.column_key)
+        return min(vec, key=self.keys.__getitem__)
 
     def reduce(self, vec: dict) -> dict:
-        vec = {k: Fraction(v) for k, v in vec.items() if v}
+        vec = {k: v for k, v in vec.items() if v}
+        # rows only hold columns of reduced vectors, so these are all it meets
+        for col in vec.keys() - self.keys.keys():
+            self.keys[col] = self.column_key(col)
         while vec:
             p = self._pivot(vec)
             row = self.rows.get(p)
@@ -59,7 +75,7 @@ class SpanReducer:
             return False
         p = self._pivot(red)
         c = red[p]
-        self.rows[p] = {k: v / c for k, v in red.items()}
+        self.rows[p] = {k: exact_quotient(v, c) for k, v in red.items()}
         return True
 
     @property
@@ -94,17 +110,17 @@ def _strip_gcd(row: dict) -> dict:
 
 
 def integer_rows(rows) -> list[dict]:
-    """Scale Fraction-valued sparse rows to coprime integer rows."""
+    """Scale sparse rows of ints and Fractions to coprime integer rows,
+    without Fraction arithmetic (an int's denominator is 1)."""
     out = []
     for row in rows:
-        row = {k: Fraction(v) for k, v in row.items() if v}
-        if not row:
-            continue
         lcm = 1
         for v in row.values():
             d = v.denominator
             lcm = lcm // gcd(lcm, d) * d
-        out.append(_strip_gcd({k: int(v * lcm) for k, v in row.items()}))
+        row = {k: v.numerator * (lcm // v.denominator) for k, v in row.items() if v}
+        if row:
+            out.append(_strip_gcd(row))
     return out
 
 

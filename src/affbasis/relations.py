@@ -15,8 +15,6 @@ computation that verifies the basis theorem degree by degree.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (
     BRACKET,
     E1_COLOR,
@@ -37,7 +35,7 @@ from .enveloping import (
     apply_mode,
     graded_basis,
 )
-from .linalg import SpanReducer, add_scaled, sparse_rank
+from .linalg import Scalar, SpanReducer, add_scaled, exact_quotient, sparse_rank
 from .partitions import (
     ADJACENT_COLOR_PAIRS,
     SAME_DEGREE_COLOR_PAIRS,
@@ -57,14 +55,14 @@ def x1_square_modes(n: int, window: Window) -> EnvElement:
     """Windowed truncation of sum_{i+j=n} X1(i)X1(j).  The modes commute,
     so each unordered pair {i, j} with i < j contributes coefficient 2."""
     bound = window.annihilation_bound
-    terms: dict[tuple[Part, ...], Fraction] = {}
+    terms: dict[tuple[Part, ...], int] = {}
     i = n - bound - 1
     while 2 * i <= n:
         j = n - i
         if i < j:
-            terms[((1, i), (1, j))] = Fraction(2)
+            terms[((1, i), (1, j))] = 2
         elif i == j:
-            terms[((1, i), (1, j))] = Fraction(1)
+            terms[((1, i), (1, j))] = 1
         i += 1
     return EnvElement(terms, window)
 
@@ -124,10 +122,10 @@ class RelationSpace:
     def element(self, label: RelationLabel) -> EnvElement:
         return self.elements[label]
 
-    def coordinates(self, e: EnvElement) -> dict[RelationLabel, Fraction]:
+    def coordinates(self, e: EnvElement) -> dict[RelationLabel, Scalar]:
         """Expand a member of the space over the canonical basis; raises if
         a certified in-window residual survives."""
-        coords: dict[RelationLabel, Fraction] = {}
+        coords: dict[RelationLabel, Scalar] = {}
         residual = dict(e.terms)
         for label, pivot in self.leading.items():
             c = residual.get(pivot)
@@ -240,7 +238,7 @@ def shift_matrix(x_color: int, k: int, n: int, window: Window):
         return hit
     source = relation_space(n, window)
     target = relation_space(n + k, window)
-    matrix: dict[RelationLabel, dict[RelationLabel, Fraction]] = {}
+    matrix: dict[RelationLabel, dict[RelationLabel, Scalar]] = {}
     for label in source.labels:
         image = source.element(label).adjoint_mode(x_color, k)
         matrix[label] = target.coordinates(image)
@@ -254,8 +252,8 @@ def shift_matrix(x_color: int, k: int, n: int, window: Window):
 class LoopTensor:
     """Exact element of the degree-n piece of (loop algebra) tensor
     (relation spaces): a sparse vector keyed by a single mode and a
-    canonical relation label; x-mode degrees are tracked on the certified
-    interval [i_lo, i_hi]."""
+    canonical relation label, with int coefficients unless a Fraction scales
+    it; x-mode degrees are tracked on the certified interval [i_lo, i_hi]."""
 
     __slots__ = ("n", "terms", "i_lo", "i_hi")
 
@@ -263,17 +261,14 @@ class LoopTensor:
         self.n = n
         self.i_lo = i_lo
         self.i_hi = i_hi
-        self.terms: dict[tuple[Part, RelationLabel], Fraction] = {}
-        for key, c in terms.items():
-            c = Fraction(c)
-            if c and i_lo <= key[0][1] <= i_hi:
-                self.terms[key] = c
+        self.terms: dict[tuple[Part, RelationLabel], Scalar] = {
+            key: c for key, c in terms.items() if c and i_lo <= key[0][1] <= i_hi
+        }
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scale(self, s) -> "LoopTensor":
-        s = Fraction(s)
+    def scale(self, s: Scalar) -> "LoopTensor":
         return LoopTensor(
             self.n, {k: s * c for k, c in self.terms.items()}, self.i_lo, self.i_hi
         )
@@ -295,14 +290,14 @@ class LoopTensor:
             return Weight(a1, a2)
         return None
 
-    def x1_generator_coefficient(self, i: int) -> Fraction:
+    def x1_generator_coefficient(self, i: int) -> Scalar:
         """Coefficient against X1(i) tensor (full quadratic generator at
         degree n-i), undoing the leading normalization of the basis."""
         if not (self.i_lo <= i <= self.i_hi):
             raise WindowError(f"mode degree {i} outside the certified range")
         label = _x1x1_label(self.n - i)
-        c = self.terms.get(((1, i), label), Fraction(0))
-        return c / _x1x1_norm(self.n - i)
+        c = self.terms.get(((1, i), label), 0)
+        return exact_quotient(c, _x1x1_norm(self.n - i))
 
     def __repr__(self):
         return (
@@ -327,7 +322,7 @@ def syzygy_tensor_64(n: int, window: Window, margin: int = 4) -> LoopTensor:
     for i in range(i_lo, i_hi + 1):
         coef = (3 * i - n) * _x1x1_norm(n - i)
         if coef:
-            terms[((1, i), _x1x1_label(n - i))] = Fraction(coef)
+            terms[((1, i), _x1x1_label(n - i))] = coef
     return LoopTensor(n, terms, i_lo, i_hi)
 
 
@@ -336,7 +331,7 @@ def loop_action(x_color: int, k: int, t: LoopTensor, window: Window) -> LoopTens
     transported adjoint action on the relation slot."""
     space_w = _space_window(window)
     lo, hi = t.i_lo + max(k, 0), t.i_hi + min(k, 0)
-    out: dict[tuple[Part, RelationLabel], Fraction] = {}
+    out: dict[tuple[Part, RelationLabel], Scalar] = {}
     for ((a, i), label), c in t.terms.items():
         bracket = BRACKET[(x_color, a)]
         add_scaled(out, ((((color, i + k), label), coef) for color, coef in bracket), c)
@@ -379,15 +374,15 @@ def transport_matrix(m: int, window: Window):
     )
     # seed: the quadratic generator instance, leading coefficient matched
     seed = {
-        ("ref", _x1x1_label(-2)): Fraction(_x1x1_norm(-2)),
-        ("tgt", _x1x1_label(m)): Fraction(_x1x1_norm(m)),
+        ("ref", _x1x1_label(-2)): _x1x1_norm(-2),
+        ("tgt", _x1x1_label(m)): _x1x1_norm(m),
     }
     reducer.insert(seed)
     queue = [seed]
     while queue:
         row = queue.pop(0)
         for c in (F1_COLOR, F2_COLOR):
-            image: dict[tuple[str, RelationLabel], Fraction] = {}
+            image: dict[tuple[str, RelationLabel], Scalar] = {}
             for (side, lab), v in row.items():
                 images = action[side][c][lab].items()
                 add_scaled(image, (((side, lab2), w) for lab2, w in images), v)
@@ -442,7 +437,7 @@ def _q27_combination(window: Window):
     for a, lab in pairs:
         v = relation_on_vacuum(lab, window)
         states.append(apply_mode((a, -1), v).coords)
-    target_state = {((1, -2), (1, -1)): Fraction(2)}
+    target_state = {((1, -2), (1, -1)): 2}
     # highest-weight constraints: e_i . sum c (x tensor r) = 0
     raising = {
         c: shift_matrix(c, 0, -2, window) for c in (E1_COLOR, E2_COLOR)
@@ -455,11 +450,7 @@ def _q27_combination(window: Window):
             keys |= set(cs)
         for k in sorted(keys, key=str):
             rows.append(
-                {
-                    j: cs.get(k, Fraction(0))
-                    for j, cs in enumerate(coords_per_unknown)
-                    if cs.get(k)
-                }
+                {j: cs[k] for j, cs in enumerate(coords_per_unknown) if cs.get(k)}
             )
 
     for e_color in (E1_COLOR, E2_COLOR):
@@ -476,10 +467,8 @@ def _q27_combination(window: Window):
         state_keys |= set(cs)
     state_keys |= set(target_state)
     for k in sorted(state_keys, key=str):
-        row = {
-            j: cs.get(k, Fraction(0)) for j, cs in enumerate(states) if cs.get(k)
-        }
-        tv = target_state.get(k, Fraction(0))
+        row = {j: cs[k] for j, cs in enumerate(states) if cs.get(k)}
+        tv = target_state.get(k, 0)
         if tv:
             row[len(pairs)] = -tv
         rows.append(row)
@@ -489,7 +478,7 @@ def _q27_combination(window: Window):
     reducer = SpanReducer(lambda k: k)
     for j in range(n_unknowns):
         vec = {("row", i): row[j] for i, row in enumerate(rows) if row.get(j)}
-        vec[("tag", j)] = Fraction(1)
+        vec[("tag", j)] = 1
         red = reducer.reduce(vec)
         if red and all(k[0] == "tag" for k in red):
             tagged.append(red)
@@ -497,11 +486,11 @@ def _q27_combination(window: Window):
             reducer.insert(red)
     solutions = []
     for red in tagged:
-        coeffs = [Fraction(0)] * n_unknowns
+        coeffs = [0] * n_unknowns
         for (_, j), v in red.items():
             coeffs[j] = v
         if coeffs[-1]:
-            solutions.append([c / coeffs[-1] for c in coeffs[:-1]])
+            solutions.append([exact_quotient(c, coeffs[-1]) for c in coeffs[:-1]])
     if len(solutions) != 1:
         raise AssertionError(
             f"expected a unique highest-weight syzygy combination, "
@@ -520,7 +509,7 @@ def syzygy_tensor_27(n: int, window: Window, margin: int = 4) -> LoopTensor:
     combo = _q27_combination(space_w)
     bound = window.annihilation_bound
     i_lo, i_hi = n - bound - margin, bound + margin
-    terms: dict[tuple[Part, RelationLabel], Fraction] = {}
+    terms: dict[tuple[Part, RelationLabel], Scalar] = {}
     for i in range(i_lo, i_hi + 1):
         transport = transport_matrix(n - i, space_w)
         for (a, lab), c in combo:
@@ -547,7 +536,7 @@ def collapse(t: LoopTensor, window: Window) -> EnvElement:
     region of the sum is kept (window admission is per monomial, so
     filtering the sum equals summing the filtered products)."""
     space_w = _space_window(window)
-    total: dict[tuple[Part, ...], Fraction] = {}
+    total: dict[tuple[Part, ...], Scalar] = {}
     for ((a, i), label), c in t.terms.items():
         body = relation_for(label, space_w)
         if i < 0:
@@ -725,13 +714,13 @@ def collapse_report(n: int, window: Window) -> dict:
     return out
 
 
-def _proportionality(e: EnvElement, f: EnvElement) -> Fraction | None:
+def _proportionality(e: EnvElement, f: EnvElement) -> Scalar | None:
     """The scalar c with e = c f on the common window, or None."""
     bound = min(e.window.annihilation_bound, f.window.annihilation_bound)
     e = e.narrowed(bound)
     f = f.narrowed(bound)
     if f.is_zero():
-        return Fraction(0) if e.is_zero() else None
+        return 0 if e.is_zero() else None
     witness = min(f.terms, key=order_key)
-    c = e.terms.get(witness, Fraction(0)) / f.terms[witness]
+    c = exact_quotient(e.terms.get(witness, 0), f.terms[witness])
     return c if (e - f.scale(c)).is_zero() else None

@@ -387,3 +387,49 @@ def test_submodule_span_triplet_export():
     for line in text.splitlines()[1:]:
         i, j, value = line.split()
         Fraction(value)  # exact, parseable
+
+
+# --- integer coefficients -------------------------------------------------------
+
+
+def _ints(values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+def test_integral_layers_keep_int_coefficients():
+    # relation spaces, shift and transport matrices, the module action and
+    # the spanning family are integral: no Fraction may appear in them
+    from affbasis.enveloping import graded_basis, mode_on_partition
+    from affbasis.relations import submodule_span_blocks
+
+    window = Window(3)
+    for n in range(-3, 1):
+        space = relation_space(n, window)
+        for label in space.labels:
+            assert _ints(space.element(label).terms.values()), (n, label)
+        for color in range(1, 9):
+            for k in (-1, 0, 1):
+                matrix = shift_matrix(color, k, n, window).values()
+                assert all(_ints(col.values()) for col in matrix), (color, k, n)
+        assert all(_ints(col.values()) for col in transport_matrix(n, window).values())
+    for mode in [(a, d) for a in range(1, 9) for d in range(-2, 3)]:
+        for p in graded_basis(2) + graded_basis(3):
+            assert _ints(c for _, c in mode_on_partition(mode, p.parts)), (mode, p)
+    for rows in submodule_span_blocks(4, W8).values():
+        assert all(_ints(row.values()) for row in rows)
+
+
+def test_rational_edges_never_give_floats():
+    # int / int is a float in Python: the true divisions must stay exact
+    from affbasis.relations import _proportionality, _q27_combination, _space_window
+
+    window = Window(3)
+    exact = (int, Fraction)
+    assert type(collapse_report(0, window)["c"]) in exact
+    generator = x1_square_modes(0, window)
+    assert type(_proportionality(generator.scale(-2), generator)) in exact
+    combo = _q27_combination(_space_window(window))
+    assert combo and all(type(c) in exact for _, c in combo)
+    for t in syzygy_tensors(0, window).values():
+        for i in range(t.i_lo, t.i_hi + 1):
+            assert type(t.x1_generator_coefficient(i)) in exact, i
