@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import BRACKET, FORM, LieElement, Weight
 from .linalg import Scalar, add_scaled
@@ -260,20 +261,14 @@ def adjoint_action(x: LieElement, e: EnvElement) -> EnvElement:
 # Vectors are exact combinations of strictly-negative partitions acting on the
 # vacuum.  A single mode acts by straightening the word (mode,) + parts on the
 # vacuum, which drops every word whose rightmost mode annihilates it; the
-# pure integer result is memoized globally.
-
-_MODE_CACHE: dict[tuple[Part, tuple[Part, ...]], tuple[tuple[tuple[Part, ...], int], ...]] = {}
+# pure integer result is memoized with `functools.cache`.
 
 
+@cache
 def mode_on_partition(mode: Part, parts: tuple[Part, ...]):
     """X_mode applied to the basis vector u(parts) . vacuum, as a tuple of
     (partition, integer coefficient) pairs."""
-    key = (mode, parts)
-    hit = _MODE_CACHE.get(key)
-    if hit is None:
-        hit = tuple(straighten_word((mode,) + parts, on_vacuum=True).items())
-        _MODE_CACHE[key] = hit
-    return hit
+    return tuple(straighten_word((mode,) + parts, on_vacuum=True).items())
 
 
 class VermaVector:

@@ -10,15 +10,19 @@ exactly, and ``Fraction(2) == 2`` with equal hashes.
 
 Two engines: an incremental span reducer over a totally ordered column set,
 and a fraction-free integer rank for the large graded elimination.  The
-reducer echelonizes relation spaces and orbit spans, where pivots must sit
-at the minimal column under a key built from ``partitions.order_key``.  It
-also does the small exact solves (the transport map and the q27
-nullspace): each column carries a tag, and the tags sort the columns to be
-eliminated before the columns that hold the answer.
+reducer has three uses.  It echelonizes relation spaces and orbit spans,
+where pivots must sit at the minimal column under a key built from
+``partitions.order_key``.  It does the small exact solves (the transport map
+and the q27 nullspace): each column carries a tag, and the tags sort the
+columns to be eliminated before the columns that hold the answer.  And its
+``close`` is the one closure loop: the span of a seed under a few zero-mode
+operators, which gives the relation spaces, the transport identification
+and the syzygy orbits.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -69,14 +73,26 @@ class SpanReducer:
             add_scaled(vec, row.items(), -vec[p])
         return vec
 
-    def insert(self, vec: dict) -> bool:
+    def insert(self, vec: dict) -> dict:
+        """Add vec to the span.  Returns its reduction, which is empty when
+        vec already lies in the span."""
         red = self.reduce(vec)
-        if not red:
-            return False
-        p = self._pivot(red)
-        c = red[p]
-        self.rows[p] = {k: exact_quotient(v, c) for k, v in red.items()}
-        return True
+        if red:
+            p = self._pivot(red)
+            c = red[p]
+            self.rows[p] = {k: exact_quotient(v, c) for k, v in red.items()}
+        return red
+
+    def close(self, seed: dict, images) -> None:
+        """Span seed and everything `images` reaches from it.  `images(vec)`
+        yields the images of vec under the operators; breadth first, every
+        vector that enlarges the span is inserted in its reduced form and
+        its images are inserted in turn, until the span stops growing."""
+        queue = deque([self.insert(seed)])
+        while queue:
+            vec = queue.popleft()
+            if vec:
+                queue.extend(self.insert(image) for image in images(vec))
 
     @property
     def rank(self) -> int:

@@ -15,8 +15,8 @@ ideal; and the embedding counts behind the coloring totals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import total_ordering
+from typing import NamedTuple
 
 from .algebra import COLORS, WEIGHT, Weight
 
@@ -206,11 +206,11 @@ CUBIC_A = "cubic_a"
 CUBIC_B = "cubic_b"
 
 
-@dataclass(frozen=True, order=True)
-class RelationLabel:
+class RelationLabel(NamedTuple):
     """A forbidden factor: quadratic color pair or one of the two cubics,
     anchored at degree j.  Quadratic kinds carry their color pair; the cubic
-    color patterns are fixed."""
+    color patterns are fixed.  A plain tuple, so hashing and the order
+    (kind, colors, j) run in C."""
 
     kind: str
     colors: tuple[int, ...]
@@ -231,10 +231,17 @@ class RelationLabel:
         raise ValueError(f"unknown kind {self.kind}")
 
     def degree(self) -> int:
-        return self.partition().degree
-
-    def is_cubic(self) -> bool:
-        return self.kind in (CUBIC_A, CUBIC_B)
+        """The degree of `partition()`, without building it."""
+        j = self.j
+        if self.kind == QUAD_SAME:
+            return 2 * j
+        if self.kind == QUAD_ADJACENT:
+            return 2 * j - 1
+        if self.kind == CUBIC_A:
+            return 3 * j - 1
+        if self.kind == CUBIC_B:
+            return 3 * j - 2
+        raise ValueError(f"unknown kind {self.kind}")
 
     def translate(self, t: int) -> "RelationLabel":
         return RelationLabel(self.kind, self.colors, self.j + t)
@@ -333,35 +340,6 @@ def embedding_excess(p: ColoredPartition) -> int:
     return max(len(quadratic_embeddings(p)) - 1, 0)
 
 
-def satisfies_difference_conditions(p: ColoredPartition) -> bool:
-    """True iff no forbidden factor divides p as a multiset."""
-    if any(d >= 0 for _, d in p.parts):
-        raise ValueError("difference conditions apply to strictly negative modes")
-    mult = p.multiplicities()
-    by_degree: dict[int, list[int]] = {}
-    for c, d in p.parts:
-        by_degree.setdefault(d, []).append(c)
-    for d, colors in by_degree.items():
-        colorset = set(colors)
-        for c1, c2 in SAME_DEGREE_COLOR_PAIRS:
-            if c1 == c2:
-                if mult.get((c1, d), 0) >= 2:
-                    return False
-            elif c1 in colorset and c2 in colorset:
-                return False
-        upper = by_degree.get(d + 1)
-        if upper:
-            upperset = set(upper)
-            for c1, c2 in ADJACENT_COLOR_PAIRS:
-                if c1 in colorset and c2 in upperset:
-                    return False
-            if 3 in colorset and 4 in upperset and 1 in upperset:
-                return False
-            if 8 in colorset and 4 in colorset and 6 in upperset:
-                return False
-    return True
-
-
 # --- enumeration of the spanning ideal ---------------------------------------
 #
 # Subsets of colors sharing one degree are constrained by the equal-degree
@@ -399,6 +377,26 @@ def compatible_layers(deeper: frozenset[int], shallower: frozenset[int]) -> bool
         return False
     if 8 in deeper and 4 in deeper and 6 in shallower:
         return False
+    return True
+
+
+def satisfies_difference_conditions(p: ColoredPartition) -> bool:
+    """True iff no forbidden factor divides p as a multiset: the colors at
+    each degree are distinct and pairwise outside the equal-degree list, and
+    each degree is compatible with the one above it."""
+    if any(d >= 0 for _, d in p.parts):
+        raise ValueError("difference conditions apply to strictly negative modes")
+    by_degree: dict[int, list[int]] = {}
+    for c, d in p.parts:
+        by_degree.setdefault(d, []).append(c)
+    for d, colors in by_degree.items():
+        colorset = set(colors)
+        if len(colorset) < len(colors):
+            return False
+        if any((a, b) in _SAME_EDGES for a in colorset for b in colorset):
+            return False
+        if not compatible_layers(colorset, by_degree.get(d + 1, ())):
+            return False
     return True
 
 

@@ -94,9 +94,6 @@ class Series:
                 return k
         return None
 
-    def to_decimal_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         return f"Series([{head}{', ...' if self.order > 7 else ''}], order={self.order})"

@@ -15,6 +15,8 @@ computation that verifies the basis theorem degree by degree.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .algebra import (
     BRACKET,
     E1_COLOR,
@@ -84,21 +86,15 @@ class RelationSpace:
     def __init__(self, n: int, window: Window):
         self.n = n
         self.window = window
-        seed = x1_square_modes(n, window)
         reducer = SpanReducer(order_key)
-        queue = []
-        red = reducer.reduce(seed.terms)
-        if reducer.insert(red):
-            queue.append(red)
-        while queue:
-            current = EnvElement(queue.pop(0), window)
+
+        def lowered(vec):
+            current = EnvElement(vec, window)
             for color in (F1_COLOR, F2_COLOR):
-                image = current.adjoint_mode(color, 0)
                 # zero-mode action, window preserved
-                image = EnvElement(image.terms, window)
-                red = reducer.reduce(image.terms)
-                if red and reducer.insert(dict(red)):
-                    queue.append(red)
+                yield current.adjoint_mode(color, 0).terms
+
+        reducer.close(x1_square_modes(n, window).terms, lowered)
         reducer.back_eliminate()
         self.dimension = reducer.rank
         self.elements: dict[RelationLabel, EnvElement] = {}
@@ -172,16 +168,9 @@ def label_for_quadratic(p: ColoredPartition) -> RelationLabel | None:
     return None
 
 
-_SPACE_CACHE: dict[tuple[int, int], RelationSpace] = {}
-
-
+@cache
 def relation_space(n: int, window: Window) -> RelationSpace:
-    key = (n, window.annihilation_bound)
-    space = _SPACE_CACHE.get(key)
-    if space is None:
-        space = RelationSpace(n, window)
-        _SPACE_CACHE[key] = space
-    return space
+    return RelationSpace(n, window)
 
 
 def relation_for(label: RelationLabel, window: Window) -> EnvElement:
@@ -226,23 +215,16 @@ def embedded_relation(
 
 # --- transported adjoint action between relation spaces -----------------------
 
-_SHIFT_CACHE: dict = {}
-
-
+@cache
 def shift_matrix(x_color: int, k: int, n: int, window: Window):
     """Matrix of ad(x(k)) from the degree-n relation space to degree n+k,
     in the canonical bases.  Certified by an in-window residual check."""
-    key = (x_color, k, n, window.annihilation_bound)
-    hit = _SHIFT_CACHE.get(key)
-    if hit is not None:
-        return hit
     source = relation_space(n, window)
     target = relation_space(n + k, window)
     matrix: dict[RelationLabel, dict[RelationLabel, Scalar]] = {}
     for label in source.labels:
         image = source.element(label).adjoint_mode(x_color, k)
         matrix[label] = target.coordinates(image)
-    _SHIFT_CACHE[key] = matrix
     return matrix
 
 
@@ -335,7 +317,7 @@ def loop_action(x_color: int, k: int, t: LoopTensor, window: Window) -> LoopTens
     for ((a, i), label), c in t.terms.items():
         bracket = BRACKET[(x_color, a)]
         add_scaled(out, ((((color, i + k), label), coef) for color, coef in bracket), c)
-        shift = shift_matrix(x_color, k, label.partition().degree, space_w)[label]
+        shift = shift_matrix(x_color, k, label.degree(), space_w)[label]
         add_scaled(out, ((((a, i), lab2), w) for lab2, w in shift.items()), c)
     return LoopTensor(t.n + k, out, lo, hi)
 
@@ -349,6 +331,7 @@ def lowering_pair(i: int, t: LoopTensor, window: Window) -> LoopTensor:
     return first - second
 
 
+@cache
 def transport_matrix(m: int, window: Window):
     """The equivariant identification of the reference relation space (at
     degree -2) with the degree-m space, in canonical coordinates: the image
@@ -357,13 +340,9 @@ def transport_matrix(m: int, window: Window):
     action.  Each pair of a reference vector and its degree-m image is a
     row [ref | tgt] of one reducer whose columns put every reference label
     before every target label; after back elimination the row with pivot
-    ("ref", lab) carries T(e_lab) in its target part.  An image whose
-    reference part reduces to zero must reduce to zero outright, which
-    certifies equivariance."""
-    key = ("transport", m, window.annihilation_bound)
-    hit = _SHIFT_CACHE.get(key)
-    if hit is not None:
-        return hit
+    ("ref", lab) carries T(e_lab) in its target part.  The closed span must
+    hold no vector whose reference part is zero and whose target part is
+    not (no row with a target pivot), which certifies equivariance."""
     ref_labels = relation_space(-2, window).labels
     action = {
         side: {c: shift_matrix(c, 0, n, window) for c in (F1_COLOR, F2_COLOR)}
@@ -377,22 +356,18 @@ def transport_matrix(m: int, window: Window):
         ("ref", _x1x1_label(-2)): _x1x1_norm(-2),
         ("tgt", _x1x1_label(m)): _x1x1_norm(m),
     }
-    reducer.insert(seed)
-    queue = [seed]
-    while queue:
-        row = queue.pop(0)
+
+    def lowered(row):
         for c in (F1_COLOR, F2_COLOR):
             image: dict[tuple[str, RelationLabel], Scalar] = {}
             for (side, lab), v in row.items():
                 images = action[side][c][lab].items()
                 add_scaled(image, (((side, lab2), w) for lab2, w in images), v)
-            red = reducer.reduce(image)
-            if not red:
-                continue
-            if all(side == "tgt" for side, _ in red):
-                raise WindowError("transport solve is inconsistent")
-            reducer.insert(red)
-            queue.append(image)
+            yield image
+
+    reducer.close(seed, lowered)
+    if any(side == "tgt" for side, _ in reducer.pivots()):
+        raise WindowError("transport solve is inconsistent")
     if reducer.rank != len(ref_labels):
         raise WindowError("transport basis did not reach full rank")
     reducer.back_eliminate()
@@ -404,7 +379,6 @@ def transport_matrix(m: int, window: Window):
         }
         for lab in ref_labels
     }
-    _SHIFT_CACHE[key] = matrix
     return matrix
 
 
@@ -419,18 +393,12 @@ def _weight_2theta_pairs(window: Window):
     return pairs
 
 
-_Q27_CACHE: dict = {}
-
-
+@cache
 def _q27_combination(window: Window):
     """The unique highest-weight combination of (mode x abstract relation)
     pairs of weight 2*theta whose degree-3 state image is the derivative of
     the quadratic generator state, 2 X1(-2)X1(-1).vac.  Solved exactly in
     the reference coordinates; no truncation enters."""
-    key = window.annihilation_bound
-    hit = _Q27_CACHE.get(key)
-    if hit is not None:
-        return hit
     pairs = _weight_2theta_pairs(window)
     # state image of each pair: X_a(-1) applied to the relation vector
     states = []
@@ -496,10 +464,7 @@ def _q27_combination(window: Window):
             f"expected a unique highest-weight syzygy combination, "
             f"got {len(solutions)}"
         )
-    combo = list(zip(pairs, solutions[0]))
-    combo = [(pair, c) for pair, c in combo if c]
-    _Q27_CACHE[key] = combo
-    return combo
+    return [(pair, c) for pair, c in zip(pairs, solutions[0]) if c]
 
 
 def syzygy_tensor_27(n: int, window: Window, margin: int = 4) -> LoopTensor:
@@ -560,18 +525,13 @@ def orbit_basis(t: LoopTensor, window: Window) -> list[LoopTensor]:
     """Reduced basis of the span of the tensor under repeated zero-mode
     raising and lowering (the finite-dimensional orbit)."""
     reducer = SpanReducer(_tensor_column_key)
-    queue = []
-    red = reducer.reduce(t.terms)
-    if reducer.insert(red):
-        queue.append(red)
-    generators = (E1_COLOR, E2_COLOR, F1_COLOR, F2_COLOR)
-    while queue:
-        current = LoopTensor(t.n, queue.pop(0), t.i_lo, t.i_hi)
-        for color in generators:
-            image = loop_action(color, 0, current, window)
-            red = reducer.reduce(image.terms)
-            if red and reducer.insert(dict(red)):
-                queue.append(red)
+
+    def moved(vec):
+        current = LoopTensor(t.n, vec, t.i_lo, t.i_hi)
+        for color in (E1_COLOR, E2_COLOR, F1_COLOR, F2_COLOR):
+            yield loop_action(color, 0, current, window).terms
+
+    reducer.close(t.terms, moved)
     return [
         LoopTensor(t.n, reducer.row_for(p), t.i_lo, t.i_hi)
         for p in reducer.pivots()
@@ -617,7 +577,7 @@ def combined_weight_block(
     for t in syzygy_tensors(n, window).values():
         for vec in orbit_basis(t, window):
             if vec.weight() == mu:
-                reducer.insert(dict(vec.terms))
+                reducer.insert(vec.terms)
     leading = set()
     for pivot in reducer.pivots():
         (a, i), label = pivot

@@ -1,3 +1,4 @@
+import functools
 import json
 
 
@@ -183,7 +184,9 @@ def test_corrupted_color_table_is_a_failed_check(capsys, monkeypatch):
     corrupted = partitions.ADJACENT_COLOR_PAIRS[:-1] + ((8, 7),)
     monkeypatch.setattr(partitions, "ADJACENT_COLOR_PAIRS", corrupted)
     monkeypatch.setattr(relations, "ADJACENT_COLOR_PAIRS", corrupted)
-    monkeypatch.setattr(relations, "_SPACE_CACHE", {})
+    # a fresh, empty cache, so the spaces are rebuilt from the corrupted table
+    fresh = functools.cache(relations.relation_space.__wrapped__)
+    monkeypatch.setattr(relations, "relation_space", fresh)
     code, out, _ = run(capsys, "verify", "lemma1")
     assert code == EXIT_FALSIFIED
     fail = [line for line in out.splitlines() if line.startswith("FAIL  ")]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from affbasis.enveloping import (
     straighten,
     straighten_word,
 )
-from affbasis.linalg import add_scaled
+from affbasis.linalg import SpanReducer, add_scaled, sparse_rank
 from affbasis.partitions import (
     ColoredPartition,
     format_partition,
@@ -135,6 +136,45 @@ def test_add_scaled_is_a_sum_without_zeros(acc, pairs, scale):
     assert result is acc
     assert acc == naive
     assert all(acc.values())
+
+
+def test_span_reducer_insert_returns_the_reduction():
+    reducer = SpanReducer(lambda col: col)
+    vec = {0: 2, 1: 4}
+    assert reducer.insert(vec) == {0: 2, 1: 4}
+    assert vec == {0: 2, 1: 4}  # the argument is not touched
+    assert reducer.row_for(0) == {0: 1, 1: 2}
+    assert reducer.insert({0: 3, 1: 6}) == {}  # already in the span
+    assert reducer.insert({0: 1, 2: 3}) == {1: -2, 2: 3}
+    assert reducer.pivots() == [0, 1] and reducer.rank == 2
+
+
+def test_span_reducer_close_matches_a_naive_fixed_point():
+    # two nilpotents on 4 coordinates: e0 -> e1, e2 -> e3 and e1 -> 2 e2;
+    # neither reaches from e0 what both reach
+    def images(vec):
+        yield {i + 1: v for i, v in vec.items() if i in (0, 2)}
+        yield {2: 2 * vec[1]} if 1 in vec else {}
+
+    for coeffs in itertools.product(range(-1, 2), repeat=4):
+        seed = {i: c for i, c in enumerate(coeffs) if c}
+        # naive: add every image of every vector until the rank stops growing
+        vecs = [seed]
+        while True:
+            more = vecs + [image for vec in vecs for image in images(vec)]
+            if sparse_rank(more) == sparse_rank(vecs):
+                break
+            vecs = more
+        naive = SpanReducer(lambda col: col)
+        for vec in vecs:
+            naive.insert(vec)
+        closed = SpanReducer(lambda col: col)
+        closed.close(seed, images)
+        assert closed.rank == sparse_rank(vecs), seed
+        assert sorted(closed.pivots()) == sorted(naive.pivots()), seed
+        naive.back_eliminate()
+        closed.back_eliminate()
+        assert closed.rows == naive.rows, seed
 
 
 def test_action_examples():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affbasis.algebra import Weight
+from affbasis.enveloping import graded_basis
 from affbasis.fixture_io import (
     load_color_pairs,
     load_lemma12_fixture,
@@ -234,6 +235,19 @@ def test_difference_conditions_examples():
     assert not satisfies_difference_conditions(parse_partition("8:-2 4:-2 6:-1"))
 
 
+def test_difference_conditions_match_divisibility():
+    # reference: no forbidden factor anchored near p's degrees divides p
+    factors: dict = {}
+    for n in range(6):
+        for p in graded_basis(n):
+            degrees = [d for _, d in p.parts] or [0]
+            anchors = (min(degrees) - 1, max(degrees) + 1)
+            if anchors not in factors:
+                factors[anchors] = [lab.partition() for lab in relation_set(*anchors)]
+            divisible = any(p.contains(rho) for rho in factors[anchors])
+            assert satisfies_difference_conditions(p) == (not divisible), p
+
+
 def test_label_translation():
     lab = cubic_a_label(-1)
     assert lab.translate(-3).partition() == lab.partition().translate(-3)
@@ -370,5 +384,7 @@ def test_quadratic_leading_labels_partition_degrees():
     for n in (-5, -4, 3):
         for lab in quadratic_leading_labels(n):
             assert lab.partition().degree == n
+    for lab in relation_set(-3, 2):
+        assert lab.degree() == lab.partition().degree, lab
     assert quad_same_label(5, 1, -1).partition() == parse_partition("5:-1 1:-1")
     assert cubic_b_label(-1).partition() == parse_partition("8:-2 4:-2 6:-1")
