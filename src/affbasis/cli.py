@@ -50,6 +50,9 @@ class Config:
     timings: bool = False
 
     def __post_init__(self):
+        for flag, value in (("--max-degree", self.max_degree), ("--order", self.order)):
+            if value < 0:
+                raise ValueError(f"{flag} must be nonnegative, got {value}")
         if self.window < self.max_degree + 2:
             raise ValueError(
                 f"window ({self.window}) must be at least max_degree + 2 "
@@ -120,8 +123,13 @@ class Report:
 
 
 def _parse_weight(text: str) -> Weight:
-    a1, a2 = text.split(",")
-    return Weight(int(a1), int(a2))
+    try:
+        a1, a2 = (int(a) for a in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid weight: {text!r} (expected the form a1,a2, e.g. 2,2)"
+        ) from None
+    return Weight(a1, a2)
 
 
 # --- verify targets -----------------------------------------------------------
@@ -302,8 +310,7 @@ VERIFY_TARGETS = {
 
 
 def _cmd_enumerate(args, cfg: Config) -> int:
-    weight = _parse_weight(args.weight) if args.weight else None
-    parts = enumerate_ideal(args.degree, weight)
+    parts = enumerate_ideal(args.degree, args.weight)
     if cfg.fmt == "json":
         payload = {
             "degree": args.degree,
@@ -444,7 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate", parents=[common], help="stream spanning-ideal partitions"
     )
     p_enum.add_argument("--degree", "-n", type=int, required=True)
-    p_enum.add_argument("--weight", help="filter by weight, e.g. 2,2")
+    p_enum.add_argument(
+        "--weight", type=_parse_weight, help="filter by weight, e.g. 2,2"
+    )
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run a named verification"

@@ -4,16 +4,17 @@ Sparse vectors are plain dicts from a key to a nonzero coefficient, and
 ``add_scaled`` is the one way they are combined: every layer (monomials,
 module vectors, tensors, reducer rows) accumulates through it.
 Coefficients are Python ints; a ``Fraction`` appears only where a true
-division happens, through ``exact_quotient``: reducer normalization, the
+division happens, through ``exact_quotient``: ``SpanReducer.row_for``, the
 q27 solve and the scalar c(n) of the collapse.  Ints and Fractions mix
 exactly, and ``Fraction(2) == 2`` with equal hashes.
 
-Two engines: an incremental span reducer over a totally ordered column set,
-and a fraction-free integer rank for the large graded elimination.  The
-reducer has three uses.  It echelonizes relation spaces and orbit spans,
-where pivots must sit at the minimal column under a key built from
-``partitions.order_key``.  It does the small exact solves (the transport map
-and the q27 nullspace): each column carries a tag, and the tags sort the
+One elimination engine: an incremental span reducer over a totally ordered
+column set, whose rows are primitive integer vectors.  It has four uses.
+It echelonizes relation spaces and orbit spans, where pivots must sit at
+the minimal column under a key built from ``partitions.order_key``.  It
+computes the rank of the large graded blocks of the submodule
+(``sparse_rank``).  It does the small exact solves (the transport map and
+the q27 nullspace): each column carries a tag, and the tags sort the
 columns to be eliminated before the columns that hold the answer.  And its
 ``close`` is the one closure loop: the span of a seed under a few zero-mode
 operators, which gives the relation spaces, the transport identification
@@ -50,18 +51,32 @@ def add_scaled(acc: dict, pairs, scale=1) -> dict:
 class SpanReducer:
     """Maintains a reduced basis of sparse exact vectors.  `column_key`
     maps a column identifier to a sortable key, computed once per column
-    and reducer; pivots sit at the minimal column of each vector."""
+    and reducer; pivots sit at the minimal column of each vector.
+
+    Rows are primitive integer vectors with a positive pivot coefficient,
+    so each row is canonical for its line.  Elimination cross-multiplies
+    and never divides; `row_for` alone scales a row to pivot coefficient 1,
+    which is the one place a reducer makes a Fraction."""
 
     def __init__(self, column_key):
         self.column_key = column_key
         self.keys: dict = {}  # column -> column_key(column)
-        self.rows: dict = {}  # pivot column -> {column: int or Fraction}, pivot coeff 1
+        self.rows: dict = {}  # pivot column -> primitive {column: int}
 
     def _pivot(self, vec: dict):
         return min(vec, key=self.keys.__getitem__)
 
     def reduce(self, vec: dict) -> dict:
-        vec = {k: v for k, v in vec.items() if v}
+        """vec reduced against the rows, as an integer vector: a positive
+        multiple of vec minus a combination of rows, with no row's pivot
+        as its minimal column.  A vector that needed no scaling comes back
+        with its own coefficients."""
+        lcm = 1
+        for v in vec.values():
+            d = v.denominator
+            lcm = lcm // gcd(lcm, d) * d
+        vec = {k: v.numerator * (lcm // v.denominator) for k, v in vec.items() if v}
+        scaled = lcm != 1
         # rows only hold columns of reduced vectors, so these are all it meets
         for col in vec.keys() - self.keys.keys():
             self.keys[col] = self.column_key(col)
@@ -69,9 +84,10 @@ class SpanReducer:
             p = self._pivot(vec)
             row = self.rows.get(p)
             if row is None:
-                return vec
-            add_scaled(vec, row.items(), -vec[p])
-        return vec
+                break
+            vec, cross = _cross_reduce(vec, row, p)
+            scaled = scaled or cross
+        return _strip_gcd(vec) if scaled else vec
 
     def insert(self, vec: dict) -> dict:
         """Add vec to the span.  Returns its reduction, which is empty when
@@ -79,8 +95,7 @@ class SpanReducer:
         red = self.reduce(vec)
         if red:
             p = self._pivot(red)
-            c = red[p]
-            self.rows[p] = {k: exact_quotient(v, c) for k, v in red.items()}
+            self.rows[p] = _strip_gcd(red, red[p] < 0)
         return red
 
     def close(self, seed: dict, images) -> None:
@@ -106,38 +121,39 @@ class SpanReducer:
         for p in list(self.rows):
             row = self.rows[p]
             for q, other in self.rows.items():
-                if q == p or p not in other:
-                    continue
-                add_scaled(other, row.items(), -other[p])
+                if q != p and p in other:
+                    # a copy: insert may have handed this row out
+                    self.rows[q] = _strip_gcd(_cross_reduce(dict(other), row, p)[0])
 
     def row_for(self, pivot) -> dict:
-        return self.rows[pivot]
+        """The row with this pivot, scaled to pivot coefficient 1."""
+        row = self.rows[pivot]
+        c = row[pivot]
+        return row if c == 1 else {k: exact_quotient(v, c) for k, v in row.items()}
 
 
-def _strip_gcd(row: dict) -> dict:
+def _cross_reduce(vec: dict, row: dict, p) -> tuple[dict, bool]:
+    """Clear column p of vec against row, whose pivot p is positive:
+    (row[p] * vec - vec[p] * row) / gcd(row[p], vec[p]), and whether vec
+    was scaled.  vec is updated in place unless it was scaled."""
+    a, b = row[p], vec[p]
+    g = gcd(a, b)
+    a //= g
+    if a != 1:
+        vec = {k: a * v for k, v in vec.items()}
+    return add_scaled(vec, row.items(), -(b // g)), a != 1
+
+
+def _strip_gcd(row: dict, negate: bool = False) -> dict:
+    """row divided by the gcd of its entries, and negated if asked."""
     g = 0
     for v in row.values():
-        g = gcd(g, abs(v))
+        g = gcd(g, v)
         if g == 1:
-            return row
-    if g > 1:
-        return {k: v // g for k, v in row.items()}
-    return row
-
-
-def integer_rows(rows) -> list[dict]:
-    """Scale sparse rows of ints and Fractions to coprime integer rows,
-    without Fraction arithmetic (an int's denominator is 1)."""
-    out = []
-    for row in rows:
-        lcm = 1
-        for v in row.values():
-            d = v.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        row = {k: v.numerator * (lcm // v.denominator) for k, v in row.items() if v}
-        if row:
-            out.append(_strip_gcd(row))
-    return out
+            break
+    if negate:
+        g = -g
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
 def sparse_triplets(rows, column_order=None) -> str:
@@ -161,44 +177,10 @@ def sparse_triplets(rows, column_order=None) -> str:
     return "\n".join(lines)
 
 
-def sparse_rank(rows) -> int:
-    """Exact rank of a list of sparse rows (Fraction or int values), by
-    fraction-free elimination with a sparsity-guided pivot choice."""
-    work = integer_rows(rows)
-    rank = 0
-    while work:
-        # shortest row first keeps fill-in down
-        idx = min(range(len(work)), key=lambda i: len(work[i]))
-        pivot_row = work.pop(idx)
-        if not pivot_row:
-            continue
-        col_use: dict = {}
-        for r in work:
-            for k in r:
-                col_use[k] = col_use.get(k, 0) + 1
-        pivot_col = min(
-            pivot_row, key=lambda k: (col_use.get(k, 0), abs(pivot_row[k]))
-        )
-        a = pivot_row[pivot_col]
-        rank += 1
-        next_work = []
-        for r in work:
-            b = r.get(pivot_col)
-            if b is None:
-                next_work.append(r)
-                continue
-            new = {}
-            for k, v in r.items():
-                nv = a * v - b * pivot_row.get(k, 0)
-                if nv:
-                    new[k] = nv
-            for k, v in pivot_row.items():
-                if k not in r:
-                    nv = -b * v
-                    if nv:
-                        new[k] = nv
-            new.pop(pivot_col, None)
-            if new:
-                next_work.append(_strip_gcd(new))
-        work = next_work
-    return rank
+def sparse_rank(rows, column_key) -> int:
+    """Exact rank of a list of sparse rows (Fraction or int values): the
+    rows go into one reducer, shortest first to keep fill-in down."""
+    reducer = SpanReducer(column_key)
+    for row in sorted(rows, key=len):
+        reducer.insert(row)
+    return reducer.rank

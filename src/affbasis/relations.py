@@ -94,7 +94,10 @@ class RelationSpace:
                 # zero-mode action, window preserved
                 yield current.adjoint_mode(color, 0).terms
 
-        reducer.close(x1_square_modes(n, window).terms, lowered)
+        generator = x1_square_modes(n, window).terms
+        if not generator:
+            raise WindowError(f"the window holds no term of the degree-{n} generator")
+        reducer.close(generator, lowered)
         reducer.back_eliminate()
         self.dimension = reducer.rank
         self.elements: dict[RelationLabel, EnvElement] = {}
@@ -622,7 +625,8 @@ def max_submodule_rank(n: int, window: Window) -> int:
     """Exact dimension of the depth-n piece of the maximal submodule, as
     the rank of the spanning family, computed per weight block."""
     return sum(
-        sparse_rank(rows) for rows in submodule_span_blocks(n, window).values()
+        sparse_rank(rows, order_key)
+        for rows in submodule_span_blocks(n, window).values()
     )
 
 

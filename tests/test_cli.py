@@ -80,6 +80,23 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE and "window" in err
 
 
+def test_negative_degree_and_order_are_usage_errors(capsys):
+    code, out, err = run(
+        capsys, "verify", "theorem-a", "--max-degree", "-1", "--window", "3"
+    )
+    assert code == EXIT_USAGE and out == "" and "--max-degree" in err
+    code, out, err = run(capsys, "verify", "theorem-b", "--order", "-5")
+    assert code == EXIT_USAGE and out == "" and "--order" in err
+    assert run(capsys, "verify", "theorem-b", "--order", "0")[0] == EXIT_OK
+
+
+def test_malformed_weight_names_the_flag(capsys):
+    for text in ("abc", "1", "1,2,3", "1,x"):
+        code, out, err = run(capsys, "enumerate", "--degree", "3", "--weight", text)
+        assert code == EXIT_USAGE and out == "", text
+        assert "--weight" in err and "a1,a2" in err, text
+
+
 def test_verify_report_validates_against_schema(capsys):
     schema = load_report_schema()
     for target in ("lemma6", "lemma7", "lemma12", "theorem-b"):

@@ -28,6 +28,7 @@ from affbasis.partitions import (
     parse_partition,
     part_key,
 )
+from reference_rank import markowitz_rank
 
 W8 = Window(8)
 
@@ -162,7 +163,7 @@ def test_span_reducer_close_matches_a_naive_fixed_point():
         vecs = [seed]
         while True:
             more = vecs + [image for vec in vecs for image in images(vec)]
-            if sparse_rank(more) == sparse_rank(vecs):
+            if markowitz_rank(more) == markowitz_rank(vecs):
                 break
             vecs = more
         naive = SpanReducer(lambda col: col)
@@ -170,11 +171,43 @@ def test_span_reducer_close_matches_a_naive_fixed_point():
             naive.insert(vec)
         closed = SpanReducer(lambda col: col)
         closed.close(seed, images)
-        assert closed.rank == sparse_rank(vecs), seed
+        assert closed.rank == markowitz_rank(vecs), seed
         assert sorted(closed.pivots()) == sorted(naive.pivots()), seed
         naive.back_eliminate()
         closed.back_eliminate()
         assert closed.rows == naive.rows, seed
+
+
+entry_strategy = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+sparse_matrix_strategy = st.lists(
+    st.dictionaries(st.integers(0, 5), entry_strategy, max_size=4), max_size=7
+)
+
+
+@given(sparse_matrix_strategy)
+@settings(max_examples=300, deadline=None)
+def test_sparse_rank_matches_the_reference_rank(rows):
+    expected = markowitz_rank(rows)
+    assert sparse_rank(rows, lambda col: col) == expected
+    assert sparse_rank(rows, lambda col: -col) == expected
+
+
+def test_span_reducer_rows_are_primitive_with_positive_pivots():
+    reducer = SpanReducer(lambda col: col)
+    reducer.insert({0: Fraction(-2, 3), 1: Fraction(4, 9), 2: 2})
+    # 3 * vec - 2 * row 0 is {1: 10, 2: 30}; a scaled reduction loses its gcd
+    assert reducer.reduce({0: 2, 1: 2, 2: 4}) == {1: 1, 2: 3}
+    # 3 * {0: 2, 1: 1} - 2 * row 0: cross-multiplied, never divided
+    assert reducer.insert({0: 2, 1: 1}) == {1: 7, 2: 18}
+    assert reducer.rows == {0: {0: 3, 1: -2, 2: -9}, 1: {1: 7, 2: 18}}
+    assert reducer.row_for(0) == {0: 1, 1: Fraction(-2, 3), 2: -3}
+    reducer.back_eliminate()
+    assert reducer.rows == {0: {0: 7, 2: -9}, 1: {1: 7, 2: 18}}
+    assert reducer.row_for(0) == {0: 1, 2: Fraction(-9, 7)}
+    assert reducer.row_for(1) == {1: 1, 2: Fraction(18, 7)}
 
 
 def test_action_examples():

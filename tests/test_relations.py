@@ -33,6 +33,7 @@ from affbasis.relations import (
     transport_matrix,
     x1_square_modes,
 )
+from reference_rank import markowitz_rank
 
 W8 = Window(8)
 
@@ -56,6 +57,14 @@ def test_generator_leading_coefficients():
 
 
 # --- relation spaces -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, bound", [(2, 1), (3, 2), (9, 3)])
+def test_space_without_a_generator_term_is_a_window_error(n, bound):
+    # the window holds no term of the generator, so the space would be empty
+    assert not x1_square_modes(n, Window(bound)).terms
+    with pytest.raises(WindowError, match="no term of the degree"):
+        relation_space(n, Window(bound))
 
 
 @pytest.mark.parametrize("n", [-6, -5, -2, 1, 2])
@@ -352,7 +361,6 @@ def test_relation_images_live_in_the_maximal_submodule():
     # a combination of the depth-3 spanning family (rank does not grow)
     window = Window(6)
     from affbasis.enveloping import graded_basis
-    from affbasis.linalg import sparse_rank
 
     space = relation_space(-2, window)
     rows = []
@@ -368,7 +376,17 @@ def test_relation_images_live_in_the_maximal_submodule():
     extra = []
     for label in relation_space(-3, window).labels:
         extra.append(act(relation_for(label, window), VermaVector.vacuum()).coords)
-    assert sparse_rank(rows + extra) == base_rank
+    assert markowitz_rank(rows + extra) == base_rank
+
+
+def test_submodule_block_ranks_match_the_reference_rank():
+    from affbasis.linalg import sparse_rank
+    from affbasis.partitions import order_key
+    from affbasis.relations import submodule_span_blocks
+
+    for n in range(5):
+        for weight, rows in submodule_span_blocks(n, W8).items():
+            assert sparse_rank(rows, order_key) == markowitz_rank(rows), (n, weight)
 
 
 def test_submodule_span_triplet_export():
