@@ -276,22 +276,19 @@ def _verify_theorem_b(cfg: Config, report: Report):
     from .qseries import verify_identity
 
     rep = verify_identity(cfg.order)
-    report.add(
-        "product side = specialized ideal count",
-        rep["product_vs_specialized"] is None,
-        expected="agree to order " + str(rep["order"]),
-        actual="agree"
-        if rep["product_vs_specialized"] is None
-        else f"first difference at {rep['product_vs_specialized']}",
-    )
-    report.add(
-        "product side = constrained three-color count",
-        rep["product_vs_constrained"] is None,
-        expected="agree to order " + str(rep["sum_order"]),
-        actual="agree"
-        if rep["product_vs_constrained"] is None
-        else f"first difference at {rep['product_vs_constrained']}",
-    )
+    for name, side, order in (
+        ("specialized ideal count", "specialized", "order"),
+        ("constrained three-color count", "constrained", "sum_order"),
+    ):
+        k = rep[f"product_vs_{side}"]
+        report.add(
+            f"product side = {name}",
+            k is None,
+            expected=f"agree to order {rep[order]}",
+            actual="agree"
+            if k is None
+            else f"first difference at {k}: product={rep['product'][k]} {side}={rep[side][k]}",
+        )
 
 
 VERIFY_TARGETS = {

@@ -3,12 +3,17 @@
 Everything here is exact: coefficients are Python ints, truncation order is
 explicit, and the three series being compared (the bounded-multiplicity
 product, the constrained three-color count, and the specialized ideal
-count) are produced by independent machinery.
+count) are produced by independent machinery: list arithmetic for the
+product, and for each count a transfer over its own state graph in the
+packed-integer kernel `_transfer`.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 
 from .partitions import (
     INDEPENDENT_COLOR_SETS,
@@ -23,17 +28,9 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = [int(c) for c in coeffs]
+        self.coeffs = [operator.index(c) for c in coeffs]
         if not self.coeffs:
             raise ValueError("a series needs at least the constant term")
-
-    @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls([0] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls([1] + [0] * order)
 
     @property
     def order(self) -> int:
@@ -45,19 +42,12 @@ class Series:
     def __eq__(self, other) -> bool:
         return isinstance(other, Series) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
     def _common(self, other: "Series") -> int:
         return min(self.order, other.order)
 
     def __add__(self, other: "Series") -> "Series":
         n = self._common(other)
         return Series([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-
-    def __sub__(self, other: "Series") -> "Series":
-        n = self._common(other)
-        return Series([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
 
     def __mul__(self, other: "Series") -> "Series":
         n = self._common(other)
@@ -136,13 +126,54 @@ def nontriple_product_side(order: int) -> Series:
     return Series(coeffs)
 
 
+# --- the packed transfer kernel ----------------------------------------------
+
+
+@functools.cache
+def _slot_width(order: int) -> int:
+    """Bit length of the largest coefficient of prod_r (1 + q^r)^3 up to
+    q^order, by list arithmetic, independently of the kernel.  It bounds
+    every coefficient a transfer holds (state, sum of states, total), each of
+    which counts some of the configurations built so far, so no slot carries.
+    Three-color: at most one part per degree r, in one of three colors, and
+    1 + 3q^r <= (1 + q^r)^3.  Specialized: each mode at most once, and at
+    most three modes per degree r (colors 4, 5 at r = 0 mod 3; 1, 6, 7 at
+    r = 1 mod 3; 2, 3, 8 at r = 2 mod 3)."""
+    bound = [1] + [0] * order
+    for r in range(1, order + 1):
+        for _ in range(3):
+            bound[r:] = map(operator.add, bound[r:], bound[: order + 1 - r])
+    return max(bound).bit_length()
+
+
+def _transfer(order: int, start, steps, width: int) -> Series:
+    """Sum of the final states of a transfer from `start` (series 1).  A
+    series is one int with the coefficient of q^k in bits [k*width,
+    (k+1)*width).  Each step lists targets (dst, cost, sources): dst gets the
+    sum of its sources' series times q^cost, truncated after q^order by one
+    mask.  Unreached sources add nothing; `_slot_width` gives `width`."""
+    full = (1 << (order + 1) * width) - 1
+    states = {start: 1}
+    for targets in steps:
+        new = {}
+        for dst, cost, sources in targets:
+            packed = 0
+            for src in sources:
+                packed += states.get(src, 0)
+            if packed and cost <= order:
+                new[dst] = (packed << cost * width) & full if cost else packed
+        states = new
+    total = sum(states.values())
+    slot = (1 << width) - 1
+    return Series([(total >> k * width) & slot for k in range(order + 1)])
+
+
 # --- three-color constrained partitions --------------------------------------
 #
 # Tricolor parts are pairs (degree, color) with color 1 = plain,
 # 2 = underlined, 3 = doubly underlined; each part appears at most once.
 
 PLAIN, UNDER, DUNDER = 1, 2, 3
-TRICOLOR_NAMES = {PLAIN: "", UNDER: "u", DUNDER: "uu"}
 
 
 def _local_part_ok(degree: int, color: int) -> bool:
@@ -210,41 +241,31 @@ def tricolor_admissible(parts) -> bool:
     return True
 
 
+@functools.cache
+def _tricolor_table(d: int) -> tuple:
+    """Targets at degree d as (window, places a part at d, windows before
+    it); a window is the colors at four consecutive degrees, no two adjacent.
+    Only d % 3 and min(d, 6) matter: no rule has a degree threshold over 5."""
+    sources: dict[tuple[int, ...], list] = {}
+    for state in itertools.product((0, PLAIN, UNDER, DUNDER), repeat=4):
+        if any(a and b for a, b in zip(state, state[1:])):
+            continue
+        for choice in (0, PLAIN, UNDER, DUNDER):
+            if choice and not _local_part_ok(d, choice):
+                continue
+            if not _window_violation(d, state + (choice,)):
+                sources.setdefault(state[1:] + (choice,), []).append(state)
+    return tuple((dst, dst[-1] != 0, tuple(srcs)) for dst, srcs in sources.items())
+
+
 def tricolor_count_series(order: int) -> Series:
     """Count of admissible three-color partitions by total degree, via a
     sliding-window transfer over the compiled constraint table."""
-    start = (0, 0, 0, 0)
-    states: dict[tuple[int, int, int, int], list[int]] = {
-        start: [1] + [0] * order
-    }
-    for d in range(1, order + 1):
-        new: dict[tuple[int, int, int, int], list[int]] = {}
-        for state, series in states.items():
-            for choice in (0, PLAIN, UNDER, DUNDER):
-                if choice and not _local_part_ok(d, choice):
-                    continue
-                if _window_violation(d, state + (choice,)):
-                    continue
-                ns = state[1:] + (choice,)
-                target = new.get(ns)
-                if target is None:
-                    target = [0] * (order + 1)
-                    new[ns] = target
-                if choice == 0:
-                    for k, v in enumerate(series):
-                        if v:
-                            target[k] += v
-                else:
-                    for k in range(order - d + 1):
-                        v = series[k]
-                        if v:
-                            target[k + d] += v
-        states = new
-    total = [0] * (order + 1)
-    for series in states.values():
-        for k, v in enumerate(series):
-            total[k] += v
-    return Series(total)
+    steps = (
+        [(dst, d * part, srcs) for dst, part, srcs in _tricolor_table(min(d, 6 + d % 3))]
+        for d in range(1, order + 1)
+    )
+    return _transfer(order, (0, 0, 0, 0), steps, _slot_width(order))
 
 
 def tricolor_partitions_bruteforce(order: int) -> list[frozenset]:
@@ -295,36 +316,16 @@ def phi_degree(p: ColoredPartition) -> int:
 def specialized_count_series(order: int) -> Series:
     """Count of difference-condition partitions graded by specialized
     degree, via a layer-transfer over per-degree color sets."""
-    depth_max = (order + 2) // 3
-    states: dict[frozenset, list[int]] = {frozenset(): [1] + [0] * order}
-    for i in range(1, depth_max + 1):
-        new: dict[frozenset, list[int]] = {}
-        for layer in INDEPENDENT_COLOR_SETS:
-            cost = sum(3 * i + _PHI_OFFSET[c] for c in layer)
-            if cost > order:
-                continue
-            for prev, series in states.items():
-                if not compatible_layers(layer, prev):
-                    continue
-                target = new.get(layer)
-                if target is None:
-                    target = [0] * (order + 1)
-                    new[layer] = target
-                if cost == 0:
-                    for k, v in enumerate(series):
-                        if v:
-                            target[k] += v
-                else:
-                    for k in range(order - cost + 1):
-                        v = series[k]
-                        if v:
-                            target[k + cost] += v
-        states = new
-    total = [0] * (order + 1)
-    for series in states.values():
-        for k, v in enumerate(series):
-            total[k] += v
-    return Series(total)
+    graph = [
+        (layer, len(layer), sum(_PHI_OFFSET[c] for c in layer),
+         [prev for prev in INDEPENDENT_COLOR_SETS if compatible_layers(layer, prev)])
+        for layer in INDEPENDENT_COLOR_SETS
+    ]
+    steps = (
+        [(layer, 3 * i * size + offset, below) for layer, size, offset, below in graph]
+        for i in range(1, (order + 2) // 3 + 1)
+    )
+    return _transfer(order, frozenset(), steps, _slot_width(order))
 
 
 def specialized_ideal_partitions(order: int) -> list[ColoredPartition]:
@@ -399,7 +400,7 @@ def verify_identity(order: int, sum_order: int | None = None) -> dict:
     constrained = tricolor_count_series(sum_order)
     d1 = product.first_difference(specialized)
     d2 = product.truncated(sum_order).first_difference(constrained)
-    report = {
+    return {
         "order": order,
         "sum_order": sum_order,
         "product_vs_specialized": d1,
@@ -409,4 +410,3 @@ def verify_identity(order: int, sum_order: int | None = None) -> dict:
         "specialized": specialized,
         "constrained": constrained,
     }
-    return report

@@ -1,0 +1,96 @@
+"""Independent series engines for the tests: the list-transfer loops that
+``affbasis.qseries`` used before its packed-integer kernel, kept as they
+were.  Each state holds its truncated series as a list of ints and every
+shift-and-add runs coefficient by coefficient, so these share no
+arithmetic with the packed engines they check.
+
+The one addition is the optional ``observe`` hook: it is called with the
+dict of states after every step, so a test can read the intermediate
+coefficients the packed engines must fit into their slots."""
+
+from affbasis.partitions import INDEPENDENT_COLOR_SETS, compatible_layers
+from affbasis.qseries import (
+    _PHI_OFFSET,
+    DUNDER,
+    PLAIN,
+    UNDER,
+    Series,
+    _local_part_ok,
+    _window_violation,
+)
+
+
+def tricolor_count_series(order: int, observe=None) -> Series:
+    """Count of admissible three-color partitions by total degree, via a
+    sliding-window transfer over the compiled constraint table."""
+    start = (0, 0, 0, 0)
+    states: dict[tuple[int, int, int, int], list[int]] = {
+        start: [1] + [0] * order
+    }
+    for d in range(1, order + 1):
+        new: dict[tuple[int, int, int, int], list[int]] = {}
+        for state, series in states.items():
+            for choice in (0, PLAIN, UNDER, DUNDER):
+                if choice and not _local_part_ok(d, choice):
+                    continue
+                if _window_violation(d, state + (choice,)):
+                    continue
+                ns = state[1:] + (choice,)
+                target = new.get(ns)
+                if target is None:
+                    target = [0] * (order + 1)
+                    new[ns] = target
+                if choice == 0:
+                    for k, v in enumerate(series):
+                        if v:
+                            target[k] += v
+                else:
+                    for k in range(order - d + 1):
+                        v = series[k]
+                        if v:
+                            target[k + d] += v
+        states = new
+        if observe is not None:
+            observe(states)
+    total = [0] * (order + 1)
+    for series in states.values():
+        for k, v in enumerate(series):
+            total[k] += v
+    return Series(total)
+
+
+def specialized_count_series(order: int, observe=None) -> Series:
+    """Count of difference-condition partitions graded by specialized
+    degree, via a layer-transfer over per-degree color sets."""
+    depth_max = (order + 2) // 3
+    states: dict[frozenset, list[int]] = {frozenset(): [1] + [0] * order}
+    for i in range(1, depth_max + 1):
+        new: dict[frozenset, list[int]] = {}
+        for layer in INDEPENDENT_COLOR_SETS:
+            cost = sum(3 * i + _PHI_OFFSET[c] for c in layer)
+            if cost > order:
+                continue
+            for prev, series in states.items():
+                if not compatible_layers(layer, prev):
+                    continue
+                target = new.get(layer)
+                if target is None:
+                    target = [0] * (order + 1)
+                    new[layer] = target
+                if cost == 0:
+                    for k, v in enumerate(series):
+                        if v:
+                            target[k] += v
+                else:
+                    for k in range(order - cost + 1):
+                        v = series[k]
+                        if v:
+                            target[k + cost] += v
+        states = new
+        if observe is not None:
+            observe(states)
+    total = [0] * (order + 1)
+    for series in states.values():
+        for k, v in enumerate(series):
+            total[k] += v
+    return Series(total)

@@ -1,6 +1,7 @@
 import functools
 import json
 
+import pytest
 
 from affbasis.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
 from affbasis.fixture_io import load_report_schema
@@ -209,3 +210,45 @@ def test_corrupted_color_table_is_a_failed_check(capsys, monkeypatch):
     fail = [line for line in out.splitlines() if line.startswith("FAIL  ")]
     assert len(fail) == 1 and fail[0].endswith("witness=8:-5 8:-4")
     assert out.splitlines()[-1].startswith("FAIL: ")
+
+
+def _drop_family_0(families):
+    return families[1:]
+
+
+def _raise_family_0_bound(families):
+    residue, d_min, bound, slots = families[0]
+    return ((residue, d_min, bound + 1, slots),) + families[1:]
+
+
+@pytest.mark.parametrize("mutate", [_drop_family_0, _raise_family_0_bound])
+def test_corrupted_window_family_fails_theorem_b(capsys, monkeypatch, mutate):
+    from affbasis import qseries
+
+    monkeypatch.setattr(qseries, "_QUAD_FAMILIES", mutate(qseries._QUAD_FAMILIES))
+    # the compiled transfer tables must be rebuilt from the corrupted families
+    qseries._tricolor_table.cache_clear()
+    try:
+        code, out, _ = run(capsys, "verify", "theorem-b", "--order", "60")
+    finally:
+        qseries._tricolor_table.cache_clear()
+    assert code == EXIT_FALSIFIED
+    assert out.splitlines() == [
+        "PASS  product side = specialized ideal count  expected=agree to order 60 actual=agree",
+        "FAIL  product side = constrained three-color count  expected=agree to order 60 "
+        "actual=first difference at 6: product=7 constrained=8",
+        "FAIL: 1/2 checks",
+    ]
+
+
+def test_corrupted_specialization_fails_theorem_b_with_a_witness(capsys, monkeypatch):
+    from affbasis import qseries
+
+    monkeypatch.setattr(qseries, "_PHI_OFFSET", {**qseries._PHI_OFFSET, 8: 3})
+    code, out, _ = run(capsys, "verify", "theorem-b", "--order", "60")
+    assert code == EXIT_FALSIFIED
+    fail = [line for line in out.splitlines() if line.startswith("FAIL  ")]
+    assert fail == [
+        "FAIL  product side = specialized ideal count  expected=agree to order 60 "
+        "actual=first difference at 5: product=5 specialized=4"
+    ]

@@ -1,13 +1,17 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_series
 from affbasis.partitions import enumerate_ideal, parse_partition
 from affbasis.qseries import (
     DUNDER,
     PLAIN,
     UNDER,
     Series,
+    _slot_width,
     a2_theta_series,
     character_oracle,
     colored_part_count_series,
@@ -49,6 +53,12 @@ def test_series_inverse(a):
     coeffs = [1] + a.coeffs[1:]
     s = Series(coeffs)
     assert (s * s.inverse()).coeffs == [1] + [0] * s.order
+
+
+@pytest.mark.parametrize("value", [0.5, Fraction(1, 2), 1.0, Fraction(2)])
+def test_series_rejects_non_integers(value):
+    with pytest.raises(TypeError):
+        Series([1, value])
 
 
 def test_series_truncation_errors():
@@ -181,3 +191,43 @@ def test_identity_reports_discrepancy_location():
     b = Series([1, 2, 4])
     assert a.first_difference(b) == 2
     assert a.first_difference(a) is None
+
+
+# --- the packed transfer kernel ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "engine, reference",
+    [
+        (tricolor_count_series, reference_series.tricolor_count_series),
+        (specialized_count_series, reference_series.specialized_count_series),
+    ],
+    ids=["tricolor", "specialized"],
+)
+def test_packed_engines_match_the_reference_engines(engine, reference):
+    for order in [*range(61), 300]:
+        assert engine(order) == reference(order), order
+    assert engine(0).coeffs == [1]
+
+
+def test_slot_width_is_the_cubed_distinct_parts_bound():
+    order = 40
+    bound = Series([1] + [0] * order)
+    for r in range(1, order + 1):
+        factor = Series([1 if k in (0, r) else 0 for k in range(order + 1)])
+        bound = bound * factor * factor * factor
+    assert _slot_width(order) == max(bound.coeffs).bit_length()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 20, 61, 120])
+def test_slot_width_bounds_every_intermediate_coefficient(order):
+    peak = 0
+
+    def observe(states):
+        nonlocal peak
+        total = [sum(column) for column in zip(*states.values())]
+        peak = max(peak, *total, *(c for series in states.values() for c in series))
+
+    reference_series.tricolor_count_series(order, observe)
+    reference_series.specialized_count_series(order, observe)
+    assert peak < 2 ** _slot_width(order)
