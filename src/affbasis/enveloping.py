@@ -116,10 +116,6 @@ class EnvElement:
         self.terms = {w: c for w, c in terms.items() if c and admits(w)}
         self.window = window
 
-    @classmethod
-    def zero(cls, window: Window) -> "EnvElement":
-        return cls({}, window)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -137,8 +133,6 @@ class EnvElement:
         return self._plus(other, -1)
 
     def scale(self, s: Scalar) -> "EnvElement":
-        if not s:
-            return EnvElement.zero(self.window)
         return EnvElement({w: s * c for w, c in self.terms.items()}, self.window)
 
     def narrowed(self, bound: int) -> "EnvElement":
@@ -246,22 +240,14 @@ class EnvElement:
         return f"EnvElement({len(self.terms)} terms, window={self.window})"
 
 
-def straighten(word, window: Window, rng: random.Random | None = None) -> EnvElement:
-    """Normal-order a finite mode word; exact, then admission-filtered."""
-    return EnvElement(straighten_word(word, rng=rng), window)
-
-
-def adjoint_action(x: LieElement, e: EnvElement) -> EnvElement:
-    """Zero-mode adjoint action ad(x(0)); window-preserving."""
-    return e.adjoint_mode(x, 0)
-
-
 # --- the induced vacuum module -------------------------------------------------
 #
-# Vectors are exact combinations of strictly-negative partitions acting on the
-# vacuum.  A single mode acts by straightening the word (mode,) + parts on the
-# vacuum, which drops every word whose rightmost mode annihilates it; the
-# pure integer result is memoized with `functools.cache`.
+# Module vectors are plain sparse dicts, {strictly-negative parts: nonzero
+# int}, combined through `add_scaled` like every other vector: the vacuum is
+# {(): 1} and u(p).vac is {p.parts: 1}.  A single mode acts by straightening
+# the word (mode,) + parts on the vacuum, which drops every word whose
+# rightmost mode annihilates it; the pure integer result is memoized with
+# `functools.cache`.
 
 
 @cache
@@ -271,81 +257,36 @@ def mode_on_partition(mode: Part, parts: tuple[Part, ...]):
     return tuple(straighten_word((mode,) + parts, on_vacuum=True).items())
 
 
-class VermaVector:
-    """Exact vector in the induced vacuum module, indexed by strictly
-    negative partitions."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: dict[tuple[Part, ...], Scalar] | None = None):
-        self.coords = {parts: c for parts, c in (coords or {}).items() if c}
-
-    @classmethod
-    def vacuum(cls) -> "VermaVector":
-        return cls({(): 1})
-
-    @classmethod
-    def basis(cls, p: ColoredPartition) -> "VermaVector":
-        return cls({p.parts: 1})
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __add__(self, other: "VermaVector") -> "VermaVector":
-        return VermaVector(add_scaled(dict(self.coords), other.coords.items()))
-
-    def __sub__(self, other: "VermaVector") -> "VermaVector":
-        return VermaVector(add_scaled(dict(self.coords), other.coords.items(), -1))
-
-    def scale(self, s: Scalar) -> "VermaVector":
-        return VermaVector({k: s * v for k, v in self.coords.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VermaVector) and self.coords == other.coords
-
-    def max_depth(self) -> int:
-        return max((-parts_degree(k) for k in self.coords), default=0)
-
-    def items(self):
-        return [(ColoredPartition(k), v) for k, v in self.coords.items()]
-
-    def __repr__(self) -> str:
-        return f"VermaVector({len(self.coords)} coordinates)"
-
-
-def apply_mode(mode: Part, v: VermaVector) -> VermaVector:
+def apply_mode(mode: Part, v: dict) -> dict:
+    """X_mode . v, as a fresh dict; v is not changed."""
     out: dict[tuple[Part, ...], Scalar] = {}
-    for parts, c in v.coords.items():
+    for parts, c in v.items():
         add_scaled(out, mode_on_partition(mode, parts), c)
-    return VermaVector(out)
+    return out
 
 
-def apply_word(word, v: VermaVector) -> VermaVector:
+def apply_word(word, v: dict) -> dict:
+    """The mode word applied to v, rightmost mode first, as a fresh dict;
+    v is not changed."""
+    out = dict(v)
     for mode in reversed(tuple(word)):
-        v = apply_mode(mode, v)
-    return v
+        out = apply_mode(mode, out)
+    return out
 
 
-def act(e, v: VermaVector) -> VermaVector:
-    """Apply an element to a module vector.  Accepts an EnvElement, a single
-    mode or a mode word; EnvElements must be windowed at least as deep as
-    the vector."""
-    if isinstance(e, tuple) and e and isinstance(e[0], int):
-        return apply_mode(e, v)
-    if isinstance(e, (list, tuple)):
-        return apply_word(e, v)
-    if isinstance(e, EnvElement):
-        depth = v.max_depth()
-        if e.window.annihilation_bound < depth:
-            raise WindowError(
-                f"window bound {e.window.annihilation_bound} is too shallow "
-                f"for a vector of depth {depth}"
-            )
-        out: dict[tuple[Part, ...], Scalar] = {}
-        for parts, c in e.terms.items():
-            add_scaled(out, apply_word(parts, v).coords.items(), c)
-        return VermaVector(out)
-    raise TypeError(f"cannot act with {type(e).__name__}")
+def act(e: EnvElement, v: dict) -> dict:
+    """e . v, as a fresh dict; v is not changed.  The window of e must reach
+    the depth of v, or a heavier monomial it does not hold could act."""
+    depth = max((-parts_degree(parts) for parts in v), default=0)
+    if e.window.annihilation_bound < depth:
+        raise WindowError(
+            f"window bound {e.window.annihilation_bound} is too shallow "
+            f"for a vector of depth {depth}"
+        )
+    out: dict[tuple[Part, ...], Scalar] = {}
+    for parts, c in e.terms.items():
+        add_scaled(out, apply_word(parts, v).items(), c)
+    return out
 
 
 def graded_basis(n: int, weight: Weight | None = None) -> list[ColoredPartition]:

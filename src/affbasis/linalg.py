@@ -2,7 +2,10 @@
 
 Sparse vectors are plain dicts from a key to a nonzero coefficient, and
 ``add_scaled`` is the one way they are combined: every layer (monomials,
-module vectors, tensors, reducer rows) accumulates through it.
+tensors, reducer rows) accumulates through it.  A vector of the induced
+vacuum module is such a dict itself, keyed by partitions, with no wrapper
+type.  Since no zero is ever stored, two vectors are equal exactly when
+their dicts are.
 Coefficients are Python ints; a ``Fraction`` appears only where a true
 division happens, through ``exact_quotient``: ``SpanReducer.row_for``, the
 q27 solve and the scalar c(n) of the collapse.  Ints and Fractions mix

@@ -30,11 +30,11 @@ from .algebra import (
 )
 from .enveloping import (
     EnvElement,
-    VermaVector,
     Window,
     WindowError,
     act,
     apply_mode,
+    apply_word,
     graded_basis,
 )
 from .linalg import Scalar, SpanReducer, add_scaled, exact_quotient, sparse_rank
@@ -132,11 +132,9 @@ class RelationSpace:
                 continue
             coords[label] = c
             add_scaled(residual, self.elements[label].terms.items(), -c)
-        check_bound = min(
-            e.window.annihilation_bound, self.window.annihilation_bound
-        )
-        for parts, v in residual.items():
-            if v and sum(d for _, d in parts if d > 0) <= check_bound:
+        certified = e.window.narrowed(self.window.annihilation_bound)
+        for parts in residual:
+            if certified.admits(parts):
                 raise WindowError(
                     f"element does not lie in the degree-{self.n} relation "
                     f"space (residual at {parts})"
@@ -187,14 +185,13 @@ def relation_for(label: RelationLabel, window: Window) -> EnvElement:
     if label.kind == "cubic_a":
         left = relation_for(quad_same_label(5, 1, j), window).mul_mode_left((3, j - 1))
         right = relation_for(quad_adjacent_label(3, 5, j), window).mul_mode_right((1, j))
-        bound = min(left.window.annihilation_bound, right.window.annihilation_bound)
-        return left.narrowed(bound) - right.narrowed(bound)
-    if label.kind == "cubic_b":
+    elif label.kind == "cubic_b":
         left = relation_for(quad_same_label(8, 5, j - 1), window).mul_mode_right((6, j))
         right = relation_for(quad_adjacent_label(5, 6, j), window).mul_mode_left((8, j - 1))
-        bound = min(left.window.annihilation_bound, right.window.annihilation_bound)
-        return left.narrowed(bound) - right.narrowed(bound)
-    raise ValueError(f"unknown label kind {label.kind}")
+    else:
+        raise ValueError(f"unknown label kind {label.kind}")
+    bound = min(left.window.annihilation_bound, right.window.annihilation_bound)
+    return left.narrowed(bound) - right.narrowed(bound)
 
 
 def embedded_relation(
@@ -403,55 +400,36 @@ def _q27_combination(window: Window):
     the quadratic generator state, 2 X1(-2)X1(-1).vac.  Solved exactly in
     the reference coordinates; no truncation enters."""
     pairs = _weight_2theta_pairs(window)
-    # state image of each pair: X_a(-1) applied to the relation vector
-    states = []
-    for a, lab in pairs:
-        v = relation_on_vacuum(lab, window)
-        states.append(apply_mode((a, -1), v).coords)
-    target_state = {((1, -2), (1, -1)): 2}
-    # highest-weight constraints: e_i . sum c (x tensor r) = 0
     raising = {
         c: shift_matrix(c, 0, -2, window) for c in (E1_COLOR, E2_COLOR)
     }
-    rows: list[dict] = []  # rows indexed by unknown -> coefficient
-
-    def add_constraint(coords_per_unknown):
-        keys = set()
-        for cs in coords_per_unknown:
-            keys |= set(cs)
-        for k in sorted(keys, key=str):
-            rows.append(
-                {j: cs[k] for j, cs in enumerate(coords_per_unknown) if cs.get(k)}
-            )
-
-    for e_color in (E1_COLOR, E2_COLOR):
-        images = []
-        for a, lab in pairs:
-            bracket = BRACKET[(e_color, a)]
-            raised = raising[e_color][lab].items()
-            out = add_scaled({}, (((color, lab), coef) for color, coef in bracket))
-            images.append(add_scaled(out, (((a, lab2), w) for lab2, w in raised)))
-        add_constraint(images)
-    # state condition: sum c * state = t * target for an extra unknown t
-    state_keys = set()
-    for cs in states:
-        state_keys |= set(cs)
-    state_keys |= set(target_state)
-    for k in sorted(state_keys, key=str):
-        row = {j: cs[k] for j, cs in enumerate(states) if cs.get(k)}
-        tv = target_state.get(k, 0)
-        if tv:
-            row[len(pairs)] = -tv
-        rows.append(row)
-    # nullspace of the homogeneous system in len(pairs)+1 unknowns
+    # one column per unknown.  A pair (a, r) gives the entries of
+    # e . (X_a tensor r) = [e, X_a] tensor r + X_a tensor (e . r), which must
+    # cancel, and of its state X_a(-1) . (r . vac); the last unknown t gives
+    # -2 X1(-2)X1(-1).vac.  A dependency among the columns is a
+    # highest-weight combination whose state is t times the target.
+    columns = []
+    for a, lab in pairs:
+        column: dict = {}
+        for e in (E1_COLOR, E2_COLOR):
+            bracket = ((("raise", e, (c, lab)), v) for c, v in BRACKET[(e, a)])
+            raised = ((("raise", e, (a, l2)), v) for l2, v in raising[e][lab].items())
+            add_scaled(column, bracket)
+            add_scaled(column, raised)
+        state = apply_mode((a, -1), relation_on_vacuum(lab, window))
+        add_scaled(column, ((("state", parts), v) for parts, v in state.items()))
+        columns.append(column)
+    columns.append({("state", ((1, -2), (1, -1))): -2})
+    # nullspace of the columns: each tag records its column's combination,
+    # and the tags sort last, so a column that reduces to tags alone is a
+    # dependency among the columns
+    n_unknowns = len(columns)
+    reducer = SpanReducer(lambda k: (k[0] == "tag", k))
     tagged = []
-    n_unknowns = len(pairs) + 1
-    reducer = SpanReducer(lambda k: k)
-    for j in range(n_unknowns):
-        vec = {("row", i): row[j] for i, row in enumerate(rows) if row.get(j)}
-        vec[("tag", j)] = 1
-        red = reducer.reduce(vec)
-        if red and all(k[0] == "tag" for k in red):
+    for j, column in enumerate(columns):
+        column[("tag", j)] = 1
+        red = reducer.reduce(column)
+        if all(k[0] == "tag" for k in red):
             tagged.append(red)
         else:
             reducer.insert(red)
@@ -518,9 +496,16 @@ def collapse(t: LoopTensor, window: Window) -> EnvElement:
 # --- orbits and their leading terms -------------------------------------------
 
 
+def _tensor_partition(key) -> ColoredPartition:
+    """The colored partition of a tensor key (mode, label): the label's
+    partition with the mode added."""
+    mode, label = key
+    return label.partition() * ColoredPartition((mode,))
+
+
 def _tensor_column_key(key):
     (a, i), label = key
-    pi = label.partition() * ColoredPartition(((a, i),))
+    pi = _tensor_partition(key)
     return (order_key(pi.parts), i, a, order_key(label.partition().parts))
 
 
@@ -551,11 +536,7 @@ def tensor_leading_partition(t: LoopTensor) -> ColoredPartition:
     mode-degree range."""
     if not t.terms:
         raise ValueError("zero tensor has no leading term")
-    best = None
-    for (a, i), label in t.terms:
-        pi = label.partition() * ColoredPartition(((a, i),))
-        if best is None or pi < best:
-            best = pi
+    best = min(_tensor_partition(key) for key in t.terms)
     for candidate in partitions_at_most(best, best.length, t.n):
         for idx in range(candidate.length):
             part = candidate.parts[idx]
@@ -581,18 +562,16 @@ def combined_weight_block(
         for vec in orbit_basis(t, window):
             if vec.weight() == mu:
                 reducer.insert(vec.terms)
-    leading = set()
-    for pivot in reducer.pivots():
-        (a, i), label = pivot
-        leading.add(label.partition() * ColoredPartition(((a, i),)))
-    return reducer.rank, leading
+    return reducer.rank, {_tensor_partition(p) for p in reducer.pivots()}
 
 
 # --- the graded rank verification ----------------------------------------------
 
 
-def relation_on_vacuum(label: RelationLabel, window: Window) -> VermaVector:
-    return act(relation_for(label, window), VermaVector.vacuum())
+def relation_on_vacuum(label: RelationLabel, window: Window) -> dict:
+    """The module vector r . vac of the canonical relation r with this
+    label, as a fresh dict."""
+    return act(relation_for(label, window), {(): 1})
 
 
 def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[dict]]:
@@ -607,17 +586,14 @@ def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[
         space = relation_space(m, window)
         for label in space.labels:
             v0 = relation_on_vacuum(label, window)
-            if v0.is_zero():
+            if not v0:
                 raise AssertionError(f"relation {label} vanished on the vacuum")
             base_weight = label.partition().weight()
             for kappa in graded_basis(n + m):
-                v = v0
-                for mode in reversed(kappa.parts):
-                    v = apply_mode(mode, v)
-                if v.is_zero():
-                    continue
-                w = (base_weight + kappa.weight()).key()
-                blocks.setdefault(w, []).append(v.coords)
+                v = apply_word(kappa.parts, v0)
+                if v:
+                    w = (base_weight + kappa.weight()).key()
+                    blocks.setdefault(w, []).append(v)
     return blocks
 
 

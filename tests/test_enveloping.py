@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 from affbasis.algebra import FORM, BRACKET, LieElement, Weight
 from affbasis.enveloping import (
     EnvElement,
-    VermaVector,
     Window,
     WindowError,
     _rewrite_once,
     act,
-    adjoint_action,
     apply_mode,
+    apply_word,
     graded_basis,
     mode_on_partition,
-    straighten,
     straighten_word,
 )
 from affbasis.linalg import SpanReducer, add_scaled, sparse_rank
@@ -44,12 +42,12 @@ def env_terms(e):
 
 
 def test_straighten_already_ordered():
-    e = straighten(((4, -1), (4, -1)), W8)
+    e = EnvElement(straighten_word(((4, -1), (4, -1))), W8)
     assert env_terms(e) == {((4, -1), (4, -1)): 1}
 
 
 def test_straighten_with_central_term():
-    e = straighten(((2, 1), (7, -1)), W8)
+    e = EnvElement(straighten_word(((2, 1), (7, -1))), W8)
     assert env_terms(e) == {
         ((7, -1), (2, 1)): 1,
         ((4, 0),): 1,
@@ -58,7 +56,7 @@ def test_straighten_with_central_term():
 
 
 def test_straighten_zero_modes():
-    e = straighten(((2, 0), (3, 0)), W8)
+    e = EnvElement(straighten_word(((2, 0), (3, 0))), W8)
     assert env_terms(e) == {((3, 0), (2, 0)): 1, ((1, 0),): 1}
 
 
@@ -73,9 +71,9 @@ def test_straighten_confluence(word, seed):
 @given(word_strategy, word_strategy)
 def test_straighten_is_multiplicative_on_vacuum(u, v):
     # straightening the concatenation acts on the vacuum like acting twice
-    vac = VermaVector.vacuum()
-    left = act(tuple(u) + tuple(v), vac)
-    right = act(tuple(u), act(tuple(v), vac))
+    vac = {(): 1}
+    left = apply_word(tuple(u) + tuple(v), vac)
+    right = apply_word(tuple(u), apply_word(tuple(v), vac))
     assert left == right
 
 
@@ -211,23 +209,34 @@ def test_span_reducer_rows_are_primitive_with_positive_pivots():
 
 
 def test_action_examples():
-    vac = VermaVector.vacuum()
-    assert act((2, 0), vac).is_zero()
-    assert act((6, 0), vac).is_zero()  # zero-mode lowering kills the vacuum
-    one_part = act((1, -1), vac)
-    assert one_part == VermaVector.basis(parse_partition("1:-1"))
-    assert act((2, 1), act((7, -1), vac)) == vac
+    vac = {(): 1}
+    assert apply_mode((2, 0), vac) == {}
+    assert apply_mode((6, 0), vac) == {}  # zero-mode lowering kills the vacuum
+    one_part = apply_mode((1, -1), vac)
+    assert one_part == {parse_partition("1:-1").parts: 1}
+    assert apply_mode((2, 1), apply_mode((7, -1), vac)) == vac
+
+
+def test_action_returns_a_fresh_dict_and_leaves_its_input():
+    v = {parse_partition("7:-1").parts: 1, (): 2}
+    before = dict(v)
+    e = EnvElement({(): 1}, W8)  # the identity element
+    for out in (apply_mode((4, 0), v), apply_word((), v), act(e, v)):
+        assert out is not v
+        out[((1, -1),)] = 5
+        assert v == before
+    assert apply_word((), v) == v and act(e, v) == v
 
 
 def test_action_of_env_element():
-    e = straighten(((2, 1),), W8)
-    v = VermaVector.basis(parse_partition("7:-1"))
-    assert act(e, v) == VermaVector.vacuum()
+    e = EnvElement(straighten_word(((2, 1),)), W8)
+    v = {parse_partition("7:-1").parts: 1}
+    assert act(e, v) == {(): 1}
 
 
 def test_action_window_certification():
     e = EnvElement({((2, 1),): Fraction(1)}, Window(0))
-    deep = VermaVector.basis(parse_partition("7:-1"))
+    deep = {parse_partition("7:-1").parts: 1}
     with pytest.raises(WindowError):
         act(e, deep)
 
@@ -241,13 +250,18 @@ def test_action_window_certification():
     st.lists(st.tuples(st.integers(1, 8), st.integers(-2, -1)), max_size=3),
 )
 def test_action_commutator_identity(a, m, b, n, parts):
-    v = VermaVector.basis(ColoredPartition(parts))
-    lhs = act((a, m), act((b, n), v)) - act((b, n), act((a, m), v))
-    rhs = VermaVector()
+    v = {ColoredPartition(parts).parts: 1}
+    ab = apply_mode((a, m), apply_mode((b, n), v))
+    ba = apply_mode((b, n), apply_mode((a, m), v))
+    lhs = add_scaled(dict(ab), ba.items(), -1)
+    rhs = {}
     for color, coef in BRACKET[(a, b)]:
-        rhs = rhs + act((color, m + n), v).scale(coef)
+        add_scaled(rhs, apply_mode((color, m + n), v).items(), coef)
     if m + n == 0:
-        rhs = rhs + v.scale(m * FORM[(a, b)])
+        add_scaled(rhs, v.items(), m * FORM[(a, b)])
+    # dict equality is vector equality only while no zero is stored
+    assert all(ab.values()) and all(ba.values())
+    assert all(lhs.values()) and all(rhs.values())
     assert lhs == rhs
 
 
@@ -276,9 +290,9 @@ def test_graded_basis_sorted_unique():
 
 def test_adjoint_examples():
     e = EnvElement({((2, -1),): Fraction(1)}, W8)
-    out = adjoint_action(LieElement.basis(4), e)
+    out = e.adjoint_mode(LieElement.basis(4), 0)
     assert env_terms(out) == {((2, -1),): 2}
-    zero = adjoint_action(LieElement.basis(3), straighten((), W8))
+    zero = EnvElement(straighten_word(()), W8).adjoint_mode(LieElement.basis(3), 0)
     assert zero.is_zero()
 
 
@@ -294,10 +308,10 @@ def test_adjoint_on_generator_leading_part():
 @settings(max_examples=100, deadline=None)
 @given(word_strategy, st.integers(1, 8))
 def test_adjoint_preserves_homogeneity(word, color):
-    e = straighten(tuple(word), W8)
+    e = EnvElement(straighten_word(tuple(word)), W8)
     if e.is_zero() or e.total_degree() is None or e.weight() is None:
         return
-    out = adjoint_action(LieElement.basis(color), e)
+    out = e.adjoint_mode(LieElement.basis(color), 0)
     if not out.is_zero():
         assert out.total_degree() == e.total_degree()
         from affbasis.algebra import WEIGHT
@@ -387,8 +401,8 @@ def test_element_action_equals_sequential_action():
         parts = ColoredPartition(
             [(rng.randint(1, 8), rng.randint(-2, -1)) for _ in range(rng.randint(0, 2))]
         )
-        v = VermaVector.basis(parts)
-        assert act(straighten(word, W8), v) == act(word, v)
+        v = {parts.parts: 1}
+        assert act(EnvElement(straighten_word(word), W8), v) == apply_word(word, v)
 
 
 def test_leading_term_of_pbw_monomial():

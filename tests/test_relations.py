@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from affbasis.algebra import F1_COLOR, Weight
-from affbasis.enveloping import VermaVector, Window, WindowError, act, apply_mode
+from affbasis.enveloping import EnvElement, Window, WindowError, act, apply_word
 from affbasis.partitions import (
     cubic_a_label,
     cubic_b_label,
@@ -43,8 +43,8 @@ W8 = Window(8)
 
 def test_generator_examples():
     e = x1_square_modes(-2, W8)
-    v = act(e, VermaVector.vacuum())
-    assert v == VermaVector.basis(parse_partition("1:-1 1:-1"))
+    v = act(e, {(): 1})
+    assert v == {parse_partition("1:-1 1:-1").parts: 1}
     assert format_partition(
         x1_square_modes(-3, W8).leading_term(max_length=2)
     ) == "1:-2 1:-1"
@@ -98,8 +98,18 @@ def test_relation_annihilates_quotient_spot_check():
     # each relation's vacuum image must lie inside the maximal submodule:
     # its coordinates at ideal partitions never appear alone; here we just
     # pin the image of the smallest one
-    v = act(relation_for(quad_same_label(1, 1, -1), W8), VermaVector.vacuum())
-    assert v == VermaVector.basis(parse_partition("1:-1 1:-1"))
+    v = act(relation_for(quad_same_label(1, 1, -1), W8), {(): 1})
+    assert v == {parse_partition("1:-1 1:-1").parts: 1}
+
+
+def test_coordinates_check_the_residual_on_the_common_window():
+    space = relation_space(-2, Window(3))
+    label = space.labels[0]
+    assert space.coordinates(space.element(label)) == {label: 1}
+    # annihilation weight 4 lies in the element's window but not the space's
+    assert space.coordinates(EnvElement({((1, -6), (1, 4)): 1}, W8)) == {}
+    with pytest.raises(WindowError, match="does not lie"):
+        space.coordinates(EnvElement({((1, -5), (1, 3)): 1}, W8))
 
 
 # --- cubic relations -------------------------------------------------------------
@@ -234,7 +244,7 @@ def test_collapse_acts_as_zero_spot_check():
     from affbasis.enveloping import graded_basis
 
     for p in graded_basis(3)[:40]:
-        assert act(image, VermaVector.basis(p)).is_zero()
+        assert act(image, {p.parts: 1}) == {}
 
 
 def test_tensor_leading_shapes():
@@ -365,17 +375,15 @@ def test_relation_images_live_in_the_maximal_submodule():
     space = relation_space(-2, window)
     rows = []
     for label in space.labels:
-        v0 = act(space.element(label), VermaVector.vacuum())
+        v0 = act(space.element(label), {(): 1})
         for kappa in graded_basis(1):
-            v = v0
-            for mode in reversed(kappa.parts):
-                v = apply_mode(mode, v)
-            if not v.is_zero():
-                rows.append(v.coords)
+            v = apply_word(kappa.parts, v0)
+            if v:
+                rows.append(v)
     base_rank = max_submodule_rank(3, window)
     extra = []
     for label in relation_space(-3, window).labels:
-        extra.append(act(relation_for(label, window), VermaVector.vacuum()).coords)
+        extra.append(act(relation_for(label, window), {(): 1}))
     assert markowitz_rank(rows + extra) == base_rank
 
 
@@ -434,6 +442,19 @@ def test_integral_layers_keep_int_coefficients():
             assert _ints(c for _, c in mode_on_partition(mode, p.parts)), (mode, p)
     for rows in submodule_span_blocks(4, W8).values():
         assert all(_ints(row.values()) for row in rows)
+
+
+def test_q27_combination_is_five_pairs_of_halves():
+    from affbasis.relations import _q27_combination, _space_window
+
+    half = Fraction(1, 2)
+    assert _q27_combination(_space_window(Window(3))) == [
+        ((1, quad_same_label(5, 1, -1)), -half),
+        ((2, quad_same_label(3, 1, -1)), half),
+        ((3, quad_same_label(2, 1, -1)), -half),
+        ((4, quad_same_label(1, 1, -1)), half),
+        ((5, quad_same_label(1, 1, -1)), half),
+    ]
 
 
 def test_rational_edges_never_give_floats():
