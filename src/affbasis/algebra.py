@@ -13,7 +13,8 @@ Color indices follow the fixed ordering X1 > X2 > ... > X8, i.e. a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .linalg import add_scaled
 
 COLORS = (1, 2, 3, 4, 5, 6, 7, 8)
 
@@ -143,62 +144,15 @@ WEIGHT: dict[int, Weight] = {c: _simple_root_weight(_MATRIX[c]) for c in COLORS}
 E1_COLOR, E2_COLOR, H1_COLOR, H2_COLOR, F2_COLOR, F1_COLOR = 2, 3, 4, 5, 6, 7
 
 
-def color_weight(color: int) -> Weight:
-    return WEIGHT[color]
-
-
-@dataclass(frozen=True)
-class LieElement:
-    """Exact rational vector over the eight-element basis."""
-
-    coeffs: tuple[Fraction, ...]  # position k holds the coefficient of X_{k+1}
-
-    @staticmethod
-    def zero() -> "LieElement":
-        return LieElement((Fraction(0),) * 8)
-
-    @staticmethod
-    def basis(color: int) -> "LieElement":
-        return LieElement(
-            tuple(Fraction(1 if c == color else 0) for c in COLORS)
-        )
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        return LieElement(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return LieElement(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, s) -> "LieElement":
-        s = Fraction(s)
-        return LieElement(tuple(s * x for x in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coeffs)
-
-    def items(self):
-        for c, v in zip(COLORS, self.coeffs):
-            if v:
-                yield c, v
-
-    def coefficient(self, color: int) -> Fraction:
-        return self.coeffs[color - 1]
-
-
-def bracket(x: LieElement, y: LieElement) -> LieElement:
-    acc = [Fraction(0)] * 8
+def bracket(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    """[x, y] for sparse vectors {color: int} over X1..X8."""
+    out: dict[int, int] = {}
     for a, xa in x.items():
         for b, yb in y.items():
-            for color, coef in BRACKET[(a, b)]:
-                acc[color - 1] += xa * yb * coef
-    return LieElement(tuple(acc))
+            add_scaled(out, BRACKET[(a, b)], xa * yb)
+    return out
 
 
-def invariant_form(x: LieElement, y: LieElement) -> Fraction:
-    total = Fraction(0)
-    for a, xa in x.items():
-        for b, yb in y.items():
-            f = FORM[(a, b)]
-            if f:
-                total += xa * yb * f
-    return total
+def invariant_form(x: dict[int, int], y: dict[int, int]) -> int:
+    """The trace form of two sparse vectors {color: int}."""
+    return sum(xa * yb * FORM[(a, b)] for a, xa in x.items() for b, yb in y.items())

@@ -16,11 +16,10 @@ emits [X_a, X_b](m+n) plus the central term m * delta_{m+n,0} * <X_a, X_b>.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cache
 
-from .algebra import BRACKET, FORM, LieElement, Weight
+from .algebra import BRACKET, FORM, Weight
 from .linalg import Scalar, add_scaled
 from .partitions import (
     ColoredPartition,
@@ -71,28 +70,21 @@ def _rewrite_once(word: tuple[Part, ...], i: int):
             yield word[:i] + word[i + 2 :], m * f
 
 
-def straighten_word(
-    word, rng: random.Random | None = None, on_vacuum: bool = False
-) -> dict[tuple[Part, ...], int]:
+def straighten_word(word, on_vacuum: bool = False) -> dict[tuple[Part, ...], int]:
     """Expand a mode word over sorted monomials; exact, integer output.
-    The optional rng picks which inversion to rewrite first, for
-    confluence testing; the result must not depend on it.  With
-    `on_vacuum` the word acts on the vacuum: a word whose rightmost mode
-    has degree >= 0 is dropped as soon as it appears."""
+    The first inversion is rewritten first.  With `on_vacuum` the word acts
+    on the vacuum: a word whose rightmost mode has degree >= 0 is dropped
+    as soon as it appears."""
     out: dict[tuple[Part, ...], int] = {}
     stack: list[tuple[tuple[Part, ...], int]] = [(tuple(word), 1)]
     while stack:
         w, c = stack.pop()
         if on_vacuum and w and w[-1][1] >= 0:
             continue  # the rightmost mode annihilates the vacuum
-        inversions = (
-            i for i in range(len(w) - 1) if part_key(w[i]) > part_key(w[i + 1])
+        i = next(
+            (i for i in range(len(w) - 1) if part_key(w[i]) > part_key(w[i + 1])),
+            None,
         )
-        if rng is None:
-            i = next(inversions, None)  # the first inversion; no full scan
-        else:
-            inversions = list(inversions)
-            i = rng.choice(inversions) if inversions else None
         if i is None:
             out[w] = out.get(w, 0) + c
             continue
@@ -106,8 +98,8 @@ def straighten_word(
 
 class EnvElement:
     """Finite exact combination of sorted monomials inside a window.  The
-    coefficients are ints; a Fraction enters only through a Fraction scale
-    or Lie element."""
+    coefficients are ints; a Fraction enters only through a Fraction
+    scale."""
 
     __slots__ = ("terms", "window")
 
@@ -185,26 +177,20 @@ class EnvElement:
             add_scaled(out, straighten_word(w + (mode,)).items(), c)
         return EnvElement(out, window)
 
-    def adjoint_mode(self, x: int | LieElement, k: int) -> "EnvElement":
-        """Commutator [x(k), self], applied termwise and re-straightened.
-        Shifting by k costs |k| of the certified bound."""
-        if isinstance(x, LieElement):
-            pieces = list(x.items())
-        else:
-            pieces = [(x, 1)]
+    def adjoint_mode(self, x: int, k: int) -> "EnvElement":
+        """Commutator [X_x(k), self] for the color x, applied termwise and
+        re-straightened.  Shifting by k costs |k| of the certified bound."""
         window = Window(self.window.annihilation_bound - abs(k))
         out: dict[tuple[Part, ...], Scalar] = {}
         for w, c in self.terms.items():
             for idx, (b, d) in enumerate(w):
-                for xc, xv in pieces:
-                    s = c * xv
-                    for color, coef in BRACKET[(xc, b)]:
-                        word = w[:idx] + ((color, d + k),) + w[idx + 1 :]
-                        add_scaled(out, straighten_word(word).items(), s * coef)
-                    f = FORM[(xc, b)] if k + d == 0 else 0
-                    if f:
-                        word = w[:idx] + w[idx + 1 :]
-                        add_scaled(out, straighten_word(word).items(), s * k * f)
+                for color, coef in BRACKET[(x, b)]:
+                    word = w[:idx] + ((color, d + k),) + w[idx + 1 :]
+                    add_scaled(out, straighten_word(word).items(), c * coef)
+                f = FORM[(x, b)] if k + d == 0 else 0
+                if f:
+                    word = w[:idx] + w[idx + 1 :]
+                    add_scaled(out, straighten_word(word).items(), c * k * f)
         return EnvElement(out, window)
 
     # -- leading terms ----------------------------------------------------------
@@ -289,7 +275,7 @@ def act(e: EnvElement, v: dict) -> dict:
     return out
 
 
-def graded_basis(n: int, weight: Weight | None = None) -> list[ColoredPartition]:
+def graded_basis(n: int) -> list[ColoredPartition]:
     """All strictly-negative colored partitions of total degree -n, the
     monomial basis of the induced module at depth n."""
     if n < 0:
@@ -301,9 +287,7 @@ def graded_basis(n: int, weight: Weight | None = None) -> list[ColoredPartition]
 
     def rec(depth: int, budget: int, acc: list[Part]):
         if budget == 0:
-            p = ColoredPartition(acc)
-            if weight is None or p.weight() == weight:
-                results.append(p)
+            results.append(ColoredPartition(acc))
             return
         if depth > budget:
             return

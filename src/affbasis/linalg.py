@@ -7,9 +7,10 @@ vacuum module is such a dict itself, keyed by partitions, with no wrapper
 type.  Since no zero is ever stored, two vectors are equal exactly when
 their dicts are.
 Coefficients are Python ints; a ``Fraction`` appears only where a true
-division happens, through ``exact_quotient``: ``SpanReducer.row_for``, the
-q27 solve and the scalar c(n) of the collapse.  Ints and Fractions mix
-exactly, and ``Fraction(2) == 2`` with equal hashes.
+division happens, through ``exact_quotient``: ``SpanReducer.row_for``,
+``LoopTensor.x1_generator_coefficient`` and the scalar c(n) of the
+collapse.  Ints and Fractions mix exactly, and ``Fraction(2) == 2`` with
+equal hashes.
 
 One elimination engine: an incremental span reducer over a totally ordered
 column set, whose rows are primitive integer vectors.  It has four uses.
@@ -52,14 +53,16 @@ def add_scaled(acc: dict, pairs, scale=1) -> dict:
 
 
 class SpanReducer:
-    """Maintains a reduced basis of sparse exact vectors.  `column_key`
+    """Maintains a reduced basis of sparse integer vectors.  `column_key`
     maps a column identifier to a sortable key, computed once per column
     and reducer; pivots sit at the minimal column of each vector.
 
     Rows are primitive integer vectors with a positive pivot coefficient,
     so each row is canonical for its line.  Elimination cross-multiplies
     and never divides; `row_for` alone scales a row to pivot coefficient 1,
-    which is the one place a reducer makes a Fraction."""
+    which is the one place a reducer makes a Fraction.  The vectors it is
+    given must be integral: nothing clears a denominator, and `math.gcd`
+    raises `TypeError` on a Fraction it meets."""
 
     def __init__(self, column_key):
         self.column_key = column_key
@@ -70,16 +73,14 @@ class SpanReducer:
         return min(vec, key=self.keys.__getitem__)
 
     def reduce(self, vec: dict) -> dict:
-        """vec reduced against the rows, as an integer vector: a positive
-        multiple of vec minus a combination of rows, with no row's pivot
-        as its minimal column.  A vector that needed no scaling comes back
-        with its own coefficients."""
-        lcm = 1
-        for v in vec.values():
-            d = v.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        vec = {k: v.numerator * (lcm // v.denominator) for k, v in vec.items() if v}
-        scaled = lcm != 1
+        """vec reduced against the rows: a positive multiple of vec minus a
+        combination of rows, with no row's pivot as its minimal column.  A
+        vector that needed no scaling comes back with its own coefficients.
+        vec itself is not changed."""
+        # a copy, since _cross_reduce updates it in place, and without zeros,
+        # since a stored zero pivot would corrupt a row
+        vec = {k: v for k, v in vec.items() if v}
+        scaled = False
         # rows only hold columns of reduced vectors, so these are all it meets
         for col in vec.keys() - self.keys.keys():
             self.keys[col] = self.column_key(col)
@@ -181,8 +182,8 @@ def sparse_triplets(rows, column_order=None) -> str:
 
 
 def sparse_rank(rows, column_key) -> int:
-    """Exact rank of a list of sparse rows (Fraction or int values): the
-    rows go into one reducer, shortest first to keep fill-in down."""
+    """Exact rank of a list of sparse integer rows: the rows go into one
+    reducer, shortest first to keep fill-in down."""
     reducer = SpanReducer(column_key)
     for row in sorted(rows, key=len):
         reducer.insert(row)

@@ -325,12 +325,10 @@ def cubic_embeddings(p: ColoredPartition) -> list[RelationLabel]:
     return found
 
 
-def embeddings(p: ColoredPartition, include_cubics: bool = True):
+def embeddings(p: ColoredPartition):
     """The embedded forbidden factors of p and the excess count
     max(#embeddings - 1, 0)."""
-    found = quadratic_embeddings(p)
-    if include_cubics:
-        found.extend(cubic_embeddings(p))
+    found = quadratic_embeddings(p) + cubic_embeddings(p)
     n = max(len(found) - 1, 0)
     return found, n
 

@@ -16,6 +16,7 @@ computation that verifies the basis theorem degree by degree.
 from __future__ import annotations
 
 from functools import cache
+from math import gcd
 
 from .algebra import (
     BRACKET,
@@ -234,8 +235,8 @@ def shift_matrix(x_color: int, k: int, n: int, window: Window):
 class LoopTensor:
     """Exact element of the degree-n piece of (loop algebra) tensor
     (relation spaces): a sparse vector keyed by a single mode and a
-    canonical relation label, with int coefficients unless a Fraction scales
-    it; x-mode degrees are tracked on the certified interval [i_lo, i_hi]."""
+    canonical relation label, with int coefficients; x-mode degrees are
+    tracked on the certified interval [i_lo, i_hi]."""
 
     __slots__ = ("n", "terms", "i_lo", "i_hi")
 
@@ -243,14 +244,14 @@ class LoopTensor:
         self.n = n
         self.i_lo = i_lo
         self.i_hi = i_hi
-        self.terms: dict[tuple[Part, RelationLabel], Scalar] = {
+        self.terms: dict[tuple[Part, RelationLabel], int] = {
             key: c for key, c in terms.items() if c and i_lo <= key[0][1] <= i_hi
         }
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scale(self, s: Scalar) -> "LoopTensor":
+    def scale(self, s: int) -> "LoopTensor":
         return LoopTensor(
             self.n, {k: s * c for k, c in self.terms.items()}, self.i_lo, self.i_hi
         )
@@ -296,10 +297,14 @@ def _space_window(window: Window) -> Window:
     return Window(window.annihilation_bound + 12)
 
 
-def syzygy_tensor_64(n: int, window: Window, margin: int = 4) -> LoopTensor:
+# mode degrees a syzygy tensor certifies past the window on either side
+_MARGIN = 4
+
+
+def syzygy_tensor_64(n: int, window: Window) -> LoopTensor:
     """sum_j (3j - n) X1(j) tensor (quadratic generator at degree n-j)."""
     bound = window.annihilation_bound
-    i_lo, i_hi = n - bound - margin, bound + margin
+    i_lo, i_hi = n - bound - _MARGIN, bound + _MARGIN
     terms = {}
     for i in range(i_lo, i_hi + 1):
         coef = (3 * i - n) * _x1x1_norm(n - i)
@@ -313,7 +318,7 @@ def loop_action(x_color: int, k: int, t: LoopTensor, window: Window) -> LoopTens
     transported adjoint action on the relation slot."""
     space_w = _space_window(window)
     lo, hi = t.i_lo + max(k, 0), t.i_hi + min(k, 0)
-    out: dict[tuple[Part, RelationLabel], Scalar] = {}
+    out: dict[tuple[Part, RelationLabel], int] = {}
     for ((a, i), label), c in t.terms.items():
         bracket = BRACKET[(x_color, a)]
         add_scaled(out, ((((color, i + k), label), coef) for color, coef in bracket), c)
@@ -396,9 +401,11 @@ def _weight_2theta_pairs(window: Window):
 @cache
 def _q27_combination(window: Window):
     """The unique highest-weight combination of (mode x abstract relation)
-    pairs of weight 2*theta whose degree-3 state image is the derivative of
-    the quadratic generator state, 2 X1(-2)X1(-1).vac.  Solved exactly in
-    the reference coordinates; no truncation enters."""
+    pairs of weight 2*theta whose degree-3 state image is t times the
+    derivative of the quadratic generator state, 2 X1(-2)X1(-1).vac.
+    Returned as (pairs, t): the primitive integer null vector, with t > 0,
+    as ((mode color, label), coefficient) pairs and the integer t.  Solved
+    exactly in the reference coordinates; no truncation enters."""
     pairs = _weight_2theta_pairs(window)
     raising = {
         c: shift_matrix(c, 0, -2, window) for c in (E1_COLOR, E2_COLOR)
@@ -439,23 +446,26 @@ def _q27_combination(window: Window):
         for (_, j), v in red.items():
             coeffs[j] = v
         if coeffs[-1]:
-            solutions.append([exact_quotient(c, coeffs[-1]) for c in coeffs[:-1]])
+            g = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)
+            solutions.append([c // g for c in coeffs])
     if len(solutions) != 1:
         raise AssertionError(
             f"expected a unique highest-weight syzygy combination, "
             f"got {len(solutions)}"
         )
-    return [(pair, c) for pair, c in zip(pairs, solutions[0]) if c]
+    *combo, t = solutions[0]
+    return [(pair, c) for pair, c in zip(pairs, combo) if c], t
 
 
-def syzygy_tensor_27(n: int, window: Window, margin: int = 4) -> LoopTensor:
-    """The weight-2*theta syzygy: the constant-profile instantiation of the
+def syzygy_tensor_27(n: int, window: Window) -> LoopTensor:
+    """The weight-2*theta syzygy, scaled by the t of `_q27_combination` to
+    integer coefficients: the constant-profile instantiation of the
     highest-weight pair combination at every mode degree."""
     space_w = _space_window(window)
-    combo = _q27_combination(space_w)
+    combo, _ = _q27_combination(space_w)
     bound = window.annihilation_bound
-    i_lo, i_hi = n - bound - margin, bound + margin
-    terms: dict[tuple[Part, RelationLabel], Scalar] = {}
+    i_lo, i_hi = n - bound - _MARGIN, bound + _MARGIN
+    terms: dict[tuple[Part, RelationLabel], int] = {}
     for i in range(i_lo, i_hi + 1):
         transport = transport_matrix(n - i, space_w)
         for (a, lab), c in combo:
@@ -520,10 +530,7 @@ def orbit_basis(t: LoopTensor, window: Window) -> list[LoopTensor]:
             yield loop_action(color, 0, current, window).terms
 
     reducer.close(t.terms, moved)
-    return [
-        LoopTensor(t.n, reducer.row_for(p), t.i_lo, t.i_hi)
-        for p in reducer.pivots()
-    ]
+    return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
 
 
 def syzygy_dimensions(n: int, window: Window) -> dict[str, int]:
@@ -637,8 +644,8 @@ def basis_counts_report(n_max: int, window: Window, progress=None) -> list[dict]
 
 def collapse_report(n: int, window: Window) -> dict:
     """Collapse the four syzygies at degree n.  The first three must vanish
-    identically on the certified window; the fourth collapses to a multiple
-    of the quadratic generator, whose scalar is returned."""
+    identically on the certified window; the fourth, t times q27, collapses
+    to t c(n) times the quadratic generator, and c(n) is returned."""
     tensors = syzygy_tensors(n, window)
     out: dict = {"n": n, "bound": window.annihilation_bound}
     for name in ("64", "35", "35u"):
@@ -648,7 +655,8 @@ def collapse_report(n: int, window: Window) -> dict:
     generator = x1_square_modes(n, window).narrowed(
         image27.window.annihilation_bound
     )
-    scalar = _proportionality(image27, generator)
+    _, t = _q27_combination(_space_window(window))
+    scalar = _proportionality(image27, generator.scale(t))
     out["c"] = scalar
     out["psi_27_match"] = scalar is not None
     return out

@@ -442,19 +442,26 @@ def test_integral_layers_keep_int_coefficients():
             assert _ints(c for _, c in mode_on_partition(mode, p.parts)), (mode, p)
     for rows in submodule_span_blocks(4, W8).values():
         assert all(_ints(row.values()) for row in rows)
+    # the four syzygy tensors, the 27 one scaled by its t, and their orbits
+    for name, t in syzygy_tensors(0, window).items():
+        assert _ints(t.terms.values()), name
+        for vec in orbit_basis(t, window):
+            assert _ints(vec.terms.values()), name
 
 
-def test_q27_combination_is_five_pairs_of_halves():
+def test_q27_combination_is_five_unit_pairs():
     from affbasis.relations import _q27_combination, _space_window
 
-    half = Fraction(1, 2)
-    assert _q27_combination(_space_window(Window(3))) == [
-        ((1, quad_same_label(5, 1, -1)), -half),
-        ((2, quad_same_label(3, 1, -1)), half),
-        ((3, quad_same_label(2, 1, -1)), -half),
-        ((4, quad_same_label(1, 1, -1)), half),
-        ((5, quad_same_label(1, 1, -1)), half),
-    ]
+    assert _q27_combination(_space_window(Window(3))) == (
+        [
+            ((1, quad_same_label(5, 1, -1)), -1),
+            ((2, quad_same_label(3, 1, -1)), 1),
+            ((3, quad_same_label(2, 1, -1)), -1),
+            ((4, quad_same_label(1, 1, -1)), 1),
+            ((5, quad_same_label(1, 1, -1)), 1),
+        ],
+        2,
+    )
 
 
 def test_rational_edges_never_give_floats():
@@ -466,8 +473,8 @@ def test_rational_edges_never_give_floats():
     assert type(collapse_report(0, window)["c"]) in exact
     generator = x1_square_modes(0, window)
     assert type(_proportionality(generator.scale(-2), generator)) in exact
-    combo = _q27_combination(_space_window(window))
-    assert combo and all(type(c) in exact for _, c in combo)
+    combo, t = _q27_combination(_space_window(window))
+    assert combo and all(type(c) in exact for _, c in combo) and type(t) in exact
     for t in syzygy_tensors(0, window).values():
         for i in range(t.i_lo, t.i_hi + 1):
             assert type(t.x1_generator_coefficient(i)) in exact, i
