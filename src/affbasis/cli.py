@@ -2,9 +2,10 @@
 
 Three subcommands: `enumerate` streams the spanning-ideal partitions of a
 given depth, `verify` runs one of the named check suites and emits a JSON
-report (exit 0 on pass, 1 on falsification, 2 on usage error, 3 when a
-truncation window is too small), and `tables` prints fixture-format tables
-for diffing.  All numeric output is exact decimal strings.
+report (exit 0 on pass, 1 on falsification or an exception inside a target,
+2 on usage error, 3 when a truncation window is too small), and `tables`
+prints fixture-format tables for diffing.  All numeric output is exact
+decimal strings.
 """
 
 from __future__ import annotations
@@ -340,11 +341,19 @@ def _cmd_verify(args, cfg: Config) -> int:
     started = time.monotonic()
     try:
         target(cfg, report)
+    except WindowError:
+        raise
     except LeadingTermError as exc:
         report.add(
             "relation leading terms lie in the color tables",
             False,
             witness=format_partition(exc.partition),
+        )
+    except Exception as exc:
+        report.add(
+            "target runs without an internal error",
+            False,
+            witness=f"{type(exc).__name__}: {exc}",
         )
     report.timings["seconds"] = f"{time.monotonic() - started:.3f}"
     if cfg.fmt == "text":

@@ -28,7 +28,7 @@ from .partitions import (
     parts_degree,
     parts_weight,
     part_key,
-    partitions_at_most,
+    shapes_at_most,
     sort_parts,
 )
 
@@ -211,11 +211,11 @@ class EnvElement:
                 "longer monomials may hide outside the window"
             )
         bound = ColoredPartition(best)
-        for candidate in partitions_at_most(bound, len(best), degree):
-            if not self.window.admits(candidate.parts):
-                raise WindowError(
-                    f"candidate {candidate} below the minimum is outside the window"
-                )
+        # the window reads only degrees, so one check per shape covers all its
+        # colorings; the top shape is that of the stored, admitted minimum
+        for shape in shapes_at_most(bound.shape(), len(best), degree):
+            if sum(d for d in shape if d > 0) > self.window.annihilation_bound:
+                raise WindowError(f"shape {shape} below the minimum is outside the window")
         return bound
 
     def sorted_terms(self) -> list[tuple[ColoredPartition, Scalar]]:

@@ -61,8 +61,8 @@ class SpanReducer:
     so each row is canonical for its line.  Elimination cross-multiplies
     and never divides; `row_for` alone scales a row to pivot coefficient 1,
     which is the one place a reducer makes a Fraction.  The vectors it is
-    given must be integral: nothing clears a denominator, and `math.gcd`
-    raises `TypeError` on a Fraction it meets."""
+    given must be integral: nothing clears a denominator, and `insert`
+    raises `TypeError` on a row with a non-int entry."""
 
     def __init__(self, column_key):
         self.column_key = column_key
@@ -98,6 +98,9 @@ class SpanReducer:
         vec already lies in the span."""
         red = self.reduce(vec)
         if red:
+            for v in red.values():
+                if not isinstance(v, int):
+                    raise TypeError(f"SpanReducer rows are int vectors, got {v!r}")
             p = self._pivot(red)
             self.rows[p] = _strip_gcd(red, red[p] < 0)
         return red

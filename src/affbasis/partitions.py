@@ -10,6 +10,10 @@ the tuple key ``order_key`` and used everywhere for leading terms and
 pivots; the forbidden-factor set (54 quadratic families plus two cubic
 families per degree); the difference-condition enumeration of the spanning
 ideal; and the embedding counts behind the coloring totals.
+
+Each forbidden factor is one piece of data: its colors and, fixed by its
+kind, their degree offsets from an anchor j.  The layer rule, the embeddings
+and the difference conditions are all derived from that table.
 """
 
 from __future__ import annotations
@@ -205,43 +209,34 @@ QUAD_ADJACENT = "quad_adjacent"
 CUBIC_A = "cubic_a"
 CUBIC_B = "cubic_b"
 
+# Degree offsets of each kind's parts from the anchor j, in color order.
+# Every kind has a part at offset 0 and none above it.
+_OFFSETS = {
+    QUAD_SAME: (0, 0),
+    QUAD_ADJACENT: (-1, 0),
+    CUBIC_A: (-1, 0, 0),
+    CUBIC_B: (-1, -1, 0),
+}
+
 
 class RelationLabel(NamedTuple):
-    """A forbidden factor: quadratic color pair or one of the two cubics,
-    anchored at degree j.  Quadratic kinds carry their color pair; the cubic
-    color patterns are fixed.  A plain tuple, so hashing and the order
-    (kind, colors, j) run in C."""
+    """A forbidden factor anchored at degree j: the modes
+    X_colors[i](j + offsets[i]), with the offsets fixed by the kind.  A plain
+    tuple, so hashing and the order (kind, colors, j) run in C."""
 
     kind: str
     colors: tuple[int, ...]
     j: int
 
     def partition(self) -> ColoredPartition:
-        j = self.j
-        if self.kind == QUAD_SAME:
-            c1, c2 = self.colors
-            return ColoredPartition(((c1, j), (c2, j)))
-        if self.kind == QUAD_ADJACENT:
-            c1, c2 = self.colors
-            return ColoredPartition(((c1, j - 1), (c2, j)))
-        if self.kind == CUBIC_A:
-            return ColoredPartition(((3, j - 1), (4, j), (1, j)))
-        if self.kind == CUBIC_B:
-            return ColoredPartition(((8, j - 1), (4, j - 1), (6, j)))
-        raise ValueError(f"unknown kind {self.kind}")
+        return ColoredPartition(
+            (c, self.j + o) for c, o in zip(self.colors, _OFFSETS[self.kind])
+        )
 
     def degree(self) -> int:
         """The degree of `partition()`, without building it."""
-        j = self.j
-        if self.kind == QUAD_SAME:
-            return 2 * j
-        if self.kind == QUAD_ADJACENT:
-            return 2 * j - 1
-        if self.kind == CUBIC_A:
-            return 3 * j - 1
-        if self.kind == CUBIC_B:
-            return 3 * j - 2
-        raise ValueError(f"unknown kind {self.kind}")
+        offsets = _OFFSETS[self.kind]
+        return len(offsets) * self.j + sum(offsets)
 
     def translate(self, t: int) -> "RelationLabel":
         return RelationLabel(self.kind, self.colors, self.j + t)
@@ -256,11 +251,11 @@ def quad_adjacent_label(c1: int, c2: int, j: int) -> RelationLabel:
 
 
 def cubic_a_label(j: int) -> RelationLabel:
-    return RelationLabel(CUBIC_A, (), j)
+    return RelationLabel(CUBIC_A, (3, 4, 1), j)
 
 
 def cubic_b_label(j: int) -> RelationLabel:
-    return RelationLabel(CUBIC_B, (), j)
+    return RelationLabel(CUBIC_B, (8, 4, 6), j)
 
 
 def relation_set(j_min: int, j_max: int) -> list[RelationLabel]:
@@ -277,60 +272,36 @@ def relation_set(j_min: int, j_max: int) -> list[RelationLabel]:
 
 
 def quadratic_leading_labels(n: int) -> list[RelationLabel]:
-    """The 27 quadratic leading-term labels whose partitions have degree n,
-    taken from the equal-degree list for even n and the adjacent-degree
-    list for odd n."""
-    if n % 2 == 0:
-        j = n // 2
-        return [quad_same_label(c1, c2, j) for c1, c2 in SAME_DEGREE_COLOR_PAIRS]
+    """The 27 quadratic leading-term labels whose partitions have degree n:
+    the equal-degree pairs for even n, the adjacent-degree pairs for odd n."""
     j = (n + 1) // 2
-    return [quad_adjacent_label(c1, c2, j) for c1, c2 in ADJACENT_COLOR_PAIRS]
+    return [lab for lab in relation_set(j, j) if len(lab.colors) == 2 and lab.degree() == n]
 
 
-def _label_divides(label: RelationLabel, mult: dict[Part, int]) -> bool:
-    for part, m in label.partition().multiplicities().items():
-        if mult.get(part, 0) < m:
-            return False
-    return True
+# The forbidden factors anchored at 0, each with the multiplicities of its
+# parts (color, offset); the factors anchored at j are these translated by j.
+_FACTORS = tuple(
+    (lab, tuple(lab.partition().multiplicities().items())) for lab in relation_set(0, 0)
+)
+
+
+def embeddings(p: ColoredPartition):
+    """The forbidden factors dividing p, listed by anchor, and the excess
+    count max(#embeddings - 1, 0).  Every factor has a part at its anchor,
+    so only the degrees of p can anchor one."""
+    mult = p.multiplicities()
+    found = [
+        lab.translate(j)
+        for j in sorted({d for _, d in p.parts})
+        for lab, parts in _FACTORS
+        if all(mult.get((c, o + j), 0) >= m for (c, o), m in parts)
+    ]
+    return found, max(len(found) - 1, 0)
 
 
 def quadratic_embeddings(p: ColoredPartition) -> list[RelationLabel]:
     """All quadratic leading-term labels whose partition divides p."""
-    mult = p.multiplicities()
-    degrees = sorted({d for _, d in p.parts})
-    found = []
-    for j in degrees:
-        for c1, c2 in SAME_DEGREE_COLOR_PAIRS:
-            lab = quad_same_label(c1, c2, j)
-            if _label_divides(lab, mult):
-                found.append(lab)
-    for j in degrees:
-        for c1, c2 in ADJACENT_COLOR_PAIRS:
-            lab = quad_adjacent_label(c1, c2, j + 1)
-            if _label_divides(lab, mult):
-                found.append(lab)
-    return found
-
-
-def cubic_embeddings(p: ColoredPartition) -> list[RelationLabel]:
-    mult = p.multiplicities()
-    degrees = sorted({d for _, d in p.parts})
-    found = []
-    for j in degrees:
-        for make in (cubic_a_label, cubic_b_label):
-            for anchor in (j, j + 1):
-                lab = make(anchor)
-                if _label_divides(lab, mult) and lab not in found:
-                    found.append(lab)
-    return found
-
-
-def embeddings(p: ColoredPartition):
-    """The embedded forbidden factors of p and the excess count
-    max(#embeddings - 1, 0)."""
-    found = quadratic_embeddings(p) + cubic_embeddings(p)
-    n = max(len(found) - 1, 0)
-    return found, n
+    return [lab for lab in embeddings(p)[0] if len(lab.colors) == 2]
 
 
 def embedding_excess(p: ColoredPartition) -> int:
@@ -343,59 +314,37 @@ def embedding_excess(p: ColoredPartition) -> int:
 # Subsets of colors sharing one degree are constrained by the equal-degree
 # list alone (repeats are excluded by its diagonal), so the per-degree states
 # are the independent sets of the 19-edge conflict graph.  Consecutive
-# degrees are coupled by the adjacent list and the two cubic patterns.
+# degrees are coupled by the factors that span two degrees.
 
 _SAME_EDGES = frozenset(
     (c1, c2) for c1, c2 in SAME_DEGREE_COLOR_PAIRS if c1 != c2
 )
 
+INDEPENDENT_COLOR_SETS = tuple(
+    frozenset(combo)
+    for r in range(9)
+    for combo in itertools.combinations(COLORS, r)
+    if not any((b, a) in _SAME_EDGES for a, b in itertools.combinations(combo, 2))
+)
 
-def _independent_color_sets() -> tuple[frozenset[int], ...]:
-    out = []
-    for r in range(0, 9):
-        for combo in itertools.combinations(COLORS, r):
-            s = frozenset(combo)
-            if all(
-                (max(a, b), min(a, b)) not in _SAME_EDGES
-                for a, b in itertools.combinations(combo, 2)
-            ):
-                out.append(s)
-    return tuple(out)
-
-
-INDEPENDENT_COLOR_SETS = _independent_color_sets()
+# (colors at offset -1, colors at offset 0) of each factor spanning two degrees
+_LAYER_FACTORS = tuple(
+    tuple(frozenset(c for (c, o), _ in parts if o == k) for k in (-1, 0))
+    for lab, parts in _FACTORS
+    if -1 in _OFFSETS[lab.kind]
+)
 
 
 def compatible_layers(deeper: frozenset[int], shallower: frozenset[int]) -> bool:
     """May colors `deeper` sit at degree j-1 below colors `shallower` at j?"""
-    for c1, c2 in ADJACENT_COLOR_PAIRS:
-        if c1 in deeper and c2 in shallower:
-            return False
-    if 3 in deeper and 4 in shallower and 1 in shallower:
-        return False
-    if 8 in deeper and 4 in deeper and 6 in shallower:
-        return False
-    return True
+    return not any(low <= deeper and high <= shallower for low, high in _LAYER_FACTORS)
 
 
 def satisfies_difference_conditions(p: ColoredPartition) -> bool:
-    """True iff no forbidden factor divides p as a multiset: the colors at
-    each degree are distinct and pairwise outside the equal-degree list, and
-    each degree is compatible with the one above it."""
+    """True iff no forbidden factor divides p as a multiset."""
     if any(d >= 0 for _, d in p.parts):
         raise ValueError("difference conditions apply to strictly negative modes")
-    by_degree: dict[int, list[int]] = {}
-    for c, d in p.parts:
-        by_degree.setdefault(d, []).append(c)
-    for d, colors in by_degree.items():
-        colorset = set(colors)
-        if len(colorset) < len(colors):
-            return False
-        if any((a, b) in _SAME_EDGES for a in colorset for b in colorset):
-            return False
-        if not compatible_layers(colorset, by_degree.get(d + 1, ())):
-            return False
-    return True
+    return not embeddings(p)[0]
 
 
 def enumerate_ideal(n: int, weight: Weight | None = None) -> list[ColoredPartition]:
@@ -434,7 +383,7 @@ def enumerate_ideal(n: int, weight: Weight | None = None) -> list[ColoredPartiti
 # --- candidate enumeration below a bound -------------------------------------
 
 
-def _shapes_at_most(top_shape: tuple[int, ...], length: int, degree: int):
+def shapes_at_most(top_shape: tuple[int, ...], length: int, degree: int):
     """Nondecreasing degree tuples of the given length and total that are
     <= top_shape in the shape order."""
     cap = top_shape[-1]
@@ -492,7 +441,7 @@ def partitions_at_most(
     out = []
     top_shape = bound.shape()
     top_key, bound_key = shape_key(top_shape), order_key(bound.parts)
-    for shape in _shapes_at_most(top_shape, length, degree):
+    for shape in shapes_at_most(top_shape, length, degree):
         strictly_lower = shape_key(shape) < top_key
         for q in colorings_of_shape(shape):
             if strictly_lower or order_key(q.parts) <= bound_key:

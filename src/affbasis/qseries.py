@@ -391,18 +391,17 @@ def character_oracle(order: int) -> Series:
 # --- the triple comparison ----------------------------------------------------
 
 
-def verify_identity(order: int, sum_order: int | None = None) -> dict:
+def verify_identity(order: int) -> dict:
     """Compare the product side, the constrained-count side and the
-    specialized ideal count coefficientwise."""
-    sum_order = order if sum_order is None else min(sum_order, order)
+    specialized ideal count coefficientwise, all to q^order."""
     product = product_side(order)
     specialized = specialized_count_series(order)
-    constrained = tricolor_count_series(sum_order)
+    constrained = tricolor_count_series(order)
     d1 = product.first_difference(specialized)
-    d2 = product.truncated(sum_order).first_difference(constrained)
+    d2 = product.first_difference(constrained)
     return {
         "order": order,
-        "sum_order": sum_order,
+        "sum_order": order,
         "product_vs_specialized": d1,
         "product_vs_constrained": d2,
         "ok": d1 is None and d2 is None,

@@ -157,16 +157,10 @@ def label_for_quadratic(p: ColoredPartition) -> RelationLabel | None:
     if p.length != 2:
         return None
     (c1, d1), (c2, d2) = p.parts
-    if d1 == d2:
-        pair = (c1, c2)
-        if pair in SAME_DEGREE_COLOR_PAIRS:
-            return quad_same_label(c1, c2, d1)
-        return None
-    if d2 == d1 + 1:
-        pair = (c1, c2)
-        if pair in ADJACENT_COLOR_PAIRS:
-            return quad_adjacent_label(c1, c2, d2)
-        return None
+    if d1 == d2 and (c1, c2) in SAME_DEGREE_COLOR_PAIRS:
+        return quad_same_label(c1, c2, d1)
+    if d2 == d1 + 1 and (c1, c2) in ADJACENT_COLOR_PAIRS:
+        return quad_adjacent_label(c1, c2, d2)
     return None
 
 
@@ -178,10 +172,8 @@ def relation_space(n: int, window: Window) -> RelationSpace:
 def relation_for(label: RelationLabel, window: Window) -> EnvElement:
     """The canonical relation with the given leading term, normalized to
     leading coefficient one."""
-    if label.kind == "quad_same":
-        return relation_space(2 * label.j, window).element(label)
-    if label.kind == "quad_adjacent":
-        return relation_space(2 * label.j - 1, window).element(label)
+    if len(label.colors) == 2:
+        return relation_space(label.degree(), window).element(label)
     j = label.j
     if label.kind == "cubic_a":
         left = relation_for(quad_same_label(5, 1, j), window).mul_mode_left((3, j - 1))

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from affbasis.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
+from affbasis.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, EXIT_WINDOW, main
+from affbasis.enveloping import WindowError
 from affbasis.fixture_io import load_report_schema
 
 
@@ -210,6 +211,36 @@ def test_corrupted_color_table_is_a_failed_check(capsys, monkeypatch):
     fail = [line for line in out.splitlines() if line.startswith("FAIL  ")]
     assert len(fail) == 1 and fail[0].endswith("witness=8:-5 8:-4")
     assert out.splitlines()[-1].startswith("FAIL: ")
+
+
+@pytest.mark.parametrize("error", [AssertionError, ValueError])
+def test_internal_error_is_a_failed_check(capsys, monkeypatch, error):
+    from affbasis import relations
+
+    def broken(n, window):
+        raise error(f"broken space {n}")
+
+    monkeypatch.setattr(relations, "relation_space", broken)
+    code, out, _ = run(capsys, "verify", "lemma1")
+    assert code == EXIT_FALSIFIED
+    lines = out.splitlines()
+    assert lines[0] == (
+        "FAIL  target runs without an internal error"
+        f"  witness={error.__name__}: broken space -8"
+    )
+    assert lines[-1] == "FAIL: 0/1 checks"
+
+
+def test_window_error_in_a_target_keeps_exit_3(capsys, monkeypatch):
+    from affbasis import relations
+
+    def too_small(n, window):
+        raise WindowError("too small")
+
+    monkeypatch.setattr(relations, "relation_space", too_small)
+    code, out, err = run(capsys, "verify", "lemma1")
+    assert code == EXIT_WINDOW
+    assert out == "" and "window insufficiency: too small" in err
 
 
 def _drop_family_0(families):

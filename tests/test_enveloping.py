@@ -211,9 +211,10 @@ def test_span_reducer_rows_are_primitive_with_positive_pivots():
     assert reducer.row_for(0) == {0: 1, 2: Fraction(-9, 7)}
     assert reducer.row_for(1) == {1: 1, 2: Fraction(18, 7)}
     # rows are integral: a Fraction is refused, whether it would be stored
-    # or meets a pivot, and the rows stay as they were
+    # (also behind an entry whose gcd is already 1) or meets a pivot, and
+    # the rows stay as they were
     rows = {p: dict(row) for p, row in reducer.rows.items()}
-    for vec in ({2: Fraction(1, 2)}, {0: Fraction(7, 2), 2: 1}):
+    for vec in ({2: Fraction(1, 2)}, {3: 1, 4: Fraction(1, 2)}, {0: Fraction(7, 2), 2: 1}):
         with pytest.raises(TypeError):
             reducer.insert(vec)
         assert reducer.rows == rows

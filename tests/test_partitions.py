@@ -15,10 +15,12 @@ from affbasis.partitions import (
     ADJACENT_COLOR_PAIRS,
     EMPTY,
     EXCEPTIONAL_CASES,
+    INDEPENDENT_COLOR_SETS,
     SAME_DEGREE_COLOR_PAIRS,
     SHAPE_CLASSES,
     ColoredPartition,
     compare,
+    compatible_layers,
     cubic_a_label,
     cubic_b_label,
     embeddings,
@@ -236,9 +238,11 @@ def test_difference_conditions_examples():
 
 
 def test_difference_conditions_match_divisibility():
-    # reference: no forbidden factor anchored near p's degrees divides p
+    # reference: no forbidden factor anchored near p's degrees divides p;
+    # the layer-rule enumeration must pick out exactly those partitions
     factors: dict = {}
     for n in range(6):
+        ideal = set(enumerate_ideal(n))
         for p in graded_basis(n):
             degrees = [d for _, d in p.parts] or [0]
             anchors = (min(degrees) - 1, max(degrees) + 1)
@@ -246,6 +250,15 @@ def test_difference_conditions_match_divisibility():
                 factors[anchors] = [lab.partition() for lab in relation_set(*anchors)]
             divisible = any(p.contains(rho) for rho in factors[anchors])
             assert satisfies_difference_conditions(p) == (not divisible), p
+            assert (p in ideal) == (not divisible), p
+
+
+def test_layer_rule_matches_divisibility():
+    # two neighbouring degrees, each holding an allowed color set
+    for deeper in INDEPENDENT_COLOR_SETS:
+        for shallower in INDEPENDENT_COLOR_SETS:
+            p = ColoredPartition([(c, -2) for c in deeper] + [(c, -1) for c in shallower])
+            assert compatible_layers(deeper, shallower) == satisfies_difference_conditions(p)
 
 
 def test_label_translation():
