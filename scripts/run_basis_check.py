@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Degreewise verification of the monomial basis: for each depth n the
-spanning-ideal count, the induced-module dimension minus the maximal
-submodule rank, and the lattice character oracle must agree.
+spanning-ideal count, the induced-module dimension minus the rank of the
+maximal submodule, and the lattice character oracle must agree.  The rank
+is the one the triangular certificate proves: one relation row per
+non-ideal partition, each leading with that partition.
 
 Usage: python scripts/run_basis_check.py [max_depth] [window]
 """

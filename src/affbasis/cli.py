@@ -270,6 +270,7 @@ def _verify_theorem_a(cfg: Config, report: Report):
             row["ok"],
             expected=row["oracle"],
             actual=f"ideal={row['ideal']} quotient={row['quotient']}",
+            witness=row.get("witness"),
         )
 
 

@@ -284,18 +284,28 @@ _FACTORS = tuple(
     (lab, tuple(lab.partition().multiplicities().items())) for lab in relation_set(0, 0)
 )
 
+# The same factors indexed by the color of their first part at offset 0: a
+# factor anchored at j divides p only if p has the part (that color, j).
+_FACTORS_BY_ANCHOR_COLOR = {
+    c: tuple(f for f in _FACTORS if f[0].colors[_OFFSETS[f[0].kind].index(0)] == c)
+    for c in COLORS
+}
+
 
 def embeddings(p: ColoredPartition):
     """The forbidden factors dividing p, listed by anchor, and the excess
     count max(#embeddings - 1, 0).  Every factor has a part at its anchor,
-    so only the degrees of p can anchor one."""
-    mult = p.multiplicities()
-    found = [
-        lab.translate(j)
-        for j in sorted({d for _, d in p.parts})
-        for lab, parts in _FACTORS
-        if all(mult.get((c, o + j), 0) >= m for (c, o), m in parts)
-    ]
+    so each distinct part (c, j) of p tries only the factors anchored on
+    color c, translated to j."""
+    mult = p.multiplicities()  # keys in part order, so degrees ascend
+    found = []
+    for c, j in mult:
+        for lab, parts in _FACTORS_BY_ANCHOR_COLOR[c]:
+            for (c2, o), m in parts:
+                if mult.get((c2, o + j), 0) < m:
+                    break
+            else:
+                found.append(lab.translate(j))
     return found, max(len(found) - 1, 0)
 
 
@@ -386,7 +396,7 @@ def enumerate_ideal(n: int, weight: Weight | None = None) -> list[ColoredPartiti
 def shapes_at_most(top_shape: tuple[int, ...], length: int, degree: int):
     """Nondecreasing degree tuples of the given length and total that are
     <= top_shape in the shape order."""
-    cap = top_shape[-1]
+    cap = top_shape[-1] if top_shape else 0
     top_key = shape_key(top_shape)
     out = []
 

@@ -9,8 +9,13 @@ quadratic ones by the fixed two-term recipe.
 
 On top of these sit the syzygy tensors (the 64/35/35/27-dimensional
 families of relations among relations), the two-sided multiplication map
-that collapses a tensor into the completed algebra, and the graded rank
-computation that verifies the basis theorem degree by degree.
+that collapses a tensor into the completed algebra, and the graded
+verification of the basis theorem.  That verification follows the paper:
+each depth-n partition that a forbidden factor divides is erased by one
+relation row that leads with it, so the rows are triangular and their count
+is a proven rank of the maximal submodule, with no elimination; the basis
+count must then equal the character.  The rank of the full spanning family
+(`max_submodule_rank`) stays as the cross-check at small depths.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from math import gcd
 
 from .algebra import (
     BRACKET,
+    COLORS,
     E1_COLOR,
     E2_COLOR,
     F1_COLOR,
@@ -45,7 +51,9 @@ from .partitions import (
     ColoredPartition,
     Part,
     RelationLabel,
+    embeddings,
     enumerate_ideal,
+    format_partition,
     order_key,
     partitions_at_most,
     quad_adjacent_label,
@@ -564,7 +572,7 @@ def combined_weight_block(
     return reducer.rank, {_tensor_partition(p) for p in reducer.pivots()}
 
 
-# --- the graded rank verification ----------------------------------------------
+# --- Theorem A: the graded verification ---------------------------------------
 
 
 def relation_on_vacuum(label: RelationLabel, window: Window) -> dict:
@@ -605,17 +613,76 @@ def max_submodule_rank(n: int, window: Window) -> int:
     )
 
 
+def _premise_witness(window: Window, on_vacuum: dict) -> str | None:
+    """Check that each degree -2 relation vector lies in the maximal
+    submodule N: it must be killed by X_a(1) and X_a(2) for every color a.
+    Those modes generate the positive loop modes, and X_a(k) with k > 2
+    lowers depth 2 below 0, so such a vector is singular and generates a
+    submodule with no vacuum component.  The relations of other degrees are
+    modes of the same vertex operators, and the cubics products of them with
+    modes, so their vectors lie in N too.  Returns the first failure."""
+    for label in relation_space(-2, window).labels:
+        v = on_vacuum[label] = relation_on_vacuum(label, window)
+        for a in COLORS:
+            for k in (1, 2):
+                if apply_mode((a, k), v):
+                    return f"{format_partition(label.partition())} killed-by X_{a}({k}) fails"
+    return None
+
+
+def _row_factor(pi: ColoredPartition) -> RelationLabel | None:
+    """The forbidden factor whose relation erases pi: the first quadratic
+    that `embeddings` lists, or its first cubic if no quadratic divides pi;
+    None for a partition of the ideal."""
+    found, _ = embeddings(pi)
+    return next((lab for lab in found if len(lab.colors) == 2), found[0] if found else None)
+
+
+def _certified_rank(n: int, window: Window, on_vacuum: dict) -> tuple[int, str | None]:
+    """The paper's triangular certificate at depth n.  Each depth-n
+    partition pi that a forbidden factor rho divides gets one row,
+    u(pi / rho) . (r_rho . vac), which lies in N.  Rows with distinct leading
+    terms are independent, so the number of distinct leading terms is a
+    proven lower bound on dim N_n; it is pbw - ideal when every row leads
+    with its own pi.  Returns that count and the first pi whose row leads
+    elsewhere, or None."""
+    leads = set()
+    witness = None
+    for pi in graded_basis(n):
+        rho = _row_factor(pi)
+        if rho is None:
+            continue
+        v0 = on_vacuum.get(rho)
+        if v0 is None:
+            v0 = on_vacuum[rho] = relation_on_vacuum(rho, window)
+        row = apply_word(pi.quotient(rho.partition()).parts, v0)
+        lead = min(row, key=order_key, default=None)
+        if lead is not None:
+            leads.add(lead)
+        if lead != pi.parts and witness is None:
+            witness = format_partition(pi)
+    return len(leads), witness
+
+
 def basis_counts_report(n_max: int, window: Window, progress=None) -> list[dict]:
     """Per-depth comparison: spanning-ideal count, induced-module dimension
-    minus maximal-submodule rank, and the lattice character oracle."""
+    minus the certified rank of the maximal submodule, and the lattice
+    character oracle.  The rank comes from the triangular certificate
+    (`_certified_rank`), whose premise `_premise_witness` checks once; no
+    elimination runs.  A row is ok when the three counts agree and the
+    certificate holds; otherwise `witness` names the first failure."""
     oracle = character_oracle(n_max)
     pbw = colored_part_count_series(n_max, 8)
+    on_vacuum: dict[RelationLabel, dict] = {}
+    premise = _premise_witness(window, on_vacuum) if n_max >= 2 else None
     out = []
     for n in range(n_max + 1):
         if progress is not None:
             progress(f"basis check: depth {n}")
         ideal_count = len(enumerate_ideal(n))
-        rank = max_submodule_rank(n, window)
+        rank, witness = _certified_rank(n, window, on_vacuum)
+        if n >= 2 and premise is not None:
+            witness = premise
         quotient = pbw[n] - rank
         out.append(
             {
@@ -625,7 +692,8 @@ def basis_counts_report(n_max: int, window: Window, progress=None) -> list[dict]
                 "rank": rank,
                 "quotient": quotient,
                 "oracle": oracle[n],
-                "ok": ideal_count == quotient == oracle[n],
+                "ok": witness is None and ideal_count == quotient == oracle[n],
+                "witness": witness,
             }
         )
     return out

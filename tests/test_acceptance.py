@@ -2,7 +2,7 @@
 asserting it at full stated strength.  Everything is exact; there are no
 tolerances anywhere.
 
-Set AFFBASIS_STRETCH=1 to extend the graded verification to depth 6.
+Set AFFBASIS_STRETCH=1 to extend the graded verification to depth 7.
 """
 
 import itertools
@@ -143,7 +143,7 @@ def test_criterion_6_overlap_catalogue():
 
 
 def test_criterion_7_graded_basis_counts():
-    n_max = 6 if STRETCH else 5
+    n_max = 7 if STRETCH else 5
     window = Window(max(8, n_max + 2))
     rows = basis_counts_report(n_max, window)
     counts = [r["ideal"] for r in rows]

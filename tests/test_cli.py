@@ -213,6 +213,29 @@ def test_corrupted_color_table_is_a_failed_check(capsys, monkeypatch):
     assert out.splitlines()[-1].startswith("FAIL: ")
 
 
+def test_theorem_a_row_leading_elsewhere_names_its_partition(capsys, monkeypatch):
+    from affbasis import relations
+    from affbasis.enveloping import Window
+    from affbasis.partitions import format_partition
+
+    label = relations.relation_space(-3, Window(5)).labels[0]
+    original = relations.relation_on_vacuum
+
+    def without_leading_monomial(lab, window):
+        v = original(lab, window)
+        if lab == label:
+            del v[lab.partition().parts]
+        return v
+
+    monkeypatch.setattr(relations, "relation_on_vacuum", without_leading_monomial)
+    code, out, _ = run(capsys, "verify", "theorem-a", "--max-degree", "3", "--window", "5")
+    assert code == EXIT_FALSIFIED
+    fail = [line for line in out.splitlines() if line.startswith("FAIL  ")]
+    assert len(fail) == 1 and fail[0].startswith("FAIL  depth 3: ")
+    assert fail[0].endswith(f"  witness={format_partition(label.partition())}")
+    assert out.splitlines()[-1] == "FAIL: 3/4 checks"
+
+
 @pytest.mark.parametrize("error", [AssertionError, ValueError])
 def test_internal_error_is_a_failed_check(capsys, monkeypatch, error):
     from affbasis import relations

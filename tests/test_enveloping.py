@@ -336,6 +336,10 @@ def test_leading_term_examples():
     assert format_partition(single.leading_term()) == "5:-1"
 
 
+def test_scalar_leading_term_is_the_empty_partition():
+    assert EnvElement({(): 1}, Window(3)).leading_term() == ColoredPartition()
+
+
 def test_leading_term_needs_homogeneous():
     e = EnvElement({((1, -1),): Fraction(1), ((1, -2),): Fraction(1)}, W8)
     with pytest.raises(ValueError):

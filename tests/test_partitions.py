@@ -43,6 +43,7 @@ from affbasis.partitions import (
     sort_parts,
     colorings_of_shape,
 )
+from reference_embeddings import embeddings_by_full_scan
 
 parts_strategy = st.lists(
     st.tuples(st.integers(1, 8), st.integers(-4, -1)), min_size=0, max_size=5
@@ -306,6 +307,16 @@ def test_embedding_examples():
     found, excess = embeddings(parse_partition("3:-2 5:-1 1:-1"))
     assert len(found) == 2 and excess == 1
     assert embeddings(EMPTY) == ([], 0)
+
+
+def test_indexed_embeddings_match_the_full_scan():
+    for n in range(7):
+        for p in graded_basis(n):
+            found, excess = embeddings(p)
+            ref_found, ref_excess = embeddings_by_full_scan(p)
+            assert sorted(found) == sorted(ref_found) and excess == ref_excess, p
+            anchors = [lab.j for lab in found]
+            assert anchors == sorted(anchors), p
 
 
 def test_embedding_quadratic_vs_full():

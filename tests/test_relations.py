@@ -307,6 +307,46 @@ def test_basis_counts_small():
     assert all(r["ok"] for r in rows)
 
 
+def test_certified_rank_matches_the_elimination_rank():
+    for row in basis_counts_report(5, W8):
+        assert row["witness"] is None
+        assert row["rank"] == max_submodule_rank(row["n"], W8), row
+
+
+def test_basis_counts_report_runs_no_elimination(monkeypatch):
+    from affbasis import relations
+
+    def forbidden(*args):
+        raise AssertionError("the verdict path must not eliminate")
+
+    for name in ("max_submodule_rank", "submodule_span_blocks", "sparse_rank"):
+        monkeypatch.setattr(relations, name, forbidden)
+    assert all(row["ok"] for row in basis_counts_report(4, W8))
+
+
+def test_a_relation_vector_outside_the_submodule_fails_the_premise(monkeypatch):
+    from affbasis import relations
+
+    window = Window(6)
+    label = relation_space(-2, window).labels[0]
+    original = relations.relation_on_vacuum
+
+    def with_stray_term(lab, w):
+        v = original(lab, w)
+        if lab == label:
+            # X_1(-2).vac: greater than every depth-2 pair, so every row
+            # still leads with its own partition, but it is not singular
+            v[((1, -2),)] = v.get(((1, -2),), 0) + 1
+        return v
+
+    monkeypatch.setattr(relations, "relation_on_vacuum", with_stray_term)
+    rows = basis_counts_report(3, window)
+    assert [row["ok"] for row in rows] == [True, True, False, False]
+    witness = f"{format_partition(label.partition())} killed-by X_4(1) fails"
+    assert [row["witness"] for row in rows] == [None, None, witness, witness]
+    assert [row["rank"] for row in rows] == [0, 0, 27, 146]
+
+
 def test_label_for_quadratic():
     assert label_for_quadratic(parse_partition("5:-1 1:-1")) == quad_same_label(
         5, 1, -1
