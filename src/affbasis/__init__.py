@@ -8,9 +8,9 @@ Subpackages:
 - ``enveloping``  windowed normal-ordered elements, straightening, and the
                   action on the induced vacuum module
 - ``relations``   annihilator relation spaces, syzygies among them, and the
-                  graded rank verification of the basis theorem
-- ``qseries``     integer power series: product sides, constrained counts,
-                  the specialization map and the lattice character oracle
+                  leading-term certificate of the basis theorem
+- ``qseries``     integer power series: the product side, the constrained
+                  and specialized counts, and the lattice character oracle
 - ``cli``         batch command line front end
 """
 

@@ -12,6 +12,7 @@ Color indices follow the fixed ordering X1 > X2 > ... > X8, i.e. a
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .linalg import add_scaled
@@ -28,9 +29,6 @@ class Weight:
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.a1 + other.a1, self.a2 + other.a2)
-
-    def __neg__(self) -> "Weight":
-        return Weight(-self.a1, -self.a2)
 
     def is_zero(self) -> bool:
         return self.a1 == 0 and self.a2 == 0
@@ -156,3 +154,27 @@ def bracket(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
 def invariant_form(x: dict[int, int], y: dict[int, int]) -> int:
     """The trace form of two sparse vectors {color: int}."""
     return sum(xa * yb * FORM[(a, b)] for a, xa in x.items() for b, yb in y.items())
+
+
+def structure_witness() -> str | None:
+    """Check the identities that certify the tables, over all basis pairs
+    and triples: antisymmetry and Jacobi for BRACKET, symmetry and
+    invariance for FORM.  Returns the first failure, naming the identity
+    and the colors, or None when all hold."""
+    x = {c: {c: 1} for c in COLORS}
+    for a, b in itertools.product(COLORS, repeat=2):
+        if add_scaled(bracket(x[a], x[b]), bracket(x[b], x[a]).items()):
+            return f"antisymmetry fails at [X{a}, X{b}]"
+        if FORM[(a, b)] != FORM[(b, a)]:
+            return f"form symmetry fails at (X{a}, X{b})"
+    for a, b, c in itertools.product(COLORS, repeat=3):
+        # [a, [b, c]] - [[a, b], c] - [b, [a, c]]
+        jacobi = bracket(x[a], bracket(x[b], x[c]))
+        add_scaled(jacobi, bracket(bracket(x[a], x[b]), x[c]).items(), -1)
+        add_scaled(jacobi, bracket(x[b], bracket(x[a], x[c])).items(), -1)
+        if jacobi:
+            return f"Jacobi fails at X{a}, X{b}, X{c}"
+        left = invariant_form(bracket(x[a], x[b]), x[c])
+        if left != -invariant_form(x[b], bracket(x[a], x[c])):
+            return f"form invariance fails at X{a}, X{b}, X{c}"
+    return None

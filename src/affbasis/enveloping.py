@@ -218,10 +218,6 @@ class EnvElement:
                 raise WindowError(f"shape {shape} below the minimum is outside the window")
         return bound
 
-    def sorted_terms(self) -> list[tuple[ColoredPartition, Scalar]]:
-        items = sorted(self.terms.items(), key=lambda kv: order_key(kv[0]))
-        return [(ColoredPartition(w), c) for w, c in items]
-
     def __repr__(self) -> str:
         return f"EnvElement({len(self.terms)} terms, window={self.window})"
 

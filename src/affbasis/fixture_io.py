@@ -6,7 +6,6 @@ blank lines and `#` comments are skipped."""
 from __future__ import annotations
 
 import importlib.resources as resources
-import json
 
 from .partitions import Part, parse_partition
 
@@ -24,21 +23,9 @@ def _data_lines(name: str) -> list[str]:
     return out
 
 
-def load_color_pairs(name: str) -> list[tuple[int, int]]:
-    return [(int(line[0]), int(line[1])) for line in _data_lines(name)]
-
-
-def load_partitions(name: str) -> list:
-    return [parse_partition(line) for line in _data_lines(name)]
-
-
 def load_lemma12_fixture() -> set[tuple[tuple[Part, ...], tuple[Part, ...]]]:
     out = set()
     for line in _data_lines("lemma12_overlaps.txt"):
         pi_text, rho_text = line.split("|")
         out.add((parse_partition(pi_text).parts, parse_partition(rho_text).parts))
     return out
-
-
-def load_report_schema() -> dict:
-    return json.loads(_fixture_text("report_schema.json"))

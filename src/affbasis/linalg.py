@@ -13,16 +13,17 @@ collapse.  Ints and Fractions mix exactly, and ``Fraction(2) == 2`` with
 equal hashes.
 
 One elimination engine: an incremental span reducer over a totally ordered
-column set, whose rows are primitive integer vectors.  It has four uses.
+column set, whose rows are primitive integer vectors.  It has three uses.
 It echelonizes relation spaces and orbit spans, where pivots must sit at
 the minimal column under a key built from ``partitions.order_key``.  It
-computes the rank of the large graded blocks of the submodule
-(``sparse_rank``).  It does the small exact solves (the transport map and
-the q27 nullspace): each column carries a tag, and the tags sort the
-columns to be eliminated before the columns that hold the answer.  And its
-``close`` is the one closure loop: the span of a seed under a few zero-mode
-operators, which gives the relation spaces, the transport identification
-and the syzygy orbits.
+does the small exact solves (the transport map and the q27 nullspace): each
+column carries a tag, and the tags sort the columns to be eliminated before
+the columns that hold the answer.  And its ``close`` is the one closure
+loop: the span of a seed under a few zero-mode operators, which gives the
+relation spaces, the transport identification and the syzygy orbits.
+``sparse_rank`` ranks a list of rows in one reducer; no verdict ranks, since
+Theorem A is certified by leading terms, and the tests keep it as their
+rank cross-check.
 """
 
 from __future__ import annotations
@@ -161,27 +162,6 @@ def _strip_gcd(row: dict, negate: bool = False) -> dict:
     if negate:
         g = -g
     return row if g == 1 else {k: v // g for k, v in row.items()}
-
-
-def sparse_triplets(rows, column_order=None) -> str:
-    """Serialize sparse rows as audit-friendly triplet text: a header line
-    `rows cols entries`, then one `row col value` line per entry (0-based,
-    values exact decimal strings), ordered by row then column."""
-    rows = [dict(r) for r in rows]
-    if column_order is None:
-        seen = set()
-        for r in rows:
-            seen.update(r)
-        column_order = sorted(seen, key=str)
-    index = {c: k for k, c in enumerate(column_order)}
-    entries = []
-    for i, r in enumerate(rows):
-        for c, v in r.items():
-            entries.append((i, index[c], v))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    lines = [f"{len(rows)} {len(column_order)} {len(entries)}"]
-    lines.extend(f"{i} {j} {v}" for i, j, v in entries)
-    return "\n".join(lines)
 
 
 def sparse_rank(rows, column_key) -> int:

@@ -153,12 +153,6 @@ class ColoredPartition:
 EMPTY = ColoredPartition()
 
 
-def compare(p: ColoredPartition, q: ColoredPartition) -> int:
-    """-1, 0 or 1 as p is below, equal to or above q in the monomial order."""
-    a, b = order_key(p.parts), order_key(q.parts)
-    return (a > b) - (a < b)
-
-
 # --- plain-text format ------------------------------------------------------
 #
 # One partition per line, parts as color:degree, e.g. "3:-2 4:-1 1:-1".
@@ -348,13 +342,6 @@ _LAYER_FACTORS = tuple(
 def compatible_layers(deeper: frozenset[int], shallower: frozenset[int]) -> bool:
     """May colors `deeper` sit at degree j-1 below colors `shallower` at j?"""
     return not any(low <= deeper and high <= shallower for low, high in _LAYER_FACTORS)
-
-
-def satisfies_difference_conditions(p: ColoredPartition) -> bool:
-    """True iff no forbidden factor divides p as a multiset."""
-    if any(d >= 0 for _, d in p.parts):
-        raise ValueError("difference conditions apply to strictly negative modes")
-    return not embeddings(p)[0]
 
 
 def enumerate_ideal(n: int, weight: Weight | None = None) -> list[ColoredPartition]:

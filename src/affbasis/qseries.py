@@ -15,11 +15,7 @@ import itertools
 import math
 import operator
 
-from .partitions import (
-    INDEPENDENT_COLOR_SETS,
-    ColoredPartition,
-    compatible_layers,
-)
+from .partitions import INDEPENDENT_COLOR_SETS, compatible_layers
 
 
 class Series:
@@ -60,17 +56,6 @@ class Series:
                 if b:
                     out[i + j] += a * b
         return Series(out)
-
-    def inverse(self) -> "Series":
-        if self.coeffs[0] not in (1, -1):
-            raise ValueError("invertible series need constant term +-1")
-        n = self.order
-        inv = [0] * (n + 1)
-        inv[0] = self.coeffs[0]
-        for k in range(1, n + 1):
-            s = sum(self.coeffs[i] * inv[k - i] for i in range(1, k + 1))
-            inv[k] = -self.coeffs[0] * s
-        return Series(inv)
 
     def truncated(self, order: int) -> "Series":
         if order > self.order:
@@ -114,15 +99,6 @@ def product_side(order: int) -> Series:
         for k in range(2 * r, order + 1):
             new[k] += coeffs[k - 2 * r]
         coeffs = new
-    return Series(coeffs)
-
-
-def nontriple_product_side(order: int) -> Series:
-    """prod_{r not= 0 mod 3} (1 - q^r)^(-1)."""
-    coeffs = [1] + [0] * order
-    for r in range(1, order + 1):
-        if r % 3 != 0:
-            _multiply_geometric(coeffs, r)
     return Series(coeffs)
 
 
@@ -217,30 +193,6 @@ def _window_violation(d: int, window: tuple[int, ...]) -> bool:
     return False
 
 
-def tricolor_admissible(parts) -> bool:
-    """Full condition check on a collection of (degree, color) parts."""
-    parts = set(parts)
-    degrees: dict[int, int] = {}
-    for degree, color in parts:
-        if degree < 1 or color not in (PLAIN, UNDER, DUNDER):
-            raise ValueError(f"bad tricolor part {(degree, color)}")
-        if not _local_part_ok(degree, color):
-            return False
-        if degree in degrees:
-            return False  # same or unit-distance degrees may hold one part
-        degrees[degree] = color
-    if not degrees:
-        return True
-    # a violated family can have its top slot up to two above the largest
-    # present part, so scan that far
-    top = max(degrees) + 2
-    for d in range(1, top + 1):
-        window = tuple(degrees.get(d - off, 0) for off in range(4, -1, -1))
-        if _window_violation(d, window):
-            return False
-    return True
-
-
 @functools.cache
 def _tricolor_table(d: int) -> tuple:
     """Targets at degree d as (window, places a part at d, windows before
@@ -268,49 +220,9 @@ def tricolor_count_series(order: int) -> Series:
     return _transfer(order, (0, 0, 0, 0), steps, _slot_width(order))
 
 
-def tricolor_partitions_bruteforce(order: int) -> list[frozenset]:
-    """All admissible three-color partitions of total degree <= order,
-    by direct search.  Exponential; meant for desk-scale cross-checks."""
-    found: list[frozenset] = []
+# --- the specialized ideal count ---------------------------------------------
 
-    def rec(d: int, budget: int, acc: list):
-        found.append(frozenset(acc))
-        for degree in range(d, budget + 1):
-            for color in (PLAIN, UNDER, DUNDER):
-                cand = acc + [(degree, color)]
-                if tricolor_admissible(cand):
-                    rec(degree + 1, budget - degree, cand)
-
-    rec(1, order, [])
-    return found
-
-
-def tricolor_count_bruteforce(order: int) -> Series:
-    counts = [0] * (order + 1)
-    for f in tricolor_partitions_bruteforce(order):
-        counts[sum(d for d, _ in f)] += 1
-    return Series(counts)
-
-
-# --- the specialization map ---------------------------------------------------
-
-_PHI_COLOR = {1: DUNDER, 2: PLAIN, 3: UNDER, 4: PLAIN, 5: UNDER, 6: UNDER, 7: PLAIN, 8: DUNDER}
 _PHI_OFFSET = {1: -2, 2: -1, 3: -1, 4: 0, 5: 0, 6: 1, 7: 1, 8: 2}
-
-
-def phi_part(color: int, i: int) -> tuple[int, int]:
-    """Image of the mode X_color(-i), i >= 1, as a (degree, color) part."""
-    if i < 1:
-        raise ValueError("only strictly negative modes specialize")
-    return (3 * i + _PHI_OFFSET[color], _PHI_COLOR[color])
-
-
-def phi_image(p: ColoredPartition) -> frozenset:
-    return frozenset(phi_part(c, -d) for c, d in p.parts)
-
-
-def phi_degree(p: ColoredPartition) -> int:
-    return sum(3 * (-d) + _PHI_OFFSET[c] for c, d in p.parts)
 
 
 def specialized_count_series(order: int) -> Series:
@@ -326,41 +238,6 @@ def specialized_count_series(order: int) -> Series:
         for i in range(1, (order + 2) // 3 + 1)
     )
     return _transfer(order, frozenset(), steps, _slot_width(order))
-
-
-def specialized_ideal_partitions(order: int) -> list[ColoredPartition]:
-    """Difference-condition partitions of specialized degree <= order, by
-    direct search over internal degrees."""
-    found: list[ColoredPartition] = []
-
-    def rec(i: int, budget: int, prev: frozenset, acc: list):
-        found.append(ColoredPartition(acc))
-        for depth in range(i, (budget + 2) // 3 + 1):
-            shallow = prev if depth == i else frozenset()
-            for layer in INDEPENDENT_COLOR_SETS:
-                if not layer:
-                    continue
-                cost = sum(3 * depth + _PHI_OFFSET[c] for c in layer)
-                if cost > budget:
-                    continue
-                if not compatible_layers(layer, shallow):
-                    continue
-                rec(
-                    depth + 1,
-                    budget - cost,
-                    layer,
-                    acc + [(c, -depth) for c in layer],
-                )
-
-    rec(1, order, frozenset(), [])
-    return found
-
-
-def specialized_count_bruteforce(order: int) -> Series:
-    counts = [0] * (order + 1)
-    for p in specialized_ideal_partitions(order):
-        counts[phi_degree(p)] += 1
-    return Series(counts)
 
 
 # --- the independent character oracle ----------------------------------------

@@ -14,8 +14,7 @@ verification of the basis theorem.  That verification follows the paper:
 each depth-n partition that a forbidden factor divides is erased by one
 relation row that leads with it, so the rows are triangular and their count
 is a proven rank of the maximal submodule, with no elimination; the basis
-count must then equal the character.  The rank of the full spanning family
-(`max_submodule_rank`) stays as the cross-check at small depths.
+count must then equal the character.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .enveloping import (
     apply_word,
     graded_basis,
 )
-from .linalg import Scalar, SpanReducer, add_scaled, exact_quotient, sparse_rank
+from .linalg import Scalar, SpanReducer, add_scaled, exact_quotient
 from .partitions import (
     ADJACENT_COLOR_PAIRS,
     SAME_DEGREE_COLOR_PAIRS,
@@ -55,7 +54,6 @@ from .partitions import (
     enumerate_ideal,
     format_partition,
     order_key,
-    partitions_at_most,
     quad_adjacent_label,
     quad_same_label,
 )
@@ -193,25 +191,6 @@ def relation_for(label: RelationLabel, window: Window) -> EnvElement:
         raise ValueError(f"unknown label kind {label.kind}")
     bound = min(left.window.annihilation_bound, right.window.annihilation_bound)
     return left.narrowed(bound) - right.narrowed(bound)
-
-
-def embedded_relation(
-    label: RelationLabel, pi: ColoredPartition, window: Window
-) -> EnvElement:
-    """u(rho in pi): the relation with leading term rho, padded by the
-    complementary modes on the heavier side."""
-    rho = label.partition()
-    kappa = pi.quotient(rho)
-    body = relation_for(label, window)
-    if rho.degree > kappa.degree:
-        out = body
-        for mode in reversed(kappa.parts):
-            out = out.mul_mode_left(mode)
-        return out
-    out = body
-    for mode in kappa.parts:
-        out = out.mul_mode_right(mode)
-    return out
 
 
 # --- transported adjoint action between relation spaces -----------------------
@@ -503,7 +482,7 @@ def collapse(t: LoopTensor, window: Window) -> EnvElement:
     return EnvElement(total, Window(window.annihilation_bound))
 
 
-# --- orbits and their leading terms -------------------------------------------
+# --- the syzygy orbits --------------------------------------------------------
 
 
 def _tensor_partition(key) -> ColoredPartition:
@@ -538,40 +517,6 @@ def syzygy_dimensions(n: int, window: Window) -> dict[str, int]:
     return {name: len(orbit_basis(t, window)) for name, t in tensors.items()}
 
 
-def tensor_leading_partition(t: LoopTensor) -> ColoredPartition:
-    """Leading colored partition of a plain tensor, certified against the
-    mode-degree range."""
-    if not t.terms:
-        raise ValueError("zero tensor has no leading term")
-    best = min(_tensor_partition(key) for key in t.terms)
-    for candidate in partitions_at_most(best, best.length, t.n):
-        for idx in range(candidate.length):
-            part = candidate.parts[idx]
-            rest = ColoredPartition(
-                candidate.parts[:idx] + candidate.parts[idx + 1 :]
-            )
-            if label_for_quadratic(rest) is None:
-                continue
-            if not (t.i_lo <= part[1] <= t.i_hi):
-                raise WindowError(
-                    f"candidate {candidate} has a slot outside the range"
-                )
-    return best
-
-
-def combined_weight_block(
-    n: int, mu: Weight, window: Window
-) -> tuple[int, set[ColoredPartition]]:
-    """Dimension and leading-term set of the weight-mu block of the direct
-    sum of the four syzygy orbits at degree n."""
-    reducer = SpanReducer(_tensor_column_key)
-    for t in syzygy_tensors(n, window).values():
-        for vec in orbit_basis(t, window):
-            if vec.weight() == mu:
-                reducer.insert(vec.terms)
-    return reducer.rank, {_tensor_partition(p) for p in reducer.pivots()}
-
-
 # --- Theorem A: the graded verification ---------------------------------------
 
 
@@ -584,8 +529,9 @@ def relation_on_vacuum(label: RelationLabel, window: Window) -> dict:
 def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[dict]]:
     """The spanning family of the depth-n piece of the maximal submodule
     (creation monomials applied to relation vectors), grouped by weight.
-    Rows are sparse vectors over depth-n partitions; serialize them with
-    linalg.sparse_triplets for external audit."""
+    Rows are sparse vectors over depth-n partitions.  No verdict reads it:
+    the tests rank it against the triangular certificate, and the benchmark
+    traces it."""
     blocks: dict[tuple[int, int], list[dict]] = {}
     if n < 2:
         return blocks
@@ -602,15 +548,6 @@ def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[
                     w = (base_weight + kappa.weight()).key()
                     blocks.setdefault(w, []).append(v)
     return blocks
-
-
-def max_submodule_rank(n: int, window: Window) -> int:
-    """Exact dimension of the depth-n piece of the maximal submodule, as
-    the rank of the spanning family, computed per weight block."""
-    return sum(
-        sparse_rank(rows, order_key)
-        for rows in submodule_span_blocks(n, window).values()
-    )
 
 
 def _premise_witness(window: Window, on_vacuum: dict) -> str | None:

@@ -1,0 +1,66 @@
+"""Cross-checks of ``affbasis.relations`` for the tests, kept as they were
+there: the rank of the full spanning family of the maximal submodule, and
+the leading terms of the syzygy orbits.  They are independent of the
+triangular certificate that ``basis_counts_report`` runs: the rank
+eliminates every row of ``submodule_span_blocks`` with the library's span
+reducer (``linalg.sparse_rank``), and the orbit leading terms come from the
+reducer's pivots and a candidate scan (``partitions_at_most``), not from
+``embeddings``.  They are not independent of ``affbasis.linalg``; the
+rank's independent check is ``reference_rank.markowitz_rank``."""
+
+from affbasis.algebra import Weight
+from affbasis.enveloping import Window, WindowError
+from affbasis.linalg import SpanReducer, sparse_rank
+from affbasis.partitions import ColoredPartition, order_key, partitions_at_most
+from affbasis.relations import (
+    LoopTensor,
+    _tensor_column_key,
+    _tensor_partition,
+    label_for_quadratic,
+    orbit_basis,
+    submodule_span_blocks,
+    syzygy_tensors,
+)
+
+
+def tensor_leading_partition(t: LoopTensor) -> ColoredPartition:
+    """Leading colored partition of a plain tensor, certified against the
+    mode-degree range."""
+    if not t.terms:
+        raise ValueError("zero tensor has no leading term")
+    best = min(_tensor_partition(key) for key in t.terms)
+    for candidate in partitions_at_most(best, best.length, t.n):
+        for idx in range(candidate.length):
+            part = candidate.parts[idx]
+            rest = ColoredPartition(
+                candidate.parts[:idx] + candidate.parts[idx + 1 :]
+            )
+            if label_for_quadratic(rest) is None:
+                continue
+            if not (t.i_lo <= part[1] <= t.i_hi):
+                raise WindowError(
+                    f"candidate {candidate} has a slot outside the range"
+                )
+    return best
+
+
+def combined_weight_block(
+    n: int, mu: Weight, window: Window
+) -> tuple[int, set[ColoredPartition]]:
+    """Dimension and leading-term set of the weight-mu block of the direct
+    sum of the four syzygy orbits at degree n."""
+    reducer = SpanReducer(_tensor_column_key)
+    for t in syzygy_tensors(n, window).values():
+        for vec in orbit_basis(t, window):
+            if vec.weight() == mu:
+                reducer.insert(vec.terms)
+    return reducer.rank, {_tensor_partition(p) for p in reducer.pivots()}
+
+
+def max_submodule_rank(n: int, window: Window) -> int:
+    """Exact dimension of the depth-n piece of the maximal submodule, as
+    the rank of the spanning family, computed per weight block."""
+    return sum(
+        sparse_rank(rows, order_key)
+        for rows in submodule_span_blocks(n, window).values()
+    )

@@ -30,7 +30,6 @@ from affbasis.linalg import add_scaled
 from affbasis.partitions import (
     ColoredPartition,
     EXCEPTIONAL_CASES,
-    compare,
     exceptional_class,
     overlap_catalogue,
     parse_partition,
@@ -49,6 +48,7 @@ from affbasis.relations import (
     relation_space,
     syzygy_dimensions,
 )
+from reference_partitions import compare
 from reference_straighten import straighten_word_randomly
 
 STRETCH = os.environ.get("AFFBASIS_STRETCH") == "1"
@@ -93,7 +93,7 @@ def test_criterion_3_syzygy_collapse():
             assert rep["psi_27_match"], (n, bound)
             scalars.setdefault(n, []).append(rep["c"])
     for n, values in scalars.items():
-        assert len(set(values)) == 1, (n, values)
+        assert set(values) == {-(n + 2)}, (n, values)
     # spot check that a vanishing collapse genuinely acts as zero
     from affbasis.relations import collapse, syzygy_tensors, x1_square_modes
 
@@ -111,7 +111,7 @@ def test_criterion_3_syzygy_collapse():
         assert add_scaled(act(image27, v), act(generator, v).items(), -c) == {}
     cs = {n: values[0] for n, values in scalars.items()}
     report(
-        "3: syzygy collapses vanish on depth <= 6 and 7; c(n) stable",
+        "3: syzygy collapses vanish on depth <= 6 and 7; c(n) = -(n+2), stable",
         "c = " + ", ".join(f"{n}:{cs[n]}" for n in sorted(cs)),
     )
 

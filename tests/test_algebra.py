@@ -4,6 +4,8 @@ import importlib.util
 import itertools
 from pathlib import Path
 
+import pytest
+
 import affbasis
 from affbasis.algebra import (
     BRACKET,
@@ -13,6 +15,7 @@ from affbasis.algebra import (
     Weight,
     bracket,
     invariant_form,
+    structure_witness,
 )
 from affbasis.linalg import add_scaled
 
@@ -91,6 +94,23 @@ def test_form_pairs_only_opposite_weights():
             assert (WEIGHT[a] + WEIGHT[b]).is_zero()
 
 
+# each identity the table check tests can fail on its own
+@pytest.mark.parametrize(
+    "table, changes, witness",
+    [
+        (BRACKET, {(1, 4): ((1, 1),)}, "antisymmetry fails at [X1, X4]"),
+        (FORM, {(1, 8): 2}, "form symmetry fails at (X1, X8)"),
+        (BRACKET, {(2, 3): ((1, 2),), (3, 2): ((1, -2),)}, "Jacobi fails at X1, X2, X7"),
+        (FORM, {(2, 7): 2, (7, 2): 2}, "form invariance fails at X1, X6, X7"),
+    ],
+)
+def test_structure_witness_names_the_failed_identity(monkeypatch, table, changes, witness):
+    assert structure_witness() is None
+    for key, value in changes.items():
+        monkeypatch.setitem(table, key, value)
+    assert structure_witness() == witness
+
+
 def test_no_floating_point_in_the_package():
     sources = sorted(Path(affbasis.__file__).parent.rglob("*.py"))
     assert sources
@@ -138,3 +158,56 @@ def test_benchmark_tracer_targets_resolve():
             assert hasattr(obj, name), f"{module}.{attribute}"
             obj = getattr(obj, name)
         assert callable(obj), f"{module}.{attribute}"
+
+
+def _reads(node) -> set[str]:
+    """The names a statement loads, as ast.Name or ast.Attribute, less the
+    names it binds itself (assignment targets and arguments)."""
+    loads, binds = set(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            (loads if isinstance(sub.ctx, ast.Load) else binds).add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            loads.add(sub.attr)
+        elif isinstance(sub, ast.arg):
+            binds.add(sub.arg)
+    return loads - binds
+
+
+def test_every_public_library_definition_is_live():
+    # live: loaded by the command line, a script or the benchmark child,
+    # named by the benchmark tracer, or loaded by a live definition (a live
+    # class keeps all its methods); whatever only tests read lives in tests/
+    root = Path(__file__).resolve().parents[1]
+    package = Path(affbasis.__file__).parent
+    reads: dict[str, set] = {}  # top-level name -> the names its statements load
+    public, live = [], set()
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+                if not stmt.name.startswith("_"):
+                    public.append(f"{path.stem}.{stmt.name}")
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                reads.setdefault(name, set()).update(_reads(stmt))
+            if not names:  # import-time code
+                live |= _reads(stmt)
+    entry_points = [package / "cli.py", *sorted((root / "scripts").glob("*.py"))]
+    for path in entry_points + [root / "perfbench" / "child.py"]:
+        live |= _reads(ast.parse(path.read_text(), str(path)))
+    path = root / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    live |= {attribute.split(".")[0] for _, attribute, _ in tracer.TARGETS}
+    todo = list(live)
+    while todo:
+        new = reads.get(todo.pop(), set()) - live
+        live |= new
+        todo.extend(new)
+    assert [name for name in public if name.partition(".")[2] not in live] == []

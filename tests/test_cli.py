@@ -5,7 +5,7 @@ import pytest
 
 from affbasis.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, EXIT_WINDOW, main
 from affbasis.enveloping import WindowError
-from affbasis.fixture_io import load_report_schema
+from reference_fixtures import load_report_schema
 
 
 def run(capsys, *argv):
@@ -305,4 +305,63 @@ def test_corrupted_specialization_fails_theorem_b_with_a_witness(capsys, monkeyp
     assert fail == [
         "FAIL  product side = specialized ideal count  expected=agree to order 60 "
         "actual=first difference at 5: product=5 specialized=4"
+    ]
+
+
+def test_rescaled_q27_fails_prop3(capsys, monkeypatch):
+    from affbasis import relations
+
+    original = relations._q27_combination
+
+    def doubled(window):
+        combo, t = original(window)
+        return combo, 2 * t
+
+    # psi(q27) is still proportional to the generator, with c(n) halved
+    monkeypatch.setattr(relations, "_q27_combination", doubled)
+    code, out, _ = run(capsys, "verify", "prop3")
+    assert code == EXIT_FALSIFIED
+    fail = [line for line in out.splitlines() if line.startswith("FAIL  ")]
+    assert fail == [
+        f"FAIL  c({n}) stable under window growth  expected={-(n + 2)} actual={c}"
+        for n, c in ((-6, "2"), (-5, "3/2"), (-4, "1"), (-3, "1/2"), (-1, "-1/2"), (0, "-1"))
+    ]
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty the memos of the module action and the relation layers after
+    the test if it added to them, so nothing computed from a corrupted
+    table outlives it."""
+    from affbasis import enveloping, relations
+
+    memos = (
+        relations.relation_space,
+        relations.shift_matrix,
+        relations.transport_matrix,
+        relations._q27_combination,
+        enveloping.mode_on_partition,
+    )
+    sizes = [memo.cache_info().currsize for memo in memos]
+    yield
+    if [memo.cache_info().currsize for memo in memos] != sizes:
+        for memo in memos:
+            memo.cache_clear()
+
+
+# unchecked, the flip at (1, 4) passes lemma1 and the one at (2, 3) ends in
+# a window error; the table check fails both before lemma1 runs
+@pytest.mark.parametrize("pair", [(1, 4), (2, 3)])
+def test_sign_flipped_bracket_is_a_failed_check(capsys, monkeypatch, fresh_memos, pair):
+    from affbasis import algebra
+
+    flipped = tuple((c, -v) for c, v in algebra.BRACKET[pair])
+    monkeypatch.setitem(algebra.BRACKET, pair, flipped)
+    code, out, _ = run(capsys, "verify", "lemma1")
+    assert code == EXIT_FALSIFIED
+    a, b = pair
+    assert out.splitlines() == [
+        "FAIL  sl(3) structure tables satisfy their identities"
+        f"  witness=antisymmetry fails at [X{a}, X{b}]",
+        "FAIL: 0/1 checks",
     ]

@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 
 from affbasis.algebra import Weight
 from affbasis.enveloping import graded_basis
-from affbasis.fixture_io import (
-    load_color_pairs,
-    load_lemma12_fixture,
-    load_partitions,
-)
+from affbasis.fixture_io import load_lemma12_fixture
 from affbasis.partitions import (
     ADJACENT_COLOR_PAIRS,
     EMPTY,
@@ -19,7 +15,6 @@ from affbasis.partitions import (
     SAME_DEGREE_COLOR_PAIRS,
     SHAPE_CLASSES,
     ColoredPartition,
-    compare,
     compatible_layers,
     cubic_a_label,
     cubic_b_label,
@@ -37,13 +32,14 @@ from affbasis.partitions import (
     quadratic_embeddings,
     quadratic_leading_labels,
     relation_set,
-    satisfies_difference_conditions,
     shape_class_embedding_total,
     shape_key,
     sort_parts,
     colorings_of_shape,
 )
 from reference_embeddings import embeddings_by_full_scan
+from reference_fixtures import load_color_pairs, load_partitions
+from reference_partitions import compare, satisfies_difference_conditions
 
 parts_strategy = st.lists(
     st.tuples(st.integers(1, 8), st.integers(-4, -1)), min_size=0, max_size=5

@@ -8,6 +8,7 @@ from affbasis.partitions import (
     cubic_a_label,
     cubic_b_label,
     format_partition,
+    order_key,
     parse_partition,
     quad_adjacent_label,
     quad_same_label,
@@ -17,11 +18,8 @@ from affbasis.relations import (
     basis_counts_report,
     collapse,
     collapse_report,
-    combined_weight_block,
-    embedded_relation,
     label_for_quadratic,
     loop_action,
-    max_submodule_rank,
     orbit_basis,
     relation_for,
     relation_space,
@@ -29,11 +27,15 @@ from affbasis.relations import (
     syzygy_dimensions,
     syzygy_tensor_64,
     syzygy_tensors,
-    tensor_leading_partition,
     transport_matrix,
     x1_square_modes,
 )
 from reference_rank import markowitz_rank
+from reference_relations import (
+    combined_weight_block,
+    max_submodule_rank,
+    tensor_leading_partition,
+)
 
 W8 = Window(8)
 
@@ -118,11 +120,11 @@ def test_coordinates_check_the_residual_on_the_common_window():
 def test_cubic_a():
     body = relation_for(cubic_a_label(-1), W8)
     assert format_partition(body.leading_term(max_length=3)) == "3:-2 4:-1 1:-1"
-    ordered = body.sorted_terms()
-    assert format_partition(ordered[0][0]) == "3:-2 4:-1 1:-1"
-    assert ordered[0][1] == 1
-    assert format_partition(ordered[1][0]) == "5:-2 3:-1 1:-1"
-    assert ordered[1][1] == -1
+    ordered = sorted(body.terms.items(), key=lambda kv: order_key(kv[0]))
+    assert ordered[:2] == [
+        (parse_partition("3:-2 4:-1 1:-1").parts, 1),
+        (parse_partition("5:-2 3:-1 1:-1").parts, -1),
+    ]
 
 
 def test_cubic_b():
@@ -268,29 +270,6 @@ def test_exceptional_weight_block():
     assert parse_partition("3:-3 4:-2 1:-2") not in leading
 
 
-# --- embedded relations ---------------------------------------------------------------
-
-
-def test_embedded_relation_cases():
-    lab = quad_same_label(5, 1, -1)
-    pi = parse_partition("3:-2 5:-1 1:-1")
-    e = embedded_relation(lab, pi, W8)
-    assert format_partition(e.leading_term(max_length=3)) == "3:-2 5:-1 1:-1"
-    # rho = pi gives the relation itself
-    same = embedded_relation(lab, lab.partition(), W8)
-    assert same.terms == relation_for(lab, W8).terms
-    with pytest.raises(ValueError):
-        embedded_relation(lab, parse_partition("3:-2"), W8)
-
-
-def test_embedded_relation_left_right_split():
-    # |rho| > |pi/rho| multiplies from the left
-    lab = quad_adjacent_label(1, 1, -2)  # degree -5
-    pi = lab.partition() * parse_partition("8:-1")
-    e = embedded_relation(lab, pi, W8)
-    assert e.leading_term(max_length=3) == pi
-
-
 # --- the graded rank verification -------------------------------------------------------
 
 
@@ -314,13 +293,13 @@ def test_certified_rank_matches_the_elimination_rank():
 
 
 def test_basis_counts_report_runs_no_elimination(monkeypatch):
-    from affbasis import relations
+    from affbasis import linalg, relations
 
     def forbidden(*args):
         raise AssertionError("the verdict path must not eliminate")
 
-    for name in ("max_submodule_rank", "submodule_span_blocks", "sparse_rank"):
-        monkeypatch.setattr(relations, name, forbidden)
+    monkeypatch.setattr(relations, "submodule_span_blocks", forbidden)
+    monkeypatch.setattr(linalg, "sparse_rank", forbidden)
     assert all(row["ok"] for row in basis_counts_report(4, W8))
 
 
@@ -429,29 +408,13 @@ def test_relation_images_live_in_the_maximal_submodule():
 
 def test_submodule_block_ranks_match_the_reference_rank():
     from affbasis.linalg import sparse_rank
-    from affbasis.partitions import order_key
     from affbasis.relations import submodule_span_blocks
 
+    # one row per degree -2 relation at depth 2
+    assert sum(len(rows) for rows in submodule_span_blocks(2, Window(6)).values()) == 27
     for n in range(5):
         for weight, rows in submodule_span_blocks(n, W8).items():
             assert sparse_rank(rows, order_key) == markowitz_rank(rows), (n, weight)
-
-
-def test_submodule_span_triplet_export():
-    from affbasis.linalg import sparse_triplets
-    from affbasis.relations import submodule_span_blocks
-
-    blocks = submodule_span_blocks(2, Window(6))
-    total_rows = sum(len(rows) for rows in blocks.values())
-    assert total_rows == 27
-    some_rows = next(iter(blocks.values()))
-    text = sparse_triplets(some_rows)
-    header = text.splitlines()[0].split()
-    assert len(header) == 3
-    assert int(header[0]) == len(some_rows)
-    for line in text.splitlines()[1:]:
-        i, j, value = line.split()
-        Fraction(value)  # exact, parseable
 
 
 # --- integer coefficients -------------------------------------------------------
