@@ -27,7 +27,6 @@ from .partitions import (
     order_key,
     parts_degree,
     parts_weight,
-    part_key,
     shapes_at_most,
     sort_parts,
 )
@@ -70,21 +69,32 @@ def _rewrite_once(word: tuple[Part, ...], i: int):
             yield word[:i] + word[i + 2 :], m * f
 
 
+def _first_inversion(w: tuple[Part, ...]) -> int | None:
+    """The first i with part_key(w[i]) > part_key(w[i + 1]), compared
+    inline: a greater degree, or the same degree and a smaller color."""
+    for i in range(len(w) - 1):
+        (a, m), (b, n) = w[i], w[i + 1]
+        if m > n or (m == n and a < b):
+            return i
+    return None
+
+
 def straighten_word(word, on_vacuum: bool = False) -> dict[tuple[Part, ...], int]:
     """Expand a mode word over sorted monomials; exact, integer output.
     The first inversion is rewritten first.  With `on_vacuum` the word acts
     on the vacuum: a word whose rightmost mode has degree >= 0 is dropped
-    as soon as it appears."""
+    as soon as it appears.  A sorted word, which is what the adjoint action
+    almost always makes, comes back at once as a fresh {word: 1}."""
+    w = tuple(word)
+    if _first_inversion(w) is None:
+        return {} if on_vacuum and w and w[-1][1] >= 0 else {w: 1}
     out: dict[tuple[Part, ...], int] = {}
-    stack: list[tuple[tuple[Part, ...], int]] = [(tuple(word), 1)]
+    stack: list[tuple[tuple[Part, ...], int]] = [(w, 1)]
     while stack:
         w, c = stack.pop()
         if on_vacuum and w and w[-1][1] >= 0:
             continue  # the rightmost mode annihilates the vacuum
-        i = next(
-            (i for i in range(len(w) - 1) if part_key(w[i]) > part_key(w[i + 1])),
-            None,
-        )
+        i = _first_inversion(w)
         if i is None:
             out[w] = out.get(w, 0) + c
             continue

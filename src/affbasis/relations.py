@@ -10,7 +10,16 @@ quadratic ones by the fixed two-term recipe.
 On top of these sit the syzygy tensors (the 64/35/35/27-dimensional
 families of relations among relations), the two-sided multiplication map
 that collapses a tensor into the completed algebra, and the graded
-verification of the basis theorem.  That verification follows the paper:
+verification of the basis theorem.
+
+A family's orbit is computed once, in reference coordinates.  A zero mode
+keeps each mode slot of a tensor, and each slot is certified to be a
+multiple of one reference vector in 8 tensor R(-2), carried to the slot's
+degree by the transport.  The transport is certified to commute with the
+zero modes (with F by its solve, with E by an induction from the
+generator), so the orbit has the dimension of the reference vector's orbit.
+
+The verification of the basis theorem follows the paper:
 each depth-n partition that a forbidden factor divides is erased by one
 relation row that leads with it, so the rows are triangular and their count
 is a proven rank of the maximal submodule, with no elimination; the basis
@@ -227,39 +236,12 @@ class LoopTensor:
             key: c for key, c in terms.items() if c and i_lo <= key[0][1] <= i_hi
         }
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scale(self, s: int) -> "LoopTensor":
-        return LoopTensor(
-            self.n, {k: s * c for k, c in self.terms.items()}, self.i_lo, self.i_hi
-        )
-
     def __sub__(self, other: "LoopTensor") -> "LoopTensor":
         if self.n != other.n:
             raise ValueError("cannot combine tensors of different degrees")
         lo, hi = max(self.i_lo, other.i_lo), min(self.i_hi, other.i_hi)
         out = add_scaled(dict(self.terms), other.terms.items(), -1)
         return LoopTensor(self.n, out, lo, hi)
-
-    def weight(self) -> Weight | None:
-        seen = set()
-        for (color, _), label in self.terms:
-            w = WEIGHT[color] + label.partition().weight()
-            seen.add(w.key())
-        if len(seen) == 1:
-            a1, a2 = seen.pop()
-            return Weight(a1, a2)
-        return None
-
-    def x1_generator_coefficient(self, i: int) -> Scalar:
-        """Coefficient against X1(i) tensor (full quadratic generator at
-        degree n-i), undoing the leading normalization of the basis."""
-        if not (self.i_lo <= i <= self.i_hi):
-            raise WindowError(f"mode degree {i} outside the certified range")
-        label = _x1x1_label(self.n - i)
-        c = self.terms.get(((1, i), label), 0)
-        return exact_quotient(c, _x1x1_norm(self.n - i))
 
     def __repr__(self):
         return (
@@ -436,6 +418,15 @@ def _q27_combination(window: Window):
     return [(pair, c) for pair, c in zip(pairs, combo) if c], t
 
 
+def _transported(v: dict, transport) -> dict:
+    """(id tensor T)(v) for v = {(mode color, reference label): c} and a
+    transport matrix T: the same vector at T's degree."""
+    out: dict[tuple[int, RelationLabel], Scalar] = {}
+    for (a, lab), c in v.items():
+        add_scaled(out, (((a, lab2), w) for lab2, w in transport[lab].items()), c)
+    return out
+
+
 def syzygy_tensor_27(n: int, window: Window) -> LoopTensor:
     """The weight-2*theta syzygy, scaled by the t of `_q27_combination` to
     integer coefficients: the constant-profile instantiation of the
@@ -444,12 +435,11 @@ def syzygy_tensor_27(n: int, window: Window) -> LoopTensor:
     combo, _ = _q27_combination(space_w)
     bound = window.annihilation_bound
     i_lo, i_hi = n - bound - _MARGIN, bound + _MARGIN
+    v = dict(combo)
     terms: dict[tuple[Part, RelationLabel], int] = {}
     for i in range(i_lo, i_hi + 1):
-        transport = transport_matrix(n - i, space_w)
-        for (a, lab), c in combo:
-            column = transport[lab].items()
-            add_scaled(terms, ((((a, i), lab2), w) for lab2, w in column), c)
+        image = _transported(v, transport_matrix(n - i, space_w))
+        terms.update((((a, i), lab), w) for (a, lab), w in image.items())
     return LoopTensor(n, terms, i_lo, i_hi)
 
 
@@ -512,9 +502,101 @@ def orbit_basis(t: LoopTensor, window: Window) -> list[LoopTensor]:
     return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
 
 
+def _pulled_back(slot: dict, transport, where: str) -> dict:
+    """The primitive integer vector v in 8 tensor R(-2), positive at its
+    least key, whose transport (id tensor T)(v) is a multiple of the slot
+    vector.  One reducer holds the rows [ref e_(a, lab) | tgt T(e_(a, lab))]
+    for the colors of the slot, target columns first; T is injective when
+    every pivot is a target column, and then the slot reduces to reference
+    columns alone: a negative multiple of v."""
+    reducer = SpanReducer(lambda col: (col[0] == "ref", col))
+    for a in sorted({a for a, _ in slot}):
+        for lab, column in transport.items():
+            row = {("tgt", a, lab2): w for lab2, w in column.items()}
+            row[("ref", a, lab)] = 1
+            reducer.insert(row)
+    if any(side == "ref" for side, _, _ in reducer.pivots()):
+        raise AssertionError(f"{where}: the transport is not injective")
+    red = reducer.reduce({("tgt", a, lab): c for (a, lab), c in slot.items()})
+    v = {(a, lab): -c for (_, a, lab), c in red.items()}
+    g = gcd(*v.values()) if v[min(v)] > 0 else -gcd(*v.values())
+    return {key: c // g for key, c in v.items()}
+
+
+def reference_form(family: str, t: LoopTensor, window: Window):
+    """The syzygy tensor t as one reference vector v in 8 tensor R(-2) and
+    an exact profile {i: p_i} over its nonzero slots: slot i (the terms
+    of mode degree i) is p_i (id tensor T)(v), T the transport to degree
+    n - i.  v is solved from the least slot; every slot is checked against
+    it, and every slot's transport must keep the weight of each label.  A
+    failed check raises `AssertionError` naming the family, n and the
+    slot."""
+
+    def where(i):
+        return f"{family} family at n={t.n}, slot i={i}"
+
+    space_w = _space_window(window)
+    slots: dict[int, dict] = {}
+    for ((a, i), lab), c in t.terms.items():
+        slots.setdefault(i, {})[(a, lab)] = c
+    if not slots:
+        return {}, {}
+    transports = {}
+    for i in sorted(slots):
+        transport = transports[i] = transport_matrix(t.n - i, space_w)
+        for lab, column in transport.items():
+            weight = lab.partition().weight()
+            for lab2 in column:
+                if lab2.partition().weight() != weight:
+                    raise AssertionError(
+                        f"{where(i)}: the transport maps "
+                        f"{format_partition(lab.partition())} to "
+                        f"{format_partition(lab2.partition())} of another weight"
+                    )
+    i0 = min(slots)
+    v = _pulled_back(slots[i0], transports[i0], where(i0))
+    profile = {}
+    for i, slot in sorted(slots.items()):
+        image = _transported(v, transports[i])
+        key = next(iter(image), None)
+        p = 0 if key is None else exact_quotient(slot.get(key, 0), image[key])
+        if add_scaled(dict(slot), image.items(), -p):
+            raise AssertionError(
+                f"{where(i)}: the slot is not a multiple of the reference "
+                f"vector solved from slot i={i0}"
+            )
+        profile[i] = p
+    return v, profile
+
+
 def syzygy_dimensions(n: int, window: Window) -> dict[str, int]:
-    tensors = syzygy_tensors(n, window)
-    return {name: len(orbit_basis(t, window)) for name, t in tensors.items()}
+    """The orbit dimension of each syzygy family at degree n, computed once,
+    in reference coordinates.  A zero mode keeps every mode slot, and
+    `reference_form` certifies that a family is Phi(v): slot i holds
+    p_i (id tensor T_i)(v), T_i the transport to degree n - i.  Phi is
+    injective (T is at the least slot, where p is not zero) and commutes
+    with the zero modes when every T_i does, so the orbit has the dimension
+    of the orbit of v in 8 tensor R(-2): `orbit_basis` of the one-slot
+    tensor at degree -2, closed under E1, E2, F1 and F2.
+
+    T commutes with F1 and F2 by `transport_matrix`, and with E_i by
+    induction over the F-words u that span R(-2) from its generator
+    (`RelationSpace` closes the generator under F):
+      - T maps the generator to a multiple of the degree-m generator, and
+        E_i kills both, since [E_i, X1] = 0 (checked here on BRACKET; a
+        zero mode has no central term).
+      - E_i F_j u = F_j E_i u + delta_ij H_i u, and T commutes with F_j,
+        with E_i on u by induction, and with H_i since it keeps weights
+        (checked per slot by `reference_form`), so with E_i on F_j u.
+    """
+    if any(BRACKET[(e, 1)] for e in (E1_COLOR, E2_COLOR)):
+        raise AssertionError("E1 and E2 must kill X1, the generator's color")
+    dims = {}
+    for family, t in syzygy_tensors(n, window).items():
+        v, _ = reference_form(family, t, window)
+        one_slot = {((a, 0), lab): c for (a, lab), c in v.items()}
+        dims[family] = len(orbit_basis(LoopTensor(-2, one_slot, 0, 0), window))
+    return dims
 
 
 # --- Theorem A: the graded verification ---------------------------------------

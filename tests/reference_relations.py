@@ -1,26 +1,60 @@
 """Cross-checks of ``affbasis.relations`` for the tests, kept as they were
-there: the rank of the full spanning family of the maximal submodule, and
-the leading terms of the syzygy orbits.  They are independent of the
-triangular certificate that ``basis_counts_report`` runs: the rank
-eliminates every row of ``submodule_span_blocks`` with the library's span
-reducer (``linalg.sparse_rank``), and the orbit leading terms come from the
+there: the rank of the full spanning family of the maximal submodule, the
+leading terms of the syzygy orbits, and the tensor helpers (zero test,
+scale, weight, generator coefficient) that only the tests read.  The rank
+and the leading terms are independent of the triangular certificate that
+``basis_counts_report`` runs: the rank eliminates every row of
+``submodule_span_blocks`` with the library's span reducer
+(``linalg.sparse_rank``), and the orbit leading terms come from the
 reducer's pivots and a candidate scan (``partitions_at_most``), not from
 ``embeddings``.  They are not independent of ``affbasis.linalg``; the
 rank's independent check is ``reference_rank.markowitz_rank``."""
 
-from affbasis.algebra import Weight
+from affbasis.algebra import WEIGHT, Weight
 from affbasis.enveloping import Window, WindowError
-from affbasis.linalg import SpanReducer, sparse_rank
+from affbasis.linalg import Scalar, SpanReducer, exact_quotient, sparse_rank
 from affbasis.partitions import ColoredPartition, order_key, partitions_at_most
 from affbasis.relations import (
     LoopTensor,
     _tensor_column_key,
     _tensor_partition,
+    _x1x1_label,
+    _x1x1_norm,
     label_for_quadratic,
     orbit_basis,
     submodule_span_blocks,
     syzygy_tensors,
 )
+
+
+def tensor_is_zero(t: LoopTensor) -> bool:
+    return not t.terms
+
+
+def tensor_scale(t: LoopTensor, s: int) -> LoopTensor:
+    return LoopTensor(t.n, {k: s * c for k, c in t.terms.items()}, t.i_lo, t.i_hi)
+
+
+def tensor_weight(t: LoopTensor) -> Weight | None:
+    """The common weight of the tensor's terms, or None if they differ."""
+    seen = set()
+    for (color, _), label in t.terms:
+        w = WEIGHT[color] + label.partition().weight()
+        seen.add(w.key())
+    if len(seen) == 1:
+        a1, a2 = seen.pop()
+        return Weight(a1, a2)
+    return None
+
+
+def x1_generator_coefficient(t: LoopTensor, i: int) -> Scalar:
+    """Coefficient of t against X1(i) tensor (full quadratic generator at
+    degree n-i), undoing the leading normalization of the basis."""
+    if not (t.i_lo <= i <= t.i_hi):
+        raise WindowError(f"mode degree {i} outside the certified range")
+    label = _x1x1_label(t.n - i)
+    c = t.terms.get(((1, i), label), 0)
+    return exact_quotient(c, _x1x1_norm(t.n - i))
 
 
 def tensor_leading_partition(t: LoopTensor) -> ColoredPartition:
@@ -52,7 +86,7 @@ def combined_weight_block(
     reducer = SpanReducer(_tensor_column_key)
     for t in syzygy_tensors(n, window).values():
         for vec in orbit_basis(t, window):
-            if vec.weight() == mu:
+            if tensor_weight(vec) == mu:
                 reducer.insert(vec.terms)
     return reducer.rank, {_tensor_partition(p) for p in reducer.pivots()}
 

@@ -328,6 +328,65 @@ def test_rescaled_q27_fails_prop3(capsys, monkeypatch):
     ]
 
 
+def _fail_lines(out):
+    return [line for line in out.splitlines() if line.startswith("FAIL  ")]
+
+
+def test_perturbed_35_slot_fails_qdims_with_its_slot(capsys, monkeypatch):
+    from affbasis import relations
+    from affbasis.algebra import F1_COLOR
+
+    original = relations.shift_matrix
+    generator = relations._x1x1_label(-2)
+
+    # double the F1(-1) image of the degree -2 generator: at n = -3 only
+    # slot i = 0 of the 35 family lowers through it
+    def doubled(x_color, k, n, w):
+        matrix = original(x_color, k, n, w)
+        if (x_color, k, n) != (F1_COLOR, -1, -2):
+            return matrix
+        return {**matrix, generator: {l2: 2 * v for l2, v in matrix[generator].items()}}
+
+    monkeypatch.setattr(relations, "shift_matrix", doubled)
+    code, out, _ = run(capsys, "--max-degree", "1", "--window", "3", "verify", "qdims")
+    assert code == EXIT_FALSIFIED
+    assert _fail_lines(out) == [
+        "FAIL  target runs without an internal error  witness=AssertionError: "
+        "35 family at n=-3, slot i=0: the slot is not a multiple of the "
+        "reference vector solved from slot i=-9"
+    ]
+
+
+def test_transport_across_weights_fails_qdims_with_its_slot(capsys, monkeypatch):
+    from affbasis import relations
+    from affbasis.partitions import format_partition
+
+    original = relations.transport_matrix
+    generator = relations._x1x1_label(-3)
+    crossed = {}
+
+    # at degree -3, which is slot i = 0 of every family at n = -3, the
+    # transport also sends a label that no family's reference vector holds
+    # to the generator, of another weight: every slot stays a multiple of
+    # its transported reference vector, and only the weight check sees it
+    def transport(m, w):
+        matrix = original(m, w)
+        if m != -3:
+            return matrix
+        lab = crossed["label"] = max(matrix)
+        return {**matrix, lab: {**matrix[lab], generator: 1}}
+
+    monkeypatch.setattr(relations, "transport_matrix", transport)
+    code, out, _ = run(capsys, "--max-degree", "1", "--window", "3", "verify", "qdims")
+    assert code == EXIT_FALSIFIED
+    assert _fail_lines(out) == [
+        "FAIL  target runs without an internal error  witness=AssertionError: "
+        "64 family at n=-3, slot i=0: the transport maps "
+        f"{format_partition(crossed['label'].partition())} to "
+        f"{format_partition(generator.partition())} of another weight"
+    ]
+
+
 @pytest.fixture
 def fresh_memos():
     """Empty the memos of the module action and the relation layers after

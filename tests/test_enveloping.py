@@ -61,6 +61,35 @@ def test_straighten_zero_modes():
     assert env_terms(e) == {((3, 0), (2, 0)): 1, ((1, 0),): 1}
 
 
+def test_straighten_sorted_word_is_a_fresh_unit_term():
+    word = ((4, -2), (6, -1), (2, 0), (3, 1))
+    first = straighten_word(word)
+    assert first == {word: 1}
+    first[word] = 5
+    assert straighten_word(word) == {word: 1}  # no dict is shared
+    assert straighten_word(list(word)) == {word: 1}  # keyed by the tuple
+
+
+def test_straighten_empty_word():
+    assert straighten_word(()) == {(): 1}
+    assert straighten_word((), on_vacuum=True) == {(): 1}
+
+
+def test_sorted_word_ending_in_an_annihilation_mode_kills_the_vacuum():
+    for word in (((4, -1), (2, 0)), ((3, 0),), ((7, -2), (5, 1))):
+        assert straighten_word(word) == {word: 1}
+        assert straighten_word(word, on_vacuum=True) == {}
+    creation = ((4, -1), (2, -1))
+    assert straighten_word(creation, on_vacuum=True) == {creation: 1}
+
+
+def test_unsorted_word_still_matches_the_random_straightener():
+    rng = random.Random(3)
+    for word in (((2, 1), (7, -1)), ((2, 0), (3, 0)), ((1, 2), (8, -1), (4, -2))):
+        assert word != tuple(sorted(word, key=part_key))
+        assert straighten_word(word) == straighten_word_randomly(word, rng)
+
+
 @settings(max_examples=150, deadline=None)
 @given(word_strategy, st.integers(0, 2**32 - 1))
 def test_straighten_confluence(word, seed):

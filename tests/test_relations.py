@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from affbasis.algebra import F1_COLOR, Weight
+from affbasis.algebra import E1_COLOR, F1_COLOR, Weight
 from affbasis.enveloping import EnvElement, Window, WindowError, act, apply_word
 from affbasis.partitions import (
     cubic_a_label,
@@ -15,12 +15,16 @@ from affbasis.partitions import (
     quadratic_leading_labels,
 )
 from affbasis.relations import (
+    _pulled_back,
+    _q27_combination,
+    _space_window,
     basis_counts_report,
     collapse,
     collapse_report,
     label_for_quadratic,
     loop_action,
     orbit_basis,
+    reference_form,
     relation_for,
     relation_space,
     shift_matrix,
@@ -34,7 +38,11 @@ from reference_rank import markowitz_rank
 from reference_relations import (
     combined_weight_block,
     max_submodule_rank,
+    tensor_is_zero,
     tensor_leading_partition,
+    tensor_scale,
+    tensor_weight,
+    x1_generator_coefficient,
 )
 
 W8 = Window(8)
@@ -193,9 +201,9 @@ def test_transport_solve_certifies_equivariance(monkeypatch):
 def test_syzygy_64_coefficients():
     for j in (-1, -2):
         t = syzygy_tensor_64(3 * j, W8)
-        assert t.x1_generator_coefficient(j) == 0
+        assert x1_generator_coefficient(t, j) == 0
         t2 = syzygy_tensor_64(3 * j - 1, W8)
-        assert t2.x1_generator_coefficient(j) == 1
+        assert x1_generator_coefficient(t2, j) == 1
 
 
 def test_syzygy_64_highest_weight():
@@ -203,28 +211,73 @@ def test_syzygy_64_highest_weight():
     for e_color in (2, 3):
         for k in (-2, -1, 0, 1, 2):
             image = loop_action(e_color, k, t, W8)
-            assert image.is_zero(), (e_color, k)
+            assert tensor_is_zero(image), (e_color, k)
     h_image = loop_action(4, 0, t, W8)
-    assert (h_image - t.scale(3)).is_zero()
+    assert tensor_is_zero(h_image - tensor_scale(t, 3))
 
 
 def test_syzygy_weights():
     tensors = syzygy_tensors(-2, W8)
-    assert tensors["64"].weight() == Weight(3, 3)
-    assert tensors["35"].weight() == Weight(2, 3)
-    assert tensors["35u"].weight() == Weight(3, 2)
-    assert tensors["27"].weight() == Weight(2, 2)
+    assert tensor_weight(tensors["64"]) == Weight(3, 3)
+    assert tensor_weight(tensors["35"]) == Weight(2, 3)
+    assert tensor_weight(tensors["35u"]) == Weight(3, 2)
+    assert tensor_weight(tensors["27"]) == Weight(2, 2)
 
 
 def test_syzygy_27_highest_weight():
     t = syzygy_tensors(-2, W8)["27"]
     for e_color in (2, 3):
-        assert loop_action(e_color, 0, t, W8).is_zero()
+        assert tensor_is_zero(loop_action(e_color, 0, t, W8))
 
 
 def test_orbit_dimensions():
     dims = syzygy_dimensions(-2, W8)
     assert dims == {"64": 64, "35": 35, "35u": 35, "27": 27}
+
+
+def test_orbit_dimensions_match_the_whole_tensor_orbits():
+    # the reference-coordinate orbit of each family against the direct
+    # closure of its whole tensor
+    for n, window in ((0, Window(3)), (-2, Window(6))):
+        dims = syzygy_dimensions(n, window)
+        for family, t in syzygy_tensors(n, window).items():
+            assert dims[family] == len(orbit_basis(t, window)), (n, family)
+
+
+def test_reference_forms_of_the_syzygy_families():
+    # 64: X1 tensor the reference generator with profile 3i - n; 27: the q27
+    # pairs, negated to be positive at the least key, with a constant profile
+    window = Window(3)
+    combo, _ = _q27_combination(_space_window(window))
+    for n in (-3, 0):
+        tensors = syzygy_tensors(n, window)
+        t = tensors["64"]
+        v, profile = reference_form("64", t, window)
+        assert v == {(1, quad_same_label(1, 1, -1)): 1}
+        assert profile == {i: 3 * i - n for i in range(t.i_lo, t.i_hi + 1) if 3 * i != n}
+        v, profile = reference_form("27", tensors["27"], window)
+        assert v == {pair: -c for pair, c in combo}
+        assert set(profile.values()) == {-1}
+        for family, p in (("35", -6), ("35u", 6)):
+            v, profile = reference_form(family, tensors[family], window)
+            assert len(v) == 2 and set(profile.values()) == {p}, family
+
+
+def test_pull_back_needs_an_injective_transport():
+    transport = transport_matrix(-3, Window(3))
+    generator = quad_same_label(1, 1, -1)
+    slot = {(1, quad_adjacent_label(1, 1, -1)): 6}
+    assert _pulled_back(slot, transport, "here") == {(1, generator): 1}
+    with pytest.raises(AssertionError, match="here: the transport is not injective"):
+        _pulled_back(slot, {**transport, generator: {}}, "here")
+
+
+def test_orbit_certificate_needs_e_to_kill_x1(monkeypatch):
+    from affbasis import algebra
+
+    monkeypatch.setitem(algebra.BRACKET, (E1_COLOR, 1), ((1, 1),))
+    with pytest.raises(AssertionError, match="must kill X1"):
+        syzygy_dimensions(0, Window(3))
 
 
 def test_collapse_annihilation_and_scalar():
@@ -382,7 +435,7 @@ def test_lemma2_auxiliary_conditions():
     for h in (4, 5):
         first = loop_action(h, -2, loop_action(h, 0, t, window), window)
         second = loop_action(h, -1, loop_action(h, -1, t, window), window)
-        assert (first - second).is_zero()
+        assert tensor_is_zero(first - second)
 
 
 def test_relation_images_live_in_the_maximal_submodule():
@@ -445,16 +498,17 @@ def test_integral_layers_keep_int_coefficients():
             assert _ints(c for _, c in mode_on_partition(mode, p.parts)), (mode, p)
     for rows in submodule_span_blocks(4, W8).values():
         assert all(_ints(row.values()) for row in rows)
-    # the four syzygy tensors, the 27 one scaled by its t, and their orbits
+    # the four syzygy tensors, the 27 one scaled by its t, their orbits, and
+    # their reference vectors and profiles
     for name, t in syzygy_tensors(0, window).items():
         assert _ints(t.terms.values()), name
         for vec in orbit_basis(t, window):
             assert _ints(vec.terms.values()), name
+        v, profile = reference_form(name, t, window)
+        assert _ints(v.values()) and _ints(profile.values()), name
 
 
 def test_q27_combination_is_five_unit_pairs():
-    from affbasis.relations import _q27_combination, _space_window
-
     assert _q27_combination(_space_window(Window(3))) == (
         [
             ((1, quad_same_label(5, 1, -1)), -1),
@@ -469,7 +523,7 @@ def test_q27_combination_is_five_unit_pairs():
 
 def test_rational_edges_never_give_floats():
     # int / int is a float in Python: the true divisions must stay exact
-    from affbasis.relations import _proportionality, _q27_combination, _space_window
+    from affbasis.relations import _proportionality
 
     window = Window(3)
     exact = (int, Fraction)
@@ -480,4 +534,4 @@ def test_rational_edges_never_give_floats():
     assert combo and all(type(c) in exact for _, c in combo) and type(t) in exact
     for t in syzygy_tensors(0, window).values():
         for i in range(t.i_lo, t.i_hi + 1):
-            assert type(t.x1_generator_coefficient(i)) in exact, i
+            assert type(x1_generator_coefficient(t, i)) in exact, i
