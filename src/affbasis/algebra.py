@@ -30,9 +30,6 @@ class Weight:
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.a1 + other.a1, self.a2 + other.a2)
 
-    def is_zero(self) -> bool:
-        return self.a1 == 0 and self.a2 == 0
-
     def key(self) -> tuple[int, int]:
         return (self.a1, self.a2)
 

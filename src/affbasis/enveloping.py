@@ -19,16 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .algebra import BRACKET, FORM, Weight
+from .algebra import BRACKET, FORM
 from .linalg import Scalar, add_scaled
 from .partitions import (
     ColoredPartition,
     Part,
     order_key,
     parts_degree,
-    parts_weight,
     shapes_at_most,
-    sort_parts,
 )
 
 
@@ -140,23 +138,10 @@ class EnvElement:
     def narrowed(self, bound: int) -> "EnvElement":
         return EnvElement(self.terms, self.window.narrowed(bound))
 
-    def coefficient(self, parts) -> Scalar:
-        key = sort_parts(parts)
-        if not self.window.admits(key):
-            raise WindowError(f"monomial {key} lies outside the window")
-        return self.terms.get(key, 0)
-
     def total_degree(self) -> int | None:
         degs = {parts_degree(w) for w in self.terms}
         if len(degs) == 1:
             return degs.pop()
-        return None
-
-    def weight(self) -> Weight | None:
-        weights = {parts_weight(w).key() for w in self.terms}
-        if len(weights) == 1:
-            a1, a2 = weights.pop()
-            return Weight(a1, a2)
         return None
 
     def max_length(self) -> int:
@@ -190,7 +175,6 @@ class EnvElement:
     def adjoint_mode(self, x: int, k: int) -> "EnvElement":
         """Commutator [X_x(k), self] for the color x, applied termwise and
         re-straightened.  Shifting by k costs |k| of the certified bound."""
-        window = Window(self.window.annihilation_bound - abs(k))
         out: dict[tuple[Part, ...], Scalar] = {}
         for w, c in self.terms.items():
             for idx, (b, d) in enumerate(w):
@@ -201,7 +185,17 @@ class EnvElement:
                 if f:
                     word = w[:idx] + w[idx + 1 :]
                     add_scaled(out, straighten_word(word).items(), c * k * f)
-        return EnvElement(out, window)
+        if k == 0:
+            # Nothing leaves the window, so no term is filtered: a zero mode
+            # keeps every mode degree (the central term needs d = 0, where
+            # its factor k vanishes), and straightening never raises the
+            # annihilation weight (a swap keeps the degrees, a bracket
+            # X(m + n) weighs at most max(m, 0) + max(n, 0), a central term
+            # drops both modes).  `add_scaled` leaves no zero in `out`.
+            image = EnvElement.__new__(EnvElement)
+            image.terms, image.window = out, self.window
+            return image
+        return EnvElement(out, Window(self.window.annihilation_bound - abs(k)))
 
     # -- leading terms ----------------------------------------------------------
 

@@ -97,9 +97,6 @@ class ColoredPartition:
             out[p] = out.get(p, 0) + 1
         return out
 
-    def translate(self, t: int) -> "ColoredPartition":
-        return ColoredPartition((c, d + t) for c, d in self.parts)
-
     # -- monoid / lattice ops ---------------------------------------------
 
     def __mul__(self, other: "ColoredPartition") -> "ColoredPartition":

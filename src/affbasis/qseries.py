@@ -57,11 +57,6 @@ class Series:
                     out[i + j] += a * b
         return Series(out)
 
-    def truncated(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs[: order + 1])
-
     def first_difference(self, other: "Series") -> int | None:
         n = self._common(other)
         for k in range(n + 1):

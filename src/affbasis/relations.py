@@ -132,6 +132,12 @@ class RelationSpace:
             labels.append(label)
             self.elements[label] = elem
             self.leading[label] = lead.parts
+        table = SAME_DEGREE_COLOR_PAIRS if n % 2 == 0 else ADJACENT_COLOR_PAIRS
+        if self.dimension < len(table):
+            raise WindowError(
+                f"the degree-{n} relation space has rank {self.dimension} in "
+                f"window {window.annihilation_bound}, short of its {len(table)}-row table"
+            )
         self.labels = sorted(labels, key=lambda l: order_key(l.partition().parts))
 
     def element(self, label: RelationLabel) -> EnvElement:
@@ -207,9 +213,18 @@ def relation_for(label: RelationLabel, window: Window) -> EnvElement:
 @cache
 def shift_matrix(x_color: int, k: int, n: int, window: Window):
     """Matrix of ad(x(k)) from the degree-n relation space to degree n+k,
-    in the canonical bases.  Certified by an in-window residual check."""
+    in the canonical bases.  The image is exact on the window less |k|; every
+    target pivot must lie there, or its coordinate could be dropped unseen,
+    and an in-window residual check certifies the rest."""
     source = relation_space(n, window)
     target = relation_space(n + k, window)
+    image_w = Window(window.annihilation_bound - abs(k))
+    for label, pivot in target.leading.items():
+        if not image_w.admits(pivot):
+            raise WindowError(
+                f"pivot {format_partition(label.partition())} of the degree-{n + k} "
+                f"space lies outside the certified image window {image_w.annihilation_bound}"
+            )
     matrix: dict[RelationLabel, dict[RelationLabel, Scalar]] = {}
     for label in source.labels:
         image = source.element(label).adjoint_mode(x_color, k)
@@ -250,16 +265,28 @@ class LoopTensor:
         )
 
 
+# Mode degrees a syzygy tensor certifies past [n - bound, bound] on either
+# side, for a target window of annihilation bound `bound`.  `collapse` reads
+# exactly the mode degrees in [n - bound, bound]: a creation mode multiplies
+# its body from the left and keeps every weight, a body of degree D > bound
+# has every weight >= D, and an annihilation mode i > bound adds weight i, so
+# every other slot collapses outside the window.  The one step between
+# building a tensor and collapsing it that shrinks its interval is the single
+# k = -1 step of `lowering_pair`: it costs one slot at the top, and lowers the
+# degree, so the bottom of the interval read, by one.
+_MARGIN = 1
+
+
 def _space_window(window: Window) -> Window:
-    """Internal window for relation-space bodies and shift matrices.  The
-    bound is padded so that spaces at label degrees a little above the
-    target bound still have full rank in window; the final collapse is
-    narrowed back to the target."""
-    return Window(window.annihilation_bound + 12)
-
-
-# mode degrees a syzygy tensor certifies past the window on either side
-_MARGIN = 4
+    """The one internal window for relation-space bodies, shift matrices and
+    transports: bound + _MARGIN.  The degree-m relation space has full rank
+    in Window(B) exactly when m <= B (above B the window holds no term of the
+    generator).  The highest label degree any path reads is bound + _MARGIN:
+    the labels of `syzygy_tensor_64(n + 1)` at its least slot n - bound, and
+    the transport targets n - i at the least slot of the 64 and 27 tensors.
+    A zero or lowering shift keeps its target pivots in the image window;
+    raising shifts widen it themselves (`loop_action`)."""
+    return Window(window.annihilation_bound + _MARGIN)
 
 
 def syzygy_tensor_64(n: int, window: Window) -> LoopTensor:
@@ -276,8 +303,12 @@ def syzygy_tensor_64(n: int, window: Window) -> LoopTensor:
 
 def loop_action(x_color: int, k: int, t: LoopTensor, window: Window) -> LoopTensor:
     """Action of x(k) on a tensor: bracket on the mode slot plus the
-    transported adjoint action on the relation slot."""
+    transported adjoint action on the relation slot.  A raising shift
+    (k > 0) costs k of the image window and lifts the target pivots by k,
+    so its shift matrices are taken on a window 2k wider."""
     space_w = _space_window(window)
+    if k > 0:
+        space_w = Window(space_w.annihilation_bound + 2 * k)
     lo, hi = t.i_lo + max(k, 0), t.i_hi + min(k, 0)
     out: dict[tuple[Part, RelationLabel], int] = {}
     for ((a, i), label), c in t.terms.items():
@@ -456,20 +487,31 @@ def syzygy_tensors(n: int, window: Window) -> dict[str, LoopTensor]:
 def collapse(t: LoopTensor, window: Window) -> EnvElement:
     """The two-sided multiplication image of a tensor: modes of negative
     degree multiply their relation from the left, the others from the
-    right.  Exact on the target window: bodies are built on the padded
+    right.  Exact on the target window: only the mode degrees in
+    [n - bound, bound] reach it (see `_MARGIN`), so the tensor must certify
+    all of them, or `WindowError` is raised; bodies are built on the padded
     internal window, the products are summed once, and only the certified
     region of the sum is kept (window admission is per monomial, so
     filtering the sum equals summing the filtered products)."""
+    bound = window.annihilation_bound
+    lo, hi = t.n - bound, bound
+    if t.i_lo > lo or t.i_hi < hi:
+        raise WindowError(
+            f"the tensor certifies mode degrees [{t.i_lo}, {t.i_hi}], and the "
+            f"collapse on window {bound} reads [{lo}, {hi}]"
+        )
     space_w = _space_window(window)
     total: dict[tuple[Part, ...], Scalar] = {}
     for ((a, i), label), c in t.terms.items():
+        if not lo <= i <= hi:
+            continue  # collapses outside the window
         body = relation_for(label, space_w)
         if i < 0:
             product = body.mul_mode_left((a, i))
         else:
             product = body.mul_mode_right((a, i))
         add_scaled(total, product.terms.items(), c)
-    return EnvElement(total, Window(window.annihilation_bound))
+    return EnvElement(total, Window(bound))
 
 
 # --- the syzygy orbits --------------------------------------------------------

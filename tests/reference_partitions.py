@@ -1,5 +1,5 @@
-"""Two partition predicates for the tests, kept as they were in
-``affbasis.partitions``.  Neither is independent of the library: ``compare``
+"""Two partition predicates and a translation for the tests, kept as they
+were in ``affbasis.partitions``.  Neither is independent of the library: ``compare``
 is the three-way form of ``order_key`` (the order's independent check is
 ``parts_compare`` in ``test_partitions.py``), and
 ``satisfies_difference_conditions`` asks ``embeddings``.  What they are
@@ -20,3 +20,8 @@ def satisfies_difference_conditions(p: ColoredPartition) -> bool:
     if any(d >= 0 for _, d in p.parts):
         raise ValueError("difference conditions apply to strictly negative modes")
     return not embeddings(p)[0]
+
+
+def translate(p: ColoredPartition, t: int) -> ColoredPartition:
+    """p with every mode degree shifted by t."""
+    return ColoredPartition((c, d + t) for c, d in p.parts)

@@ -94,3 +94,10 @@ def specialized_count_series(order: int, observe=None) -> Series:
         for k, v in enumerate(series):
             total[k] += v
     return Series(total)
+
+
+def truncated(s: Series, order: int) -> Series:
+    """The series cut to the given order; it cannot be extended."""
+    if order > s.order:
+        raise ValueError("cannot extend a truncated series")
+    return Series(s.coeffs[: order + 1])

@@ -56,7 +56,7 @@ def test_bracket_weight_additivity():
 def test_form_pairs_only_opposite_weights():
     for a, b in itertools.product(COLORS, repeat=2):
         if FORM[(a, b)]:
-            assert (WEIGHT[a] + WEIGHT[b]).is_zero()
+            assert WEIGHT[a] + WEIGHT[b] == Weight(0, 0)
 
 
 # each identity the table check tests can fail on its own

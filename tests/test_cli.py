@@ -266,6 +266,25 @@ def test_window_error_in_a_target_keeps_exit_3(capsys, monkeypatch):
     assert out == "" and "window insufficiency: too small" in err
 
 
+def test_collapse_of_a_trimmed_tensor_keeps_exit_3(capsys, monkeypatch):
+    from affbasis import relations
+
+    original = relations.syzygy_tensors
+
+    # the 35 family loses its least slot: the collapse cannot be certified,
+    # and must not report a nonzero residual
+    def trimmed(n, window):
+        tensors = original(n, window)
+        t = tensors["35"]
+        tensors["35"] = relations.LoopTensor(t.n, t.terms, t.i_lo + 1, t.i_hi)
+        return tensors
+
+    monkeypatch.setattr(relations, "syzygy_tensors", trimmed)
+    code, out, err = run(capsys, "verify", "prop3")
+    assert code == EXIT_WINDOW
+    assert out == "" and "window insufficiency: the tensor certifies" in err
+
+
 def _drop_family_0(families):
     return families[1:]
 
@@ -350,10 +369,11 @@ def test_perturbed_35_slot_fails_qdims_with_its_slot(capsys, monkeypatch):
     monkeypatch.setattr(relations, "shift_matrix", doubled)
     code, out, _ = run(capsys, "--max-degree", "1", "--window", "3", "verify", "qdims")
     assert code == EXIT_FALSIFIED
+    # the 35 family certifies [n - bound, bound], so its least slot is -6
     assert _fail_lines(out) == [
         "FAIL  target runs without an internal error  witness=AssertionError: "
         "35 family at n=-3, slot i=0: the slot is not a multiple of the "
-        "reference vector solved from slot i=-9"
+        "reference vector solved from slot i=-6"
     ]
 
 

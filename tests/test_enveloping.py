@@ -26,6 +26,7 @@ from affbasis.partitions import (
     parse_partition,
     part_key,
 )
+from reference_enveloping import coefficient, element_weight
 from reference_rank import markowitz_rank
 from reference_straighten import straighten_word_randomly
 
@@ -343,14 +344,14 @@ def test_adjoint_on_generator_leading_part():
 @given(word_strategy, st.integers(1, 8))
 def test_adjoint_preserves_homogeneity(word, color):
     e = EnvElement(straighten_word(tuple(word)), W8)
-    if e.is_zero() or e.total_degree() is None or e.weight() is None:
+    if e.is_zero() or e.total_degree() is None or element_weight(e) is None:
         return
     out = e.adjoint_mode(color, 0)
     if not out.is_zero():
         assert out.total_degree() == e.total_degree()
         from affbasis.algebra import WEIGHT
 
-        assert out.weight() == e.weight() + WEIGHT[color]
+        assert element_weight(out) == element_weight(e) + WEIGHT[color]
 
 
 # --- leading terms ---------------------------------------------------------------
@@ -416,7 +417,7 @@ def test_window_admission():
     e = EnvElement({((1, -1), (1, 2)): Fraction(1), ((1, -1),): Fraction(1)}, w)
     assert env_terms(e) == {((1, -1),): 1}
     with pytest.raises(WindowError):
-        e.coefficient(((1, -1), (1, 2)))
+        coefficient(e, ((1, -1), (1, 2)))
 
 
 def test_mismatched_windows_refuse_to_combine():

@@ -39,7 +39,7 @@ from affbasis.partitions import (
 )
 from reference_embeddings import embeddings_by_full_scan
 from reference_fixtures import load_color_pairs, load_partitions
-from reference_partitions import compare, satisfies_difference_conditions
+from reference_partitions import compare, satisfies_difference_conditions, translate
 
 parts_strategy = st.lists(
     st.tuples(st.integers(1, 8), st.integers(-4, -1)), min_size=0, max_size=5
@@ -260,7 +260,7 @@ def test_layer_rule_matches_divisibility():
 
 def test_label_translation():
     lab = cubic_a_label(-1)
-    assert lab.translate(-3).partition() == lab.partition().translate(-3)
+    assert lab.translate(-3).partition() == translate(lab.partition(), -3)
 
 
 # --- enumeration -----------------------------------------------------------
@@ -369,7 +369,7 @@ def test_overlap_catalogue_matches_fixture():
 def test_overlap_catalogue_translates():
     at_minus_2 = {(p.parts, r.parts) for p, r in overlap_catalogue(-2)}
     shifted = {
-        (p.translate(-1).parts, r.translate(-1).parts)
+        (translate(p, -1).parts, translate(r, -1).parts)
         for p, r in overlap_catalogue(-1)
     }
     assert at_minus_2 == shifted

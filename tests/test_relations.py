@@ -15,6 +15,8 @@ from affbasis.partitions import (
     quadratic_leading_labels,
 )
 from affbasis.relations import (
+    LoopTensor,
+    RelationSpace,
     _pulled_back,
     _q27_combination,
     _space_window,
@@ -23,6 +25,7 @@ from affbasis.relations import (
     collapse_report,
     label_for_quadratic,
     loop_action,
+    lowering_pair,
     orbit_basis,
     reference_form,
     relation_for,
@@ -34,6 +37,7 @@ from affbasis.relations import (
     transport_matrix,
     x1_square_modes,
 )
+from reference_enveloping import coefficient, element_weight
 from reference_rank import markowitz_rank
 from reference_relations import (
     combined_weight_block,
@@ -58,18 +62,18 @@ def test_generator_examples():
     assert format_partition(
         x1_square_modes(-3, W8).leading_term(max_length=2)
     ) == "1:-2 1:-1"
-    assert x1_square_modes(-3, W8).weight() == Weight(2, 2)
+    assert element_weight(x1_square_modes(-3, W8)) == Weight(2, 2)
 
 
 def test_generator_leading_coefficients():
-    assert x1_square_modes(-3, W8).coefficient(((1, -2), (1, -1))) == 2
-    assert x1_square_modes(-2, W8).coefficient(((1, -1), (1, -1))) == 1
+    assert coefficient(x1_square_modes(-3, W8), ((1, -2), (1, -1))) == 2
+    assert coefficient(x1_square_modes(-2, W8), ((1, -1), (1, -1))) == 1
 
 
 # --- relation spaces -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n, bound", [(2, 1), (3, 2), (9, 3)])
+@pytest.mark.parametrize("n, bound", [(2, 1), (3, 2), (9, 3), (8, 7)])
 def test_space_without_a_generator_term_is_a_window_error(n, bound):
     # the window holds no term of the generator, so the space would be empty
     assert not x1_square_modes(n, Window(bound)).terms
@@ -77,21 +81,44 @@ def test_space_without_a_generator_term_is_a_window_error(n, bound):
         relation_space(n, Window(bound))
 
 
-@pytest.mark.parametrize("n", [-6, -5, -2, 1, 2])
+# up to the window bound: the degree-8 space has full rank in Window(8)
+@pytest.mark.parametrize("n", [-6, -5, -2, 1, 2, 8])
 def test_space_dimension_and_tables(n):
     space = relation_space(n, W8)
     assert space.dimension == 27
     assert sorted(space.labels) == sorted(quadratic_leading_labels(n))
 
 
+def test_space_short_of_its_table_is_a_window_error(monkeypatch):
+    # lowered by F1 alone, the generator spans a proper subspace, whose
+    # leading terms all lie in the table
+    from affbasis import relations
+
+    monkeypatch.setattr(relations, "F2_COLOR", F1_COLOR)
+    with pytest.raises(WindowError, match="short of its 27-row table"):
+        RelationSpace(-2, Window(3))
+
+
+def test_zero_mode_images_need_no_window_filter():
+    for n in (-3, 2):
+        space = relation_space(n, Window(3))
+        for label in space.labels:
+            elem = space.element(label)
+            for color in range(1, 9):
+                image = elem.adjoint_mode(color, 0)
+                filtered = EnvElement(image.terms, elem.window)
+                assert image.window == elem.window
+                assert image.terms == filtered.terms, (n, label, color)
+
+
 def test_space_expansion_coefficients():
     # the two expansions used to assemble the cubic relations
     r51 = relation_for(quad_same_label(5, 1, -1), W8)
-    assert r51.coefficient(((5, -1), (1, -1))) == 1
-    assert r51.coefficient(((4, -1), (1, -1))) == 1
+    assert coefficient(r51, ((5, -1), (1, -1))) == 1
+    assert coefficient(r51, ((4, -1), (1, -1))) == 1
     r35 = relation_for(quad_adjacent_label(3, 5, -1), W8)
-    assert r35.coefficient(((3, -2), (5, -1))) == 1
-    assert r35.coefficient(((5, -2), (3, -1))) == 1
+    assert coefficient(r35, ((3, -2), (5, -1))) == 1
+    assert coefficient(r35, ((5, -2), (3, -1))) == 1
 
 
 def test_relations_vanish_at_other_pivots():
@@ -101,7 +128,7 @@ def test_relations_vanish_at_other_pivots():
         elem = space.element(label)
         for other in labels:
             expected = 1 if other == label else 0
-            assert elem.coefficient(other.partition().parts) == expected
+            assert coefficient(elem, other.partition().parts) == expected
 
 
 def test_relation_annihilates_quotient_spot_check():
@@ -138,7 +165,7 @@ def test_cubic_a():
 def test_cubic_b():
     body = relation_for(cubic_b_label(-1), W8)
     assert format_partition(body.leading_term(max_length=3)) == "8:-2 4:-2 6:-1"
-    assert body.weight() == Weight(-1, -2)
+    assert element_weight(body) == Weight(-1, -2)
     assert body.total_degree() == -5
 
 
@@ -161,6 +188,27 @@ def test_shift_matrix_h_eigenvalue():
     m = shift_matrix(4, 0, -4, W8)
     lab = quad_same_label(1, 1, -2)
     assert m[lab] == {lab: 2}  # [h1, X1 X1 pair] eigenvalue 2
+
+
+def test_shift_pivot_outside_the_image_window_is_a_window_error():
+    # ad(x(2)) from degree 2 to 4 on Window(5) is exact on bound 3, and the
+    # degree-4 pivots weigh 4: their coordinates would be dropped unseen
+    assert relation_space(4, Window(5)).dimension == 27
+    with pytest.raises(WindowError, match="outside the certified image window"):
+        shift_matrix(E1_COLOR, 2, 2, Window(5))
+
+
+def test_raising_shift_at_the_top_label_degree_is_exact():
+    # the 64 tensor holds labels up to degree bound + 1; a k = +2 shift on
+    # it must agree term for term with the same shift taken on a far wider
+    # internal window (loop_action's window sizes only its shift matrices)
+    window = Window(3)
+    t = syzygy_tensor_64(0, window)
+    assert max(label.degree() for _, label in t.terms) == 4
+    for x_color in (E1_COLOR, 6, 7):
+        image = loop_action(x_color, 2, t, window)
+        assert image.terms == loop_action(x_color, 2, t, Window(10)).terms
+        assert (image.i_lo, image.i_hi) == (t.i_lo + 2, t.i_hi)
 
 
 def test_transport_identity_at_reference():
@@ -233,6 +281,27 @@ def test_syzygy_27_highest_weight():
 def test_orbit_dimensions():
     dims = syzygy_dimensions(-2, W8)
     assert dims == {"64": 64, "35": 35, "35u": 35, "27": 27}
+
+
+@pytest.mark.parametrize("n, bound", [(0, 3), (-3, 6)])
+def test_tensor_intervals_are_derived_from_the_collapse(n, bound):
+    window = Window(bound)
+    t64 = syzygy_tensor_64(n, window)
+    assert (t64.i_lo, t64.i_hi) == (n - bound - 1, bound + 1)
+    lowered = lowering_pair(1, syzygy_tensor_64(n + 1, window), window)
+    assert (lowered.n, lowered.i_lo, lowered.i_hi) == (n, n - bound, bound)
+    tensors = syzygy_tensors(n, window)
+    for name in ("35", "35u"):
+        assert (tensors[name].i_lo, tensors[name].i_hi) == (n - bound, bound)
+
+
+def test_collapse_of_a_trimmed_tensor_is_a_window_error():
+    window = Window(3)
+    t = syzygy_tensors(0, window)["35"]
+    assert collapse(t, window).is_zero()
+    for lo, hi in ((t.i_lo + 1, t.i_hi), (t.i_lo, t.i_hi - 1)):
+        with pytest.raises(WindowError, match="reads \\[-3, 3\\]"):
+            collapse(LoopTensor(t.n, t.terms, lo, hi), window)
 
 
 def test_orbit_dimensions_match_the_whole_tensor_orbits():
