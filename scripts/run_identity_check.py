@@ -25,11 +25,7 @@ def main() -> int:
         [order // 2, order] if order > 12 else []
     )
     for n in shown:
-        print(
-            f"{n:>4} {product[n]:>14} "
-            f"{constrained[n] if n <= rep['sum_order'] else '-':>14} "
-            f"{specialized[n]:>14}"
-        )
+        print(f"{n:>4} {product[n]:>14} {constrained[n]:>14} {specialized[n]:>14}")
     print(
         "verdict:",
         "all three sides agree" if rep["ok"] else

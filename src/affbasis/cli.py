@@ -279,15 +279,15 @@ def _verify_theorem_b(cfg: Config, report: Report):
     from .qseries import verify_identity
 
     rep = verify_identity(cfg.order)
-    for name, side, order in (
-        ("specialized ideal count", "specialized", "order"),
-        ("constrained three-color count", "constrained", "sum_order"),
+    for name, side in (
+        ("specialized ideal count", "specialized"),
+        ("constrained three-color count", "constrained"),
     ):
         k = rep[f"product_vs_{side}"]
         report.add(
             f"product side = {name}",
             k is None,
-            expected=f"agree to order {rep[order]}",
+            expected=f"agree to order {rep['order']}",
             actual="agree"
             if k is None
             else f"first difference at {k}: product={rep['product'][k]} {side}={rep[side][k]}",

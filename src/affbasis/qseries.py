@@ -5,7 +5,8 @@ explicit, and the three series being compared (the bounded-multiplicity
 product, the constrained three-color count, and the specialized ideal
 count) are produced by independent machinery: list arithmetic for the
 product, and for each count a transfer over its own state graph in the
-packed-integer kernel `_transfer`.
+packed-integer kernel `_transfer` (high degree first, so q^cost is one
+truncating right shift; each distinct tuple of sources is summed once).
 """
 
 from __future__ import annotations
@@ -88,12 +89,9 @@ def product_side(order: int) -> Series:
     """prod_{r>=1} (1 + q^r + q^{2r}): parts repeat at most twice."""
     coeffs = [1] + [0] * order
     for r in range(1, order + 1):
-        new = coeffs[:]
-        for k in range(r, order + 1):
-            new[k] += coeffs[k - r]
-        for k in range(2 * r, order + 1):
-            new[k] += coeffs[k - 2 * r]
-        coeffs = new
+        old = coeffs[:]
+        coeffs[r:] = map(operator.add, coeffs[r:], old)
+        coeffs[2 * r :] = map(operator.add, coeffs[2 * r :], old)
     return Series(coeffs)
 
 
@@ -119,24 +117,26 @@ def _slot_width(order: int) -> int:
 
 def _transfer(order: int, start, steps, width: int) -> Series:
     """Sum of the final states of a transfer from `start` (series 1).  A
-    series is one int with the coefficient of q^k in bits [k*width,
-    (k+1)*width).  Each step lists targets (dst, cost, sources): dst gets the
-    sum of its sources' series times q^cost, truncated after q^order by one
-    mask.  Unreached sources add nothing; `_slot_width` gives `width`."""
-    full = (1 << (order + 1) * width) - 1
-    states = {start: 1}
+    series is one int, high degree first: the coefficient of q^k is in bits
+    [(order-k)*width, (order-k+1)*width).  Each step lists targets (dst,
+    cost, sources): dst gets the sum of its sources' series shifted right by
+    cost*width, which is times q^cost with every term past q^order dropped,
+    as no slot carries in the `width` that `_slot_width` gives.  Targets of
+    a step with one `sources` tuple share its sum; unreached sources add
+    nothing.  A series with no term below q^d has (order-d+1)*width bits."""
+    states = {start: 1 << order * width}
     for targets in steps:
-        new = {}
+        new, sums = {}, {}
         for dst, cost, sources in targets:
-            packed = 0
-            for src in sources:
-                packed += states.get(src, 0)
-            if packed and cost <= order:
-                new[dst] = (packed << cost * width) & full if cost else packed
+            packed = sums.get(sources)
+            if packed is None:
+                packed = sums[sources] = sum(states.get(src, 0) for src in sources)
+            if packed := packed >> cost * width:
+                new[dst] = packed
         states = new
     total = sum(states.values())
     slot = (1 << width) - 1
-    return Series([(total >> k * width) & slot for k in range(order + 1)])
+    return Series([(total >> (order - k) * width) & slot for k in range(order + 1)])
 
 
 # --- three-color constrained partitions --------------------------------------
@@ -225,7 +225,7 @@ def specialized_count_series(order: int) -> Series:
     degree, via a layer-transfer over per-degree color sets."""
     graph = [
         (layer, len(layer), sum(_PHI_OFFSET[c] for c in layer),
-         [prev for prev in INDEPENDENT_COLOR_SETS if compatible_layers(layer, prev)])
+         tuple(prev for prev in INDEPENDENT_COLOR_SETS if compatible_layers(layer, prev)))
         for layer in INDEPENDENT_COLOR_SETS
     ]
     steps = (
@@ -273,7 +273,7 @@ def verify_identity(order: int) -> dict:
     d2 = product.first_difference(constrained)
     return {
         "order": order,
-        "sum_order": order,
+        "sum_order": order,  # always equals "order"; perfbench/child.py checks both
         "product_vs_specialized": d1,
         "product_vs_constrained": d2,
         "ok": d1 is None and d2 is None,

@@ -4,9 +4,10 @@ were.  Each state holds its truncated series as a list of ints and every
 shift-and-add runs coefficient by coefficient, so these share no
 arithmetic with the packed engines they check.
 
-The one addition is the optional ``observe`` hook: it is called with the
-dict of states after every step, so a test can read the intermediate
-coefficients the packed engines must fit into their slots."""
+Two additions: the optional ``observe`` hook, called with the dict of
+states after every step, so a test can read the intermediate coefficients
+the packed engines must fit into their slots; and ``transfer``, the packed
+kernel's contract on coefficient lists, for tests on random step graphs."""
 
 from affbasis.partitions import INDEPENDENT_COLOR_SETS, compatible_layers
 from affbasis.qseries import (
@@ -94,6 +95,27 @@ def specialized_count_series(order: int, observe=None) -> Series:
         for k, v in enumerate(series):
             total[k] += v
     return Series(total)
+
+
+def transfer(order: int, start, steps) -> Series:
+    """The contract of ``affbasis.qseries._transfer`` on coefficient lists:
+    each target (dst, cost, sources) of a step gets the sum of its sources'
+    series times q^cost, cut after q^order, and the result is the sum of the
+    final states.  A target whose series is zero is left out, as an
+    unreached state is."""
+    states = {start: [1] + [0] * order}
+    for targets in steps:
+        new = {}
+        for dst, cost, sources in targets:
+            series = [0] * (order + 1)
+            for src in sources:
+                for k, v in enumerate(states.get(src, [])):
+                    if k + cost <= order:
+                        series[k + cost] += v
+            if any(series):
+                new[dst] = series
+        states = new
+    return Series([sum(column) for column in zip([0] * (order + 1), *states.values())])
 
 
 def truncated(s: Series, order: int) -> Series:

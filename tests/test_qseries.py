@@ -12,6 +12,7 @@ from affbasis.qseries import (
     UNDER,
     Series,
     _slot_width,
+    _transfer,
     a2_theta_series,
     character_oracle,
     colored_part_count_series,
@@ -223,3 +224,41 @@ def test_slot_width_bounds_every_intermediate_coefficient(order):
     reference_series.tricolor_count_series(order, observe)
     reference_series.specialized_count_series(order, observe)
     assert peak < 2 ** _slot_width(order)
+
+
+@st.composite
+def transfer_graphs(draw):
+    """A transfer over at most 4 states and 6 steps, with its order.  Each
+    step's targets have distinct destinations and draw their sources from a
+    pool of one to three tuples, so targets often share a sources tuple with
+    different costs; each tuple reads a destination of the step before, so
+    the transfer does not die out at once.  Costs range over 0..order+1,
+    and 0, order, order + 1 and two costs past 2*order are drawn often."""
+    order = draw(st.integers(0, 12))
+    state = st.integers(0, 3)
+    cost = st.one_of(
+        st.integers(0, 2),
+        st.integers(0, order + 1),
+        st.sampled_from([order, order + 1, 2 * order + 1, 3 * order + 5]),
+    )
+    start = draw(state)
+    reached, steps = [start], []
+    for _ in range(draw(st.integers(0, 6))):
+        sources = st.tuples(st.sampled_from(reached), st.lists(state, max_size=3))
+        pool = [(first, *rest) for first, rest in draw(st.lists(sources, min_size=1, max_size=3))]
+        reached = draw(st.lists(state, min_size=1, max_size=4, unique=True))
+        steps.append([(dst, draw(cost), draw(st.sampled_from(pool))) for dst in reached])
+    return order, start, steps
+
+
+@settings(max_examples=300)
+@given(transfer_graphs())
+def test_transfer_matches_the_list_reference(graph):
+    order, start, steps = graph
+    # a sum of at most 4 sources is at most 4 times the largest state before
+    # it, so every coefficient, total included, is at most 4 ** (len(steps)
+    # + 1) < 2 ** width
+    width = 2 * len(steps) + 3
+    assert _transfer(order, start, steps, width) == reference_series.transfer(
+        order, start, steps
+    )
