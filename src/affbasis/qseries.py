@@ -7,6 +7,7 @@ count) are produced by independent machinery: list arithmetic for the
 product, and for each count a transfer over its own state graph in the
 packed-integer kernel `_transfer` (high degree first, so q^cost is one
 truncating right shift; each distinct tuple of sources is summed once).
+The same kernel counts the ideal by depth for the basis theorem.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _transfer(order: int, start, steps, width: int) -> Series:
     [(order-k)*width, (order-k+1)*width).  Each step lists targets (dst,
     cost, sources): dst gets the sum of its sources' series shifted right by
     cost*width, which is times q^cost with every term past q^order dropped,
-    as no slot carries in the `width` that `_slot_width` gives.  Targets of
+    as no slot carries in the `width` the caller certifies.  Targets of
     a step with one `sources` tuple share its sum; unreached sources add
     nothing.  A series with no term below q^d has (order-d+1)*width bits."""
     states = {start: 1 << order * width}
@@ -220,19 +221,39 @@ def tricolor_count_series(order: int) -> Series:
 _PHI_OFFSET = {1: -2, 2: -1, 3: -1, 4: 0, 5: 0, 6: 1, 7: 1, 8: 2}
 
 
-def specialized_count_series(order: int) -> Series:
-    """Count of difference-condition partitions graded by specialized
-    degree, via a layer-transfer over per-degree color sets."""
-    graph = [
+def _layer_graph() -> list:
+    """Each per-degree color set with its size, its specialized offset, and
+    the sets that may sit one degree above it."""
+    return [
         (layer, len(layer), sum(_PHI_OFFSET[c] for c in layer),
          tuple(prev for prev in INDEPENDENT_COLOR_SETS if compatible_layers(layer, prev)))
         for layer in INDEPENDENT_COLOR_SETS
     ]
+
+
+def specialized_count_series(order: int) -> Series:
+    """Count of difference-condition partitions graded by specialized
+    degree, via a layer-transfer over per-degree color sets."""
+    graph = _layer_graph()
     steps = (
         [(layer, 3 * i * size + offset, below) for layer, size, offset, below in graph]
         for i in range(1, (order + 2) // 3 + 1)
     )
     return _transfer(order, frozenset(), steps, _slot_width(order))
+
+
+def ideal_count_series(order: int) -> Series:
+    """Count of difference-condition partitions by depth: the same layer
+    graph, where a layer at depth i costs i per color.  Every coefficient the
+    transfer holds counts distinct eight-color partitions of one depth, so
+    prod (1-q^r)^-8, by list arithmetic, bounds it independently of the
+    kernel."""
+    graph = _layer_graph()
+    steps = (
+        [(layer, i * size, below) for layer, size, _, below in graph] for i in range(1, order + 1)
+    )
+    width = max(colored_part_count_series(order, 8).coeffs).bit_length()
+    return _transfer(order, frozenset(), steps, width)
 
 
 # --- the independent character oracle ----------------------------------------

@@ -19,11 +19,12 @@ degree by the transport.  The transport is certified to commute with the
 zero modes (with F by its solve, with E by an induction from the
 generator), so the orbit has the dimension of the reference vector's orbit.
 
-The verification of the basis theorem follows the paper:
-each depth-n partition that a forbidden factor divides is erased by one
-relation row that leads with it, so the rows are triangular and their count
-is a proven rank of the maximal submodule, with no elimination; the basis
-count must then equal the character.
+The verification of the basis theorem follows the paper, one leading-term
+check per forbidden factor: the monomial order is multiplicative, so once
+each factor's relation vector leads with the factor, every depth-n partition
+that a factor divides leads a vector of the maximal submodule (the lemma at
+`_factor_witness`).  That proves the rank with no row built and no
+elimination; the ideal count must then equal the character.
 """
 
 from __future__ import annotations
@@ -59,14 +60,13 @@ from .partitions import (
     ColoredPartition,
     Part,
     RelationLabel,
-    embeddings,
-    enumerate_ideal,
     format_partition,
     order_key,
     quad_adjacent_label,
     quad_same_label,
+    relation_set,
 )
-from .qseries import character_oracle, colored_part_count_series
+from .qseries import character_oracle, colored_part_count_series, ideal_count_series
 
 
 def x1_square_modes(n: int, window: Window) -> EnvElement:
@@ -691,69 +691,58 @@ def _premise_witness(window: Window, on_vacuum: dict) -> str | None:
     return None
 
 
-def _row_factor(pi: ColoredPartition) -> RelationLabel | None:
-    """The forbidden factor whose relation erases pi: the first quadratic
-    that `embeddings` lists, or its first cubic if no quadratic divides pi;
-    None for a partition of the ideal."""
-    found, _ = embeddings(pi)
-    return next((lab for lab in found if len(lab.colors) == 2), found[0] if found else None)
-
-
-def _certified_rank(n: int, window: Window, on_vacuum: dict) -> tuple[int, str | None]:
-    """The paper's triangular certificate at depth n.  Each depth-n
-    partition pi that a forbidden factor rho divides gets one row,
-    u(pi / rho) . (r_rho . vac), which lies in N.  Rows with distinct leading
-    terms are independent, so the number of distinct leading terms is a
-    proven lower bound on dim N_n; it is pbw - ideal when every row leads
-    with its own pi.  Returns that count and the first pi whose row leads
-    elsewhere, or None."""
-    leads = set()
-    witness = None
-    for pi in graded_basis(n):
-        rho = _row_factor(pi)
-        if rho is None:
-            continue
-        v0 = on_vacuum.get(rho)
-        if v0 is None:
-            v0 = on_vacuum[rho] = relation_on_vacuum(rho, window)
-        row = apply_word(pi.quotient(rho.partition()).parts, v0)
-        lead = min(row, key=order_key, default=None)
-        if lead is not None:
-            leads.add(lead)
-        if lead != pi.parts and witness is None:
-            witness = format_partition(pi)
-    return len(leads), witness
+def _factor_witness(n: int, window: Window, on_vacuum: dict) -> str | None:
+    """The first forbidden factor rho of degree -n, all of whose modes
+    create, with lt(r_rho . vac) != rho; None if there is none.  Lemma: for
+    j < 0, X_a(j) . u(p) . vac = u(p + (a, j)) . vac plus terms with fewer
+    parts, as [X_a(j), X_b(k)] has no central term when j, k < 0, and
+    `order_key` puts longer partitions first and is multiplicative under
+    union, so lt(u(kappa) . v) = kappa + lt(v).  So once every factor of
+    degree -n..-2 leads with itself, each depth-n partition pi that a factor
+    rho divides leads the vector u(pi / rho) . (r_rho . vac) of N (by
+    `_premise_witness`), and these triangular vectors prove
+    dim N_n >= pbw - ideal with no row built."""
+    for rho in relation_set(-(n // 2), -1):
+        if rho.degree() == -n:
+            v = on_vacuum.get(rho)
+            if v is None:
+                v = relation_on_vacuum(rho, window)
+            if min(v, key=order_key, default=None) != rho.partition().parts:
+                return format_partition(rho.partition())
+    return None
 
 
 def basis_counts_report(n_max: int, window: Window, progress=None) -> list[dict]:
     """Per-depth comparison: spanning-ideal count, induced-module dimension
-    minus the certified rank of the maximal submodule, and the lattice
-    character oracle.  The rank comes from the triangular certificate
-    (`_certified_rank`), whose premise `_premise_witness` checks once; no
-    elimination runs.  A row is ok when the three counts agree and the
-    certificate holds; otherwise `witness` names the first failure."""
+    minus the rank of the maximal submodule N, and the lattice character
+    oracle.  The rank pbw - ideal is a lower bound on dim N_n that
+    `_factor_witness` proves at every depth up to n, on the premise
+    `_premise_witness` checks once; ideal = oracle makes it exact, and the
+    quotient is then the ideal count.  A row is ok when both hold and
+    ideal = oracle; otherwise `witness` names the premise failure or the
+    first factor that leads elsewhere."""
     oracle = character_oracle(n_max)
     pbw = colored_part_count_series(n_max, 8)
+    ideal = ideal_count_series(n_max)
     on_vacuum: dict[RelationLabel, dict] = {}
     premise = _premise_witness(window, on_vacuum) if n_max >= 2 else None
+    witness = None
     out = []
     for n in range(n_max + 1):
         if progress is not None:
             progress(f"basis check: depth {n}")
-        ideal_count = len(enumerate_ideal(n))
-        rank, witness = _certified_rank(n, window, on_vacuum)
-        if n >= 2 and premise is not None:
-            witness = premise
-        quotient = pbw[n] - rank
+        if n >= 2 and witness is None:
+            witness = premise or _factor_witness(n, window, on_vacuum)
+        rank = pbw[n] - ideal[n]
         out.append(
             {
                 "n": n,
-                "ideal": ideal_count,
+                "ideal": ideal[n],
                 "module_dim": pbw[n],
                 "rank": rank,
-                "quotient": quotient,
+                "quotient": pbw[n] - rank,
                 "oracle": oracle[n],
-                "ok": witness is None and ideal_count == quotient == oracle[n],
+                "ok": witness is None and ideal[n] == oracle[n],
                 "witness": witness,
             }
         )

@@ -1,9 +1,10 @@
 """Cross-checks of ``affbasis.relations`` for the tests, kept as they were
 there: the rank of the full spanning family of the maximal submodule, the
+triangular certificate with one relation row per non-ideal partition, the
 leading terms of the syzygy orbits, and the tensor helpers (zero test,
 scale, weight, generator coefficient) that only the tests read.  The rank
-and the leading terms are independent of the triangular certificate that
-``basis_counts_report`` runs: the rank eliminates every row of
+and the leading terms are independent of the per-factor leading terms that
+``basis_counts_report`` checks: the rank eliminates every row of
 ``submodule_span_blocks`` with the library's span reducer
 (``linalg.sparse_rank``), and the orbit leading terms come from the
 reducer's pivots and a candidate scan (``partitions_at_most``), not from
@@ -11,9 +12,16 @@ reducer's pivots and a candidate scan (``partitions_at_most``), not from
 rank's independent check is ``reference_rank.markowitz_rank``."""
 
 from affbasis.algebra import WEIGHT, Weight
-from affbasis.enveloping import Window, WindowError
+from affbasis.enveloping import Window, WindowError, apply_word, graded_basis
 from affbasis.linalg import Scalar, SpanReducer, exact_quotient, sparse_rank
-from affbasis.partitions import ColoredPartition, order_key, partitions_at_most
+from affbasis.partitions import (
+    ColoredPartition,
+    RelationLabel,
+    embeddings,
+    format_partition,
+    order_key,
+    partitions_at_most,
+)
 from affbasis.relations import (
     LoopTensor,
     _tensor_column_key,
@@ -22,6 +30,7 @@ from affbasis.relations import (
     _x1x1_norm,
     label_for_quadratic,
     orbit_basis,
+    relation_on_vacuum,
     submodule_span_blocks,
     syzygy_tensors,
 )
@@ -98,3 +107,37 @@ def max_submodule_rank(n: int, window: Window) -> int:
         sparse_rank(rows, order_key)
         for rows in submodule_span_blocks(n, window).values()
     )
+
+
+def row_factor(pi: ColoredPartition) -> RelationLabel | None:
+    """The forbidden factor whose relation erases pi: the first quadratic
+    that `embeddings` lists, or its first cubic if no quadratic divides pi;
+    None for a partition of the ideal."""
+    found, _ = embeddings(pi)
+    return next((lab for lab in found if len(lab.colors) == 2), found[0] if found else None)
+
+
+def certified_rank(n: int, window: Window, on_vacuum: dict) -> tuple[int, str | None]:
+    """The paper's triangular certificate at depth n.  Each depth-n
+    partition pi that a forbidden factor rho divides gets one row,
+    u(pi / rho) . (r_rho . vac), which lies in N.  Rows with distinct leading
+    terms are independent, so the number of distinct leading terms is a
+    proven lower bound on dim N_n; it is pbw - ideal when every row leads
+    with its own pi.  Returns that count and the first pi whose row leads
+    elsewhere, or None."""
+    leads = set()
+    witness = None
+    for pi in graded_basis(n):
+        rho = row_factor(pi)
+        if rho is None:
+            continue
+        v0 = on_vacuum.get(rho)
+        if v0 is None:
+            v0 = on_vacuum[rho] = relation_on_vacuum(rho, window)
+        row = apply_word(pi.quotient(rho.partition()).parts, v0)
+        lead = min(row, key=order_key, default=None)
+        if lead is not None:
+            leads.add(lead)
+        if lead != pi.parts and witness is None:
+            witness = format_partition(pi)
+    return len(leads), witness

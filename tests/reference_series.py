@@ -7,7 +7,8 @@ arithmetic with the packed engines they check.
 Two additions: the optional ``observe`` hook, called with the dict of
 states after every step, so a test can read the intermediate coefficients
 the packed engines must fit into their slots; and ``transfer``, the packed
-kernel's contract on coefficient lists, for tests on random step graphs."""
+kernel's contract on coefficient lists, for tests on random step graphs
+and on the steps an engine hands the kernel."""
 
 from affbasis.partitions import INDEPENDENT_COLOR_SETS, compatible_layers
 from affbasis.qseries import (
@@ -97,7 +98,7 @@ def specialized_count_series(order: int, observe=None) -> Series:
     return Series(total)
 
 
-def transfer(order: int, start, steps) -> Series:
+def transfer(order: int, start, steps, observe=None) -> Series:
     """The contract of ``affbasis.qseries._transfer`` on coefficient lists:
     each target (dst, cost, sources) of a step gets the sum of its sources'
     series times q^cost, cut after q^order, and the result is the sum of the
@@ -115,6 +116,8 @@ def transfer(order: int, start, steps) -> Series:
             if any(series):
                 new[dst] = series
         states = new
+        if observe is not None:
+            observe(states)
     return Series([sum(column) for column in zip([0] * (order + 1), *states.values())])
 
 

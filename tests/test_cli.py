@@ -1,8 +1,14 @@
 import functools
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import affbasis
 from affbasis.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, EXIT_WINDOW, main
 from affbasis.enveloping import WindowError
 from reference_fixtures import load_report_schema
@@ -234,6 +240,46 @@ def test_theorem_a_row_leading_elsewhere_names_its_partition(capsys, monkeypatch
     assert len(fail) == 1 and fail[0].startswith("FAIL  depth 3: ")
     assert fail[0].endswith(f"  witness={format_partition(label.partition())}")
     assert out.splitlines()[-1] == "FAIL: 3/4 checks"
+
+
+# Runs the command line of the package copy on sys.argv[1], which it checks
+# it imported.
+_RUN_COPY = (
+    "import sys, affbasis.cli as cli; "
+    "assert cli.__file__.startswith(sys.argv[1]), cli.__file__; "
+    "sys.exit(cli.main(sys.argv[2:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "old, new, witness",
+    [
+        ("(CUBIC_A, (3, 4, 1), j)", "(CUBIC_A, (3, 4, 2), j)", "3:-2 4:-1 2:-1"),
+        ("CUBIC_B: (-1, -1, 0)", "CUBIC_B: (-1, 0, 0)", "8:-2 6:-1 4:-1"),
+    ],
+    ids=["cubic_a_colors", "cubic_b_offsets"],
+)
+def test_mutated_cubic_fails_theorem_a_with_its_factor(tmp_path, old, new, witness):
+    # a textual mutation of a copy: the factor tables are built at import
+    copy = shutil.copytree(
+        Path(affbasis.__file__).parent, tmp_path / "affbasis",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    source = copy / "partitions.py"
+    text = source.read_text()
+    assert text.count(old) == 1
+    source.write_text(text.replace(old, new))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_COPY, str(copy), "verify", "theorem-a", "--max-degree", "5"],
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
+    fail = [line for line in done.stdout.splitlines() if line.startswith("FAIL  ")]
+    assert [line.split(":")[0] for line in fail] == ["FAIL  depth 4", "FAIL  depth 5"]
+    assert all(line.endswith(f"  witness={witness}") for line in fail)
 
 
 @pytest.mark.parametrize("error", [AssertionError, ValueError])

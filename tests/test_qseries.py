@@ -16,6 +16,7 @@ from affbasis.qseries import (
     a2_theta_series,
     character_oracle,
     colored_part_count_series,
+    ideal_count_series,
     product_side,
     specialized_count_series,
     tricolor_count_series,
@@ -224,6 +225,38 @@ def test_slot_width_bounds_every_intermediate_coefficient(order):
     reference_series.tricolor_count_series(order, observe)
     reference_series.specialized_count_series(order, observe)
     assert peak < 2 ** _slot_width(order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 9, 60])
+def test_ideal_count_series_fits_its_slot_width(monkeypatch, order):
+    # the kernel's steps replayed on coefficient lists: every state and
+    # every step's total must fit the width the engine hands the kernel
+    from affbasis import qseries
+
+    seen = []
+
+    def spy(order, start, steps, width):
+        steps = [list(targets) for targets in steps]
+        seen.append((start, steps, width))
+        return _transfer(order, start, steps, width)
+
+    monkeypatch.setattr(qseries, "_transfer", spy)
+    series = ideal_count_series(order)
+    (start, steps, width), = seen
+    peak = 0
+
+    def observe(states):
+        nonlocal peak
+        total = [sum(column) for column in zip(*states.values())]
+        peak = max(peak, *total, *(c for series in states.values() for c in series))
+
+    assert reference_series.transfer(order, start, steps, observe) == series
+    assert peak < 2 ** width
+
+
+def test_ideal_count_series_is_the_ideal_count():
+    assert ideal_count_series(9).coeffs == [len(enumerate_ideal(n)) for n in range(10)]
+    assert ideal_count_series(60) == character_oracle(60)
 
 
 @st.composite

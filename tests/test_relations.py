@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from affbasis.algebra import E1_COLOR, F1_COLOR, Weight
-from affbasis.enveloping import EnvElement, Window, WindowError, act, apply_word
+from affbasis.enveloping import EnvElement, Window, WindowError, act, apply_word, graded_basis
 from affbasis.partitions import (
     cubic_a_label,
     cubic_b_label,
@@ -13,6 +13,8 @@ from affbasis.partitions import (
     quad_adjacent_label,
     quad_same_label,
     quadratic_leading_labels,
+    relation_set,
+    sort_parts,
 )
 from affbasis.relations import (
     LoopTensor,
@@ -29,6 +31,7 @@ from affbasis.relations import (
     orbit_basis,
     reference_form,
     relation_for,
+    relation_on_vacuum,
     relation_space,
     shift_matrix,
     syzygy_dimensions,
@@ -40,6 +43,7 @@ from affbasis.relations import (
 from reference_enveloping import coefficient, element_weight
 from reference_rank import markowitz_rank
 from reference_relations import (
+    certified_rank,
     combined_weight_block,
     max_submodule_rank,
     tensor_is_zero,
@@ -423,6 +427,36 @@ def test_basis_counts_report_runs_no_elimination(monkeypatch):
     monkeypatch.setattr(relations, "submodule_span_blocks", forbidden)
     monkeypatch.setattr(linalg, "sparse_rank", forbidden)
     assert all(row["ok"] for row in basis_counts_report(4, W8))
+
+
+def test_row_certificate_agrees_with_the_per_factor_report():
+    on_vacuum = {}
+    for row in basis_counts_report(5, W8):
+        rank, witness = certified_rank(row["n"], W8, on_vacuum)
+        assert witness is None, row
+        assert rank == row["rank"] == max_submodule_rank(row["n"], W8), row
+
+
+def test_order_key_is_multiplicative_and_each_factor_leads_its_rows():
+    # adjacent pairs of the sorted depth 2-4 partitions stand for every pair
+    # p < q, by transitivity
+    pool = sorted((p.parts for n in (2, 3, 4) for p in graded_basis(n)), key=order_key)
+    for kappa in graded_basis(1) + graded_basis(2):
+        keys = [order_key(sort_parts(kappa.parts + p)) for p in pool]
+        assert all(a < b for a, b in zip(keys, keys[1:])), kappa
+    # so lt(u(kappa) . (r_rho . vac)) = kappa + rho on every row of depth <= 4
+    factors = [rho for rho in relation_set(-2, -1) if rho.degree() >= -4]
+    assert len(factors) == 27 + 27 + 28
+    for rho in factors:
+        v0 = relation_on_vacuum(rho, W8)
+        for kappa in (k for n in range(5 + rho.degree()) for k in graded_basis(n)):
+            row = apply_word(kappa.parts, v0)
+            assert min(row, key=order_key) == sort_parts(kappa.parts + rho.partition().parts)
+
+
+def test_a_window_too_small_for_a_factor_vector_raises():
+    with pytest.raises(WindowError):
+        basis_counts_report(8, Window(1))
 
 
 def test_a_relation_vector_outside_the_submodule_fails_the_premise(monkeypatch):
