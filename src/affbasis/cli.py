@@ -32,7 +32,7 @@ from .partitions import (
     relation_set,
     shape_class_embedding_total,
 )
-from .relations import LeadingTermError
+from .relations import LeadingTermError, PremiseError
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -54,11 +54,6 @@ class Config:
         for flag, value in (("--max-degree", self.max_degree), ("--order", self.order)):
             if value < 0:
                 raise ValueError(f"{flag} must be nonnegative, got {value}")
-        if self.window < self.max_degree + 2:
-            raise ValueError(
-                f"window ({self.window}) must be at least max_degree + 2 "
-                f"({self.max_degree + 2})"
-            )
 
 
 @dataclass
@@ -359,6 +354,12 @@ def _cmd_verify(args, cfg: Config) -> int:
             False,
             witness=format_partition(exc.partition),
         )
+    except PremiseError as exc:
+        report.add(
+            "degree -2 relation vectors are killed by X(1) and X(2)",
+            False,
+            witness=exc.witness,
+        )
     except Exception as exc:
         report.add(
             "target runs without an internal error",
@@ -499,6 +500,14 @@ def main(argv=None) -> int:
             fmt=args.format,
             timings=args.timings,
         )
+        # only theorem-a reads --max-degree, and asks for a window to match
+        if args.cmd == "verify" and args.target == "theorem-a" and (
+            cfg.window < cfg.max_degree + 2
+        ):
+            raise ValueError(
+                f"window ({cfg.window}) must be at least max_degree + 2 "
+                f"({cfg.max_degree + 2})"
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

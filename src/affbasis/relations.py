@@ -19,6 +19,15 @@ degree by the transport.  The transport is certified to commute with the
 zero modes (with F by its solve, with E by an induction from the
 generator), so the orbit has the dimension of the reference vector's orbit.
 
+Shift and transport matrices are read off the parity of their degrees.
+Every relation space is made of the degree-n modes Y(v)_n of one
+27-dimensional space R, and when X(1) and X(2) kill R (the premise, checked
+once per window), ad x(k) from degree n to n + k acts on every space as the
+same zero-mode action on R.  With labels written without their anchor there
+are 32 shift matrices, keyed by (x, n mod 2, (n + k) mod 2), and two
+transports, keyed by m mod 2; each is built and certified once, at degrees
+-2 and -3, and re-anchored (the lemma at `shift_matrix`).
+
 The verification of the basis theorem follows the paper, one leading-term
 check per forbidden factor: the monomial order is multiplicative, so once
 each factor's relation vector leads with the factor, every depth-n partition
@@ -210,26 +219,109 @@ def relation_for(label: RelationLabel, window: Window) -> EnvElement:
 
 # --- transported adjoint action between relation spaces -----------------------
 
+
+class PremiseError(Exception):
+    """A degree -2 relation vector is not killed by some X_a(1) or X_a(2),
+    so the shift matrices may not be read off their parity references;
+    `witness` names the label and the mode."""
+
+    def __init__(self, witness: str):
+        super().__init__(witness)
+        self.witness = witness
+
+
+def _reference_degree(n: int) -> int:
+    """The degree of n's parity in the reference pair -2, -3."""
+    return -2 - n % 2
+
+
+def _relabeled(matrix, source_shift: int, target_shift: int):
+    """A matrix between relation spaces with its source labels anchored
+    `source_shift` higher and its target labels `target_shift` higher
+    (re-anchoring a quadratic label by t moves its degree by 2t)."""
+    targets = {lab2: lab2.translate(target_shift) for column in matrix.values() for lab2 in column}
+    return {
+        lab.translate(source_shift): {targets[lab2]: v for lab2, v in column.items()}
+        for lab, column in matrix.items()
+    }
+
+
+@cache
+def _reference_shift(x_color: int, n: int, m: int, window: Window):
+    """Matrix of ad(x(m - n)) from the degree-n relation space to degree m,
+    n and m in {-2, -3}, in the canonical bases: each image is expanded over
+    the target basis, and `coordinates` certifies that no in-window residual
+    survives.  Every pivot of these degrees creates, so it lies in the image
+    window."""
+    source = relation_space(n, window)
+    target = relation_space(m, window)
+    return {
+        label: target.coordinates(source.element(label).adjoint_mode(x_color, m - n))
+        for label in source.labels
+    }
+
+
+@cache
+def _shift_premise(window: Window) -> str | None:
+    """`_premise_witness` at this window, once: the hypothesis of the lemma
+    at `shift_matrix`."""
+    return _premise_witness(window, {})
+
+
 @cache
 def shift_matrix(x_color: int, k: int, n: int, window: Window):
     """Matrix of ad(x(k)) from the degree-n relation space to degree n+k,
-    in the canonical bases.  The image is exact on the window less |k|; every
-    target pivot must lie there, or its coordinate could be dropped unseen,
-    and an in-window residual check certifies the rest."""
-    source = relation_space(n, window)
-    target = relation_space(n + k, window)
+    in the canonical bases: the reference matrix of its parities, with the
+    labels re-anchored.  The image is exact on the window less |k|, and
+    every target pivot must lie there, or its coordinate could be dropped
+    unseen.
+
+    Lemma.  Let R be the 27-dimensional span of the degree -2 relation
+    vectors r . vac, the g-module generated by X1(-1)^2 . vac in depth 2.
+    Hypothesis (the premise, `_premise_witness`): X_a(1) and X_a(2) kill R
+    for every color a.  Then, with labels written without their anchor, the
+    matrix depends only on (x, n mod 2, (n + k) mod 2).
+      - The degree-n space is {Y(v)_n : v in R}, Y(v)_n the degree-n mode
+        of the vertex operator of v: the generator is Y(X1(-1)^2 . vac)_n,
+        and [x(0), Y(v)_n] = Y(x(0) v)_n, so closing under F1(0) and F2(0)
+        sweeps out R.
+      - [x(k), Y(v)_n] = sum_{j >= 0} C(k, j) Y(x(j) v)_{n+k}.  x(j) v = 0
+        for j >= 3, as the module has no negative depth, and for j = 1, 2
+        by the hypothesis, so [x(k), Y(v)_n] = Y(x(0) v)_{n+k}.
+      - The coefficient of a quadratic X_c(p) X_d(n - p) in Y(v)_n, for v =
+        sum C_ab X_a(-1) X_b(-1) . vac + sum D_a X_a(-2) . vac, is
+        C_cd + C_dc for c != d, and for c = d it is C_cc if p = n - p and
+        2 C_cc if not: putting a product in part order adds only terms with
+        fewer parts, and so does the D part.  The pivots of degree n are the
+        middle pairs (n even) or the adjacent ones (n odd), so the 27 pivot
+        functionals on R depend on n only through its parity.
+      - The canonical basis vector with pivot L has coefficient one there
+        and zero at the other pivots (`coordinates` reads pivot
+        coefficients), so it is Y(v_L)_n, with v_L in R the dual basis of
+        the pivot functionals of n's parity.  ad(x(k)) maps it to
+        Y(x(0) v_L)_{n+k}, whose coordinates are those of x(0) v_L over the
+        dual basis of the parity of n + k.
+    So the matrix is built once per parity pair and window, certified, at
+    the reference degrees -2 and -3 (`_reference_shift`), and re-anchored
+    here.  For k = 0 the hypothesis is not needed, as C(0, j) = 0 for
+    j >= 1; every other k checks it first (`_shift_premise`, once per
+    window), and a failure raises `PremiseError`."""
+    ref_n, ref_m = _reference_degree(n), _reference_degree(n + k)
+    target_shift = (n + k - ref_m) // 2
     image_w = Window(window.annihilation_bound - abs(k))
-    for label, pivot in target.leading.items():
-        if not image_w.admits(pivot):
+    for label, pivot in relation_space(ref_m, window).leading.items():
+        if not image_w.admits(tuple((c, d + target_shift) for c, d in pivot)):
+            label = label.translate(target_shift)
             raise WindowError(
                 f"pivot {format_partition(label.partition())} of the degree-{n + k} "
                 f"space lies outside the certified image window {image_w.annihilation_bound}"
             )
-    matrix: dict[RelationLabel, dict[RelationLabel, Scalar]] = {}
-    for label in source.labels:
-        image = source.element(label).adjoint_mode(x_color, k)
-        matrix[label] = target.coordinates(image)
-    return matrix
+    if k:
+        witness = _shift_premise(window)
+        if witness is not None:
+            raise PremiseError(witness)
+    reference = _reference_shift(x_color, ref_n, ref_m, window)
+    return _relabeled(reference, (n - ref_n) // 2, target_shift)
 
 
 # --- syzygy tensors -------------------------------------------------------------
@@ -332,14 +424,26 @@ def lowering_pair(i: int, t: LoopTensor, window: Window) -> LoopTensor:
 def transport_matrix(m: int, window: Window):
     """The equivariant identification of the reference relation space (at
     degree -2) with the degree-m space, in canonical coordinates: the image
-    of an abstract relation vector under 'same vector, degree m'.  Aligned
-    on the quadratic generator and extended by the zero-mode lowering
-    action.  Each pair of a reference vector and its degree-m image is a
-    row [ref | tgt] of one reducer whose columns put every reference label
-    before every target label; after back elimination the row with pivot
-    ("ref", lab) carries T(e_lab) in its target part.  The closed span must
-    hold no vector whose reference part is zero and whose target part is
-    not (no row with a target pivot), which certifies equivariance."""
+    of an abstract relation vector under 'same vector, degree m', which maps
+    Y(v)_-2 to Y(v)_m.  By the lemma at `shift_matrix` (whose hypothesis it
+    does not need), in labels without their anchor it depends only on m mod
+    2, so it is solved at m = -2 or -3 and re-anchored at every other m; it
+    then commutes with the re-anchored zero-mode matrices as the solved one
+    does with theirs.
+
+    The solve: aligned on the quadratic generator and extended by the
+    zero-mode lowering action.  Each pair of a reference vector and its
+    degree-m image is a row [ref | tgt] of one reducer whose columns put
+    every reference label before every target label; after back elimination
+    the row with pivot ("ref", lab) carries T(e_lab) in its target part.
+    The closed span must hold no vector whose reference part is zero and
+    whose target part is not (no row with a target pivot), which certifies
+    equivariance."""
+    ref_m = _reference_degree(m)
+    if m != ref_m:
+        # through the memo itself, which a wrapper of the module attribute
+        # does not replace
+        return _relabeled(_transport_memo(ref_m, window), 0, (m - ref_m) // 2)
     ref_labels = relation_space(-2, window).labels
     action = {
         side: {c: shift_matrix(c, 0, n, window) for c in (F1_COLOR, F2_COLOR)}
@@ -377,6 +481,9 @@ def transport_matrix(m: int, window: Window):
         for lab in ref_labels
     }
     return matrix
+
+
+_transport_memo = transport_matrix
 
 
 def _weight_2theta_pairs(window: Window):

@@ -1,8 +1,10 @@
 """Cross-checks of ``affbasis.relations`` for the tests, kept as they were
 there: the rank of the full spanning family of the maximal submodule, the
 triangular certificate with one relation row per non-ideal partition, the
-leading terms of the syzygy orbits, and the tensor helpers (zero test,
-scale, weight, generator coefficient) that only the tests read.  The rank
+leading terms of the syzygy orbits, the shift and transport matrices
+computed at each degree (the library reads them off two reference degrees
+by parity), and the tensor helpers (zero test, scale, weight, generator
+coefficient) that only the tests read.  The rank
 and the leading terms are independent of the per-factor leading terms that
 ``basis_counts_report`` checks: the rank eliminates every row of
 ``submodule_span_blocks`` with the library's span reducer
@@ -11,9 +13,9 @@ reducer's pivots and a candidate scan (``partitions_at_most``), not from
 ``embeddings``.  They are not independent of ``affbasis.linalg``; the
 rank's independent check is ``reference_rank.markowitz_rank``."""
 
-from affbasis.algebra import WEIGHT, Weight
+from affbasis.algebra import F1_COLOR, F2_COLOR, WEIGHT, Weight
 from affbasis.enveloping import Window, WindowError, apply_word, graded_basis
-from affbasis.linalg import Scalar, SpanReducer, exact_quotient, sparse_rank
+from affbasis.linalg import Scalar, SpanReducer, add_scaled, exact_quotient, sparse_rank
 from affbasis.partitions import (
     ColoredPartition,
     RelationLabel,
@@ -31,6 +33,7 @@ from affbasis.relations import (
     label_for_quadratic,
     orbit_basis,
     relation_on_vacuum,
+    relation_space,
     submodule_span_blocks,
     syzygy_tensors,
 )
@@ -141,3 +144,55 @@ def certified_rank(n: int, window: Window, on_vacuum: dict) -> tuple[int, str | 
         if lead != pi.parts and witness is None:
             witness = format_partition(pi)
     return len(leads), witness
+
+
+def per_degree_shift_matrix(x_color: int, k: int, n: int, window: Window):
+    """Matrix of ad(x(k)) from the degree-n relation space to degree n+k,
+    computed at that degree pair: every image is expanded over the target
+    basis, whose pivots must lie in the image window (the window less |k|),
+    and `coordinates` checks the in-window residual."""
+    source = relation_space(n, window)
+    target = relation_space(n + k, window)
+    image_w = Window(window.annihilation_bound - abs(k))
+    for label, pivot in target.leading.items():
+        if not image_w.admits(pivot):
+            raise WindowError(
+                f"pivot {format_partition(label.partition())} of the degree-{n + k} "
+                f"space lies outside the certified image window {image_w.annihilation_bound}"
+            )
+    return {
+        label: target.coordinates(source.element(label).adjoint_mode(x_color, k))
+        for label in source.labels
+    }
+
+
+def per_degree_transport_matrix(m: int, window: Window):
+    """The transport from degree -2 to degree m, solved at m from the
+    per-degree zero-mode matrices: the closure of the aligned generator pair
+    [ref | tgt] under F1 and F2 must have no target pivot and full rank, and
+    back elimination gives T(e_lab) in the target part of row ("ref", lab)."""
+    ref_labels = relation_space(-2, window).labels
+    action = {
+        side: {c: per_degree_shift_matrix(c, 0, n, window) for c in (F1_COLOR, F2_COLOR)}
+        for side, n in (("ref", -2), ("tgt", m))
+    }
+    reducer = SpanReducer(lambda col: (col[0] != "ref", order_key(col[1].partition().parts)))
+    seed = {("ref", _x1x1_label(-2)): _x1x1_norm(-2), ("tgt", _x1x1_label(m)): _x1x1_norm(m)}
+
+    def lowered(row):
+        for c in (F1_COLOR, F2_COLOR):
+            image: dict = {}
+            for (side, lab), v in row.items():
+                add_scaled(image, (((side, l2), w) for l2, w in action[side][c][lab].items()), v)
+            yield image
+
+    reducer.close(seed, lowered)
+    if any(side == "tgt" for side, _ in reducer.pivots()):
+        raise WindowError("transport solve is inconsistent")
+    if reducer.rank != len(ref_labels):
+        raise WindowError("transport basis did not reach full rank")
+    reducer.back_eliminate()
+    return {
+        lab: {l2: v for (side, l2), v in reducer.row_for(("ref", lab)).items() if side == "tgt"}
+        for lab in ref_labels
+    }

@@ -84,8 +84,20 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, "verify", "not-a-target")
     assert code == EXIT_USAGE
-    code, _, err = run(capsys, "verify", "lemma6", "--window", "3")
+    code, _, err = run(capsys, "verify", "theorem-a", "--window", "3")
     assert code == EXIT_USAGE and "window" in err
+
+
+def test_max_degree_window_bound_binds_theorem_a(capsys):
+    code, out, err = run(capsys, "verify", "theorem-a", "--max-degree", "10")
+    assert code == EXIT_USAGE and out == ""
+    assert "window (8) must be at least max_degree + 2 (12)" in err
+
+
+def test_max_degree_window_bound_spares_targets_that_do_not_read_it(capsys):
+    # lemma6 reads neither flag
+    code, out, _ = run(capsys, "--max-degree", "10", "verify", "lemma6")
+    assert code == EXIT_OK and out.splitlines()[-1] == "PASS: 8/8 checks"
 
 
 def test_negative_degree_and_order_are_usage_errors(capsys):
@@ -453,6 +465,36 @@ def test_transport_across_weights_fails_qdims_with_its_slot(capsys, monkeypatch)
     ]
 
 
+@pytest.mark.parametrize("target, passed", [("prop3", 0), ("qdims", 6)])
+def test_failed_shift_premise_fails_the_syzygy_targets(capsys, monkeypatch, target, passed):
+    from affbasis import relations
+    from affbasis.enveloping import Window
+    from affbasis.partitions import format_partition
+
+    label = relations.relation_space(-2, Window(6)).labels[0]
+    original = relations.relation_on_vacuum
+
+    def with_stray_term(lab, window):
+        v = original(lab, window)
+        if lab == label:
+            # X_1(-2).vac, which X_4(1) does not kill
+            v[((1, -2),)] = v.get(((1, -2),), 0) + 1
+        return v
+
+    monkeypatch.setattr(relations, "relation_on_vacuum", with_stray_term)
+    # fresh, empty memos, so the premise is checked again and nothing
+    # computed from the corrupted vector outlives the test
+    for name in ("shift_matrix", "_shift_premise", "_q27_combination"):
+        monkeypatch.setattr(relations, name, functools.cache(getattr(relations, name).__wrapped__))
+    code, out, _ = run(capsys, "verify", target, "--window", "3")
+    assert code == EXIT_FALSIFIED
+    assert _fail_lines(out) == [
+        "FAIL  degree -2 relation vectors are killed by X(1) and X(2)  "
+        f"witness={format_partition(label.partition())} killed-by X_4(1) fails"
+    ]
+    assert out.splitlines()[-1] == f"FAIL: {passed}/{passed + 1} checks"
+
+
 @pytest.fixture
 def fresh_memos():
     """Empty the memos of the module action and the relation layers after
@@ -462,6 +504,8 @@ def fresh_memos():
 
     memos = (
         relations.relation_space,
+        relations._reference_shift,
+        relations._shift_premise,
         relations.shift_matrix,
         relations.transport_matrix,
         relations._q27_combination,

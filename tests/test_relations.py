@@ -46,6 +46,8 @@ from reference_relations import (
     certified_rank,
     combined_weight_block,
     max_submodule_rank,
+    per_degree_shift_matrix,
+    per_degree_transport_matrix,
     tensor_is_zero,
     tensor_leading_partition,
     tensor_scale,
@@ -225,6 +227,52 @@ def test_transport_aligns_generator():
     t = transport_matrix(-3, W8)
     src = quad_same_label(1, 1, -1)
     assert t[src] == {quad_adjacent_label(1, 1, -1): Fraction(2)}
+
+
+def test_parity_matrices_match_the_per_degree_computation():
+    # the lemma at shift_matrix, checked against the matrices computed at
+    # each degree pair: both routes raise WindowError on the same cases
+    # (a target pivot outside the image window) and agree on every other
+    for window in (Window(4), Window(8)):
+        for x_color in range(1, 9):
+            for k in range(-2, 3):
+                for n in range(-10, 3):
+                    try:
+                        expected = per_degree_shift_matrix(x_color, k, n, window)
+                    except WindowError:
+                        with pytest.raises(WindowError, match="outside the certified image"):
+                            shift_matrix(x_color, k, n, window)
+                        continue
+                    assert shift_matrix(x_color, k, n, window) == expected, (x_color, k, n)
+        for m in range(-10, 3):
+            assert transport_matrix(m, window) == per_degree_transport_matrix(m, window), m
+
+
+def test_a_failed_premise_stops_every_nonzero_shift(monkeypatch):
+    import functools
+
+    import affbasis.relations as relations
+
+    window = Window(4)
+    label = relation_space(-2, window).labels[0]
+    original = relations.relation_on_vacuum
+
+    def with_stray_term(lab, w):
+        v = original(lab, w)
+        if lab == label:
+            v[((1, -2),)] = v.get(((1, -2),), 0) + 1
+        return v
+
+    monkeypatch.setattr(relations, "relation_on_vacuum", with_stray_term)
+    for name in ("shift_matrix", "_shift_premise"):
+        monkeypatch.setattr(relations, name, functools.cache(getattr(relations, name).__wrapped__))
+    witness = f"{format_partition(label.partition())} killed-by X_4(1) fails"
+    for k in (-2, -1, 1, 2):
+        with pytest.raises(relations.PremiseError) as failed:
+            relations.shift_matrix(F1_COLOR, k, -4, window)
+        assert failed.value.witness == witness
+    # a zero mode does not need the premise
+    assert relations.shift_matrix(F1_COLOR, 0, -4, window) == shift_matrix(F1_COLOR, 0, -4, window)
 
 
 # --- syzygies ----------------------------------------------------------------------
