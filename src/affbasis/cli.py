@@ -80,7 +80,7 @@ class Report:
     def to_json(self, include_timings: bool) -> str:
         payload = {
             "command": self.command,
-            "inputs": {k: v for k, v in self.inputs.items()},
+            "inputs": self.inputs,
             "ok": self.ok,
             "checks": self.checks,
         }
@@ -289,15 +289,16 @@ def _verify_theorem_b(cfg: Config, report: Report):
         )
 
 
+# each target with the Config flags it reads, which are all its report's inputs
 VERIFY_TARGETS = {
-    "lemma1": _verify_lemma1,
-    "lemma6": _verify_lemma6,
-    "lemma7": _verify_lemma7,
-    "lemma12": _verify_lemma12,
-    "prop3": _verify_prop3,
-    "qdims": _verify_qdims,
-    "theorem-a": _verify_theorem_a,
-    "theorem-b": _verify_theorem_b,
+    "lemma1": (_verify_lemma1, ("window",)),
+    "lemma6": (_verify_lemma6, ()),
+    "lemma7": (_verify_lemma7, ()),
+    "lemma12": (_verify_lemma12, ()),
+    "prop3": (_verify_prop3, ()),
+    "qdims": (_verify_qdims, ("window",)),
+    "theorem-a": (_verify_theorem_a, ("max_degree", "window")),
+    "theorem-b": (_verify_theorem_b, ("order",)),
 }
 
 
@@ -326,14 +327,10 @@ def _cmd_enumerate(args, cfg: Config) -> int:
 
 
 def _cmd_verify(args, cfg: Config) -> int:
-    target = VERIFY_TARGETS[args.target]
+    target, flags = VERIFY_TARGETS[args.target]
     report = Report(
         command=f"verify {args.target}",
-        inputs={
-            "max_degree": cfg.max_degree,
-            "window": cfg.window,
-            "order": cfg.order,
-        },
+        inputs={flag: getattr(cfg, flag) for flag in flags},
     )
     started = time.monotonic()
     try:

@@ -4,10 +4,11 @@ Everything here is exact: coefficients are Python ints, truncation order is
 explicit, and the three series being compared (the bounded-multiplicity
 product, the constrained three-color count, and the specialized ideal
 count) are produced by independent machinery: list arithmetic for the
-product, and for each count a transfer over its own state graph in the
-packed-integer kernel `_transfer` (high degree first, so q^cost is one
-truncating right shift; each distinct tuple of sources is summed once).
-The same kernel counts the ideal by depth for the basis theorem.
+product, and for each count a transfer over its own state graph, lumped
+by future equivalence (`_lump`), in the packed-integer kernel `_transfer`
+(high degree first, so q^cost is one truncating right shift; each distinct
+tuple of sources is summed once).  The same kernel counts the ideal by
+depth for the basis theorem, on the layer graph as it is.
 """
 
 from __future__ import annotations
@@ -102,27 +103,45 @@ def product_side(order: int) -> Series:
 @functools.cache
 def _slot_width(order: int) -> int:
     """Bit length of the largest coefficient of prod_r (1 + q^r)^3 up to
-    q^order, by list arithmetic, independently of the kernel.  It bounds
-    every coefficient a transfer holds (state, sum of states, total), each of
-    which counts some of the configurations built so far, so no slot carries.
+    q^order, independently of the kernel.  It bounds every coefficient a
+    transfer holds (state, sum of sources, total), each of which counts some
+    of the configurations built so far, so no slot carries.
     Three-color: at most one part per degree r, in one of three colors, and
     1 + 3q^r <= (1 + q^r)^3.  Specialized: each mode at most once, and at
     most three modes per degree r (colors 4, 5 at r = 0 mod 3; 1, 6, 7 at
-    r = 1 mod 3; 2, 3, 8 at r = 2 mod 3)."""
-    bound = [1] + [0] * order
+    r = 1 mod 3; 2, 3, 8 at r = 2 mod 3).  Both engines run lumped graphs
+    (`_lump`), and the counts stay distinct: a configuration ends in one
+    window or layer, so a class state counts the configurations ending in
+    any of its members, each once; a sum of sources reads distinct classes;
+    and the targets adding into one class count (configuration, move) pairs
+    with distinct moves, which are distinct configurations one step on.
+
+    D = prod (1 + q^r) is one list pass; it is cubed by two truncated
+    multiplications of D packed into bytes, low degree first.  Each
+    coefficient of D^2 and D^3, the dropped ones past q^order included, is
+    a sum of at most (order + 1)^2 products of three coefficients of D, so
+    it fits 3 bits(max D) + 2 bits(order + 1) bits and the mask truncates
+    exactly."""
+    distinct = [1] + [0] * order
     for r in range(1, order + 1):
-        for _ in range(3):
-            bound[r:] = map(operator.add, bound[r:], bound[: order + 1 - r])
-    return max(bound).bit_length()
+        distinct[r:] = map(operator.add, distinct[r:], distinct[: order + 1 - r])
+    size = (3 * max(distinct).bit_length() + 2 * (order + 1).bit_length() + 7) // 8
+    mask = (1 << 8 * size * (order + 1)) - 1
+    packed = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in distinct), "little")
+    cube = ((packed * packed & mask) * packed & mask).to_bytes(size * (order + 1), "little")
+    return max(
+        int.from_bytes(cube[k : k + size], "little") for k in range(0, len(cube), size)
+    ).bit_length()
 
 
 def _transfer(order: int, start, steps, width: int) -> Series:
     """Sum of the final states of a transfer from `start` (series 1).  A
     series is one int, high degree first: the coefficient of q^k is in bits
     [(order-k)*width, (order-k+1)*width).  Each step lists targets (dst,
-    cost, sources): dst gets the sum of its sources' series shifted right by
-    cost*width, which is times q^cost with every term past q^order dropped,
-    as no slot carries in the `width` the caller certifies.  Targets of
+    cost, sources): dst gets the sum of its sources' series (a state listed
+    twice is read twice) shifted right by cost*width, which is times q^cost
+    with every term past q^order dropped, as no slot carries in the `width`
+    the caller certifies; targets that share a dst add into it.  Targets of
     a step with one `sources` tuple share its sum; unreached sources add
     nothing.  A series with no term below q^d has (order-d+1)*width bits."""
     states = {start: 1 << order * width}
@@ -133,11 +152,63 @@ def _transfer(order: int, start, steps, width: int) -> Series:
             if packed is None:
                 packed = sums[sources] = sum(states.get(src, 0) for src in sources)
             if packed := packed >> cost * width:
-                new[dst] = packed
+                new[dst] = new.get(dst, 0) + packed
         states = new
     total = sum(states.values())
     slot = (1 << width) - 1
     return Series([(total >> (order - k) * width) & slot for k in range(order + 1)])
+
+
+def _lump(start, moves) -> tuple[dict, dict]:
+    """A transfer graph lumped by future equivalence.  Nodes are (phase,
+    state) pairs; `moves(node)` lists the node's (letter, node) moves into
+    the next phase, and the letter fixes what a move costs.  Moore's
+    partition refinement, from the partition by phase and over the nodes
+    reachable from `start`, splits classes until all members of a class have
+    the same multiset of (letter, class of target) pairs.  Returns the class
+    of each node and, per phase, the lumped targets (D, letter a, sources):
+    for m = 1, 2, ..., the classes C whose members have at least m a-moves
+    into D, so C is read once per a-move from any member into D, and a sum
+    of sources reads distinct classes (see `_slot_width`).
+
+    Lemma: let n(C, a, D) be that number of moves, the same for every member
+    of C as the partition is stable, and X_C the sum of the states of C's
+    members.  A step gives each node d the sum over its moves c -a-> d of
+    q^cost(a) x_c, so the members of D get in all
+    sum_a q^cost(a) sum_C sum_{c in C} n(C, a, D) x_c
+    = sum_a q^cost(a) sum_C n(C, a, D) X_C, the lumped step.  So each class
+    state is exactly the sum of its members' states, and the total, the sum
+    of all states, is unchanged."""
+    arrows, todo = {}, [start]
+    while todo:
+        node = todo.pop()
+        if node not in arrows:
+            arrows[node] = moves(node)
+            todo.extend(dst for _, dst in arrows[node])
+    classes = {node: node[0] for node in arrows}
+    while True:
+        ids: dict = {}
+        refined = {
+            node: ids.setdefault(
+                (classes[node], tuple(sorted((a, classes[dst]) for a, dst in arrows[node]))),
+                len(ids),
+            )
+            for node in arrows
+        }
+        if len(ids) == len(set(classes.values())):
+            break
+        classes = refined
+    classes, reads = refined, {}
+    for c, node in {c: node for node, c in classes.items()}.items():  # any member
+        for a, dst in arrows[node]:
+            counts = reads.setdefault((dst[0], classes[dst], a), {})
+            counts[c] = counts.get(c, 0) + 1
+    tables: dict = {}
+    for (phase, dst, a), counts in reads.items():
+        for m in range(1, max(counts.values()) + 1):
+            sources = tuple(c for c, n in counts.items() if n >= m)
+            tables.setdefault(phase, []).append((dst, a, sources))
+    return classes, tables
 
 
 # --- three-color constrained partitions --------------------------------------
@@ -189,31 +260,49 @@ def _window_violation(d: int, window: tuple[int, ...]) -> bool:
     return False
 
 
-@functools.cache
-def _tricolor_table(d: int) -> tuple:
-    """Targets at degree d as (window, places a part at d, windows before
-    it); a window is the colors at four consecutive degrees, no two adjacent.
-    Only d % 3 and min(d, 6) matter: no rule has a degree threshold over 5."""
-    sources: dict[tuple[int, ...], list] = {}
-    for state in itertools.product((0, PLAIN, UNDER, DUNDER), repeat=4):
-        if any(a and b for a, b in zip(state, state[1:])):
+def _window_moves(d: int) -> dict:
+    """The moves at degree d: each window (the colors at four consecutive
+    degrees, no two adjacent) to its (places a part at d, next window)
+    pairs.  Only d % 3 and min(d, 6) matter: no rule has a degree threshold
+    over 5."""
+    moves = {}
+    for window in itertools.product((0, PLAIN, UNDER, DUNDER), repeat=4):
+        if any(a and b for a, b in zip(window, window[1:])):
             continue
-        for choice in (0, PLAIN, UNDER, DUNDER):
-            if choice and not _local_part_ok(d, choice):
-                continue
-            if not _window_violation(d, state + (choice,)):
-                sources.setdefault(state[1:] + (choice,), []).append(state)
-    return tuple((dst, dst[-1] != 0, tuple(srcs)) for dst, srcs in sources.items())
+        moves[window] = [
+            (choice != 0, window[1:] + (choice,))
+            for choice in (0, PLAIN, UNDER, DUNDER)
+            if (not choice or _local_part_ok(d, choice))
+            and not _window_violation(d, window + (choice,))
+        ]
+    return moves
+
+
+@functools.cache
+def _tricolor_table() -> tuple:
+    """The window transfer lumped by `_lump`: the class of each (phase,
+    window) node and the targets of each phase.  Degree d has the moves of
+    `_window_moves(min(d, 6 + d % 3))`, so phases 1..8 stand for those
+    indices, and phase 8 is followed by phase 6."""
+    phases = {p: _window_moves(p) for p in range(1, 9)}
+
+    def moves(node):
+        phase, window = node
+        following = 6 if phase == 8 else phase + 1
+        return [(part, (following, dst)) for part, dst in phases[following][window]]
+
+    return _lump((0, (0, 0, 0, 0)), moves)
 
 
 def tricolor_count_series(order: int) -> Series:
     """Count of admissible three-color partitions by total degree, via a
-    sliding-window transfer over the compiled constraint table."""
+    sliding-window transfer over the compiled, lumped constraint table."""
+    classes, phases = _tricolor_table()
     steps = (
-        [(dst, d * part, srcs) for dst, part, srcs in _tricolor_table(min(d, 6 + d % 3))]
+        [(dst, d * part, srcs) for dst, part, srcs in phases[min(d, 6 + d % 3)]]
         for d in range(1, order + 1)
     )
-    return _transfer(order, (0, 0, 0, 0), steps, _slot_width(order))
+    return _transfer(order, classes[0, (0, 0, 0, 0)], steps, _slot_width(order))
 
 
 # --- the specialized ideal count ---------------------------------------------
@@ -231,23 +320,35 @@ def _layer_graph() -> list:
     ]
 
 
+def _layer_table() -> tuple:
+    """The layer transfer lumped by `_lump`, in one phase: each set moves to
+    every set that may sit one degree below it, and the letter is the lower
+    set's (size, specialized offset)."""
+    graph = _layer_graph()
+    moves: dict = {layer: [] for layer, *_ in graph}
+    for layer, size, offset, above in graph:
+        for prev in above:
+            moves[prev].append(((size, offset), (0, layer)))
+    return _lump((0, frozenset()), lambda node: moves[node[1]])
+
+
 def specialized_count_series(order: int) -> Series:
     """Count of difference-condition partitions graded by specialized
-    degree, via a layer-transfer over per-degree color sets."""
-    graph = _layer_graph()
+    degree, via a lumped layer-transfer over per-degree color sets."""
+    classes, phases = _layer_table()
     steps = (
-        [(layer, 3 * i * size + offset, below) for layer, size, offset, below in graph]
+        [(dst, 3 * i * size + offset, srcs) for dst, (size, offset), srcs in phases[0]]
         for i in range(1, (order + 2) // 3 + 1)
     )
-    return _transfer(order, frozenset(), steps, _slot_width(order))
+    return _transfer(order, classes[0, frozenset()], steps, _slot_width(order))
 
 
 def ideal_count_series(order: int) -> Series:
     """Count of difference-condition partitions by depth: the same layer
-    graph, where a layer at depth i costs i per color.  Every coefficient the
-    transfer holds counts distinct eight-color partitions of one depth, so
-    prod (1-q^r)^-8, by list arithmetic, bounds it independently of the
-    kernel."""
+    graph, unlumped, where a layer at depth i costs i per color.  Every
+    coefficient the transfer holds counts distinct eight-color partitions of
+    one depth, so prod (1-q^r)^-8, by list arithmetic, bounds it
+    independently of the kernel."""
     graph = _layer_graph()
     steps = (
         [(layer, i * size, below) for layer, size, _, below in graph] for i in range(1, order + 1)

@@ -4,11 +4,14 @@ were.  Each state holds its truncated series as a list of ints and every
 shift-and-add runs coefficient by coefficient, so these share no
 arithmetic with the packed engines they check.
 
-Two additions: the optional ``observe`` hook, called with the dict of
+Three additions: the optional ``observe`` hook, called with the dict of
 states after every step, so a test can read the intermediate coefficients
-the packed engines must fit into their slots; and ``transfer``, the packed
+the packed engines must fit into their slots; ``transfer``, the packed
 kernel's contract on coefficient lists, for tests on random step graphs
-and on the steps an engine hands the kernel."""
+and on the steps an engine hands the kernel; and ``slot_width``, the slot
+bound by its first, three-pass list arithmetic."""
+
+import operator
 
 from affbasis.partitions import INDEPENDENT_COLOR_SETS, compatible_layers
 from affbasis.qseries import (
@@ -100,15 +103,15 @@ def specialized_count_series(order: int, observe=None) -> Series:
 
 def transfer(order: int, start, steps, observe=None) -> Series:
     """The contract of ``affbasis.qseries._transfer`` on coefficient lists:
-    each target (dst, cost, sources) of a step gets the sum of its sources'
-    series times q^cost, cut after q^order, and the result is the sum of the
-    final states.  A target whose series is zero is left out, as an
-    unreached state is."""
+    each target (dst, cost, sources) of a step adds to dst the sum of its
+    sources' series, a source listed twice read twice, times q^cost, cut
+    after q^order, and the result is the sum of the final states.  A state
+    whose series is zero is left out, as an unreached state is."""
     states = {start: [1] + [0] * order}
     for targets in steps:
         new = {}
         for dst, cost, sources in targets:
-            series = [0] * (order + 1)
+            series = new.get(dst, [0] * (order + 1))
             for src in sources:
                 for k, v in enumerate(states.get(src, [])):
                     if k + cost <= order:
@@ -119,6 +122,17 @@ def transfer(order: int, start, steps, observe=None) -> Series:
         if observe is not None:
             observe(states)
     return Series([sum(column) for column in zip([0] * (order + 1), *states.values())])
+
+
+def slot_width(order: int) -> int:
+    """``affbasis.qseries._slot_width`` as it was computed before: the bit
+    length of the largest coefficient of prod_r (1 + q^r)^3 up to q^order,
+    by three list passes per r."""
+    bound = [1] + [0] * order
+    for r in range(1, order + 1):
+        for _ in range(3):
+            bound[r:] = map(operator.add, bound[r:], bound[: order + 1 - r])
+    return max(bound).bit_length()
 
 
 def truncated(s: Series, order: int) -> Series:

@@ -1,15 +1,25 @@
+import ast
 import functools
+import inspect
 import json
 import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import affbasis
-from affbasis.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, EXIT_WINDOW, main
+from affbasis.cli import (
+    EXIT_FALSIFIED,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_WINDOW,
+    VERIFY_TARGETS,
+    main,
+)
 from affbasis.enveloping import WindowError
 from reference_fixtures import load_report_schema
 
@@ -203,6 +213,28 @@ def test_environment_defaults(capsys, monkeypatch):
     monkeypatch.setenv("AFFBASIS_WINDOW", "abc")
     code, _, err = run(capsys, "verify", "lemma6")
     assert code == EXIT_USAGE and "--window" in err
+
+
+def test_report_inputs_are_the_flags_the_target_reads(capsys):
+
+    for name, (target, flags) in VERIFY_TARGETS.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(target)))
+        reads = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"
+        }
+        assert reads == set(flags), name
+    # a flag the target does not read leaves the report's bytes alone
+    _, plain, _ = run(capsys, "verify", "lemma6", "--format", "json")
+    _, flagged, _ = run(
+        capsys, "--max-degree", "4", "--order", "9", "verify", "lemma6", "--format", "json"
+    )
+    assert plain == flagged and json.loads(plain)["inputs"] == {}
+    _, out, _ = run(capsys, "--window", "9", "verify", "theorem-b", "--order", "5", "--format", "json")
+    assert json.loads(out)["inputs"] == {"order": 5}
 
 
 def test_environment_format_is_validated(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,14 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_series
-from affbasis.partitions import enumerate_ideal, parse_partition
+from affbasis.partitions import (
+    INDEPENDENT_COLOR_SETS,
+    compatible_layers,
+    enumerate_ideal,
+    parse_partition,
+)
 from affbasis.qseries import (
+    _PHI_OFFSET,
     DUNDER,
     PLAIN,
     UNDER,
     Series,
+    _layer_table,
+    _local_part_ok,
     _slot_width,
     _transfer,
+    _tricolor_table,
+    _window_violation,
     a2_theta_series,
     character_oracle,
     colored_part_count_series,
@@ -254,6 +265,100 @@ def test_ideal_count_series_fits_its_slot_width(monkeypatch, order):
     assert peak < 2 ** width
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 20, 61, 120])
+@pytest.mark.parametrize(
+    "engine", [tricolor_count_series, specialized_count_series], ids=["tricolor", "specialized"]
+)
+def test_lumped_engines_fit_their_slot_width(monkeypatch, engine, order):
+    # the lumped steps each engine hands the kernel, replayed on coefficient
+    # lists: every state, every sum of sources and every step's total must
+    # fit the width the engine hands the kernel
+    from affbasis import qseries
+
+    seen = []
+
+    def spy(order, start, steps, width):
+        steps = [list(targets) for targets in steps]
+        seen.append((start, steps, width))
+        return _transfer(order, start, steps, width)
+
+    monkeypatch.setattr(qseries, "_transfer", spy)
+    series = engine(order)
+    (start, steps, width), = seen
+    history = [{start: [1] + [0] * order}]
+    assert reference_series.transfer(order, start, steps, history.append) == series
+    zero = [0] * (order + 1)
+    peak = 1
+    for before, targets, after in zip(history, steps, history[1:]):
+        for *_, sources in targets:
+            peak = max(peak, *map(sum, zip(zero, *(before.get(src, zero) for src in sources))))
+        peak = max(peak, *map(sum, zip(zero, *after.values())))
+        peak = max(peak, *(c for series in after.values() for c in series))
+    assert peak < 2 ** width
+
+
+def test_slot_width_matches_the_three_pass_reference():
+    for order in [*range(151), 1000]:
+        assert _slot_width(order) == reference_series.slot_width(order), order
+
+
+def _tricolor_moves(degree, window):
+    # the window moves at one degree, from the local rules: each (places a
+    # part, (phase, next window)) pair, the phase being the table index
+    return [
+        (choice != 0, (min(degree, 6 + degree % 3), window[1:] + (choice,)))
+        for choice in (0, PLAIN, UNDER, DUNDER)
+        if (not choice or _local_part_ok(degree, choice))
+        and not _window_violation(degree, window + (choice,))
+    ]
+
+
+def _layer_moves(upper):
+    return [
+        ((len(layer), sum(_PHI_OFFSET[c] for c in layer)), (0, layer))
+        for layer in INDEPENDENT_COLOR_SETS
+        if compatible_layers(layer, upper)
+    ]
+
+
+def _assert_lumpable(lumped, moves_of):
+    """Every member of every class has the same multiset of (letter, class
+    of target) pairs, under each list of moves `moves_of(node)` gives, and
+    the lumped targets read each class once per such move, from distinct
+    classes."""
+    classes, tables = lumped
+    futures = {}
+    for node, cls in classes.items():
+        for moves in moves_of(node):
+            future = sorted((letter, classes[dst]) for letter, dst in moves)
+            assert futures.setdefault(cls, future) == future, node
+    phase = {cls: node[0] for node, cls in classes.items()}
+    reads = Counter()
+    for targets in tables.values():
+        for dst, letter, sources in targets:
+            assert len(set(sources)) == len(sources)
+            reads.update((cls, letter, dst) for cls in sources)
+    assert reads == Counter(
+        (cls, letter, dst) for cls, future in futures.items() for letter, dst in future
+    )
+    assert all(phase[dst] == p for p, targets in tables.items() for dst, *_ in targets)
+    return Counter(phase.values())
+
+
+def test_lumped_graphs_are_lumpable():
+    # a tricolor node's phase p is the table index of the degrees it follows:
+    # p alone for p < 6, and p, p + 3, ... after that
+    def tricolor(node):
+        p, window = node
+        return [_tricolor_moves(d + 1, window) for d in ([p] if p < 6 else [p, p + 3, p + 6])]
+
+    per_phase = _assert_lumpable(_tricolor_table(), tricolor)
+    assert per_phase == {0: 1, 1: 2, 2: 3, 3: 6, 4: 5, 5: 3, 6: 6, 7: 5, 8: 3}
+    layers = _layer_table()
+    assert len(layers[0]) == len(INDEPENDENT_COLOR_SETS) == 19
+    assert _assert_lumpable(layers, lambda node: [_layer_moves(node[1])]) == {0: 6}
+
+
 def test_ideal_count_series_is_the_ideal_count():
     assert ideal_count_series(9).coeffs == [len(enumerate_ideal(n)) for n in range(10)]
     assert ideal_count_series(60) == character_oracle(60)
@@ -262,11 +367,13 @@ def test_ideal_count_series_is_the_ideal_count():
 @st.composite
 def transfer_graphs(draw):
     """A transfer over at most 4 states and 6 steps, with its order.  Each
-    step's targets have distinct destinations and draw their sources from a
-    pool of one to three tuples, so targets often share a sources tuple with
-    different costs; each tuple reads a destination of the step before, so
-    the transfer does not die out at once.  Costs range over 0..order+1,
-    and 0, order, order + 1 and two costs past 2*order are drawn often."""
+    step has one to six targets, whose destinations often repeat, and draws
+    their sources from a pool of one to three tuples together with the same
+    tuples reading their first state twice, so targets often share a sources
+    tuple with different costs, and a tuple and its repeat often meet in one
+    step; each tuple reads a destination of the step before, so the
+    transfer does not die out at once.  Costs range over 0..order+1, and 0,
+    order, order + 1 and two costs past 2*order are drawn often."""
     order = draw(st.integers(0, 12))
     state = st.integers(0, 3)
     cost = st.one_of(
@@ -279,7 +386,8 @@ def transfer_graphs(draw):
     for _ in range(draw(st.integers(0, 6))):
         sources = st.tuples(st.sampled_from(reached), st.lists(state, max_size=3))
         pool = [(first, *rest) for first, rest in draw(st.lists(sources, min_size=1, max_size=3))]
-        reached = draw(st.lists(state, min_size=1, max_size=4, unique=True))
+        pool += [(t[0], *t) for t in pool]
+        reached = draw(st.lists(state, min_size=1, max_size=6))
         steps.append([(dst, draw(cost), draw(st.sampled_from(pool))) for dst in reached])
     return order, start, steps
 
@@ -288,10 +396,10 @@ def transfer_graphs(draw):
 @given(transfer_graphs())
 def test_transfer_matches_the_list_reference(graph):
     order, start, steps = graph
-    # a sum of at most 4 sources is at most 4 times the largest state before
-    # it, so every coefficient, total included, is at most 4 ** (len(steps)
-    # + 1) < 2 ** width
-    width = 2 * len(steps) + 3
+    # a step has at most 6 targets of at most 5 reads each, so every state,
+    # sum of sources and total is at most 30 times the largest state before
+    # it, and at most 30 ** len(steps) < 2 ** width
+    width = 5 * len(steps) + 1
     assert _transfer(order, start, steps, width) == reference_series.transfer(
         order, start, steps
     )
