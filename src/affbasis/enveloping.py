@@ -22,11 +22,12 @@ from functools import cache
 from .algebra import BRACKET, FORM
 from .linalg import Scalar, add_scaled
 from .partitions import (
-    ColoredPartition,
     Part,
     order_key,
     parts_degree,
+    parts_shape,
     shapes_at_most,
+    sort_parts,
 )
 
 
@@ -199,7 +200,7 @@ class EnvElement:
 
     # -- leading terms ----------------------------------------------------------
 
-    def leading_term(self, max_length: int | None = None) -> ColoredPartition:
+    def leading_term(self, max_length: int | None = None) -> tuple[Part, ...]:
         """The minimal monomial, certified: every candidate partition at or
         below it (same degree, bounded length) must lie in the window."""
         if not self.terms:
@@ -214,13 +215,12 @@ class EnvElement:
                 "window minimum is shorter than the possible maximal length; "
                 "longer monomials may hide outside the window"
             )
-        bound = ColoredPartition(best)
         # the window reads only degrees, so one check per shape covers all its
         # colorings; the top shape is that of the stored, admitted minimum
-        for shape in shapes_at_most(bound.shape(), len(best), degree):
+        for shape in shapes_at_most(parts_shape(best), len(best), degree):
             if sum(d for d in shape if d > 0) > self.window.annihilation_bound:
                 raise WindowError(f"shape {shape} below the minimum is outside the window")
-        return bound
+        return best
 
     def __repr__(self) -> str:
         return f"EnvElement({len(self.terms)} terms, window={self.window})"
@@ -230,7 +230,7 @@ class EnvElement:
 #
 # Module vectors are plain sparse dicts, {strictly-negative parts: nonzero
 # int}, combined through `add_scaled` like every other vector: the vacuum is
-# {(): 1} and u(p).vac is {p.parts: 1}.  A single mode acts by straightening
+# {(): 1} and u(p).vac is {p: 1}.  A single mode acts by straightening
 # the word (mode,) + parts on the vacuum, which drops every word whose
 # rightmost mode annihilates it; the pure integer result is memoized with
 # `functools.cache`.
@@ -275,19 +275,19 @@ def act(e: EnvElement, v: dict) -> dict:
     return out
 
 
-def graded_basis(n: int) -> list[ColoredPartition]:
+def graded_basis(n: int) -> list[tuple[Part, ...]]:
     """All strictly-negative colored partitions of total degree -n, the
     monomial basis of the induced module at depth n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     import itertools
 
-    results: list[ColoredPartition] = []
+    results: list[tuple[Part, ...]] = []
     colors_desc = tuple(range(8, 0, -1))
 
     def rec(depth: int, budget: int, acc: list[Part]):
         if budget == 0:
-            results.append(ColoredPartition(acc))
+            results.append(sort_parts(acc))
             return
         if depth > budget:
             return
@@ -303,5 +303,5 @@ def graded_basis(n: int) -> list[ColoredPartition]:
                 )
 
     rec(1, n, [])
-    results.sort(key=lambda p: order_key(p.parts))
+    results.sort(key=order_key)
     return results

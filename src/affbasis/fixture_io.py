@@ -27,5 +27,5 @@ def load_lemma12_fixture() -> set[tuple[tuple[Part, ...], tuple[Part, ...]]]:
     out = set()
     for line in _data_lines("lemma12_overlaps.txt"):
         pi_text, rho_text = line.split("|")
-        out.add((parse_partition(pi_text).parts, parse_partition(rho_text).parts))
+        out.add((parse_partition(pi_text), parse_partition(rho_text)))
     return out

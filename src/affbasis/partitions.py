@@ -3,7 +3,12 @@
 A part is a pair ``(color, degree)`` standing for the mode X_color(degree).
 Parts are ordered by degree first and, at equal degree, by *descending*
 color index (X1 is the greatest color, X8 the least).  A colored partition
-is a multiset of parts, stored as a tuple sorted in that part order.
+is a multiset of parts, stored as the plain tuple of its parts sorted in
+that part order (`sort_parts`); every builder in the package sorts, so
+equal multisets are equal tuples.  Degree, weight and shape are read off the
+tuple (`parts_degree`, `parts_weight`, `parts_shape`), and multiplicities,
+unions and intersections are those of `collections.Counter`, whose keys
+keep part order.
 
 The module also owns the strict total order on partitions, written once as
 the tuple key ``order_key`` and used everywhere for leading terms and
@@ -19,7 +24,7 @@ and the difference conditions are all derived from that table.
 from __future__ import annotations
 
 import itertools
-from functools import total_ordering
+from collections import Counter
 from typing import NamedTuple
 
 from .algebra import COLORS, WEIGHT, Weight
@@ -63,114 +68,28 @@ def order_key(parts: tuple[Part, ...]) -> tuple:
     return shape_key(parts_shape(parts)) + (tuple(-c for c, _ in reversed(parts)),)
 
 
-@total_ordering
-class ColoredPartition:
-    """Immutable multiset of modes; ``<`` is the strict monomial order."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        object.__setattr__(self, "parts", sort_parts(parts))
-
-    def __setattr__(self, *_):
-        raise AttributeError("ColoredPartition is immutable")
-
-    # -- basic structure ---------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return parts_degree(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def weight(self) -> Weight:
-        return parts_weight(self.parts)
-
-    def shape(self) -> tuple[int, ...]:
-        return parts_shape(self.parts)
-
-    def multiplicities(self) -> dict[Part, int]:
-        out: dict[Part, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    # -- monoid / lattice ops ---------------------------------------------
-
-    def __mul__(self, other: "ColoredPartition") -> "ColoredPartition":
-        return ColoredPartition(self.parts + other.parts)
-
-    def union(self, other: "ColoredPartition") -> "ColoredPartition":
-        mine, theirs = self.multiplicities(), other.multiplicities()
-        keys = set(mine) | set(theirs)
-        parts = []
-        for k in keys:
-            parts.extend([k] * max(mine.get(k, 0), theirs.get(k, 0)))
-        return ColoredPartition(parts)
-
-    def intersection(self, other: "ColoredPartition") -> "ColoredPartition":
-        mine, theirs = self.multiplicities(), other.multiplicities()
-        parts = []
-        for k in set(mine) & set(theirs):
-            parts.extend([k] * min(mine[k], theirs[k]))
-        return ColoredPartition(parts)
-
-    def contains(self, other: "ColoredPartition") -> bool:
-        mine, theirs = self.multiplicities(), other.multiplicities()
-        return all(mine.get(k, 0) >= m for k, m in theirs.items())
-
-    def quotient(self, other: "ColoredPartition") -> "ColoredPartition":
-        if not self.contains(other):
-            raise ValueError(f"{other} is not contained in {self}")
-        mine = self.multiplicities()
-        for k, m in other.multiplicities().items():
-            mine[k] -= m
-        parts = []
-        for k, m in mine.items():
-            parts.extend([k] * m)
-        return ColoredPartition(parts)
-
-    # -- order / identity ----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ColoredPartition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __lt__(self, other: "ColoredPartition") -> bool:
-        return order_key(self.parts) < order_key(other.parts)
-
-    def __repr__(self) -> str:
-        return f"ColoredPartition({format_partition(self)!r})"
-
-
-EMPTY = ColoredPartition()
-
-
 # --- plain-text format ------------------------------------------------------
 #
 # One partition per line, parts as color:degree, e.g. "3:-2 4:-1 1:-1".
 # The empty partition is written as "-".
 
 
-def format_partition(p: ColoredPartition) -> str:
-    if not p.parts:
+def format_partition(p: tuple[Part, ...]) -> str:
+    if not p:
         return "-"
-    return " ".join(f"{c}:{d}" for c, d in p.parts)
+    return " ".join(f"{c}:{d}" for c, d in p)
 
 
-def parse_partition(text: str) -> ColoredPartition:
+def parse_partition(text: str) -> tuple[Part, ...]:
+    """The partition written in `text`, its parts in any order, sorted."""
     text = text.strip()
     if not text or text == "-":
-        return EMPTY
+        return ()
     parts = []
     for token in text.split():
         c, d = token.split(":")
         parts.append((int(c), int(d)))
-    return ColoredPartition(parts)
+    return sort_parts(parts)
 
 
 # --- the forbidden-factor set ------------------------------------------------
@@ -219,8 +138,8 @@ class RelationLabel(NamedTuple):
     colors: tuple[int, ...]
     j: int
 
-    def partition(self) -> ColoredPartition:
-        return ColoredPartition(
+    def partition(self) -> tuple[Part, ...]:
+        return sort_parts(
             (c, self.j + o) for c, o in zip(self.colors, _OFFSETS[self.kind])
         )
 
@@ -272,7 +191,7 @@ def quadratic_leading_labels(n: int) -> list[RelationLabel]:
 # The forbidden factors anchored at 0, each with the multiplicities of its
 # parts (color, offset); the factors anchored at j are these translated by j.
 _FACTORS = tuple(
-    (lab, tuple(lab.partition().multiplicities().items())) for lab in relation_set(0, 0)
+    (lab, tuple(Counter(lab.partition()).items())) for lab in relation_set(0, 0)
 )
 
 # The same factors indexed by the color of their first part at offset 0: a
@@ -283,12 +202,12 @@ _FACTORS_BY_ANCHOR_COLOR = {
 }
 
 
-def embeddings(p: ColoredPartition):
+def embeddings(p: tuple[Part, ...]):
     """The forbidden factors dividing p, listed by anchor, and the excess
     count max(#embeddings - 1, 0).  Every factor has a part at its anchor,
     so each distinct part (c, j) of p tries only the factors anchored on
     color c, translated to j."""
-    mult = p.multiplicities()  # keys in part order, so degrees ascend
+    mult = Counter(p)  # keys in part order, so degrees ascend
     found = []
     for c, j in mult:
         for lab, parts in _FACTORS_BY_ANCHOR_COLOR[c]:
@@ -300,12 +219,12 @@ def embeddings(p: ColoredPartition):
     return found, max(len(found) - 1, 0)
 
 
-def quadratic_embeddings(p: ColoredPartition) -> list[RelationLabel]:
+def quadratic_embeddings(p: tuple[Part, ...]) -> list[RelationLabel]:
     """All quadratic leading-term labels whose partition divides p."""
     return [lab for lab in embeddings(p)[0] if len(lab.colors) == 2]
 
 
-def embedding_excess(p: ColoredPartition) -> int:
+def embedding_excess(p: tuple[Part, ...]) -> int:
     """Quadratic-only excess count used by the coloring totals."""
     return max(len(quadratic_embeddings(p)) - 1, 0)
 
@@ -341,17 +260,17 @@ def compatible_layers(deeper: frozenset[int], shallower: frozenset[int]) -> bool
     return not any(low <= deeper and high <= shallower for low, high in _LAYER_FACTORS)
 
 
-def enumerate_ideal(n: int, weight: Weight | None = None) -> list[ColoredPartition]:
+def enumerate_ideal(n: int, weight: Weight | None = None) -> list[tuple[Part, ...]]:
     """All difference-condition partitions of total degree -n, sorted."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    results: list[ColoredPartition] = []
+    results: list[tuple[Part, ...]] = []
     layers = INDEPENDENT_COLOR_SETS
 
     def rec(depth: int, budget: int, shallower: frozenset[int], acc: list[Part]):
         if budget == 0:
-            p = ColoredPartition(acc)
-            if weight is None or p.weight() == weight:
+            p = sort_parts(acc)
+            if weight is None or parts_weight(p) == weight:
                 results.append(p)
             return
         if depth > budget:
@@ -370,7 +289,7 @@ def enumerate_ideal(n: int, weight: Weight | None = None) -> list[ColoredPartiti
             )
 
     rec(1, n, frozenset(), [])
-    results.sort(key=lambda p: order_key(p.parts))
+    results.sort(key=order_key)
     return results
 
 
@@ -400,7 +319,9 @@ def shapes_at_most(top_shape: tuple[int, ...], length: int, degree: int):
 
 
 def colorings_of_shape(shape: tuple[int, ...]):
-    """All colored partitions with the given (sorted) degree shape."""
+    """All colored partitions with the given (sorted) degree shape; each
+    block of equal degrees takes its colors in descending index, which is
+    the part order."""
     runs: list[tuple[int, int]] = []
     for d in shape:
         if runs and runs[-1][0] == d:
@@ -418,46 +339,43 @@ def colorings_of_shape(shape: tuple[int, ...]):
             ]
         )
     for picks in itertools.product(*choices):
-        parts: tuple[Part, ...] = ()
-        for block in picks:
-            parts = parts + block
-        yield ColoredPartition(parts)
+        yield tuple(itertools.chain.from_iterable(picks))
 
 
 def partitions_at_most(
-    bound: ColoredPartition, length: int, degree: int
-) -> list[ColoredPartition]:
+    bound: tuple[Part, ...], length: int, degree: int
+) -> list[tuple[Part, ...]]:
     """All partitions q with ell(q) = length, |q| = degree and q <= bound.
     Requires ell(bound) = length (shorter partitions are strictly greater,
     longer ones strictly smaller and unbounded)."""
-    if bound.length != length:
+    if len(bound) != length:
         raise ValueError("bound must have the requested length")
     out = []
-    top_shape = bound.shape()
-    top_key, bound_key = shape_key(top_shape), order_key(bound.parts)
+    top_shape = parts_shape(bound)
+    top_key, bound_key = shape_key(top_shape), order_key(bound)
     for shape in shapes_at_most(top_shape, length, degree):
         strictly_lower = shape_key(shape) < top_key
         for q in colorings_of_shape(shape):
-            if strictly_lower or order_key(q.parts) <= bound_key:
+            if strictly_lower or order_key(q) <= bound_key:
                 out.append(q)
     return out
 
 
 # --- coloring totals over shape classes --------------------------------------
 
-SHAPE_CLASSES = ("j^3", "(j-1)j(j+1)", "(j-1)j^2", "(j-1)^2j")
+# Degree offsets of each class's three parts from j, in part order.
+SHAPE_CLASSES = {
+    "j^3": (0, 0, 0),
+    "(j-1)j(j+1)": (-1, 0, 1),
+    "(j-1)j^2": (-1, 0, 0),
+    "(j-1)^2j": (-1, -1, 0),
+}
 
 
 def shape_of_class(shape_class: str, j: int) -> tuple[int, ...]:
-    if shape_class == "j^3":
-        return (j, j, j)
-    if shape_class == "(j-1)j(j+1)":
-        return (j - 1, j, j + 1)
-    if shape_class == "(j-1)j^2":
-        return (j - 1, j, j)
-    if shape_class == "(j-1)^2j":
-        return (j - 1, j - 1, j)
-    raise ValueError(f"unknown shape class {shape_class!r}")
+    if shape_class not in SHAPE_CLASSES:
+        raise ValueError(f"unknown shape class {shape_class!r}")
+    return tuple(j + o for o in SHAPE_CLASSES[shape_class])
 
 
 def shape_class_embedding_total(shape_class: str, j: int = -3) -> int:
@@ -483,7 +401,9 @@ def exceptional_class(weight: Weight, shape_class: str, j: int = -1):
             "or its negative with shape (j-1)^2j"
         )
     shape = shape_of_class(shape_class, j)
-    found = sorted(p for p in colorings_of_shape(shape) if p.weight() == weight)
+    found = sorted(
+        (p for p in colorings_of_shape(shape) if parts_weight(p) == weight), key=order_key
+    )
     total = sum(embedding_excess(p) for p in found)
     return found, total
 
@@ -491,16 +411,14 @@ def exceptional_class(weight: Weight, shape_class: str, j: int = -1):
 # --- overlap catalogue of the cubic families ---------------------------------
 
 
-def overlap_catalogue(j: int) -> list[tuple[ColoredPartition, ColoredPartition]]:
+def overlap_catalogue(j: int) -> list[tuple[tuple[Part, ...], tuple[Part, ...]]]:
     """All pairs (pi, rho1) with rho1 a forbidden factor, rho2 one of the two
     cubics anchored at j, pi = rho1 union rho2, rho1 and rho2 intersecting,
     and ell(pi) >= 4.  When rho1 is itself cubic the pair is recorded once,
     marked at its first-kind instance."""
-    anchors = [cubic_a_label(j), cubic_b_label(j)]
-    seen: set[tuple[tuple[Part, ...], tuple[Part, ...]]] = set()
-    out = []
-    for rho2 in anchors:
-        p2 = rho2.partition()
+    found: set[tuple[tuple[Part, ...], tuple[Part, ...]]] = set()
+    for rho2 in (cubic_a_label(j), cubic_b_label(j)):
+        m2 = Counter(rho2.partition())
         for t in range(j - 3, j + 4):
             for rho1 in relation_set(t, t):
                 if rho1 == rho2:
@@ -508,14 +426,10 @@ def overlap_catalogue(j: int) -> list[tuple[ColoredPartition, ColoredPartition]]
                 if rho1.kind == CUBIC_B:
                     continue  # mirror of a first-kind marking
                 p1 = rho1.partition()
-                if p1.intersection(p2).length == 0:
+                m1 = Counter(p1)
+                if not m1 & m2:
                     continue
-                pi = p1.union(p2)
-                if pi.length < 4:
-                    continue
-                key = (pi.parts, p1.parts)
-                if key not in seen:
-                    seen.add(key)
-                    out.append((pi, p1))
-    out.sort(key=lambda pair: (pair[0], pair[1]))
-    return out
+                pi = sort_parts((m1 | m2).elements())
+                if len(pi) >= 4:
+                    found.add((pi, p1))
+    return sorted(found, key=lambda pair: (order_key(pair[0]), order_key(pair[1])))

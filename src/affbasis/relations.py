@@ -66,14 +66,15 @@ from .linalg import Scalar, SpanReducer, add_scaled, exact_quotient
 from .partitions import (
     ADJACENT_COLOR_PAIRS,
     SAME_DEGREE_COLOR_PAIRS,
-    ColoredPartition,
     Part,
     RelationLabel,
     format_partition,
     order_key,
+    parts_weight,
     quad_adjacent_label,
     quad_same_label,
     relation_set,
+    sort_parts,
 )
 from .qseries import character_oracle, colored_part_count_series, ideal_count_series
 
@@ -131,23 +132,24 @@ class RelationSpace:
         for pivot in reducer.pivots():
             elem = EnvElement(reducer.row_for(pivot), window)
             lead = elem.leading_term(max_length=2)
-            if lead.parts != pivot:
+            if lead != pivot:
                 raise WindowError(
-                    f"pivot {pivot} is not the certified leading term {lead}"
+                    f"pivot {format_partition(pivot)} is not the certified "
+                    f"leading term {format_partition(lead)}"
                 )
             label = label_for_quadratic(lead)
             if label is None:
                 raise LeadingTermError(lead)
             labels.append(label)
             self.elements[label] = elem
-            self.leading[label] = lead.parts
+            self.leading[label] = lead
         table = SAME_DEGREE_COLOR_PAIRS if n % 2 == 0 else ADJACENT_COLOR_PAIRS
         if self.dimension < len(table):
             raise WindowError(
                 f"the degree-{n} relation space has rank {self.dimension} in "
                 f"window {window.annihilation_bound}, short of its {len(table)}-row table"
             )
-        self.labels = sorted(labels, key=lambda l: order_key(l.partition().parts))
+        self.labels = sorted(labels, key=lambda l: order_key(l.partition()))
 
     def element(self, label: RelationLabel) -> EnvElement:
         return self.elements[label]
@@ -168,7 +170,7 @@ class RelationSpace:
             if certified.admits(parts):
                 raise WindowError(
                     f"element does not lie in the degree-{self.n} relation "
-                    f"space (residual at {parts})"
+                    f"space (residual at {format_partition(parts)})"
                 )
         return coords
 
@@ -177,16 +179,16 @@ class LeadingTermError(Exception):
     """A computed relation has a leading term that the color tables do not
     list; `partition` is the offending leading term."""
 
-    def __init__(self, partition: ColoredPartition):
-        super().__init__(f"unexpected leading term {partition}")
+    def __init__(self, partition: tuple[Part, ...]):
+        super().__init__(f"unexpected leading term {format_partition(partition)}")
         self.partition = partition
 
 
-def label_for_quadratic(p: ColoredPartition) -> RelationLabel | None:
+def label_for_quadratic(p: tuple[Part, ...]) -> RelationLabel | None:
     """The relation label whose partition is p, if p is a listed quadratic."""
-    if p.length != 2:
+    if len(p) != 2:
         return None
-    (c1, d1), (c2, d2) = p.parts
+    (c1, d1), (c2, d2) = p
     if d1 == d2 and (c1, c2) in SAME_DEGREE_COLOR_PAIRS:
         return quad_same_label(c1, c2, d1)
     if d2 == d1 + 1 and (c1, c2) in ADJACENT_COLOR_PAIRS:
@@ -450,7 +452,7 @@ def transport_matrix(m: int, window: Window):
         for side, n in (("ref", -2), ("tgt", m))
     }
     reducer = SpanReducer(
-        lambda col: (col[0] != "ref", order_key(col[1].partition().parts))
+        lambda col: (col[0] != "ref", order_key(col[1].partition()))
     )
     # seed: the quadratic generator instance, leading coefficient matched
     seed = {
@@ -492,7 +494,7 @@ def _weight_2theta_pairs(window: Window):
     pairs = []
     for lab in relation_space(-2, window).labels:
         for a in range(1, 9):
-            if (WEIGHT[a] + lab.partition().weight()) == target:
+            if (WEIGHT[a] + parts_weight(lab.partition())) == target:
                 pairs.append((a, lab))
     return pairs
 
@@ -528,31 +530,30 @@ def _q27_combination(window: Window):
     columns.append({("state", ((1, -2), (1, -1))): -2})
     # nullspace of the columns: each tag records its column's combination,
     # and the tags sort last, so a column that reduces to tags alone is a
-    # dependency among the columns
-    n_unknowns = len(columns)
+    # dependency among the columns.  The combination is unique exactly when
+    # the only dependency is the one the target column closes; one found
+    # earlier has t = 0 and a second dimension of solutions.
     reducer = SpanReducer(lambda k: (k[0] == "tag", k))
-    tagged = []
+    dependencies = []
     for j, column in enumerate(columns):
         column[("tag", j)] = 1
         red = reducer.reduce(column)
         if all(k[0] == "tag" for k in red):
-            tagged.append(red)
+            dependencies.append((j, red))
         else:
             reducer.insert(red)
-    solutions = []
-    for red in tagged:
-        coeffs = [0] * n_unknowns
-        for (_, j), v in red.items():
-            coeffs[j] = v
-        if coeffs[-1]:
-            g = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)
-            solutions.append([c // g for c in coeffs])
-    if len(solutions) != 1:
+    closing = [j for j, _ in dependencies]
+    if closing != [len(columns) - 1]:
         raise AssertionError(
-            f"expected a unique highest-weight syzygy combination, "
-            f"got {len(solutions)}"
+            f"expected a unique highest-weight syzygy combination: only the "
+            f"target column {len(columns) - 1} may close a dependency, and "
+            f"columns {closing} do"
         )
-    *combo, t = solutions[0]
+    coeffs = [0] * len(columns)
+    for (_, j), v in dependencies[0][1].items():
+        coeffs[j] = v
+    g = gcd(*coeffs)  # the target's tag is positive, as `reduce` scales up
+    *combo, t = (c // g for c in coeffs)
     return [(pair, c) for pair, c in zip(pairs, combo) if c], t
 
 
@@ -624,17 +625,17 @@ def collapse(t: LoopTensor, window: Window) -> EnvElement:
 # --- the syzygy orbits --------------------------------------------------------
 
 
-def _tensor_partition(key) -> ColoredPartition:
+def _tensor_partition(key) -> tuple[Part, ...]:
     """The colored partition of a tensor key (mode, label): the label's
     partition with the mode added."""
     mode, label = key
-    return label.partition() * ColoredPartition((mode,))
+    return sort_parts(label.partition() + (mode,))
 
 
 def _tensor_column_key(key):
     (a, i), label = key
     pi = _tensor_partition(key)
-    return (order_key(pi.parts), i, a, order_key(label.partition().parts))
+    return (order_key(pi), i, a, order_key(label.partition()))
 
 
 def orbit_basis(t: LoopTensor, window: Window) -> list[LoopTensor]:
@@ -694,9 +695,9 @@ def reference_form(family: str, t: LoopTensor, window: Window):
     for i in sorted(slots):
         transport = transports[i] = transport_matrix(t.n - i, space_w)
         for lab, column in transport.items():
-            weight = lab.partition().weight()
+            weight = parts_weight(lab.partition())
             for lab2 in column:
-                if lab2.partition().weight() != weight:
+                if parts_weight(lab2.partition()) != weight:
                     raise AssertionError(
                         f"{where(i)}: the transport maps "
                         f"{format_partition(lab.partition())} to "
@@ -772,11 +773,11 @@ def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[
             v0 = relation_on_vacuum(label, window)
             if not v0:
                 raise AssertionError(f"relation {label} vanished on the vacuum")
-            base_weight = label.partition().weight()
+            base_weight = parts_weight(label.partition())
             for kappa in graded_basis(n + m):
-                v = apply_word(kappa.parts, v0)
+                v = apply_word(kappa, v0)
                 if v:
-                    w = (base_weight + kappa.weight()).key()
+                    w = (base_weight + parts_weight(kappa)).key()
                     blocks.setdefault(w, []).append(v)
     return blocks
 
@@ -814,7 +815,7 @@ def _factor_witness(n: int, window: Window, on_vacuum: dict) -> str | None:
             v = on_vacuum.get(rho)
             if v is None:
                 v = relation_on_vacuum(rho, window)
-            if min(v, key=order_key, default=None) != rho.partition().parts:
+            if min(v, key=order_key, default=None) != rho.partition():
                 return format_partition(rho.partition())
     return None
 

@@ -10,8 +10,9 @@ They do read the rule data those engines read: the window families
 
 from affbasis.partitions import (
     INDEPENDENT_COLOR_SETS,
-    ColoredPartition,
+    Part,
     compatible_layers,
+    sort_parts,
 )
 from affbasis.qseries import (
     _PHI_OFFSET,
@@ -92,21 +93,21 @@ def phi_part(color: int, i: int) -> tuple[int, int]:
     return (3 * i + _PHI_OFFSET[color], _PHI_COLOR[color])
 
 
-def phi_image(p: ColoredPartition) -> frozenset:
-    return frozenset(phi_part(c, -d) for c, d in p.parts)
+def phi_image(p: tuple[Part, ...]) -> frozenset:
+    return frozenset(phi_part(c, -d) for c, d in p)
 
 
-def phi_degree(p: ColoredPartition) -> int:
-    return sum(3 * (-d) + _PHI_OFFSET[c] for c, d in p.parts)
+def phi_degree(p: tuple[Part, ...]) -> int:
+    return sum(3 * (-d) + _PHI_OFFSET[c] for c, d in p)
 
 
-def specialized_ideal_partitions(order: int) -> list[ColoredPartition]:
+def specialized_ideal_partitions(order: int) -> list[tuple[Part, ...]]:
     """Difference-condition partitions of specialized degree <= order, by
     direct search over internal degrees."""
-    found: list[ColoredPartition] = []
+    found: list[tuple[Part, ...]] = []
 
     def rec(i: int, budget: int, prev: frozenset, acc: list):
-        found.append(ColoredPartition(acc))
+        found.append(sort_parts(acc))
         for depth in range(i, (budget + 2) // 3 + 1):
             shallow = prev if depth == i else frozenset()
             for layer in INDEPENDENT_COLOR_SETS:

@@ -17,12 +17,13 @@ from affbasis.algebra import F1_COLOR, F2_COLOR, WEIGHT, Weight
 from affbasis.enveloping import Window, WindowError, apply_word, graded_basis
 from affbasis.linalg import Scalar, SpanReducer, add_scaled, exact_quotient, sparse_rank
 from affbasis.partitions import (
-    ColoredPartition,
+    Part,
     RelationLabel,
     embeddings,
     format_partition,
     order_key,
     partitions_at_most,
+    parts_weight,
 )
 from affbasis.relations import (
     LoopTensor,
@@ -37,6 +38,7 @@ from affbasis.relations import (
     submodule_span_blocks,
     syzygy_tensors,
 )
+from reference_partitions import quotient
 
 
 def tensor_is_zero(t: LoopTensor) -> bool:
@@ -51,7 +53,7 @@ def tensor_weight(t: LoopTensor) -> Weight | None:
     """The common weight of the tensor's terms, or None if they differ."""
     seen = set()
     for (color, _), label in t.terms:
-        w = WEIGHT[color] + label.partition().weight()
+        w = WEIGHT[color] + parts_weight(label.partition())
         seen.add(w.key())
     if len(seen) == 1:
         a1, a2 = seen.pop()
@@ -69,30 +71,28 @@ def x1_generator_coefficient(t: LoopTensor, i: int) -> Scalar:
     return exact_quotient(c, _x1x1_norm(t.n - i))
 
 
-def tensor_leading_partition(t: LoopTensor) -> ColoredPartition:
+def tensor_leading_partition(t: LoopTensor) -> tuple[Part, ...]:
     """Leading colored partition of a plain tensor, certified against the
     mode-degree range."""
     if not t.terms:
         raise ValueError("zero tensor has no leading term")
-    best = min(_tensor_partition(key) for key in t.terms)
-    for candidate in partitions_at_most(best, best.length, t.n):
-        for idx in range(candidate.length):
-            part = candidate.parts[idx]
-            rest = ColoredPartition(
-                candidate.parts[:idx] + candidate.parts[idx + 1 :]
-            )
+    best = min((_tensor_partition(key) for key in t.terms), key=order_key)
+    for candidate in partitions_at_most(best, len(best), t.n):
+        for idx in range(len(candidate)):
+            part = candidate[idx]
+            rest = candidate[:idx] + candidate[idx + 1 :]
             if label_for_quadratic(rest) is None:
                 continue
             if not (t.i_lo <= part[1] <= t.i_hi):
                 raise WindowError(
-                    f"candidate {candidate} has a slot outside the range"
+                    f"candidate {format_partition(candidate)} has a slot outside the range"
                 )
     return best
 
 
 def combined_weight_block(
     n: int, mu: Weight, window: Window
-) -> tuple[int, set[ColoredPartition]]:
+) -> tuple[int, set[tuple[Part, ...]]]:
     """Dimension and leading-term set of the weight-mu block of the direct
     sum of the four syzygy orbits at degree n."""
     reducer = SpanReducer(_tensor_column_key)
@@ -112,7 +112,7 @@ def max_submodule_rank(n: int, window: Window) -> int:
     )
 
 
-def row_factor(pi: ColoredPartition) -> RelationLabel | None:
+def row_factor(pi: tuple[Part, ...]) -> RelationLabel | None:
     """The forbidden factor whose relation erases pi: the first quadratic
     that `embeddings` lists, or its first cubic if no quadratic divides pi;
     None for a partition of the ideal."""
@@ -137,11 +137,11 @@ def certified_rank(n: int, window: Window, on_vacuum: dict) -> tuple[int, str | 
         v0 = on_vacuum.get(rho)
         if v0 is None:
             v0 = on_vacuum[rho] = relation_on_vacuum(rho, window)
-        row = apply_word(pi.quotient(rho.partition()).parts, v0)
+        row = apply_word(quotient(pi, rho.partition()), v0)
         lead = min(row, key=order_key, default=None)
         if lead is not None:
             leads.add(lead)
-        if lead != pi.parts and witness is None:
+        if lead != pi and witness is None:
             witness = format_partition(pi)
     return len(leads), witness
 
@@ -176,7 +176,7 @@ def per_degree_transport_matrix(m: int, window: Window):
         side: {c: per_degree_shift_matrix(c, 0, n, window) for c in (F1_COLOR, F2_COLOR)}
         for side, n in (("ref", -2), ("tgt", m))
     }
-    reducer = SpanReducer(lambda col: (col[0] != "ref", order_key(col[1].partition().parts)))
+    reducer = SpanReducer(lambda col: (col[0] != "ref", order_key(col[1].partition())))
     seed = {("ref", _x1x1_label(-2)): _x1x1_norm(-2), ("tgt", _x1x1_label(m)): _x1x1_norm(m)}
 
     def lowered(row):

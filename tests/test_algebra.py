@@ -126,38 +126,53 @@ def test_benchmark_tracer_targets_resolve():
 
 
 def _reads(node) -> set[str]:
-    """The names a statement loads, as ast.Name or ast.Attribute, less the
-    names it binds itself (assignment targets and arguments)."""
-    loads, binds = set(), set()
+    """The names a statement loads: every attribute it loads, and every
+    ast.Name it loads less the names it binds itself (assignment targets and
+    arguments).  A bound name hides only plain names, so a loop variable
+    `shape` does not hide the call `bound.shape()`."""
+    loads, attributes, binds = set(), set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             (loads if isinstance(sub.ctx, ast.Load) else binds).add(sub.id)
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            loads.add(sub.attr)
+            attributes.add(sub.attr)
         elif isinstance(sub, ast.arg):
             binds.add(sub.arg)
-    return loads - binds
+    return (loads - binds) | attributes
 
 
 def test_every_public_library_definition_is_live():
     # live: loaded by the command line, a script or the benchmark child,
-    # named by the benchmark tracer, or loaded by a live definition (a live
-    # class keeps all its methods); whatever only tests read lives in tests/
+    # named by the benchmark tracer, or loaded by a live definition.  A
+    # public method of a library class is a definition of its own, live when
+    # a live definition reads its attribute name; the rest of a class
+    # (dunders and private methods included) lives with the class.  Whatever
+    # only tests read lives in tests/
     root = Path(__file__).resolve().parents[1]
     package = Path(affbasis.__file__).parent
-    reads: dict[str, set] = {}  # top-level name -> the names its statements load
-    public, live = [], set()
+    reads: dict[str, set] = {}  # defined name -> the names its statements load
+    public, live = [], set()  # public: (qualified name, name it is read by)
     for path in sorted(package.glob("*.py")):
         for stmt in ast.parse(path.read_text(), str(path)).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 names = [stmt.name]
                 if not stmt.name.startswith("_"):
-                    public.append(f"{path.stem}.{stmt.name}")
+                    public.append((f"{path.stem}.{stmt.name}", stmt.name))
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 names = []
+            if isinstance(stmt, ast.ClassDef):
+                methods = [
+                    m
+                    for m in stmt.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+                for method in methods:
+                    public.append((f"{path.stem}.{stmt.name}.{method.name}", method.name))
+                    reads.setdefault(method.name, set()).update(_reads(method))
+                stmt.body = [m for m in stmt.body if m not in methods]
             for name in names:
                 reads.setdefault(name, set()).update(_reads(stmt))
             if not names:  # import-time code
@@ -175,4 +190,4 @@ def test_every_public_library_definition_is_live():
         new = reads.get(todo.pop(), set()) - live
         live |= new
         todo.extend(new)
-    assert [name for name in public if name.partition(".")[2] not in live] == []
+    assert [qualified for qualified, name in public if name not in live] == []

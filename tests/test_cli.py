@@ -169,7 +169,7 @@ def test_tables_match_fixture_emission(capsys):
     emitted = set()
     for line in out.strip().splitlines():
         pi, rho = line.split("|")
-        emitted.add((parse_partition(pi).parts, parse_partition(rho).parts))
+        emitted.add((parse_partition(pi), parse_partition(rho)))
     assert emitted == load_lemma12_fixture()
 
 
@@ -274,7 +274,7 @@ def test_theorem_a_row_leading_elsewhere_names_its_partition(capsys, monkeypatch
     def without_leading_monomial(lab, window):
         v = original(lab, window)
         if lab == label:
-            del v[lab.partition().parts]
+            del v[lab.partition()]
         return v
 
     monkeypatch.setattr(relations, "relation_on_vacuum", without_leading_monomial)

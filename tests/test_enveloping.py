@@ -21,10 +21,11 @@ from affbasis.enveloping import (
 )
 from affbasis.linalg import SpanReducer, add_scaled, sparse_rank
 from affbasis.partitions import (
-    ColoredPartition,
     format_partition,
+    order_key,
     parse_partition,
     part_key,
+    sort_parts,
 )
 from reference_enveloping import coefficient, element_weight
 from reference_rank import markowitz_rank
@@ -139,7 +140,7 @@ def reference_mode_on_partition(mode, parts):
     st.lists(st.tuples(st.integers(1, 8), st.integers(-4, -1)), max_size=4),
 )
 def test_mode_on_partition_matches_reference_rewriter(mode, parts):
-    parts = ColoredPartition(parts).parts
+    parts = sort_parts(parts)
     expected = reference_mode_on_partition(mode, parts)
     # equal tuples: same terms, same coefficients, same term order
     assert mode_on_partition(mode, parts) == expected
@@ -255,12 +256,12 @@ def test_action_examples():
     assert apply_mode((2, 0), vac) == {}
     assert apply_mode((6, 0), vac) == {}  # zero-mode lowering kills the vacuum
     one_part = apply_mode((1, -1), vac)
-    assert one_part == {parse_partition("1:-1").parts: 1}
+    assert one_part == {parse_partition("1:-1"): 1}
     assert apply_mode((2, 1), apply_mode((7, -1), vac)) == vac
 
 
 def test_action_returns_a_fresh_dict_and_leaves_its_input():
-    v = {parse_partition("7:-1").parts: 1, (): 2}
+    v = {parse_partition("7:-1"): 1, (): 2}
     before = dict(v)
     e = EnvElement({(): 1}, W8)  # the identity element
     for out in (apply_mode((4, 0), v), apply_word((), v), act(e, v)):
@@ -272,13 +273,13 @@ def test_action_returns_a_fresh_dict_and_leaves_its_input():
 
 def test_action_of_env_element():
     e = EnvElement(straighten_word(((2, 1),)), W8)
-    v = {parse_partition("7:-1").parts: 1}
+    v = {parse_partition("7:-1"): 1}
     assert act(e, v) == {(): 1}
 
 
 def test_action_window_certification():
     e = EnvElement({((2, 1),): Fraction(1)}, Window(0))
-    deep = {parse_partition("7:-1").parts: 1}
+    deep = {parse_partition("7:-1"): 1}
     with pytest.raises(WindowError):
         act(e, deep)
 
@@ -292,7 +293,7 @@ def test_action_window_certification():
     st.lists(st.tuples(st.integers(1, 8), st.integers(-2, -1)), max_size=3),
 )
 def test_action_commutator_identity(a, m, b, n, parts):
-    v = {ColoredPartition(parts).parts: 1}
+    v = {sort_parts(parts): 1}
     ab = apply_mode((a, m), apply_mode((b, n), v))
     ba = apply_mode((b, n), apply_mode((a, m), v))
     lhs = add_scaled(dict(ab), ba.items(), -1)
@@ -316,7 +317,7 @@ def test_graded_basis_counts():
 
 def test_graded_basis_sorted_unique():
     basis = graded_basis(4)
-    assert basis == sorted(basis)
+    assert basis == sorted(basis, key=order_key)
     assert len(set(basis)) == len(basis)
 
 
@@ -367,7 +368,7 @@ def test_leading_term_examples():
 
 
 def test_scalar_leading_term_is_the_empty_partition():
-    assert EnvElement({(): 1}, Window(3)).leading_term() == ColoredPartition()
+    assert EnvElement({(): 1}, Window(3)).leading_term() == ()
 
 
 def test_leading_term_needs_homogeneous():
@@ -379,7 +380,7 @@ def test_leading_term_needs_homogeneous():
 def test_leading_term_window_certification():
     # a positive-degree pair whose candidates stretch past a tiny window
     e = EnvElement({((1, 1), (1, 1)): Fraction(1)}, Window(2))
-    assert e.leading_term(max_length=2).parts == ((1, 1), (1, 1))
+    assert e.leading_term(max_length=2) == ((1, 1), (1, 1))
     # a length-3 minimum allows smaller shapes with heavier annihilation
     # content, e.g. (-6, 2, 2) below (-4, -1, 3), so a bound-3 window cannot
     # certify the minimum
@@ -389,7 +390,6 @@ def test_leading_term_window_certification():
     assert (
         EnvElement({((1, -4), (1, -1), (1, 3)): Fraction(1)}, Window(4))
         .leading_term(max_length=3)
-        .parts
         == ((1, -4), (1, -1), (1, 3))
     )
 
@@ -437,14 +437,14 @@ def test_element_action_equals_sequential_action():
         word = tuple(
             (rng.randint(1, 8), rng.randint(-2, 2)) for _ in range(rng.randint(0, 4))
         )
-        parts = ColoredPartition(
+        parts = sort_parts(
             [(rng.randint(1, 8), rng.randint(-2, -1)) for _ in range(rng.randint(0, 2))]
         )
-        v = {parts.parts: 1}
+        v = {parts: 1}
         assert act(EnvElement(straighten_word(word), W8), v) == apply_word(word, v)
 
 
 def test_leading_term_of_pbw_monomial():
     p = parse_partition("3:-2 4:-1 1:-1")
-    e = EnvElement({p.parts: Fraction(1)}, W8)
+    e = EnvElement({p: Fraction(1)}, W8)
     assert e.leading_term(max_length=3) == p

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import cmp_to_key
 
 import pytest
@@ -9,12 +10,10 @@ from affbasis.enveloping import graded_basis
 from affbasis.fixture_io import load_lemma12_fixture
 from affbasis.partitions import (
     ADJACENT_COLOR_PAIRS,
-    EMPTY,
     EXCEPTIONAL_CASES,
     INDEPENDENT_COLOR_SETS,
     SAME_DEGREE_COLOR_PAIRS,
     SHAPE_CLASSES,
-    ColoredPartition,
     compatible_layers,
     cubic_a_label,
     cubic_b_label,
@@ -27,7 +26,9 @@ from affbasis.partitions import (
     overlap_catalogue,
     parse_partition,
     partitions_at_most,
+    parts_degree,
     parts_shape,
+    parts_weight,
     quad_same_label,
     quadratic_embeddings,
     quadratic_leading_labels,
@@ -37,14 +38,21 @@ from affbasis.partitions import (
     sort_parts,
     colorings_of_shape,
 )
+from affbasis.relations import _tensor_partition
 from reference_embeddings import embeddings_by_full_scan
 from reference_fixtures import load_color_pairs, load_partitions
-from reference_partitions import compare, satisfies_difference_conditions, translate
+from reference_partitions import (
+    compare,
+    contains,
+    quotient,
+    satisfies_difference_conditions,
+    translate,
+)
 
 parts_strategy = st.lists(
     st.tuples(st.integers(1, 8), st.integers(-4, -1)), min_size=0, max_size=5
 )
-partition_strategy = parts_strategy.map(ColoredPartition)
+partition_strategy = parts_strategy.map(sort_parts)
 
 
 # --- order ---------------------------------------------------------------
@@ -54,16 +62,16 @@ def test_order_examples():
     p1 = parse_partition("3:-2 5:-1 1:-1")
     p2 = parse_partition("3:-2 4:-1 1:-1")
     p3 = parse_partition("5:-2 3:-1 1:-1")
-    assert p1 < p2 < p3
-    assert not p1 < p1
-    longer = ColoredPartition([(1, -1)] * 3)
-    assert longer < ColoredPartition([(1, -3)])
+    assert order_key(p1) < order_key(p2) < order_key(p3)
+    assert not order_key(p1) < order_key(p1)
+    longer = ((1, -1),) * 3
+    assert order_key(longer) < order_key(((1, -3),))
 
 
 def test_shape_clause_before_color_clause():
     balanced = parse_partition("1:-2 1:-1")
     spread = parse_partition("3:-3 2:0")
-    assert balanced < spread
+    assert order_key(balanced) < order_key(spread)
 
 
 @settings(max_examples=300)
@@ -87,7 +95,7 @@ def test_order_transitivity(p, q, r):
 @given(partition_strategy, partition_strategy, partition_strategy)
 def test_order_respects_multiplication(p, q, kappa):
     if compare(p, q) < 0:
-        assert compare(p * kappa, q * kappa) < 0
+        assert compare(sort_parts(p + kappa), sort_parts(q + kappa)) < 0
 
 
 def test_finite_strict_chain_within_degree():
@@ -96,7 +104,7 @@ def test_finite_strict_chain_within_degree():
     pool = []
     for shape in [(-3,), (-2, -1), (-1, -1, -1)]:
         pool.extend(colorings_of_shape(shape))
-    pool.sort()
+    pool.sort(key=order_key)
     for a, b in zip(pool, pool[1:]):
         assert compare(a, b) < 0
 
@@ -155,7 +163,7 @@ equal_length_pairs = st.integers(0, 5).flatmap(
 @given(st.one_of(st.tuples(wide_parts, wide_parts), equal_length_pairs))
 def test_order_key_matches_reference_comparators(pair):
     p, q = pair
-    assert compare(ColoredPartition(p), ColoredPartition(q)) == parts_compare(p, q)
+    assert compare(p, q) == parts_compare(p, q)
     a, b = shape_key(parts_shape(p)), shape_key(parts_shape(q))
     assert (a > b) - (a < b) == shape_compare(parts_shape(p), parts_shape(q))
     assert order_key(p)[:3] == a
@@ -170,33 +178,63 @@ def test_order_key_sorts_like_reference_comparator(pool):
 # --- monoid ops ----------------------------------------------------------
 
 
+def union(p, q):
+    return sort_parts((Counter(p) | Counter(q)).elements())
+
+
+def intersection(p, q):
+    return sort_parts((Counter(p) & Counter(q)).elements())
+
+
 def test_monoid_examples():
     p = parse_partition("1:-1 3:-1")
     q = parse_partition("1:-1 1:-1")
-    assert p * EMPTY == p
-    assert p.union(EMPTY) == p
-    assert p.intersection(q) == parse_partition("1:-1")
-    assert parse_partition("3:-2 4:-1 1:-1").quotient(
-        parse_partition("4:-1 1:-1")
+    assert sort_parts(p + ()) == p
+    assert union(p, ()) == p
+    assert intersection(p, q) == parse_partition("1:-1")
+    assert quotient(
+        parse_partition("3:-2 4:-1 1:-1"), parse_partition("4:-1 1:-1")
     ) == parse_partition("3:-2")
     with pytest.raises(ValueError):
-        p.quotient(q)
+        quotient(p, q)
 
 
 @settings(max_examples=200)
 @given(partition_strategy, partition_strategy)
 def test_lattice_laws(p, q):
-    u, i = p.union(q), p.intersection(q)
-    assert u.contains(p) and u.contains(q)
-    assert p.contains(i) and q.contains(i)
+    u, i = union(p, q), intersection(p, q)
+    assert contains(u, p) and contains(u, q)
+    assert contains(p, i) and contains(q, i)
     # inclusion-exclusion on multiplicity counts
-    assert u * i == p * q
+    assert sort_parts(u + i) == sort_parts(p + q)
 
 
 @settings(max_examples=200)
 @given(partition_strategy, partition_strategy)
 def test_quotient_inverts_product(p, q):
-    assert (p * q).quotient(q) == p
+    assert quotient(sort_parts(p + q), q) == p
+
+
+# a partition is a plain tuple, so its sortedness rests on the builders
+@settings(max_examples=100)
+@given(
+    parts_strategy,
+    st.sampled_from(relation_set(-2, 1)),
+    st.tuples(st.integers(1, 8), st.integers(-4, 3)),
+    st.lists(st.integers(-3, 1), min_size=1, max_size=3).map(sorted),
+    st.integers(0, 4),
+)
+def test_every_builder_returns_sorted_parts(parts, label, mode, shape, n):
+    built = [
+        parse_partition(" ".join(f"{c}:{d}" for c, d in parts)),
+        label.partition(),
+        _tensor_partition((mode, label)),
+        *colorings_of_shape(tuple(shape)),
+        *enumerate_ideal(n),
+        *graded_basis(n),
+    ]
+    for p in built:
+        assert type(p) is tuple and sort_parts(p) == p, p
 
 
 # --- the forbidden-factor set ---------------------------------------------
@@ -228,7 +266,7 @@ def test_tables_match_fixture_files():
 def test_difference_conditions_examples():
     assert not satisfies_difference_conditions(parse_partition("1:-2 5:-1 3:-1"))
     assert satisfies_difference_conditions(parse_partition("1:-6 5:-3 3:-1"))
-    assert satisfies_difference_conditions(EMPTY)
+    assert satisfies_difference_conditions(())
     # cubic exclusions
     assert not satisfies_difference_conditions(parse_partition("3:-2 4:-1 1:-1"))
     assert not satisfies_difference_conditions(parse_partition("8:-2 4:-2 6:-1"))
@@ -241,11 +279,11 @@ def test_difference_conditions_match_divisibility():
     for n in range(6):
         ideal = set(enumerate_ideal(n))
         for p in graded_basis(n):
-            degrees = [d for _, d in p.parts] or [0]
+            degrees = [d for _, d in p] or [0]
             anchors = (min(degrees) - 1, max(degrees) + 1)
             if anchors not in factors:
                 factors[anchors] = [lab.partition() for lab in relation_set(*anchors)]
-            divisible = any(p.contains(rho) for rho in factors[anchors])
+            divisible = any(contains(p, rho) for rho in factors[anchors])
             assert satisfies_difference_conditions(p) == (not divisible), p
             assert (p in ideal) == (not divisible), p
 
@@ -254,7 +292,7 @@ def test_layer_rule_matches_divisibility():
     # two neighbouring degrees, each holding an allowed color set
     for deeper in INDEPENDENT_COLOR_SETS:
         for shallower in INDEPENDENT_COLOR_SETS:
-            p = ColoredPartition([(c, -2) for c in deeper] + [(c, -1) for c in shallower])
+            p = sort_parts([(c, -2) for c in deeper] + [(c, -1) for c in shallower])
             assert compatible_layers(deeper, shallower) == satisfies_difference_conditions(p)
 
 
@@ -274,16 +312,16 @@ def test_enumeration_counts():
 
 def test_enumeration_sorted_and_valid():
     parts = enumerate_ideal(4)
-    assert parts == sorted(parts)
+    assert parts == sorted(parts, key=order_key)
     for p in parts:
         assert satisfies_difference_conditions(p)
-        assert p.degree == -4
+        assert parts_degree(p) == -4
 
 
 def test_enumeration_weight_filter():
     full = enumerate_ideal(3)
     filtered = enumerate_ideal(3, Weight(1, 1))
-    assert [p for p in full if p.weight() == Weight(1, 1)] == filtered
+    assert [p for p in full if parts_weight(p) == Weight(1, 1)] == filtered
 
 
 def test_enumeration_matches_oracle():
@@ -298,11 +336,11 @@ def test_enumeration_matches_oracle():
 
 
 def test_embedding_examples():
-    found, excess = embeddings(ColoredPartition([(1, -1)] * 3))
+    found, excess = embeddings(((1, -1),) * 3)
     assert [l.colors for l in found] == [(1, 1)] and excess == 0
     found, excess = embeddings(parse_partition("3:-2 5:-1 1:-1"))
     assert len(found) == 2 and excess == 1
-    assert embeddings(EMPTY) == ([], 0)
+    assert embeddings(()) == ([], 0)
 
 
 def test_indexed_embeddings_match_the_full_scan():
@@ -361,17 +399,14 @@ def test_exceptional_class_rejects_other_weights():
 
 
 def test_overlap_catalogue_matches_fixture():
-    computed = {(p.parts, r.parts) for p, r in overlap_catalogue(-1)}
+    computed = set(overlap_catalogue(-1))
     assert len(computed) == 73
     assert computed == load_lemma12_fixture()
 
 
 def test_overlap_catalogue_translates():
-    at_minus_2 = {(p.parts, r.parts) for p, r in overlap_catalogue(-2)}
-    shifted = {
-        (translate(p, -1).parts, translate(r, -1).parts)
-        for p, r in overlap_catalogue(-1)
-    }
+    at_minus_2 = set(overlap_catalogue(-2))
+    shifted = {(translate(p, -1), translate(r, -1)) for p, r in overlap_catalogue(-1)}
     assert at_minus_2 == shifted
 
 
@@ -380,7 +415,7 @@ def test_overlap_catalogue_membership_examples():
     pis = {p for p, _ in cat}
     assert parse_partition("3:-3 8:-2 4:-2 1:-2 6:-1") in pis
     assert parse_partition("3:-2 1:-2 4:-1 1:-1") in pis
-    assert max(p.length for p in pis) == 5
+    assert max(len(p) for p in pis) == 5
 
 
 # --- misc -----------------------------------------------------------------------
@@ -395,7 +430,7 @@ def test_partitions_at_most():
     bound = parse_partition("1:-1 1:-1")
     below = partitions_at_most(bound, 2, -2)
     assert bound in below
-    assert all(q <= bound for q in below)
+    assert all(order_key(q) <= order_key(bound) for q in below)
     # every length-2 partition of -2 with shape (-1,-1) and color pairs
     assert len(below) == 36
 
@@ -403,8 +438,8 @@ def test_partitions_at_most():
 def test_quadratic_leading_labels_partition_degrees():
     for n in (-5, -4, 3):
         for lab in quadratic_leading_labels(n):
-            assert lab.partition().degree == n
+            assert parts_degree(lab.partition()) == n
     for lab in relation_set(-3, 2):
-        assert lab.degree() == lab.partition().degree, lab
+        assert lab.degree() == parts_degree(lab.partition()), lab
     assert quad_same_label(5, 1, -1).partition() == parse_partition("5:-1 1:-1")
     assert cubic_b_label(-1).partition() == parse_partition("8:-2 4:-2 6:-1")

@@ -10,6 +10,7 @@ from affbasis.partitions import (
     format_partition,
     order_key,
     parse_partition,
+    parts_shape,
     quad_adjacent_label,
     quad_same_label,
     quadratic_leading_labels,
@@ -64,7 +65,7 @@ W8 = Window(8)
 def test_generator_examples():
     e = x1_square_modes(-2, W8)
     v = act(e, {(): 1})
-    assert v == {parse_partition("1:-1 1:-1").parts: 1}
+    assert v == {parse_partition("1:-1 1:-1"): 1}
     assert format_partition(
         x1_square_modes(-3, W8).leading_term(max_length=2)
     ) == "1:-2 1:-1"
@@ -134,7 +135,7 @@ def test_relations_vanish_at_other_pivots():
         elem = space.element(label)
         for other in labels:
             expected = 1 if other == label else 0
-            assert coefficient(elem, other.partition().parts) == expected
+            assert coefficient(elem, other.partition()) == expected
 
 
 def test_relation_annihilates_quotient_spot_check():
@@ -142,7 +143,7 @@ def test_relation_annihilates_quotient_spot_check():
     # its coordinates at ideal partitions never appear alone; here we just
     # pin the image of the smallest one
     v = act(relation_for(quad_same_label(1, 1, -1), W8), {(): 1})
-    assert v == {parse_partition("1:-1 1:-1").parts: 1}
+    assert v == {parse_partition("1:-1 1:-1"): 1}
 
 
 def test_coordinates_check_the_residual_on_the_common_window():
@@ -163,8 +164,8 @@ def test_cubic_a():
     assert format_partition(body.leading_term(max_length=3)) == "3:-2 4:-1 1:-1"
     ordered = sorted(body.terms.items(), key=lambda kv: order_key(kv[0]))
     assert ordered[:2] == [
-        (parse_partition("3:-2 4:-1 1:-1").parts, 1),
-        (parse_partition("5:-2 3:-1 1:-1").parts, -1),
+        (parse_partition("3:-2 4:-1 1:-1"), 1),
+        (parse_partition("5:-2 3:-1 1:-1"), -1),
     ]
 
 
@@ -420,16 +421,19 @@ def test_collapse_acts_as_zero_spot_check():
     from affbasis.enveloping import graded_basis
 
     for p in graded_basis(3)[:40]:
-        assert act(image, {p.parts: 1}) == {}
+        assert act(image, {p: 1}) == {}
 
 
 def test_tensor_leading_shapes():
     tensors = syzygy_tensors(-6, Window(6))
-    shapes = {tensor_leading_partition(v).shape() for v in orbit_basis(tensors["64"], Window(6))}
+    shapes = {
+        parts_shape(tensor_leading_partition(v))
+        for v in orbit_basis(tensors["64"], Window(6))
+    }
     assert shapes == {(-3, -2, -1)}
     for name in ("27", "35", "35u"):
         shapes = {
-            tensor_leading_partition(v).shape()
+            parts_shape(tensor_leading_partition(v))
             for v in orbit_basis(tensors[name], Window(6))
         }
         assert shapes == {(-2, -2, -2)}, name
@@ -488,9 +492,9 @@ def test_row_certificate_agrees_with_the_per_factor_report():
 def test_order_key_is_multiplicative_and_each_factor_leads_its_rows():
     # adjacent pairs of the sorted depth 2-4 partitions stand for every pair
     # p < q, by transitivity
-    pool = sorted((p.parts for n in (2, 3, 4) for p in graded_basis(n)), key=order_key)
+    pool = sorted((p for n in (2, 3, 4) for p in graded_basis(n)), key=order_key)
     for kappa in graded_basis(1) + graded_basis(2):
-        keys = [order_key(sort_parts(kappa.parts + p)) for p in pool]
+        keys = [order_key(sort_parts(kappa + p)) for p in pool]
         assert all(a < b for a, b in zip(keys, keys[1:])), kappa
     # so lt(u(kappa) . (r_rho . vac)) = kappa + rho on every row of depth <= 4
     factors = [rho for rho in relation_set(-2, -1) if rho.degree() >= -4]
@@ -498,8 +502,8 @@ def test_order_key_is_multiplicative_and_each_factor_leads_its_rows():
     for rho in factors:
         v0 = relation_on_vacuum(rho, W8)
         for kappa in (k for n in range(5 + rho.degree()) for k in graded_basis(n)):
-            row = apply_word(kappa.parts, v0)
-            assert min(row, key=order_key) == sort_parts(kappa.parts + rho.partition().parts)
+            row = apply_word(kappa, v0)
+            assert min(row, key=order_key) == sort_parts(kappa + rho.partition())
 
 
 def test_a_window_too_small_for_a_factor_vector_raises():
@@ -600,7 +604,7 @@ def test_relation_images_live_in_the_maximal_submodule():
     for label in space.labels:
         v0 = act(space.element(label), {(): 1})
         for kappa in graded_basis(1):
-            v = apply_word(kappa.parts, v0)
+            v = apply_word(kappa, v0)
             if v:
                 rows.append(v)
     base_rank = max_submodule_rank(3, window)
@@ -646,7 +650,7 @@ def test_integral_layers_keep_int_coefficients():
         assert all(_ints(col.values()) for col in transport_matrix(n, window).values())
     for mode in [(a, d) for a in range(1, 9) for d in range(-2, 3)]:
         for p in graded_basis(2) + graded_basis(3):
-            assert _ints(c for _, c in mode_on_partition(mode, p.parts)), (mode, p)
+            assert _ints(c for _, c in mode_on_partition(mode, p)), (mode, p)
     for rows in submodule_span_blocks(4, W8).values():
         assert all(_ints(row.values()) for row in rows)
     # the four syzygy tensors, the 27 one scaled by its t, their orbits, and
@@ -670,6 +674,18 @@ def test_q27_combination_is_five_unit_pairs():
         ],
         2,
     )
+
+
+def test_q27_combination_rejects_a_second_solution(monkeypatch):
+    # a repeated pair column makes the null space two-dimensional: the
+    # repeat closes a dependency with t = 0 before the target column does
+    from affbasis import relations
+
+    pairs = relations._weight_2theta_pairs
+
+    monkeypatch.setattr(relations, "_weight_2theta_pairs", lambda w: pairs(w) + pairs(w)[:1])
+    with pytest.raises(AssertionError, match="unique highest-weight"):
+        _q27_combination.__wrapped__(Window(4))
 
 
 def test_rational_edges_never_give_floats():
