@@ -360,17 +360,15 @@ def ideal_count_series(order: int) -> Series:
 # --- the independent character oracle ----------------------------------------
 
 
-def a2_theta_series(order: int, sign: int = -1) -> Series:
+def a2_theta_series(order: int) -> Series:
     """Theta series of the hexagonal root lattice, Gram matrix
-    [[2, sign], [sign, 2]] with sign = +-1."""
-    if sign not in (1, -1):
-        raise ValueError("off-diagonal sign must be +1 or -1")
+    [[2, -1], [-1, 2]]."""
     coeffs = [0] * (order + 1)
     # the norm form is at least (3/4) x^2 over integer points
     bound = math.isqrt(4 * order // 3) + 2
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
-            norm = x * x + sign * x * y + y * y
+            norm = x * x - x * y + y * y
             if norm <= order:
                 coeffs[norm] += 1
     return Series(coeffs)

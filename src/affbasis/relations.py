@@ -12,21 +12,18 @@ families of relations among relations), the two-sided multiplication map
 that collapses a tensor into the completed algebra, and the graded
 verification of the basis theorem.
 
-A family's orbit is computed once, in reference coordinates.  A zero mode
-keeps each mode slot of a tensor, and each slot is certified to be a
-multiple of one reference vector in 8 tensor R(-2), carried to the slot's
-degree by the transport.  The transport is certified to commute with the
-zero modes (with F by its solve, with E by an induction from the
-generator), so the orbit has the dimension of the reference vector's orbit.
-
-Shift and transport matrices are read off the parity of their degrees.
-Every relation space is made of the degree-n modes Y(v)_n of one
-27-dimensional space R, and when X(1) and X(2) kill R (the premise, checked
-once per window), ad x(k) from degree n to n + k acts on every space as the
-same zero-mode action on R.  With labels written without their anchor there
-are 32 shift matrices, keyed by (x, n mod 2, (n + k) mod 2), and two
-transports, keyed by m mod 2; each is built and certified once, at degrees
--2 and -3, and re-anchored (the lemma at `shift_matrix`).
+A syzygy tensor is stored in the coordinates of R.  Every relation space
+is made of the degree-n modes Y(v)_n of one 27-dimensional space R, so the
+relation slot of mode degree i holds a vector v of R, written in the
+canonical basis of degree -2, and stands for Y(v)_{n-i}.  When X(1) and X(2)
+kill R (the premise, checked once per window), ad x(k) acts on every slot
+as the zero mode x(0) on R, one matrix for every k and every degree (the
+lemma at `shift_matrix`).  Canonical labels appear only where `collapse`
+reads relation bodies: at an even degree they are v's labels re-anchored,
+at an odd one those of v's image under the transport, solved once at degree
+-3 (`_canonical_terms`).  A zero mode acts on every slot by the same
+operator, so a family whose slots are multiples of one vector v has the
+dimension of v's orbit (`syzygy_dimensions`).
 
 The verification of the basis theorem follows the paper, one leading-term
 check per forbidden factor: the monomial order is multiplicative, so once
@@ -99,11 +96,6 @@ def _x1x1_label(m: int) -> RelationLabel:
     if m % 2 == 0:
         return quad_same_label(1, 1, m // 2)
     return quad_adjacent_label(1, 1, (m + 1) // 2)
-
-
-def _x1x1_norm(m: int) -> int:
-    """Leading coefficient of the quadratic generator at degree m."""
-    return 2 if m % 2 else 1
 
 
 class RelationSpace:
@@ -219,48 +211,17 @@ def relation_for(label: RelationLabel, window: Window) -> EnvElement:
     return left.narrowed(bound) - right.narrowed(bound)
 
 
-# --- transported adjoint action between relation spaces -----------------------
+# --- the zero-mode action on R and the transport -------------------------------
 
 
 class PremiseError(Exception):
     """A degree -2 relation vector is not killed by some X_a(1) or X_a(2),
-    so the shift matrices may not be read off their parity references;
-    `witness` names the label and the mode."""
+    so a loop mode of nonzero degree may not act on a relation slot as its
+    zero mode; `witness` names the label and the mode."""
 
     def __init__(self, witness: str):
         super().__init__(witness)
         self.witness = witness
-
-
-def _reference_degree(n: int) -> int:
-    """The degree of n's parity in the reference pair -2, -3."""
-    return -2 - n % 2
-
-
-def _relabeled(matrix, source_shift: int, target_shift: int):
-    """A matrix between relation spaces with its source labels anchored
-    `source_shift` higher and its target labels `target_shift` higher
-    (re-anchoring a quadratic label by t moves its degree by 2t)."""
-    targets = {lab2: lab2.translate(target_shift) for column in matrix.values() for lab2 in column}
-    return {
-        lab.translate(source_shift): {targets[lab2]: v for lab2, v in column.items()}
-        for lab, column in matrix.items()
-    }
-
-
-@cache
-def _reference_shift(x_color: int, n: int, m: int, window: Window):
-    """Matrix of ad(x(m - n)) from the degree-n relation space to degree m,
-    n and m in {-2, -3}, in the canonical bases: each image is expanded over
-    the target basis, and `coordinates` certifies that no in-window residual
-    survives.  Every pivot of these degrees creates, so it lies in the image
-    window."""
-    source = relation_space(n, window)
-    target = relation_space(m, window)
-    return {
-        label: target.coordinates(source.element(label).adjoint_mode(x_color, m - n))
-        for label in source.labels
-    }
 
 
 @cache
@@ -271,25 +232,25 @@ def _shift_premise(window: Window) -> str | None:
 
 
 @cache
-def shift_matrix(x_color: int, k: int, n: int, window: Window):
-    """Matrix of ad(x(k)) from the degree-n relation space to degree n+k,
-    in the canonical bases: the reference matrix of its parities, with the
-    labels re-anchored.  The image is exact on the window less |k|, and
-    every target pivot must lie there, or its coordinate could be dropped
-    unseen.
+def shift_matrix(x_color: int, n: int, window: Window):
+    """Matrix of ad(x(0)) on the degree-n relation space, n in {-2, -3}, in
+    its canonical basis: each image is expanded over the same basis, and
+    `coordinates` certifies that no in-window residual survives (a zero mode
+    keeps the window).  At n = -2 it is the action of x(0) on R in the
+    coordinates of every syzygy slot; the transport solve also reads n = -3.
 
     Lemma.  Let R be the 27-dimensional span of the degree -2 relation
     vectors r . vac, the g-module generated by X1(-1)^2 . vac in depth 2.
     Hypothesis (the premise, `_premise_witness`): X_a(1) and X_a(2) kill R
-    for every color a.  Then, with labels written without their anchor, the
-    matrix depends only on (x, n mod 2, (n + k) mod 2).
+    for every color a.
       - The degree-n space is {Y(v)_n : v in R}, Y(v)_n the degree-n mode
         of the vertex operator of v: the generator is Y(X1(-1)^2 . vac)_n,
         and [x(0), Y(v)_n] = Y(x(0) v)_n, so closing under F1(0) and F2(0)
         sweeps out R.
       - [x(k), Y(v)_n] = sum_{j >= 0} C(k, j) Y(x(j) v)_{n+k}.  x(j) v = 0
         for j >= 3, as the module has no negative depth, and for j = 1, 2
-        by the hypothesis, so [x(k), Y(v)_n] = Y(x(0) v)_{n+k}.
+        by the hypothesis, so [x(k), Y(v)_n] = Y(x(0) v)_{n+k}.  For k = 0
+        the hypothesis is not needed, as C(0, j) = 0 for j >= 1.
       - The coefficient of a quadratic X_c(p) X_d(n - p) in Y(v)_n, for v =
         sum C_ab X_a(-1) X_b(-1) . vac + sum D_a X_a(-2) . vac, is
         C_cd + C_dc for c != d, and for c = d it is C_cc if p = n - p and
@@ -300,40 +261,79 @@ def shift_matrix(x_color: int, k: int, n: int, window: Window):
       - The canonical basis vector with pivot L has coefficient one there
         and zero at the other pivots (`coordinates` reads pivot
         coefficients), so it is Y(v_L)_n, with v_L in R the dual basis of
-        the pivot functionals of n's parity.  ad(x(k)) maps it to
-        Y(x(0) v_L)_{n+k}, whose coordinates are those of x(0) v_L over the
-        dual basis of the parity of n + k.
-    So the matrix is built once per parity pair and window, certified, at
-    the reference degrees -2 and -3 (`_reference_shift`), and re-anchored
-    here.  For k = 0 the hypothesis is not needed, as C(0, j) = 0 for
-    j >= 1; every other k checks it first (`_shift_premise`, once per
-    window), and a failure raises `PremiseError`."""
-    ref_n, ref_m = _reference_degree(n), _reference_degree(n + k)
-    target_shift = (n + k - ref_m) // 2
-    image_w = Window(window.annihilation_bound - abs(k))
-    for label, pivot in relation_space(ref_m, window).leading.items():
-        if not image_w.admits(tuple((c, d + target_shift) for c, d in pivot)):
-            label = label.translate(target_shift)
-            raise WindowError(
-                f"pivot {format_partition(label.partition())} of the degree-{n + k} "
-                f"space lies outside the certified image window {image_w.annihilation_bound}"
-            )
-    if k:
-        witness = _shift_premise(window)
-        if witness is not None:
-            raise PremiseError(witness)
-    reference = _reference_shift(x_color, ref_n, ref_m, window)
-    return _relabeled(reference, (n - ref_n) // 2, target_shift)
+        the pivot functionals of n's parity.  Write v in the degree -2 basis:
+        at an even degree the canonical labels of Y(v)_n are v's re-anchored,
+        and at an odd degree those of the transport of v (`_canonical_terms`).
+    So a syzygy slot holds its vector of R whatever its degree, and ad x(k)
+    acts on every slot as x(0) on R once the premise holds."""
+    space = relation_space(n, window)
+    return {
+        label: space.coordinates(space.element(label).adjoint_mode(x_color, 0))
+        for label in space.labels
+    }
+
+
+@cache
+def transport_matrix(window: Window):
+    """The transport from degree -2 to degree -3 in canonical coordinates:
+    the image of an abstract relation vector under 'same vector, degree
+    -3', which maps Y(v)_-2 to Y(v)_-3.  `_canonical_terms` reads the labels
+    of every odd degree off it (the lemma at `shift_matrix`, whose
+    hypothesis it does not need).
+
+    The solve: aligned on the quadratic generator, whose leading coefficient
+    is 1 at an even degree and 2 at an odd one (`x1_square_modes`), and
+    extended by the zero-mode lowering action.  Each pair of a reference
+    vector and its degree -3 image is a row [ref | tgt] of one reducer whose
+    columns put every reference label before every target label; after back
+    elimination the row with pivot ("ref", lab) carries T(e_lab) in its
+    target part.  The closed span must hold no vector whose reference part
+    is zero and whose target part is not (no row with a target pivot), which
+    certifies that T commutes with F1 and F2."""
+    ref_labels = relation_space(-2, window).labels
+    action = {
+        side: {c: shift_matrix(c, n, window) for c in (F1_COLOR, F2_COLOR)}
+        for side, n in (("ref", -2), ("tgt", -3))
+    }
+    reducer = SpanReducer(
+        lambda col: (col[0] != "ref", order_key(col[1].partition()))
+    )
+    seed = {("ref", _x1x1_label(-2)): 1, ("tgt", _x1x1_label(-3)): 2}
+
+    def lowered(row):
+        for c in (F1_COLOR, F2_COLOR):
+            image: dict[tuple[str, RelationLabel], Scalar] = {}
+            for (side, lab), v in row.items():
+                images = action[side][c][lab].items()
+                add_scaled(image, (((side, lab2), w) for lab2, w in images), v)
+            yield image
+
+    reducer.close(seed, lowered)
+    if any(side == "tgt" for side, _ in reducer.pivots()):
+        raise WindowError("transport solve is inconsistent")
+    if reducer.rank != len(ref_labels):
+        raise WindowError("transport basis did not reach full rank")
+    reducer.back_eliminate()
+    return {
+        lab: {
+            lab2: v
+            for (side, lab2), v in reducer.row_for(("ref", lab)).items()
+            if side == "tgt"
+        }
+        for lab in ref_labels
+    }
 
 
 # --- syzygy tensors -------------------------------------------------------------
 
 
 class LoopTensor:
-    """Exact element of the degree-n piece of (loop algebra) tensor
-    (relation spaces): a sparse vector keyed by a single mode and a
-    canonical relation label, with int coefficients; x-mode degrees are
-    tracked on the certified interval [i_lo, i_hi]."""
+    """Exact element of the degree-n piece of (loop algebra) tensor R: a
+    sparse vector keyed by a single mode (a, i) and a label of the degree -2
+    canonical basis of R, with int coefficients.  The term ((a, i), L)
+    stands for X_a(i) tensor Y(v_L)_{n-i} (the lemma at `shift_matrix`;
+    `_canonical_terms` writes it over the canonical labels of degree n - i).
+    Mode degrees are tracked on the certified interval [i_lo, i_hi]."""
 
     __slots__ = ("n", "terms", "i_lo", "i_hi")
 
@@ -371,45 +371,32 @@ class LoopTensor:
 _MARGIN = 1
 
 
-def _space_window(window: Window) -> Window:
-    """The one internal window for relation-space bodies, shift matrices and
-    transports: bound + _MARGIN.  The degree-m relation space has full rank
-    in Window(B) exactly when m <= B (above B the window holds no term of the
-    generator).  The highest label degree any path reads is bound + _MARGIN:
-    the labels of `syzygy_tensor_64(n + 1)` at its least slot n - bound, and
-    the transport targets n - i at the least slot of the 64 and 27 tensors.
-    A zero or lowering shift keeps its target pivots in the image window;
-    raising shifts widen it themselves (`loop_action`)."""
-    return Window(window.annihilation_bound + _MARGIN)
-
-
 def syzygy_tensor_64(n: int, window: Window) -> LoopTensor:
-    """sum_j (3j - n) X1(j) tensor (quadratic generator at degree n-j)."""
+    """sum_i (3i - n) X1(i) tensor Y(g)_{n-i}, g = X1(-1)^2 . vac the
+    generator of R."""
     bound = window.annihilation_bound
     i_lo, i_hi = n - bound - _MARGIN, bound + _MARGIN
-    terms = {}
-    for i in range(i_lo, i_hi + 1):
-        coef = (3 * i - n) * _x1x1_norm(n - i)
-        if coef:
-            terms[((1, i), _x1x1_label(n - i))] = coef
+    generator = _x1x1_label(-2)
+    terms = {((1, i), generator): 3 * i - n for i in range(i_lo, i_hi + 1)}
     return LoopTensor(n, terms, i_lo, i_hi)
 
 
 def loop_action(x_color: int, k: int, t: LoopTensor, window: Window) -> LoopTensor:
-    """Action of x(k) on a tensor: bracket on the mode slot plus the
-    transported adjoint action on the relation slot.  A raising shift
-    (k > 0) costs k of the image window and lifts the target pivots by k,
-    so its shift matrices are taken on a window 2k wider."""
-    space_w = _space_window(window)
-    if k > 0:
-        space_w = Window(space_w.annihilation_bound + 2 * k)
+    """Action of x(k) on a tensor: the bracket on the mode slot, and x(0) on
+    every relation slot, which keeps its vector of R and moves from degree
+    n - i to n + k - i (the lemma at `shift_matrix`; for k != 0 its premise
+    is checked first, and a failure raises `PremiseError`)."""
+    if k:
+        witness = _shift_premise(window)
+        if witness is not None:
+            raise PremiseError(witness)
+    zero_mode = shift_matrix(x_color, -2, window)
     lo, hi = t.i_lo + max(k, 0), t.i_hi + min(k, 0)
     out: dict[tuple[Part, RelationLabel], int] = {}
     for ((a, i), label), c in t.terms.items():
         bracket = BRACKET[(x_color, a)]
         add_scaled(out, ((((color, i + k), label), coef) for color, coef in bracket), c)
-        shift = shift_matrix(x_color, k, label.degree(), space_w)[label]
-        add_scaled(out, ((((a, i), lab2), w) for lab2, w in shift.items()), c)
+        add_scaled(out, ((((a, i), lab2), w) for lab2, w in zero_mode[label].items()), c)
     return LoopTensor(t.n + k, out, lo, hi)
 
 
@@ -420,72 +407,6 @@ def lowering_pair(i: int, t: LoopTensor, window: Window) -> LoopTensor:
     first = loop_action(f, -1, loop_action(h, 0, t, window), window)
     second = loop_action(f, 0, loop_action(h, -1, t, window), window)
     return first - second
-
-
-@cache
-def transport_matrix(m: int, window: Window):
-    """The equivariant identification of the reference relation space (at
-    degree -2) with the degree-m space, in canonical coordinates: the image
-    of an abstract relation vector under 'same vector, degree m', which maps
-    Y(v)_-2 to Y(v)_m.  By the lemma at `shift_matrix` (whose hypothesis it
-    does not need), in labels without their anchor it depends only on m mod
-    2, so it is solved at m = -2 or -3 and re-anchored at every other m; it
-    then commutes with the re-anchored zero-mode matrices as the solved one
-    does with theirs.
-
-    The solve: aligned on the quadratic generator and extended by the
-    zero-mode lowering action.  Each pair of a reference vector and its
-    degree-m image is a row [ref | tgt] of one reducer whose columns put
-    every reference label before every target label; after back elimination
-    the row with pivot ("ref", lab) carries T(e_lab) in its target part.
-    The closed span must hold no vector whose reference part is zero and
-    whose target part is not (no row with a target pivot), which certifies
-    equivariance."""
-    ref_m = _reference_degree(m)
-    if m != ref_m:
-        # through the memo itself, which a wrapper of the module attribute
-        # does not replace
-        return _relabeled(_transport_memo(ref_m, window), 0, (m - ref_m) // 2)
-    ref_labels = relation_space(-2, window).labels
-    action = {
-        side: {c: shift_matrix(c, 0, n, window) for c in (F1_COLOR, F2_COLOR)}
-        for side, n in (("ref", -2), ("tgt", m))
-    }
-    reducer = SpanReducer(
-        lambda col: (col[0] != "ref", order_key(col[1].partition()))
-    )
-    # seed: the quadratic generator instance, leading coefficient matched
-    seed = {
-        ("ref", _x1x1_label(-2)): _x1x1_norm(-2),
-        ("tgt", _x1x1_label(m)): _x1x1_norm(m),
-    }
-
-    def lowered(row):
-        for c in (F1_COLOR, F2_COLOR):
-            image: dict[tuple[str, RelationLabel], Scalar] = {}
-            for (side, lab), v in row.items():
-                images = action[side][c][lab].items()
-                add_scaled(image, (((side, lab2), w) for lab2, w in images), v)
-            yield image
-
-    reducer.close(seed, lowered)
-    if any(side == "tgt" for side, _ in reducer.pivots()):
-        raise WindowError("transport solve is inconsistent")
-    if reducer.rank != len(ref_labels):
-        raise WindowError("transport basis did not reach full rank")
-    reducer.back_eliminate()
-    matrix = {
-        lab: {
-            lab2: v
-            for (side, lab2), v in reducer.row_for(("ref", lab)).items()
-            if side == "tgt"
-        }
-        for lab in ref_labels
-    }
-    return matrix
-
-
-_transport_memo = transport_matrix
 
 
 def _weight_2theta_pairs(window: Window):
@@ -508,9 +429,7 @@ def _q27_combination(window: Window):
     as ((mode color, label), coefficient) pairs and the integer t.  Solved
     exactly in the reference coordinates; no truncation enters."""
     pairs = _weight_2theta_pairs(window)
-    raising = {
-        c: shift_matrix(c, 0, -2, window) for c in (E1_COLOR, E2_COLOR)
-    }
+    raising = {c: shift_matrix(c, -2, window) for c in (E1_COLOR, E2_COLOR)}
     # one column per unknown.  A pair (a, r) gives the entries of
     # e . (X_a tensor r) = [e, X_a] tensor r + X_a tensor (e . r), which must
     # cancel, and of its state X_a(-1) . (r . vac); the last unknown t gives
@@ -557,39 +476,55 @@ def _q27_combination(window: Window):
     return [(pair, c) for pair, c in zip(pairs, combo) if c], t
 
 
-def _transported(v: dict, transport) -> dict:
-    """(id tensor T)(v) for v = {(mode color, reference label): c} and a
-    transport matrix T: the same vector at T's degree."""
-    out: dict[tuple[int, RelationLabel], Scalar] = {}
-    for (a, lab), c in v.items():
-        add_scaled(out, (((a, lab2), w) for lab2, w in transport[lab].items()), c)
-    return out
-
-
 def syzygy_tensor_27(n: int, window: Window) -> LoopTensor:
     """The weight-2*theta syzygy, scaled by the t of `_q27_combination` to
-    integer coefficients: the constant-profile instantiation of the
-    highest-weight pair combination at every mode degree."""
-    space_w = _space_window(window)
-    combo, _ = _q27_combination(space_w)
+    integer coefficients: the highest-weight pair combination at every mode
+    degree."""
+    combo, _ = _q27_combination(window)
     bound = window.annihilation_bound
     i_lo, i_hi = n - bound - _MARGIN, bound + _MARGIN
-    v = dict(combo)
-    terms: dict[tuple[Part, RelationLabel], int] = {}
-    for i in range(i_lo, i_hi + 1):
-        image = _transported(v, transport_matrix(n - i, space_w))
-        terms.update((((a, i), lab), w) for (a, lab), w in image.items())
+    terms = {((a, i), lab): c for i in range(i_lo, i_hi + 1) for (a, lab), c in combo}
     return LoopTensor(n, terms, i_lo, i_hi)
 
 
 def syzygy_tensors(n: int, window: Window) -> dict[str, LoopTensor]:
     """The four highest-weight syzygies at degree n, named by the dimension
     of the module they generate (the two 35s by the lowering used)."""
-    t64 = syzygy_tensor_64(n, window)
-    t35 = lowering_pair(1, syzygy_tensor_64(n + 1, window), window)
-    t35u = lowering_pair(2, syzygy_tensor_64(n + 1, window), window)
-    t27 = syzygy_tensor_27(n, window)
-    return {"64": t64, "35": t35, "35u": t35u, "27": t27}
+    above = syzygy_tensor_64(n + 1, window)
+    return {
+        "64": syzygy_tensor_64(n, window),
+        "35": lowering_pair(1, above, window),
+        "35u": lowering_pair(2, above, window),
+        "27": syzygy_tensor_27(n, window),
+    }
+
+
+def _canonical_terms(t: LoopTensor, window: Window) -> dict:
+    """The terms of t over canonical relation labels.  The slot of mode
+    degree i is Y(v)_m, m = n - i, whose canonical labels are those of v
+    re-anchored by (m + 2) / 2 at an even m, and those of the transport of
+    v re-anchored by (m + 3) / 2 at an odd m (the lemma at `shift_matrix`).
+    The transport solve certifies that it commutes with F1 and F2; it must
+    also keep the weight of each label, or `AssertionError` is raised."""
+    transport = transport_matrix(window)
+    for lab, column in transport.items():
+        weight = parts_weight(lab.partition())
+        for lab2 in column:
+            if parts_weight(lab2.partition()) != weight:
+                raise AssertionError(
+                    f"the transport maps {format_partition(lab.partition())} to "
+                    f"{format_partition(lab2.partition())} of another weight"
+                )
+    out: dict[tuple[Part, RelationLabel], int] = {}
+    for (mode, lab), c in t.terms.items():
+        m = t.n - mode[1]
+        if m % 2 == 0:
+            out[(mode, lab.translate((m + 2) // 2))] = c
+        else:
+            shift = (m + 3) // 2
+            images = transport[lab].items()
+            add_scaled(out, (((mode, lab2.translate(shift)), w) for lab2, w in images), c)
+    return out
 
 
 def collapse(t: LoopTensor, window: Window) -> EnvElement:
@@ -597,10 +532,11 @@ def collapse(t: LoopTensor, window: Window) -> EnvElement:
     degree multiply their relation from the left, the others from the
     right.  Exact on the target window: only the mode degrees in
     [n - bound, bound] reach it (see `_MARGIN`), so the tensor must certify
-    all of them, or `WindowError` is raised; bodies are built on the padded
-    internal window, the products are summed once, and only the certified
-    region of the sum is kept (window admission is per monomial, so
-    filtering the sum equals summing the filtered products)."""
+    all of them, or `WindowError` is raised; their bodies have label degrees
+    in [n - bound, bound], each in the window's relation space, the products
+    are summed once, and only the certified region of the sum is kept
+    (window admission is per monomial, so filtering the sum equals summing
+    the filtered products)."""
     bound = window.annihilation_bound
     lo, hi = t.n - bound, bound
     if t.i_lo > lo or t.i_hi < hi:
@@ -608,12 +544,11 @@ def collapse(t: LoopTensor, window: Window) -> EnvElement:
             f"the tensor certifies mode degrees [{t.i_lo}, {t.i_hi}], and the "
             f"collapse on window {bound} reads [{lo}, {hi}]"
         )
-    space_w = _space_window(window)
     total: dict[tuple[Part, ...], Scalar] = {}
-    for ((a, i), label), c in t.terms.items():
+    for ((a, i), label), c in _canonical_terms(t, window).items():
         if not lo <= i <= hi:
             continue  # collapses outside the window
-        body = relation_for(label, space_w)
+        body = relation_for(label, window)
         if i < 0:
             product = body.mul_mode_left((a, i))
         else:
@@ -652,98 +587,46 @@ def orbit_basis(t: LoopTensor, window: Window) -> list[LoopTensor]:
     return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
 
 
-def _pulled_back(slot: dict, transport, where: str) -> dict:
-    """The primitive integer vector v in 8 tensor R(-2), positive at its
-    least key, whose transport (id tensor T)(v) is a multiple of the slot
-    vector.  One reducer holds the rows [ref e_(a, lab) | tgt T(e_(a, lab))]
-    for the colors of the slot, target columns first; T is injective when
-    every pivot is a target column, and then the slot reduces to reference
-    columns alone: a negative multiple of v."""
-    reducer = SpanReducer(lambda col: (col[0] == "ref", col))
-    for a in sorted({a for a, _ in slot}):
-        for lab, column in transport.items():
-            row = {("tgt", a, lab2): w for lab2, w in column.items()}
-            row[("ref", a, lab)] = 1
-            reducer.insert(row)
-    if any(side == "ref" for side, _, _ in reducer.pivots()):
-        raise AssertionError(f"{where}: the transport is not injective")
-    red = reducer.reduce({("tgt", a, lab): c for (a, lab), c in slot.items()})
-    v = {(a, lab): -c for (_, a, lab), c in red.items()}
-    g = gcd(*v.values()) if v[min(v)] > 0 else -gcd(*v.values())
-    return {key: c // g for key, c in v.items()}
-
-
-def reference_form(family: str, t: LoopTensor, window: Window):
-    """The syzygy tensor t as one reference vector v in 8 tensor R(-2) and
-    an exact profile {i: p_i} over its nonzero slots: slot i (the terms
-    of mode degree i) is p_i (id tensor T)(v), T the transport to degree
-    n - i.  v is solved from the least slot; every slot is checked against
-    it, and every slot's transport must keep the weight of each label.  A
-    failed check raises `AssertionError` naming the family, n and the
-    slot."""
-
-    def where(i):
-        return f"{family} family at n={t.n}, slot i={i}"
-
-    space_w = _space_window(window)
+def reference_form(family: str, t: LoopTensor):
+    """The syzygy tensor t as one vector v in 8 tensor R and an exact
+    profile {i: p_i} over its nonzero slots: slot i (the terms of mode
+    degree i) is p_i v.  v is the least slot made primitive and positive at
+    its least key; a slot that is not a multiple of it raises
+    `AssertionError` naming the family, n and the slot."""
     slots: dict[int, dict] = {}
     for ((a, i), lab), c in t.terms.items():
         slots.setdefault(i, {})[(a, lab)] = c
     if not slots:
         return {}, {}
-    transports = {}
-    for i in sorted(slots):
-        transport = transports[i] = transport_matrix(t.n - i, space_w)
-        for lab, column in transport.items():
-            weight = parts_weight(lab.partition())
-            for lab2 in column:
-                if parts_weight(lab2.partition()) != weight:
-                    raise AssertionError(
-                        f"{where(i)}: the transport maps "
-                        f"{format_partition(lab.partition())} to "
-                        f"{format_partition(lab2.partition())} of another weight"
-                    )
     i0 = min(slots)
-    v = _pulled_back(slots[i0], transports[i0], where(i0))
+    least = slots[i0]
+    g = gcd(*least.values()) if least[min(least)] > 0 else -gcd(*least.values())
+    v = {key: c // g for key, c in least.items()}
+    key = min(v)
     profile = {}
     for i, slot in sorted(slots.items()):
-        image = _transported(v, transports[i])
-        key = next(iter(image), None)
-        p = 0 if key is None else exact_quotient(slot.get(key, 0), image[key])
-        if add_scaled(dict(slot), image.items(), -p):
+        p = exact_quotient(slot.get(key, 0), v[key])
+        if add_scaled(dict(slot), v.items(), -p):
             raise AssertionError(
-                f"{where(i)}: the slot is not a multiple of the reference "
-                f"vector solved from slot i={i0}"
+                f"{family} family at n={t.n}, slot i={i}: the slot is not a "
+                f"multiple of the reference vector solved from slot i={i0}"
             )
         profile[i] = p
     return v, profile
 
 
 def syzygy_dimensions(n: int, window: Window) -> dict[str, int]:
-    """The orbit dimension of each syzygy family at degree n, computed once,
-    in reference coordinates.  A zero mode keeps every mode slot, and
-    `reference_form` certifies that a family is Phi(v): slot i holds
-    p_i (id tensor T_i)(v), T_i the transport to degree n - i.  Phi is
-    injective (T is at the least slot, where p is not zero) and commutes
-    with the zero modes when every T_i does, so the orbit has the dimension
-    of the orbit of v in 8 tensor R(-2): `orbit_basis` of the one-slot
-    tensor at degree -2, closed under E1, E2, F1 and F2.
-
-    T commutes with F1 and F2 by `transport_matrix`, and with E_i by
-    induction over the F-words u that span R(-2) from its generator
-    (`RelationSpace` closes the generator under F):
-      - T maps the generator to a multiple of the degree-m generator, and
-        E_i kills both, since [E_i, X1] = 0 (checked here on BRACKET; a
-        zero mode has no central term).
-      - E_i F_j u = F_j E_i u + delta_ij H_i u, and T commutes with F_j,
-        with E_i on u by induction, and with H_i since it keeps weights
-        (checked per slot by `reference_form`), so with E_i on F_j u.
-    """
-    if any(BRACKET[(e, 1)] for e in (E1_COLOR, E2_COLOR)):
-        raise AssertionError("E1 and E2 must kill X1, the generator's color")
+    """The orbit dimension of each syzygy family at degree n, computed once.
+    A zero mode acts on every slot of a tensor by the same operator, the
+    bracket on the mode and x(0) on R (`loop_action`), and keeps each slot's
+    mode degree.  So when `reference_form` certifies that slot i is p_i v,
+    the map from the orbit of v to the family's is injective (p is not zero
+    at the least slot) and commutes with the zero modes, and the orbit has
+    the dimension of the orbit of v in 8 tensor R: `orbit_basis` of the
+    one-slot tensor, closed under E1, E2, F1 and F2."""
     dims = {}
     for family, t in syzygy_tensors(n, window).items():
-        v, _ = reference_form(family, t, window)
+        v, _ = reference_form(family, t)
         one_slot = {((a, 0), lab): c for (a, lab), c in v.items()}
         dims[family] = len(orbit_basis(LoopTensor(-2, one_slot, 0, 0), window))
     return dims
@@ -873,7 +756,7 @@ def collapse_report(n: int, window: Window) -> dict:
     generator = x1_square_modes(n, window).narrowed(
         image27.window.annihilation_bound
     )
-    _, t = _q27_combination(_space_window(window))
+    _, t = _q27_combination(window)
     scalar = _proportionality(image27, generator.scale(t))
     out["c"] = scalar
     out["psi_27_match"] = scalar is not None

@@ -2,9 +2,10 @@
 there: the rank of the full spanning family of the maximal submodule, the
 triangular certificate with one relation row per non-ideal partition, the
 leading terms of the syzygy orbits, the shift and transport matrices
-computed at each degree (the library reads them off two reference degrees
-by parity), and the tensor helpers (zero test, scale, weight, generator
-coefficient) that only the tests read.  The rank
+computed at each degree (the library keeps syzygy tensors in the
+coordinates of R and acts on them by one zero-mode matrix), and the tensor
+helpers (zero test, scale, weight, generator coefficient, canonical labels)
+that only the tests read.  The rank
 and the leading terms are independent of the per-factor leading terms that
 ``basis_counts_report`` checks: the rank eliminates every row of
 ``submodule_span_blocks`` with the library's span reducer
@@ -15,7 +16,7 @@ rank's independent check is ``reference_rank.markowitz_rank``."""
 
 from affbasis.algebra import F1_COLOR, F2_COLOR, WEIGHT, Weight
 from affbasis.enveloping import Window, WindowError, apply_word, graded_basis
-from affbasis.linalg import Scalar, SpanReducer, add_scaled, exact_quotient, sparse_rank
+from affbasis.linalg import Scalar, SpanReducer, add_scaled, sparse_rank
 from affbasis.partitions import (
     Part,
     RelationLabel,
@@ -27,10 +28,10 @@ from affbasis.partitions import (
 )
 from affbasis.relations import (
     LoopTensor,
+    _canonical_terms,
     _tensor_column_key,
     _tensor_partition,
     _x1x1_label,
-    _x1x1_norm,
     label_for_quadratic,
     orbit_basis,
     relation_on_vacuum,
@@ -63,12 +64,33 @@ def tensor_weight(t: LoopTensor) -> Weight | None:
 
 def x1_generator_coefficient(t: LoopTensor, i: int) -> Scalar:
     """Coefficient of t against X1(i) tensor (full quadratic generator at
-    degree n-i), undoing the leading normalization of the basis."""
+    degree n-i): the generator of R is the degree -2 basis vector with the
+    generator's label, and it is the only one of its weight."""
     if not (t.i_lo <= i <= t.i_hi):
         raise WindowError(f"mode degree {i} outside the certified range")
-    label = _x1x1_label(t.n - i)
-    c = t.terms.get(((1, i), label), 0)
-    return exact_quotient(c, _x1x1_norm(t.n - i))
+    return t.terms.get(((1, i), _x1x1_label(-2)), 0)
+
+
+def canonical_tensor(t: LoopTensor, window: Window) -> LoopTensor:
+    """The tensor t over the canonical relation labels of each slot's
+    degree, as the collapse reads it."""
+    return LoopTensor(t.n, _canonical_terms(t, window), t.i_lo, t.i_hi)
+
+
+def canonical_orbit_basis(t: LoopTensor, window: Window) -> list[LoopTensor]:
+    """Reduced basis of the orbit of t over canonical labels: one row per
+    leading term of the orbit."""
+    reducer = SpanReducer(_tensor_column_key)
+    for vec in orbit_basis(t, window):
+        reducer.insert(canonical_tensor(vec, window).terms)
+    return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
+
+
+def canonical_vector(v: dict, m: int, window: Window) -> dict:
+    """Y(v)_m over the canonical labels of degree m, for a vector
+    v = {label: c} of R in the degree -2 basis."""
+    one_slot = LoopTensor(m, {((1, 0), lab): c for lab, c in v.items()}, 0, 0)
+    return {lab: c for (_, lab), c in _canonical_terms(one_slot, window).items()}
 
 
 def tensor_leading_partition(t: LoopTensor) -> tuple[Part, ...]:
@@ -99,7 +121,7 @@ def combined_weight_block(
     for t in syzygy_tensors(n, window).values():
         for vec in orbit_basis(t, window):
             if tensor_weight(vec) == mu:
-                reducer.insert(vec.terms)
+                reducer.insert(canonical_tensor(vec, window).terms)
     return reducer.rank, {_tensor_partition(p) for p in reducer.pivots()}
 
 
@@ -177,7 +199,8 @@ def per_degree_transport_matrix(m: int, window: Window):
         for side, n in (("ref", -2), ("tgt", m))
     }
     reducer = SpanReducer(lambda col: (col[0] != "ref", order_key(col[1].partition())))
-    seed = {("ref", _x1x1_label(-2)): _x1x1_norm(-2), ("tgt", _x1x1_label(m)): _x1x1_norm(m)}
+    # the generator's leading coefficient is 1 at an even degree, 2 at an odd one
+    seed = {("ref", _x1x1_label(-2)): 1, ("tgt", _x1x1_label(m)): 2 if m % 2 else 1}
 
     def lowered(row):
         for c in (F1_COLOR, F2_COLOR):

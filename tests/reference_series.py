@@ -4,13 +4,15 @@ were.  Each state holds its truncated series as a list of ints and every
 shift-and-add runs coefficient by coefficient, so these share no
 arithmetic with the packed engines they check.
 
-Three additions: the optional ``observe`` hook, called with the dict of
+Four additions: the optional ``observe`` hook, called with the dict of
 states after every step, so a test can read the intermediate coefficients
 the packed engines must fit into their slots; ``transfer``, the packed
 kernel's contract on coefficient lists, for tests on random step graphs
-and on the steps an engine hands the kernel; and ``slot_width``, the slot
-bound by its first, three-pass list arithmetic."""
+and on the steps an engine hands the kernel; ``slot_width``, the slot
+bound by its first, three-pass list arithmetic; and ``a2_theta_series_plus``,
+the root-lattice theta series from the other Gram form."""
 
+import math
 import operator
 
 from affbasis.partitions import INDEPENDENT_COLOR_SETS, compatible_layers
@@ -140,3 +142,18 @@ def truncated(s: Series, order: int) -> Series:
     if order > s.order:
         raise ValueError("cannot extend a truncated series")
     return Series(s.coeffs[: order + 1])
+
+
+def a2_theta_series_plus(order: int) -> Series:
+    """Theta series of the hexagonal root lattice from the Gram matrix
+    [[2, 1], [1, 2]]: (x, y) -> (x, -y) carries it to the library's
+    [[2, -1], [-1, 2]], so the two series agree."""
+    coeffs = [0] * (order + 1)
+    # the norm form is at least (3/4) x^2 over integer points
+    bound = math.isqrt(4 * order // 3) + 2
+    for x in range(-bound, bound + 1):
+        for y in range(-bound, bound + 1):
+            norm = x * x + x * y + y * y
+            if norm <= order:
+                coeffs[norm] += 1
+    return Series(coeffs)

@@ -1,8 +1,10 @@
 import ast
 import functools
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -148,6 +150,21 @@ def test_verify_deterministic_output(capsys):
     _, first, _ = run(capsys, "verify", "lemma7", "--format", "json")
     _, second, _ = run(capsys, "verify", "lemma7", "--format", "json")
     assert first == second
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("target", sorted(VERIFY_TARGETS))
+def test_default_report_matches_its_golden_file(capsys, monkeypatch, target):
+    # the JSON report of each target at its defaults, byte for byte: a
+    # refactor must keep every verdict, count and witness
+    for name in os.environ:
+        if name.startswith("AFFBASIS_"):
+            monkeypatch.delenv(name)
+    code, out, _ = run(capsys, "verify", target, "--format", "json")
+    assert code == EXIT_OK
+    assert out == (GOLDEN / f"{target}.json").read_text()
 
 
 def test_tables(capsys):
@@ -445,18 +462,18 @@ def test_perturbed_35_slot_fails_qdims_with_its_slot(capsys, monkeypatch):
     from affbasis import relations
     from affbasis.algebra import F1_COLOR
 
-    original = relations.shift_matrix
-    generator = relations._x1x1_label(-2)
+    original = relations.loop_action
 
-    # double the F1(-1) image of the degree -2 generator: at n = -3 only
-    # slot i = 0 of the 35 family lowers through it
-    def doubled(x_color, k, n, w):
-        matrix = original(x_color, k, n, w)
-        if (x_color, k, n) != (F1_COLOR, -1, -2):
-            return matrix
-        return {**matrix, generator: {l2: 2 * v for l2, v in matrix[generator].items()}}
+    # double slot i = 0 of the F1(-1) image at n = -3, which only the 35
+    # family's lowering reads
+    def doubled(x_color, k, t, w):
+        image = original(x_color, k, t, w)
+        if (x_color, k, image.n) != (F1_COLOR, -1, -3):
+            return image
+        terms = {key: 2 * c if key[0][1] == 0 else c for key, c in image.terms.items()}
+        return relations.LoopTensor(image.n, terms, image.i_lo, image.i_hi)
 
-    monkeypatch.setattr(relations, "shift_matrix", doubled)
+    monkeypatch.setattr(relations, "loop_action", doubled)
     code, out, _ = run(capsys, "--max-degree", "1", "--window", "3", "verify", "qdims")
     assert code == EXIT_FALSIFIED
     # the 35 family certifies [n - bound, bound], so its least slot is -6
@@ -467,7 +484,7 @@ def test_perturbed_35_slot_fails_qdims_with_its_slot(capsys, monkeypatch):
     ]
 
 
-def test_transport_across_weights_fails_qdims_with_its_slot(capsys, monkeypatch):
+def test_transport_across_weights_fails_prop3(capsys, monkeypatch):
     from affbasis import relations
     from affbasis.partitions import format_partition
 
@@ -475,23 +492,20 @@ def test_transport_across_weights_fails_qdims_with_its_slot(capsys, monkeypatch)
     generator = relations._x1x1_label(-3)
     crossed = {}
 
-    # at degree -3, which is slot i = 0 of every family at n = -3, the
-    # transport also sends a label that no family's reference vector holds
-    # to the generator, of another weight: every slot stays a multiple of
-    # its transported reference vector, and only the weight check sees it
-    def transport(m, w):
-        matrix = original(m, w)
-        if m != -3:
-            return matrix
+    # the transport also sends one label to the degree -3 generator, of
+    # another weight; the collapse reads it at every odd slot degree, and
+    # only the weight check sees it
+    def transport(w):
+        matrix = original(w)
         lab = crossed["label"] = max(matrix)
         return {**matrix, lab: {**matrix[lab], generator: 1}}
 
     monkeypatch.setattr(relations, "transport_matrix", transport)
-    code, out, _ = run(capsys, "--max-degree", "1", "--window", "3", "verify", "qdims")
+    code, out, _ = run(capsys, "verify", "prop3")
     assert code == EXIT_FALSIFIED
     assert _fail_lines(out) == [
         "FAIL  target runs without an internal error  witness=AssertionError: "
-        "64 family at n=-3, slot i=0: the transport maps "
+        "the transport maps "
         f"{format_partition(crossed['label'].partition())} to "
         f"{format_partition(generator.partition())} of another weight"
     ]
@@ -529,19 +543,19 @@ def test_failed_shift_premise_fails_the_syzygy_targets(capsys, monkeypatch, targ
 
 @pytest.fixture
 def fresh_memos():
-    """Empty the memos of the module action and the relation layers after
-    the test if it added to them, so nothing computed from a corrupted
-    table outlives it."""
-    from affbasis import enveloping, relations
-
-    memos = (
-        relations.relation_space,
-        relations._reference_shift,
-        relations._shift_premise,
-        relations.shift_matrix,
-        relations.transport_matrix,
-        relations._q27_combination,
-        enveloping.mode_on_partition,
+    """Empty every module-level memo of the library after the test if it
+    added to one, so nothing computed from a corrupted table outlives it."""
+    modules = [
+        importlib.import_module(f"affbasis.{info.name}")
+        for info in pkgutil.iter_modules(affbasis.__path__)
+    ]
+    memos = list(
+        {
+            id(value): value
+            for module in modules
+            for value in vars(module).values()
+            if hasattr(value, "cache_info")
+        }.values()
     )
     sizes = [memo.cache_info().currsize for memo in memos]
     yield

@@ -164,7 +164,7 @@ def test_phi_image_of_forbidden_pair_is_inadmissible():
 
 
 def test_theta_series_both_signs():
-    assert a2_theta_series(40, -1) == a2_theta_series(40, 1)
+    assert a2_theta_series(40) == reference_series.a2_theta_series_plus(40)
 
 
 def test_theta_small_values():

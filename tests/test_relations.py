@@ -4,6 +4,7 @@ import pytest
 
 from affbasis.algebra import E1_COLOR, F1_COLOR, Weight
 from affbasis.enveloping import EnvElement, Window, WindowError, act, apply_word, graded_basis
+from affbasis.linalg import add_scaled
 from affbasis.partitions import (
     cubic_a_label,
     cubic_b_label,
@@ -20,9 +21,7 @@ from affbasis.partitions import (
 from affbasis.relations import (
     LoopTensor,
     RelationSpace,
-    _pulled_back,
     _q27_combination,
-    _space_window,
     basis_counts_report,
     collapse,
     collapse_report,
@@ -44,6 +43,9 @@ from affbasis.relations import (
 from reference_enveloping import coefficient, element_weight
 from reference_rank import markowitz_rank
 from reference_relations import (
+    canonical_orbit_basis,
+    canonical_tensor,
+    canonical_vector,
     certified_rank,
     combined_weight_block,
     max_submodule_rank,
@@ -188,65 +190,70 @@ def test_cubic_translation_consistency():
     assert translated  # smoke: nonempty
 
 
-# --- transported actions -----------------------------------------------------------
+# --- the zero-mode action and the transport ------------------------------------------
 
 
 def test_shift_matrix_h_eigenvalue():
-    m = shift_matrix(4, 0, -4, W8)
-    lab = quad_same_label(1, 1, -2)
+    m = shift_matrix(4, -2, W8)
+    lab = quad_same_label(1, 1, -1)
     assert m[lab] == {lab: 2}  # [h1, X1 X1 pair] eigenvalue 2
 
 
-def test_shift_pivot_outside_the_image_window_is_a_window_error():
-    # ad(x(2)) from degree 2 to 4 on Window(5) is exact on bound 3, and the
-    # degree-4 pivots weigh 4: their coordinates would be dropped unseen
-    assert relation_space(4, Window(5)).dimension == 27
-    with pytest.raises(WindowError, match="outside the certified image window"):
-        shift_matrix(E1_COLOR, 2, 2, Window(5))
-
-
 def test_raising_shift_at_the_top_label_degree_is_exact():
-    # the 64 tensor holds labels up to degree bound + 1; a k = +2 shift on
-    # it must agree term for term with the same shift taken on a far wider
-    # internal window (loop_action's window sizes only its shift matrices)
+    # the 64 tensor has slots up to degree bound + 1; a k = +2 action on it
+    # must agree term for term with the same action on a far wider window,
+    # and so must its canonical labels
     window = Window(3)
     t = syzygy_tensor_64(0, window)
-    assert max(label.degree() for _, label in t.terms) == 4
+    assert max(t.n - i for (_, i), _ in t.terms) == 4
     for x_color in (E1_COLOR, 6, 7):
         image = loop_action(x_color, 2, t, window)
-        assert image.terms == loop_action(x_color, 2, t, Window(10)).terms
+        wide = loop_action(x_color, 2, t, Window(10))
+        assert image.terms == wide.terms
+        assert canonical_tensor(image, window).terms == canonical_tensor(wide, Window(10)).terms
         assert (image.i_lo, image.i_hi) == (t.i_lo + 2, t.i_hi)
 
 
-def test_transport_identity_at_reference():
-    t = transport_matrix(-2, W8)
-    for lab, col in t.items():
-        assert col == {lab: 1}
-
-
 def test_transport_aligns_generator():
-    t = transport_matrix(-3, W8)
+    t = transport_matrix(W8)
     src = quad_same_label(1, 1, -1)
     assert t[src] == {quad_adjacent_label(1, 1, -1): Fraction(2)}
 
 
 def test_parity_matrices_match_the_per_degree_computation():
     # the lemma at shift_matrix, checked against the matrices computed at
-    # each degree pair: both routes raise WindowError on the same cases
-    # (a target pivot outside the image window) and agree on every other
+    # each degree pair: Y(v)_n over the canonical labels of degree n, moved
+    # by ad(x(k)) there, is Y(x(0) v)_(n+k) over those of degree n + k.  The
+    # per-degree route raises WindowError where a target pivot leaves its
+    # image window, and those cases are skipped
+    def over(conversion, v):
+        out: dict = {}
+        for lab, c in v.items():
+            add_scaled(out, conversion[lab].items(), c)
+        return out
+
+    skipped = 0
     for window in (Window(4), Window(8)):
+        labels = relation_space(-2, window).labels
+        convert = {
+            m: {lab: canonical_vector({lab: 1}, m, window) for lab in labels}
+            for m in range(-12, 5)
+        }
+        for m in range(-10, 3):
+            assert convert[m] == per_degree_transport_matrix(m, window), m
         for x_color in range(1, 9):
+            zero_mode = shift_matrix(x_color, -2, window)
             for k in range(-2, 3):
                 for n in range(-10, 3):
                     try:
-                        expected = per_degree_shift_matrix(x_color, k, n, window)
+                        matrix = per_degree_shift_matrix(x_color, k, n, window)
                     except WindowError:
-                        with pytest.raises(WindowError, match="outside the certified image"):
-                            shift_matrix(x_color, k, n, window)
+                        skipped += 1
                         continue
-                    assert shift_matrix(x_color, k, n, window) == expected, (x_color, k, n)
-        for m in range(-10, 3):
-            assert transport_matrix(m, window) == per_degree_transport_matrix(m, window), m
+                    for lab, column in zero_mode.items():
+                        moved = over(matrix, convert[n][lab])
+                        assert moved == over(convert[n + k], column), (x_color, k, n)
+    assert skipped == 16
 
 
 def test_a_failed_premise_stops_every_nonzero_shift(monkeypatch):
@@ -265,38 +272,40 @@ def test_a_failed_premise_stops_every_nonzero_shift(monkeypatch):
         return v
 
     monkeypatch.setattr(relations, "relation_on_vacuum", with_stray_term)
-    for name in ("shift_matrix", "_shift_premise"):
-        monkeypatch.setattr(relations, name, functools.cache(getattr(relations, name).__wrapped__))
+    monkeypatch.setattr(
+        relations, "_shift_premise", functools.cache(relations._shift_premise.__wrapped__)
+    )
+    t = syzygy_tensor_64(-4, window)
     witness = f"{format_partition(label.partition())} killed-by X_4(1) fails"
     for k in (-2, -1, 1, 2):
         with pytest.raises(relations.PremiseError) as failed:
-            relations.shift_matrix(F1_COLOR, k, -4, window)
+            relations.loop_action(F1_COLOR, k, t, window)
         assert failed.value.witness == witness
-    # a zero mode does not need the premise
-    assert relations.shift_matrix(F1_COLOR, 0, -4, window) == shift_matrix(F1_COLOR, 0, -4, window)
+    # a zero mode does not need the premise, and reads no relation vector
+    assert relations.loop_action(F1_COLOR, 0, t, window).n == t.n
 
 
 # --- syzygies ----------------------------------------------------------------------
 
 
 def test_transport_solve_certifies_equivariance(monkeypatch):
-    # doubling one column of the target-degree F1 action breaks the
+    # doubling one column of the degree -3 F1 action breaks the
     # equivariance the transport solve certifies
     import affbasis.relations as relations
 
     original = relations.shift_matrix
-    window, m = Window(3), -3
+    window = Window(3)
 
-    def doubled(x_color, k, n, w):
-        matrix = original(x_color, k, n, w)
-        if (x_color, k, n) != (F1_COLOR, 0, m):
+    def doubled(x_color, n, w):
+        matrix = original(x_color, n, w)
+        if (x_color, n) != (F1_COLOR, -3):
             return matrix
         lab = next(lab for lab, column in matrix.items() if column)
         return {**matrix, lab: {l2: 2 * v for l2, v in matrix[lab].items()}}
 
     monkeypatch.setattr(relations, "shift_matrix", doubled)
     with pytest.raises(WindowError, match="inconsistent"):
-        relations.transport_matrix.__wrapped__(m, window)  # past the cache
+        relations.transport_matrix.__wrapped__(window)  # past the cache
 
 
 def test_syzygy_64_coefficients():
@@ -370,36 +379,19 @@ def test_reference_forms_of_the_syzygy_families():
     # 64: X1 tensor the reference generator with profile 3i - n; 27: the q27
     # pairs, negated to be positive at the least key, with a constant profile
     window = Window(3)
-    combo, _ = _q27_combination(_space_window(window))
+    combo, _ = _q27_combination(window)
     for n in (-3, 0):
         tensors = syzygy_tensors(n, window)
         t = tensors["64"]
-        v, profile = reference_form("64", t, window)
+        v, profile = reference_form("64", t)
         assert v == {(1, quad_same_label(1, 1, -1)): 1}
         assert profile == {i: 3 * i - n for i in range(t.i_lo, t.i_hi + 1) if 3 * i != n}
-        v, profile = reference_form("27", tensors["27"], window)
+        v, profile = reference_form("27", tensors["27"])
         assert v == {pair: -c for pair, c in combo}
         assert set(profile.values()) == {-1}
         for family, p in (("35", -6), ("35u", 6)):
-            v, profile = reference_form(family, tensors[family], window)
+            v, profile = reference_form(family, tensors[family])
             assert len(v) == 2 and set(profile.values()) == {p}, family
-
-
-def test_pull_back_needs_an_injective_transport():
-    transport = transport_matrix(-3, Window(3))
-    generator = quad_same_label(1, 1, -1)
-    slot = {(1, quad_adjacent_label(1, 1, -1)): 6}
-    assert _pulled_back(slot, transport, "here") == {(1, generator): 1}
-    with pytest.raises(AssertionError, match="here: the transport is not injective"):
-        _pulled_back(slot, {**transport, generator: {}}, "here")
-
-
-def test_orbit_certificate_needs_e_to_kill_x1(monkeypatch):
-    from affbasis import algebra
-
-    monkeypatch.setitem(algebra.BRACKET, (E1_COLOR, 1), ((1, 1),))
-    with pytest.raises(AssertionError, match="must kill X1"):
-        syzygy_dimensions(0, Window(3))
 
 
 def test_collapse_annihilation_and_scalar():
@@ -425,18 +417,15 @@ def test_collapse_acts_as_zero_spot_check():
 
 
 def test_tensor_leading_shapes():
-    tensors = syzygy_tensors(-6, Window(6))
-    shapes = {
-        parts_shape(tensor_leading_partition(v))
-        for v in orbit_basis(tensors["64"], Window(6))
-    }
-    assert shapes == {(-3, -2, -1)}
-    for name in ("27", "35", "35u"):
+    window = Window(6)
+    tensors = syzygy_tensors(-6, window)
+    expected = {"64": (-3, -2, -1), "27": (-2, -2, -2), "35": (-2, -2, -2), "35u": (-2, -2, -2)}
+    for name, shape in expected.items():
         shapes = {
             parts_shape(tensor_leading_partition(v))
-            for v in orbit_basis(tensors[name], Window(6))
+            for v in canonical_orbit_basis(tensors[name], window)
         }
-        assert shapes == {(-2, -2, -2)}, name
+        assert shapes == {shape}, name
 
 
 def test_exceptional_weight_block():
@@ -556,16 +545,20 @@ def test_psi_of_zero_tensor():
 
 
 def test_loop_module_property_reconstruction():
-    # ad(x(k)) r_m(rho) re-expands exactly over the target space basis
+    # ad(x(k)) Y(v)_m re-expands exactly as Y(x(0) v)_(m+k) over the target
+    # space basis
     window = Window(8)
     for x_color, k, m in [(7, -1, -4), (6, 1, -3), (4, -1, -2), (2, 1, -5)]:
         source = relation_space(m, window)
         target = relation_space(m + k, window)
-        matrix = shift_matrix(x_color, k, m, window)
-        for label in source.labels[:6]:
-            image = source.element(label).adjoint_mode(x_color, k)
+        matrix = shift_matrix(x_color, -2, window)
+        for label in relation_space(-2, window).labels[:6]:
+            body = EnvElement({}, window)
+            for lab2, c in canonical_vector({label: 1}, m, window).items():
+                body = body + source.element(lab2).scale(c)
+            image = body.adjoint_mode(x_color, k)
             rebuilt = image
-            for lab2, c in matrix[label].items():
+            for lab2, c in canonical_vector(matrix[label], m + k, window).items():
                 rebuilt = rebuilt - target.element(lab2).narrowed(
                     image.window.annihilation_bound
                 ).scale(c)
@@ -643,28 +636,29 @@ def test_integral_layers_keep_int_coefficients():
         space = relation_space(n, window)
         for label in space.labels:
             assert _ints(space.element(label).terms.values()), (n, label)
+    for n in (-2, -3):
         for color in range(1, 9):
-            for k in (-1, 0, 1):
-                matrix = shift_matrix(color, k, n, window).values()
-                assert all(_ints(col.values()) for col in matrix), (color, k, n)
-        assert all(_ints(col.values()) for col in transport_matrix(n, window).values())
+            matrix = shift_matrix(color, n, window).values()
+            assert all(_ints(col.values()) for col in matrix), (color, n)
+    assert all(_ints(col.values()) for col in transport_matrix(window).values())
     for mode in [(a, d) for a in range(1, 9) for d in range(-2, 3)]:
         for p in graded_basis(2) + graded_basis(3):
             assert _ints(c for _, c in mode_on_partition(mode, p)), (mode, p)
     for rows in submodule_span_blocks(4, W8).values():
         assert all(_ints(row.values()) for row in rows)
-    # the four syzygy tensors, the 27 one scaled by its t, their orbits, and
-    # their reference vectors and profiles
+    # the four syzygy tensors, the 27 one scaled by its t, over canonical
+    # labels too, their orbits, and their reference vectors and profiles
     for name, t in syzygy_tensors(0, window).items():
         assert _ints(t.terms.values()), name
+        assert _ints(canonical_tensor(t, window).terms.values()), name
         for vec in orbit_basis(t, window):
             assert _ints(vec.terms.values()), name
-        v, profile = reference_form(name, t, window)
+        v, profile = reference_form(name, t)
         assert _ints(v.values()) and _ints(profile.values()), name
 
 
 def test_q27_combination_is_five_unit_pairs():
-    assert _q27_combination(_space_window(Window(3))) == (
+    assert _q27_combination(Window(3)) == (
         [
             ((1, quad_same_label(5, 1, -1)), -1),
             ((2, quad_same_label(3, 1, -1)), 1),
@@ -697,7 +691,7 @@ def test_rational_edges_never_give_floats():
     assert type(collapse_report(0, window)["c"]) in exact
     generator = x1_square_modes(0, window)
     assert type(_proportionality(generator.scale(-2), generator)) in exact
-    combo, t = _q27_combination(_space_window(window))
+    combo, t = _q27_combination(window)
     assert combo and all(type(c) in exact for _, c in combo) and type(t) in exact
     for t in syzygy_tensors(0, window).values():
         for i in range(t.i_lo, t.i_hi + 1):
