@@ -82,8 +82,8 @@ def straighten_word(word, on_vacuum: bool = False) -> dict[tuple[Part, ...], int
     """Expand a mode word over sorted monomials; exact, integer output.
     The first inversion is rewritten first.  With `on_vacuum` the word acts
     on the vacuum: a word whose rightmost mode has degree >= 0 is dropped
-    as soon as it appears.  A sorted word, which is what the adjoint action
-    almost always makes, comes back at once as a fresh {word: 1}."""
+    as soon as it appears.  A sorted word, which callers often hand in,
+    comes back at once as a fresh {word: 1}."""
     w = tuple(word)
     if _first_inversion(w) is None:
         return {} if on_vacuum and w and w[-1][1] >= 0 else {w: 1}
@@ -172,31 +172,6 @@ class EnvElement:
         for w, c in self.terms.items():
             add_scaled(out, straighten_word(w + (mode,)).items(), c)
         return EnvElement(out, window)
-
-    def adjoint_mode(self, x: int, k: int) -> "EnvElement":
-        """Commutator [X_x(k), self] for the color x, applied termwise and
-        re-straightened.  Shifting by k costs |k| of the certified bound."""
-        out: dict[tuple[Part, ...], Scalar] = {}
-        for w, c in self.terms.items():
-            for idx, (b, d) in enumerate(w):
-                for color, coef in BRACKET[(x, b)]:
-                    word = w[:idx] + ((color, d + k),) + w[idx + 1 :]
-                    add_scaled(out, straighten_word(word).items(), c * coef)
-                f = FORM[(x, b)] if k + d == 0 else 0
-                if f:
-                    word = w[:idx] + w[idx + 1 :]
-                    add_scaled(out, straighten_word(word).items(), c * k * f)
-        if k == 0:
-            # Nothing leaves the window, so no term is filtered: a zero mode
-            # keeps every mode degree (the central term needs d = 0, where
-            # its factor k vanishes), and straightening never raises the
-            # annihilation weight (a swap keeps the degrees, a bracket
-            # X(m + n) weighs at most max(m, 0) + max(n, 0), a central term
-            # drops both modes).  `add_scaled` leaves no zero in `out`.
-            image = EnvElement.__new__(EnvElement)
-            image.terms, image.window = out, self.window
-            return image
-        return EnvElement(out, Window(self.window.annihilation_bound - abs(k)))
 
     # -- leading terms ----------------------------------------------------------
 

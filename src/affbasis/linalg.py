@@ -13,16 +13,14 @@ c(n) of the collapse.  Ints and Fractions mix exactly, and
 ``Fraction(2) == 2`` with equal hashes.
 
 One elimination engine: an incremental span reducer over a totally ordered
-column set, whose rows are primitive integer vectors.  It has three uses.
-It echelonizes relation spaces and orbit spans, where pivots must sit at
-the minimal column under a key built from ``partitions.order_key``.  It
-does the small exact solves (the transport map, the q27 nullspace and the
-pull-back of a syzygy slot to reference coordinates): each column carries
-a tag, and the tags sort the columns to be eliminated before the columns
-that hold the answer.  And its ``close`` is the one closure loop: the span
-of a seed under a few zero-mode operators, which gives the relation spaces,
-the transport identification and the syzygy orbits (each the orbit of one
-reference vector in 8 tensor R(-2)).
+column set, whose rows are primitive integer vectors.  It echelonizes R,
+each relation space (from its 27 vertex-operator modes) and the orbit
+spans, where pivots must sit at the minimal column under a key built from
+``partitions.order_key``.  Its ``close`` is the one closure loop: the span
+of a seed under a few zero-mode operators on vectors, which gives R in the
+depth-2 piece of the module and the syzygy orbits (each the orbit of one
+reference vector in 8 tensor R).  The one exact solve, the q27 nullspace,
+tags each column, and the tags sort after the columns to be eliminated.
 ``sparse_rank`` ranks a list of rows in one reducer; no verdict ranks, since
 Theorem A is certified by leading terms, and the tests keep it as their
 rank cross-check.

@@ -1,29 +1,28 @@
 """Annihilator relation spaces and the syzygies among them.
 
-The quadratic generator at degree n is the full mode sum of the squared
-top-weight current.  Lowering it with the zero-mode adjoint action sweeps
-out a 27-dimensional space for every n; echelonizing against the monomial
-order gives a canonical basis whose leading terms are the two 27-element
-color tables, one per parity.  The two cubic relations are assembled from
-quadratic ones by the fixed two-term recipe.
+Every relation is a mode of one vertex operator.  R, the g-module that
+X1(-1)^2 . vac generates in the depth-2 piece V_2, is built once with no
+window (`r_basis`), and the degree-n relation space is {Y(v)_n : v in R}
+(`vertex_mode`); echelonizing it against the monomial order gives a
+canonical basis whose leading terms are the two 27-element color tables,
+one per parity.  The two cubic relations are assembled from quadratic ones
+by the fixed two-term recipe.
 
 On top of these sit the syzygy tensors (the 64/35/35/27-dimensional
 families of relations among relations), the two-sided multiplication map
 that collapses a tensor into the completed algebra, and the graded
 verification of the basis theorem.
 
-A syzygy tensor is stored in the coordinates of R.  Every relation space
-is made of the degree-n modes Y(v)_n of one 27-dimensional space R, so the
-relation slot of mode degree i holds a vector v of R, written in the
-canonical basis of degree -2, and stands for Y(v)_{n-i}.  When X(1) and X(2)
-kill R (the premise, checked once per window), ad x(k) acts on every slot
-as the zero mode x(0) on R, one matrix for every k and every degree (the
-lemma at `shift_matrix`).  Canonical labels appear only where `collapse`
-reads relation bodies: at an even degree they are v's labels re-anchored,
-at an odd one those of v's image under the transport, solved once at degree
--3 (`_canonical_terms`).  A zero mode acts on every slot by the same
-operator, so a family whose slots are multiples of one vector v has the
-dimension of v's orbit (`syzygy_dimensions`).
+A syzygy tensor is stored in the coordinates of R: the relation slot of
+mode degree i holds a vector v of R, written in the basis v_L, and stands
+for Y(v)_{n-i}.  When X(1) and X(2) kill R (the premise, checked once per
+window), ad x(k) acts on every slot as the zero mode x(0) on R, one matrix
+for every k and every degree (the lemma at `shift_matrix`).  Canonical
+labels appear only where `collapse` reads relation bodies: at an even
+degree they are v's labels re-anchored, at an odd one those of v's image
+under the transport to degree -3 (`_canonical_terms`).  A zero mode acts
+on every slot by the same operator, so a family whose slots are multiples
+of one vector v has the dimension of v's orbit (`syzygy_dimensions`).
 
 The verification of the basis theorem follows the paper, one leading-term
 check per forbidden factor: the monomial order is multiplicative, so once
@@ -58,6 +57,7 @@ from .enveloping import (
     apply_mode,
     apply_word,
     graded_basis,
+    straighten_word,
 )
 from .linalg import Scalar, SpanReducer, add_scaled, exact_quotient
 from .partitions import (
@@ -76,46 +76,73 @@ from .partitions import (
 from .qseries import character_oracle, colored_part_count_series, ideal_count_series
 
 
-def x1_square_modes(n: int, window: Window) -> EnvElement:
-    """Windowed truncation of sum_{i+j=n} X1(i)X1(j).  The modes commute,
-    so each unordered pair {i, j} with i < j contributes coefficient 2."""
-    bound = window.annihilation_bound
-    terms: dict[tuple[Part, ...], int] = {}
-    i = n - bound - 1
-    while 2 * i <= n:
-        j = n - i
-        if i < j:
-            terms[((1, i), (1, j))] = 2
-        elif i == j:
-            terms[((1, i), (1, j))] = 1
-        i += 1
-    return EnvElement(terms, window)
-
-
 def _x1x1_label(m: int) -> RelationLabel:
     if m % 2 == 0:
         return quad_same_label(1, 1, m // 2)
     return quad_adjacent_label(1, 1, (m + 1) // 2)
 
 
+# X1(-1)^2 . vac, the highest-weight vector that generates R
+_GENERATOR = {((1, -1), (1, -1)): 1}
+
+
+@cache
+def r_basis() -> dict[RelationLabel, dict]:
+    """The basis v_L of R, the g-module that X1(-1)^2 . vac generates in the
+    depth-2 piece V_2 of the module: the closure of the generator under F1(0)
+    and F2(0) on module vectors, back-eliminated, so that v_L has coefficient
+    1 at its degree -2 label L and 0 at the other pivots.  No window enters.
+    A rank other than 27 raises `AssertionError`, and a pivot that the color
+    table does not list raises `LeadingTermError`."""
+    reducer = SpanReducer(order_key)
+    reducer.close(
+        _GENERATOR, lambda v: (apply_mode((c, 0), v) for c in (F1_COLOR, F2_COLOR))
+    )
+    if reducer.rank != 27:
+        raise AssertionError(f"R has rank {reducer.rank}, not 27")
+    reducer.back_eliminate()
+    basis = {}
+    for pivot in sorted(reducer.pivots(), key=order_key):
+        label = label_for_quadratic(pivot)
+        if label is None:
+            raise LeadingTermError(pivot)
+        basis[label] = reducer.row_for(pivot)
+    return basis
+
+
+def vertex_mode(v: dict, n: int, window: Window) -> EnvElement:
+    """Y(v)_n for v in V_2, exact on the window of bound B.  A term
+    X_a(-1) X_b(-1) . vac gives the modes of :X_a X_b:, the creation part on
+    the left: X_a(p) X_b(n - p) for p < 0, X_b(n - p) X_a(p) for p >= 0.
+    Outside p in [n - B, B] one mode has a degree d > B: if the other
+    creates, the word is sorted and weighs d; if not, every term of the
+    straightened word weighs n >= d (a swap keeps both modes, a bracket is a
+    mode of degree n).  A term X_a(-2) . vac gives the derivative of X_a(z):
+    -(n + 1) X_a(n)."""
+    bound = window.annihilation_bound
+    out: dict[tuple[Part, ...], Scalar] = {}
+    for parts, c in v.items():
+        if len(parts) == 1:
+            ((a, _),) = parts
+            add_scaled(out, [(((a, n),), -(n + 1) * c)])
+            continue
+        (a, _), (b, _) = parts
+        for p in range(n - bound, bound + 1):
+            word = ((a, p), (b, n - p)) if p < 0 else ((b, n - p), (a, p))
+            add_scaled(out, straighten_word(word).items(), c)
+    return EnvElement(out, window)
+
+
 class RelationSpace:
-    """Canonical echelon basis of the degree-n relation space."""
+    """Canonical echelon basis of the degree-n relation space, the span of
+    the 27 vectors Y(v_L)_n (the lemma at `shift_matrix`)."""
 
     def __init__(self, n: int, window: Window):
         self.n = n
         self.window = window
         reducer = SpanReducer(order_key)
-
-        def lowered(vec):
-            current = EnvElement(vec, window)
-            for color in (F1_COLOR, F2_COLOR):
-                # zero-mode action, window preserved
-                yield current.adjoint_mode(color, 0).terms
-
-        generator = x1_square_modes(n, window).terms
-        if not generator:
-            raise WindowError(f"the window holds no term of the degree-{n} generator")
-        reducer.close(generator, lowered)
+        for v in r_basis().values():
+            reducer.insert(vertex_mode(v, n, window).terms)
         reducer.back_eliminate()
         self.dimension = reducer.rank
         self.elements: dict[RelationLabel, EnvElement] = {}
@@ -135,11 +162,10 @@ class RelationSpace:
             labels.append(label)
             self.elements[label] = elem
             self.leading[label] = lead
-        table = SAME_DEGREE_COLOR_PAIRS if n % 2 == 0 else ADJACENT_COLOR_PAIRS
-        if self.dimension < len(table):
+        if self.dimension < 27:
             raise WindowError(
                 f"the degree-{n} relation space has rank {self.dimension} in "
-                f"window {window.annihilation_bound}, short of its {len(table)}-row table"
+                f"window {window.annihilation_bound}, short of its 27-row table"
             )
         self.labels = sorted(labels, key=lambda l: order_key(l.partition()))
 
@@ -232,21 +258,15 @@ def _shift_premise(window: Window) -> str | None:
 
 
 @cache
-def shift_matrix(x_color: int, n: int, window: Window):
-    """Matrix of ad(x(0)) on the degree-n relation space, n in {-2, -3}, in
-    its canonical basis: each image is expanded over the same basis, and
-    `coordinates` certifies that no in-window residual survives (a zero mode
-    keeps the window).  At n = -2 it is the action of x(0) on R in the
-    coordinates of every syzygy slot; the transport solve also reads n = -3.
+def shift_matrix(x_color: int):
+    """Matrix of the zero mode x(0) on R in the basis v_L of `r_basis`: the
+    image of each v_L in V_2 is read at the 27 pivot pairs, and what is left
+    must vanish, or `AssertionError` is raised.
 
-    Lemma.  Let R be the 27-dimensional span of the degree -2 relation
-    vectors r . vac, the g-module generated by X1(-1)^2 . vac in depth 2.
-    Hypothesis (the premise, `_premise_witness`): X_a(1) and X_a(2) kill R
-    for every color a.
-      - The degree-n space is {Y(v)_n : v in R}, Y(v)_n the degree-n mode
-        of the vertex operator of v: the generator is Y(X1(-1)^2 . vac)_n,
-        and [x(0), Y(v)_n] = Y(x(0) v)_n, so closing under F1(0) and F2(0)
-        sweeps out R.
+    Lemma.  Hypothesis (the premise, `_premise_witness`): X_a(1) and X_a(2)
+    kill R for every color a.
+      - The degree-n space is {Y(v)_n : v in R} (`vertex_mode`): the
+        generator is Y(X1(-1)^2 . vac)_n, and [x(0), Y(v)_n] = Y(x(0) v)_n.
       - [x(k), Y(v)_n] = sum_{j >= 0} C(k, j) Y(x(j) v)_{n+k}.  x(j) v = 0
         for j >= 3, as the module has no negative depth, and for j = 1, 2
         by the hypothesis, so [x(k), Y(v)_n] = Y(x(0) v)_{n+k}.  For k = 0
@@ -257,70 +277,42 @@ def shift_matrix(x_color: int, n: int, window: Window):
         2 C_cc if not: putting a product in part order adds only terms with
         fewer parts, and so does the D part.  The pivots of degree n are the
         middle pairs (n even) or the adjacent ones (n odd), so the 27 pivot
-        functionals on R depend on n only through its parity.
-      - The canonical basis vector with pivot L has coefficient one there
-        and zero at the other pivots (`coordinates` reads pivot
-        coefficients), so it is Y(v_L)_n, with v_L in R the dual basis of
-        the pivot functionals of n's parity.  Write v in the degree -2 basis:
-        at an even degree the canonical labels of Y(v)_n are v's re-anchored,
-        and at an odd degree those of the transport of v (`_canonical_terms`).
+        functionals on R depend on n only through its parity, and at degree
+        -2 they are the coefficients of v at its pivot pairs.
+      - So the canonical basis vector of degree n with pivot L is Y(w_L)_n,
+        w_L the dual basis of the pivot functionals of n's parity: w_L = v_L
+        at an even degree, and at an odd one the transport reads Y(v)_n over
+        the Y(w_L)_n (`_canonical_terms`).
     So a syzygy slot holds its vector of R whatever its degree, and ad x(k)
     acts on every slot as x(0) on R once the premise holds."""
-    space = relation_space(n, window)
-    return {
-        label: space.coordinates(space.element(label).adjoint_mode(x_color, 0))
-        for label in space.labels
-    }
+    basis = r_basis()
+    matrix = {}
+    for label, v in basis.items():
+        image = apply_mode((x_color, 0), v)
+        column = matrix[label] = {}
+        for lab2, v2 in basis.items():
+            c = image.get(lab2.partition())
+            if c:
+                column[lab2] = c
+                add_scaled(image, v2.items(), -c)
+        if image:
+            raise AssertionError(
+                f"X_{x_color}(0) moves {format_partition(label.partition())} out of R"
+            )
+    return matrix
 
 
 @cache
 def transport_matrix(window: Window):
     """The transport from degree -2 to degree -3 in canonical coordinates:
-    the image of an abstract relation vector under 'same vector, degree
-    -3', which maps Y(v)_-2 to Y(v)_-3.  `_canonical_terms` reads the labels
-    of every odd degree off it (the lemma at `shift_matrix`, whose
-    hypothesis it does not need).
-
-    The solve: aligned on the quadratic generator, whose leading coefficient
-    is 1 at an even degree and 2 at an odd one (`x1_square_modes`), and
-    extended by the zero-mode lowering action.  Each pair of a reference
-    vector and its degree -3 image is a row [ref | tgt] of one reducer whose
-    columns put every reference label before every target label; after back
-    elimination the row with pivot ("ref", lab) carries T(e_lab) in its
-    target part.  The closed span must hold no vector whose reference part
-    is zero and whose target part is not (no row with a target pivot), which
-    certifies that T commutes with F1 and F2."""
-    ref_labels = relation_space(-2, window).labels
-    action = {
-        side: {c: shift_matrix(c, n, window) for c in (F1_COLOR, F2_COLOR)}
-        for side, n in (("ref", -2), ("tgt", -3))
-    }
-    reducer = SpanReducer(
-        lambda col: (col[0] != "ref", order_key(col[1].partition()))
-    )
-    seed = {("ref", _x1x1_label(-2)): 1, ("tgt", _x1x1_label(-3)): 2}
-
-    def lowered(row):
-        for c in (F1_COLOR, F2_COLOR):
-            image: dict[tuple[str, RelationLabel], Scalar] = {}
-            for (side, lab), v in row.items():
-                images = action[side][c][lab].items()
-                add_scaled(image, (((side, lab2), w) for lab2, w in images), v)
-            yield image
-
-    reducer.close(seed, lowered)
-    if any(side == "tgt" for side, _ in reducer.pivots()):
-        raise WindowError("transport solve is inconsistent")
-    if reducer.rank != len(ref_labels):
-        raise WindowError("transport basis did not reach full rank")
-    reducer.back_eliminate()
+    the coordinates of Y(v_L)_-3 over the canonical basis of degree -3, for
+    each label L of R.  `_canonical_terms` reads the labels of every odd
+    degree off it (the lemma at `shift_matrix`, whose hypothesis it does not
+    need)."""
+    space = relation_space(-3, window)
     return {
-        lab: {
-            lab2: v
-            for (side, lab2), v in reducer.row_for(("ref", lab)).items()
-            if side == "tgt"
-        }
-        for lab in ref_labels
+        label: space.coordinates(vertex_mode(v, -3, window))
+        for label, v in r_basis().items()
     }
 
 
@@ -390,7 +382,7 @@ def loop_action(x_color: int, k: int, t: LoopTensor, window: Window) -> LoopTens
         witness = _shift_premise(window)
         if witness is not None:
             raise PremiseError(witness)
-    zero_mode = shift_matrix(x_color, -2, window)
+    zero_mode = shift_matrix(x_color)
     lo, hi = t.i_lo + max(k, 0), t.i_hi + min(k, 0)
     out: dict[tuple[Part, RelationLabel], int] = {}
     for ((a, i), label), c in t.terms.items():
@@ -429,7 +421,7 @@ def _q27_combination(window: Window):
     as ((mode color, label), coefficient) pairs and the integer t.  Solved
     exactly in the reference coordinates; no truncation enters."""
     pairs = _weight_2theta_pairs(window)
-    raising = {c: shift_matrix(c, -2, window) for c in (E1_COLOR, E2_COLOR)}
+    raising = {c: shift_matrix(c) for c in (E1_COLOR, E2_COLOR)}
     # one column per unknown.  A pair (a, r) gives the entries of
     # e . (X_a tensor r) = [e, X_a] tensor r + X_a tensor (e . r), which must
     # cancel, and of its state X_a(-1) . (r . vac); the last unknown t gives
@@ -504,8 +496,8 @@ def _canonical_terms(t: LoopTensor, window: Window) -> dict:
     degree i is Y(v)_m, m = n - i, whose canonical labels are those of v
     re-anchored by (m + 2) / 2 at an even m, and those of the transport of
     v re-anchored by (m + 3) / 2 at an odd m (the lemma at `shift_matrix`).
-    The transport solve certifies that it commutes with F1 and F2; it must
-    also keep the weight of each label, or `AssertionError` is raised."""
+    The transport must keep the weight of each label, or `AssertionError` is
+    raised."""
     transport = transport_matrix(window)
     for lab, column in transport.items():
         weight = parts_weight(lab.partition())
@@ -753,7 +745,7 @@ def collapse_report(n: int, window: Window) -> dict:
         image = collapse(tensors[name], window)
         out[f"psi_{name}_zero"] = image.is_zero()
     image27 = collapse(tensors["27"], window)
-    generator = x1_square_modes(n, window).narrowed(
+    generator = vertex_mode(_GENERATOR, n, window).narrowed(
         image27.window.annihilation_bound
     )
     _, t = _q27_combination(window)

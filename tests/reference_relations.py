@@ -1,5 +1,7 @@
 """Cross-checks of ``affbasis.relations`` for the tests, kept as they were
-there: the rank of the full spanning family of the maximal submodule, the
+there: the relation spaces closed from the quadratic generator under the
+adjoint zero modes (the library builds them from the 27 vectors of R), the
+rank of the full spanning family of the maximal submodule, the
 triangular certificate with one relation row per non-ideal partition, the
 leading terms of the syzygy orbits, the shift and transport matrices
 computed at each degree (the library keeps syzygy tensors in the
@@ -15,7 +17,7 @@ reducer's pivots and a candidate scan (``partitions_at_most``), not from
 rank's independent check is ``reference_rank.markowitz_rank``."""
 
 from affbasis.algebra import F1_COLOR, F2_COLOR, WEIGHT, Weight
-from affbasis.enveloping import Window, WindowError, apply_word, graded_basis
+from affbasis.enveloping import EnvElement, Window, WindowError, apply_word, graded_basis
 from affbasis.linalg import Scalar, SpanReducer, add_scaled, sparse_rank
 from affbasis.partitions import (
     Part,
@@ -27,6 +29,7 @@ from affbasis.partitions import (
     parts_weight,
 )
 from affbasis.relations import (
+    LeadingTermError,
     LoopTensor,
     _canonical_terms,
     _tensor_column_key,
@@ -39,7 +42,64 @@ from affbasis.relations import (
     submodule_span_blocks,
     syzygy_tensors,
 )
+from reference_enveloping import adjoint_mode
 from reference_partitions import quotient
+
+
+def x1_square_modes(n: int, window: Window) -> EnvElement:
+    """Windowed truncation of sum_{i+j=n} X1(i)X1(j).  The modes commute,
+    so each unordered pair {i, j} with i < j contributes coefficient 2."""
+    bound = window.annihilation_bound
+    terms: dict[tuple[Part, ...], int] = {}
+    i = n - bound - 1
+    while 2 * i <= n:
+        j = n - i
+        if i < j:
+            terms[((1, i), (1, j))] = 2
+        elif i == j:
+            terms[((1, i), (1, j))] = 1
+        i += 1
+    return EnvElement(terms, window)
+
+
+def closure_relation_space(n: int, window: Window) -> dict[RelationLabel, EnvElement]:
+    """The canonical basis of the degree-n relation space by the closure
+    route: the windowed generator closed under the adjoint F1(0) and F2(0),
+    back-eliminated, with the same certificates as the library's
+    `RelationSpace`.  Returns {label: element} in label order."""
+    reducer = SpanReducer(order_key)
+
+    def lowered(vec):
+        current = EnvElement(vec, window)
+        for color in (F1_COLOR, F2_COLOR):
+            # zero-mode action, window preserved
+            yield adjoint_mode(current, color, 0).terms
+
+    generator = x1_square_modes(n, window).terms
+    if not generator:
+        raise WindowError(f"the window holds no term of the degree-{n} generator")
+    reducer.close(generator, lowered)
+    reducer.back_eliminate()
+    elements = {}
+    for pivot in reducer.pivots():
+        elem = EnvElement(reducer.row_for(pivot), window)
+        lead = elem.leading_term(max_length=2)
+        if lead != pivot:
+            raise WindowError(
+                f"pivot {format_partition(pivot)} is not the certified "
+                f"leading term {format_partition(lead)}"
+            )
+        label = label_for_quadratic(lead)
+        if label is None:
+            raise LeadingTermError(lead)
+        elements[label] = elem
+    if reducer.rank < 27:
+        raise WindowError(
+            f"the degree-{n} relation space has rank {reducer.rank} in "
+            f"window {window.annihilation_bound}, short of its 27-row table"
+        )
+    labels = sorted(elements, key=lambda l: order_key(l.partition()))
+    return {label: elements[label] for label in labels}
 
 
 def tensor_is_zero(t: LoopTensor) -> bool:
@@ -183,7 +243,7 @@ def per_degree_shift_matrix(x_color: int, k: int, n: int, window: Window):
                 f"space lies outside the certified image window {image_w.annihilation_bound}"
             )
     return {
-        label: target.coordinates(source.element(label).adjoint_mode(x_color, k))
+        label: target.coordinates(adjoint_mode(source.element(label), x_color, k))
         for label in source.labels
     }
 

@@ -95,13 +95,13 @@ def test_criterion_3_syzygy_collapse():
     for n, values in scalars.items():
         assert set(values) == {-(n + 2)}, (n, values)
     # spot check that a vanishing collapse genuinely acts as zero
-    from affbasis.relations import collapse, syzygy_tensors, x1_square_modes
+    from affbasis.relations import collapse, syzygy_tensors, vertex_mode
 
     window = Window(6)
     tensors = syzygy_tensors(-2, window)
     image64 = collapse(tensors["64"], window)
     image27 = collapse(tensors["27"], window)
-    generator = x1_square_modes(-2, window)
+    generator = vertex_mode({((1, -1), (1, -1)): 1}, -2, window)
     c = scalars[-2][0]
     rng = random.Random(12)
     pool = graded_basis(4) + graded_basis(6)

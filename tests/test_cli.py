@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -312,6 +313,27 @@ _RUN_COPY = (
 )
 
 
+def _run_mutated_copy(tmp_path, module, old, new, *argv):
+    """Runs the command line of a copy of the package in which the one
+    occurrence of `old` in `module` reads `new`: a textual mutation, since
+    the tables are built at import."""
+    copy = shutil.copytree(
+        Path(affbasis.__file__).parent, tmp_path / "affbasis",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    source = copy / module
+    text = source.read_text()
+    assert text.count(old) == 1
+    source.write_text(text.replace(old, new))
+    return subprocess.run(
+        [sys.executable, "-c", _RUN_COPY, str(copy), *argv],
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "old, new, witness",
     [
@@ -321,26 +343,65 @@ _RUN_COPY = (
     ids=["cubic_a_colors", "cubic_b_offsets"],
 )
 def test_mutated_cubic_fails_theorem_a_with_its_factor(tmp_path, old, new, witness):
-    # a textual mutation of a copy: the factor tables are built at import
-    copy = shutil.copytree(
-        Path(affbasis.__file__).parent, tmp_path / "affbasis",
-        ignore=shutil.ignore_patterns("__pycache__"),
-    )
-    source = copy / "partitions.py"
-    text = source.read_text()
-    assert text.count(old) == 1
-    source.write_text(text.replace(old, new))
-    done = subprocess.run(
-        [sys.executable, "-c", _RUN_COPY, str(copy), "verify", "theorem-a", "--max-degree", "5"],
-        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
-        capture_output=True,
-        text=True,
-        timeout=120,
+    done = _run_mutated_copy(
+        tmp_path, "partitions.py", old, new, "verify", "theorem-a", "--max-degree", "5"
     )
     assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
     fail = [line for line in done.stdout.splitlines() if line.startswith("FAIL  ")]
     assert [line.split(":")[0] for line in fail] == ["FAIL  depth 4", "FAIL  depth 5"]
     assert all(line.endswith(f"  witness={witness}") for line in fail)
+
+
+_TABLE_CHECK = "FAIL  relation leading terms lie in the color tables  witness="
+
+
+# each table mutation fails prop3 where R or the transport reads the table:
+# the color tables at the pivots of R (degree -2) or of the first odd space
+# built (degree -3), the form in the premise on R, and the weights in the
+# transport's weight check
+@pytest.mark.parametrize(
+    "module, old, new, fail_line",
+    [
+        (
+            "partitions.py", "(7, 8),\n    (8, 8),\n", "(7, 8),\n",
+            re.escape(_TABLE_CHECK + "8:-2 8:-1"),
+        ),
+        (
+            "partitions.py", "(7, 3), (7, 4)", "(7, 2), (7, 4)",
+            re.escape(_TABLE_CHECK + "7:-1 3:-1"),
+        ),
+        (
+            "partitions.py", "(4, 7), (4, 8)", "(4, 6), (4, 8)",
+            re.escape(_TABLE_CHECK + "4:-2 7:-1"),
+        ),
+        (
+            "algebra.py", "FORM[(_a, _b)] = _trace(", "FORM[(_a, _b)] = 2 * _trace(",
+            re.escape(
+                "FAIL  degree -2 relation vectors are killed by X(1) and X(2)  "
+                "witness=8:-1 8:-1 killed-by X_1(1) fails"
+            ),
+        ),
+        (
+            "algebra.py",
+            "for c in COLORS}\n\n",
+            "for c in COLORS}\nWEIGHT[2], WEIGHT[3] = WEIGHT[3], WEIGHT[2]\n\n",
+            re.escape(
+                "FAIL  target runs without an internal error  witness=AssertionError: "
+                "the transport maps "
+            )
+            + ".* of another weight",
+        ),
+    ],
+    ids=[
+        "adjacent_88_dropped", "same_73_to_72", "adjacent_47_to_46",
+        "form_doubled", "weights_2_3_swapped",
+    ],
+)
+def test_mutated_table_fails_prop3(tmp_path, module, old, new, fail_line):
+    done = _run_mutated_copy(tmp_path, module, old, new, "verify", "prop3")
+    assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
+    fail = _fail_lines(done.stdout)
+    assert len(fail) == 1 and re.fullmatch(fail_line, fail[0]), fail
 
 
 @pytest.mark.parametrize("error", [AssertionError, ValueError])

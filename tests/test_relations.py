@@ -29,6 +29,7 @@ from affbasis.relations import (
     loop_action,
     lowering_pair,
     orbit_basis,
+    r_basis,
     reference_form,
     relation_for,
     relation_on_vacuum,
@@ -38,15 +39,16 @@ from affbasis.relations import (
     syzygy_tensor_64,
     syzygy_tensors,
     transport_matrix,
-    x1_square_modes,
+    vertex_mode,
 )
-from reference_enveloping import coefficient, element_weight
+from reference_enveloping import adjoint_mode, coefficient, element_weight
 from reference_rank import markowitz_rank
 from reference_relations import (
     canonical_orbit_basis,
     canonical_tensor,
     canonical_vector,
     certified_rank,
+    closure_relation_space,
     combined_weight_block,
     max_submodule_rank,
     per_degree_shift_matrix,
@@ -61,22 +63,25 @@ from reference_relations import (
 W8 = Window(8)
 
 
+def generator(n, window):
+    """Y(X1(-1)^2 . vac)_n, the quadratic generator of degree n."""
+    return vertex_mode({((1, -1), (1, -1)): 1}, n, window)
+
+
 # --- the quadratic generator -----------------------------------------------
 
 
 def test_generator_examples():
-    e = x1_square_modes(-2, W8)
+    e = generator(-2, W8)
     v = act(e, {(): 1})
     assert v == {parse_partition("1:-1 1:-1"): 1}
-    assert format_partition(
-        x1_square_modes(-3, W8).leading_term(max_length=2)
-    ) == "1:-2 1:-1"
-    assert element_weight(x1_square_modes(-3, W8)) == Weight(2, 2)
+    assert format_partition(generator(-3, W8).leading_term(max_length=2)) == "1:-2 1:-1"
+    assert element_weight(generator(-3, W8)) == Weight(2, 2)
 
 
 def test_generator_leading_coefficients():
-    assert coefficient(x1_square_modes(-3, W8), ((1, -2), (1, -1))) == 2
-    assert coefficient(x1_square_modes(-2, W8), ((1, -1), (1, -1))) == 1
+    assert coefficient(generator(-3, W8), ((1, -2), (1, -1))) == 2
+    assert coefficient(generator(-2, W8), ((1, -1), (1, -1))) == 1
 
 
 # --- relation spaces -----------------------------------------------------------
@@ -85,8 +90,8 @@ def test_generator_leading_coefficients():
 @pytest.mark.parametrize("n, bound", [(2, 1), (3, 2), (9, 3), (8, 7)])
 def test_space_without_a_generator_term_is_a_window_error(n, bound):
     # the window holds no term of the generator, so the space would be empty
-    assert not x1_square_modes(n, Window(bound)).terms
-    with pytest.raises(WindowError, match="no term of the degree"):
+    assert not generator(n, Window(bound)).terms
+    with pytest.raises(WindowError, match="short of its 27-row table"):
         relation_space(n, Window(bound))
 
 
@@ -98,14 +103,58 @@ def test_space_dimension_and_tables(n):
     assert sorted(space.labels) == sorted(quadratic_leading_labels(n))
 
 
-def test_space_short_of_its_table_is_a_window_error(monkeypatch):
-    # lowered by F1 alone, the generator spans a proper subspace, whose
-    # leading terms all lie in the table
+def test_r_short_of_27_is_an_internal_error(monkeypatch, capsys):
+    # lowered by F1 alone, the generator spans a proper subspace of R, whose
+    # leading terms all lie in the table; no window enters, so it is a
+    # failed check (exit 1), not a window error
+    import functools
+
     from affbasis import relations
+    from affbasis.cli import EXIT_FALSIFIED, main
 
     monkeypatch.setattr(relations, "F2_COLOR", F1_COLOR)
-    with pytest.raises(WindowError, match="short of its 27-row table"):
-        RelationSpace(-2, Window(3))
+    monkeypatch.setattr(relations, "r_basis", functools.cache(r_basis.__wrapped__))
+    monkeypatch.setattr(
+        relations, "relation_space", functools.cache(relation_space.__wrapped__)
+    )
+    with pytest.raises(AssertionError, match="R has rank"):
+        relations.r_basis()
+    assert main(["verify", "lemma1"]) == EXIT_FALSIFIED
+    assert "witness=AssertionError: R has rank" in capsys.readouterr().out
+
+
+def test_space_short_of_its_table_is_a_window_error():
+    # past the window's bound every mode of R lies outside it
+    with pytest.raises(WindowError, match="rank 0 in window 3, short of its 27-row table"):
+        RelationSpace(4, Window(3))
+
+
+def test_relation_spaces_match_the_closure_route():
+    # the span of Y(v_L)_n against the windowed closure of the generator
+    # under the adjoint F1(0) and F2(0), label for label and element for
+    # element; past the window's bound both routes are window errors
+    for bound in (3, 8):
+        window = Window(bound)
+        for n in range(-bound - 3, bound + 1):
+            space = relation_space(n, window)
+            closed = closure_relation_space(n, window)
+            assert list(closed) == space.labels, (bound, n)
+            for label, elem in closed.items():
+                assert elem.terms == space.element(label).terms, (bound, n, label)
+                assert elem.window == space.element(label).window
+        for build in (RelationSpace, closure_relation_space):
+            with pytest.raises(WindowError):
+                build(bound + 1, window)
+    # R is the span of the degree -2 relation vectors, label for label
+    for bound in range(3, 9):
+        for label, v in r_basis().items():
+            assert v == relation_on_vacuum(label, Window(bound)), (bound, label)
+    # Y(v)_n is exact on its window: a far wider one narrows to it
+    for bound in (3, 5):
+        for n in (-bound - 3, -3, 0, bound):
+            for v in r_basis().values():
+                wide = vertex_mode(v, n, Window(bound + 6)).narrowed(bound)
+                assert vertex_mode(v, n, Window(bound)).terms == wide.terms, (bound, n)
 
 
 def test_zero_mode_images_need_no_window_filter():
@@ -114,7 +163,7 @@ def test_zero_mode_images_need_no_window_filter():
         for label in space.labels:
             elem = space.element(label)
             for color in range(1, 9):
-                image = elem.adjoint_mode(color, 0)
+                image = adjoint_mode(elem, color, 0)
                 filtered = EnvElement(image.terms, elem.window)
                 assert image.window == elem.window
                 assert image.terms == filtered.terms, (n, label, color)
@@ -194,7 +243,7 @@ def test_cubic_translation_consistency():
 
 
 def test_shift_matrix_h_eigenvalue():
-    m = shift_matrix(4, -2, W8)
+    m = shift_matrix(4)
     lab = quad_same_label(1, 1, -1)
     assert m[lab] == {lab: 2}  # [h1, X1 X1 pair] eigenvalue 2
 
@@ -223,7 +272,9 @@ def test_transport_aligns_generator():
 def test_parity_matrices_match_the_per_degree_computation():
     # the lemma at shift_matrix, checked against the matrices computed at
     # each degree pair: Y(v)_n over the canonical labels of degree n, moved
-    # by ad(x(k)) there, is Y(x(0) v)_(n+k) over those of degree n + k.  The
+    # by ad(x(k)) there, is Y(x(0) v)_(n+k) over those of degree n + k.  At
+    # k = 0 and n = -2 that compares the window-free zero mode, read off
+    # V_2, with the windowed adjoint on the degree -2 space.  The
     # per-degree route raises WindowError where a target pivot leaves its
     # image window, and those cases are skipped
     def over(conversion, v):
@@ -242,7 +293,7 @@ def test_parity_matrices_match_the_per_degree_computation():
         for m in range(-10, 3):
             assert convert[m] == per_degree_transport_matrix(m, window), m
         for x_color in range(1, 9):
-            zero_mode = shift_matrix(x_color, -2, window)
+            zero_mode = shift_matrix(x_color)
             for k in range(-2, 3):
                 for n in range(-10, 3):
                     try:
@@ -286,26 +337,6 @@ def test_a_failed_premise_stops_every_nonzero_shift(monkeypatch):
 
 
 # --- syzygies ----------------------------------------------------------------------
-
-
-def test_transport_solve_certifies_equivariance(monkeypatch):
-    # doubling one column of the degree -3 F1 action breaks the
-    # equivariance the transport solve certifies
-    import affbasis.relations as relations
-
-    original = relations.shift_matrix
-    window = Window(3)
-
-    def doubled(x_color, n, w):
-        matrix = original(x_color, n, w)
-        if (x_color, n) != (F1_COLOR, -3):
-            return matrix
-        lab = next(lab for lab, column in matrix.items() if column)
-        return {**matrix, lab: {l2: 2 * v for l2, v in matrix[lab].items()}}
-
-    monkeypatch.setattr(relations, "shift_matrix", doubled)
-    with pytest.raises(WindowError, match="inconsistent"):
-        relations.transport_matrix.__wrapped__(window)  # past the cache
 
 
 def test_syzygy_64_coefficients():
@@ -551,12 +582,12 @@ def test_loop_module_property_reconstruction():
     for x_color, k, m in [(7, -1, -4), (6, 1, -3), (4, -1, -2), (2, 1, -5)]:
         source = relation_space(m, window)
         target = relation_space(m + k, window)
-        matrix = shift_matrix(x_color, -2, window)
+        matrix = shift_matrix(x_color)
         for label in relation_space(-2, window).labels[:6]:
             body = EnvElement({}, window)
             for lab2, c in canonical_vector({label: 1}, m, window).items():
                 body = body + source.element(lab2).scale(c)
-            image = body.adjoint_mode(x_color, k)
+            image = adjoint_mode(body, x_color, k)
             rebuilt = image
             for lab2, c in canonical_vector(matrix[label], m + k, window).items():
                 rebuilt = rebuilt - target.element(lab2).narrowed(
@@ -571,7 +602,7 @@ def test_collapse_zero_mode_equivariance():
     t = syzygy_tensor_64(-3, window)
     for x_color in (7, 6):
         left = collapse(loop_action(x_color, 0, t, window), window)
-        right = collapse(t, window).adjoint_mode(x_color, 0)
+        right = adjoint_mode(collapse(t, window), x_color, 0)
         diff = left - right.narrowed(left.window.annihilation_bound)
         assert diff.is_zero()
 
@@ -626,7 +657,7 @@ def _ints(values) -> bool:
 
 
 def test_integral_layers_keep_int_coefficients():
-    # relation spaces, shift and transport matrices, the module action and
+    # R, relation spaces, shift and transport matrices, the module action and
     # the spanning family are integral: no Fraction may appear in them
     from affbasis.enveloping import graded_basis, mode_on_partition
     from affbasis.relations import submodule_span_blocks
@@ -636,10 +667,10 @@ def test_integral_layers_keep_int_coefficients():
         space = relation_space(n, window)
         for label in space.labels:
             assert _ints(space.element(label).terms.values()), (n, label)
-    for n in (-2, -3):
-        for color in range(1, 9):
-            matrix = shift_matrix(color, n, window).values()
-            assert all(_ints(col.values()) for col in matrix), (color, n)
+    for label, v in r_basis().items():
+        assert _ints(v.values()), label
+    for color in range(1, 9):
+        assert all(_ints(col.values()) for col in shift_matrix(color).values()), color
     assert all(_ints(col.values()) for col in transport_matrix(window).values())
     for mode in [(a, d) for a in range(1, 9) for d in range(-2, 3)]:
         for p in graded_basis(2) + graded_basis(3):
@@ -689,8 +720,8 @@ def test_rational_edges_never_give_floats():
     window = Window(3)
     exact = (int, Fraction)
     assert type(collapse_report(0, window)["c"]) in exact
-    generator = x1_square_modes(0, window)
-    assert type(_proportionality(generator.scale(-2), generator)) in exact
+    gen = generator(0, window)
+    assert type(_proportionality(gen.scale(-2), gen)) in exact
     combo, t = _q27_combination(window)
     assert combo and all(type(c) in exact for _, c in combo) and type(t) in exact
     for t in syzygy_tensors(0, window).values():
