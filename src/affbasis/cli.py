@@ -51,7 +51,8 @@ class Config:
     timings: bool = False
 
     def __post_init__(self):
-        for flag, value in (("--max-degree", self.max_degree), ("--order", self.order)):
+        flags = ("--max-degree", self.max_degree), ("--window", self.window), ("--order", self.order)
+        for flag, value in flags:
             if value < 0:
                 raise ValueError(f"{flag} must be nonnegative, got {value}")
 

@@ -145,9 +145,6 @@ class EnvElement:
             return degs.pop()
         return None
 
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     # -- products with single modes ------------------------------------------
 
     def mul_mode_left(self, mode: Part) -> "EnvElement":
@@ -175,17 +172,17 @@ class EnvElement:
 
     # -- leading terms ----------------------------------------------------------
 
-    def leading_term(self, max_length: int | None = None) -> tuple[Part, ...]:
+    def leading_term(self, max_length: int) -> tuple[Part, ...]:
         """The minimal monomial, certified: every candidate partition at or
-        below it (same degree, bounded length) must lie in the window."""
+        below it (same degree, at most `max_length` parts) must lie in the
+        window."""
         if not self.terms:
             raise ValueError("zero element has no leading term")
         degree = self.total_degree()
         if degree is None:
             raise ValueError("leading terms are defined for homogeneous elements")
         best = min(self.terms, key=order_key)
-        limit = max_length if max_length is not None else self.max_length()
-        if len(best) < limit:
+        if len(best) < max_length:
             raise WindowError(
                 "window minimum is shorter than the possible maximal length; "
                 "longer monomials may hide outside the window"

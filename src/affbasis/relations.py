@@ -15,14 +15,14 @@ verification of the basis theorem.
 
 A syzygy tensor is stored in the coordinates of R: the relation slot of
 mode degree i holds a vector v of R, written in the basis v_L, and stands
-for Y(v)_{n-i}.  When X(1) and X(2) kill R (the premise, checked once per
-window), ad x(k) acts on every slot as the zero mode x(0) on R, one matrix
-for every k and every degree (the lemma at `shift_matrix`).  Canonical
-labels appear only where `collapse` reads relation bodies: at an even
-degree they are v's labels re-anchored, at an odd one those of v's image
-under the transport to degree -3 (`_canonical_terms`).  A zero mode acts
-on every slot by the same operator, so a family whose slots are multiples
-of one vector v has the dimension of v's orbit (`syzygy_dimensions`).
+for Y(v)_{n-i}.  When X(1) and X(2) kill R (the premise, checked once),
+ad x(k) acts on every slot as the zero mode x(0) on R, one matrix for every
+k and every degree (the lemma at `shift_matrix`).  Canonical labels appear
+only where `collapse` reads relation bodies: at an even degree they are v's
+labels re-anchored, at an odd one those of v's image under the transport to
+degree -3 (`_canonical_terms`).  A zero mode acts on every slot by the same
+operator, so a family whose slots are multiples of one vector v has the
+dimension of v's orbit (`syzygy_dimensions`).
 
 The verification of the basis theorem follows the paper, one leading-term
 check per forbidden factor: the monomial order is multiplicative, so once
@@ -251,10 +251,22 @@ class PremiseError(Exception):
 
 
 @cache
-def _shift_premise(window: Window) -> str | None:
-    """`_premise_witness` at this window, once: the hypothesis of the lemma
-    at `shift_matrix`."""
-    return _premise_witness(window, {})
+def _premise_witness() -> str | None:
+    """The hypothesis of the lemma at `shift_matrix`, checked once: each
+    vector of R must lie in the maximal submodule N, so it must be killed by
+    X_a(1) and X_a(2) for every color a.  Those modes generate the positive
+    loop modes, and X_a(k) with k > 2 lowers depth 2 below 0, so such a
+    vector is singular and generates a submodule with no vacuum component.
+    This is the check on the degree -2 relation vectors, as Y(v)_-2 . vac = v
+    makes them R's vectors; the relations of other degrees are modes of the
+    same vertex operators, and the cubics products of them with modes, so
+    their vectors lie in N too.  Returns the first failure."""
+    for label, v in r_basis().items():
+        for a in COLORS:
+            for k in (1, 2):
+                if apply_mode((a, k), v):
+                    return f"{format_partition(label.partition())} killed-by X_{a}({k}) fails"
+    return None
 
 
 @cache
@@ -303,12 +315,15 @@ def shift_matrix(x_color: int):
 
 
 @cache
-def transport_matrix(window: Window):
+def transport_matrix():
     """The transport from degree -2 to degree -3 in canonical coordinates:
     the coordinates of Y(v_L)_-3 over the canonical basis of degree -3, for
     each label L of R.  `_canonical_terms` reads the labels of every odd
     degree off it (the lemma at `shift_matrix`, whose hypothesis it does not
-    need)."""
+    need).  The coordinates are read at the pivots, and the degree -3
+    pivots are creation pairs X_c(-2) X_d(-1), so the window of bound 0
+    holds them exactly."""
+    window = Window(0)
     space = relation_space(-3, window)
     return {
         label: space.coordinates(vertex_mode(v, -3, window))
@@ -373,13 +388,13 @@ def syzygy_tensor_64(n: int, window: Window) -> LoopTensor:
     return LoopTensor(n, terms, i_lo, i_hi)
 
 
-def loop_action(x_color: int, k: int, t: LoopTensor, window: Window) -> LoopTensor:
+def loop_action(x_color: int, k: int, t: LoopTensor) -> LoopTensor:
     """Action of x(k) on a tensor: the bracket on the mode slot, and x(0) on
     every relation slot, which keeps its vector of R and moves from degree
     n - i to n + k - i (the lemma at `shift_matrix`; for k != 0 its premise
     is checked first, and a failure raises `PremiseError`)."""
     if k:
-        witness = _shift_premise(window)
+        witness = _premise_witness()
         if witness is not None:
             raise PremiseError(witness)
     zero_mode = shift_matrix(x_color)
@@ -392,20 +407,20 @@ def loop_action(x_color: int, k: int, t: LoopTensor, window: Window) -> LoopTens
     return LoopTensor(t.n + k, out, lo, hi)
 
 
-def lowering_pair(i: int, t: LoopTensor, window: Window) -> LoopTensor:
+def lowering_pair(i: int, t: LoopTensor) -> LoopTensor:
     """The operator f_i(-1) h_i(0) - f_i(0) h_i(-1) on tensors."""
     f = F1_COLOR if i == 1 else F2_COLOR
     h = H1_COLOR if i == 1 else H2_COLOR
-    first = loop_action(f, -1, loop_action(h, 0, t, window), window)
-    second = loop_action(f, 0, loop_action(h, -1, t, window), window)
+    first = loop_action(f, -1, loop_action(h, 0, t))
+    second = loop_action(f, 0, loop_action(h, -1, t))
     return first - second
 
 
-def _weight_2theta_pairs(window: Window):
-    """Pairs (mode color, reference label) of joint weight 2*theta."""
+def _weight_2theta_pairs():
+    """Pairs (mode color, label of R) of joint weight 2*theta."""
     target = Weight(2, 2)
     pairs = []
-    for lab in relation_space(-2, window).labels:
+    for lab in r_basis():
         for a in range(1, 9):
             if (WEIGHT[a] + parts_weight(lab.partition())) == target:
                 pairs.append((a, lab))
@@ -413,14 +428,15 @@ def _weight_2theta_pairs(window: Window):
 
 
 @cache
-def _q27_combination(window: Window):
+def _q27_combination():
     """The unique highest-weight combination of (mode x abstract relation)
     pairs of weight 2*theta whose degree-3 state image is t times the
     derivative of the quadratic generator state, 2 X1(-2)X1(-1).vac.
     Returned as (pairs, t): the primitive integer null vector, with t > 0,
     as ((mode color, label), coefficient) pairs and the integer t.  Solved
     exactly in the reference coordinates; no truncation enters."""
-    pairs = _weight_2theta_pairs(window)
+    pairs = _weight_2theta_pairs()
+    basis = r_basis()
     raising = {c: shift_matrix(c) for c in (E1_COLOR, E2_COLOR)}
     # one column per unknown.  A pair (a, r) gives the entries of
     # e . (X_a tensor r) = [e, X_a] tensor r + X_a tensor (e . r), which must
@@ -435,7 +451,7 @@ def _q27_combination(window: Window):
             raised = ((("raise", e, (a, l2)), v) for l2, v in raising[e][lab].items())
             add_scaled(column, bracket)
             add_scaled(column, raised)
-        state = apply_mode((a, -1), relation_on_vacuum(lab, window))
+        state = apply_mode((a, -1), basis[lab])
         add_scaled(column, ((("state", parts), v) for parts, v in state.items()))
         columns.append(column)
     columns.append({("state", ((1, -2), (1, -1))): -2})
@@ -472,7 +488,7 @@ def syzygy_tensor_27(n: int, window: Window) -> LoopTensor:
     """The weight-2*theta syzygy, scaled by the t of `_q27_combination` to
     integer coefficients: the highest-weight pair combination at every mode
     degree."""
-    combo, _ = _q27_combination(window)
+    combo, _ = _q27_combination()
     bound = window.annihilation_bound
     i_lo, i_hi = n - bound - _MARGIN, bound + _MARGIN
     terms = {((a, i), lab): c for i in range(i_lo, i_hi + 1) for (a, lab), c in combo}
@@ -485,20 +501,20 @@ def syzygy_tensors(n: int, window: Window) -> dict[str, LoopTensor]:
     above = syzygy_tensor_64(n + 1, window)
     return {
         "64": syzygy_tensor_64(n, window),
-        "35": lowering_pair(1, above, window),
-        "35u": lowering_pair(2, above, window),
+        "35": lowering_pair(1, above),
+        "35u": lowering_pair(2, above),
         "27": syzygy_tensor_27(n, window),
     }
 
 
-def _canonical_terms(t: LoopTensor, window: Window) -> dict:
+def _canonical_terms(t: LoopTensor) -> dict:
     """The terms of t over canonical relation labels.  The slot of mode
     degree i is Y(v)_m, m = n - i, whose canonical labels are those of v
     re-anchored by (m + 2) / 2 at an even m, and those of the transport of
     v re-anchored by (m + 3) / 2 at an odd m (the lemma at `shift_matrix`).
     The transport must keep the weight of each label, or `AssertionError` is
     raised."""
-    transport = transport_matrix(window)
+    transport = transport_matrix()
     for lab, column in transport.items():
         weight = parts_weight(lab.partition())
         for lab2 in column:
@@ -537,7 +553,7 @@ def collapse(t: LoopTensor, window: Window) -> EnvElement:
             f"collapse on window {bound} reads [{lo}, {hi}]"
         )
     total: dict[tuple[Part, ...], Scalar] = {}
-    for ((a, i), label), c in _canonical_terms(t, window).items():
+    for ((a, i), label), c in _canonical_terms(t).items():
         if not lo <= i <= hi:
             continue  # collapses outside the window
         body = relation_for(label, window)
@@ -565,7 +581,7 @@ def _tensor_column_key(key):
     return (order_key(pi), i, a, order_key(label.partition()))
 
 
-def orbit_basis(t: LoopTensor, window: Window) -> list[LoopTensor]:
+def orbit_basis(t: LoopTensor) -> list[LoopTensor]:
     """Reduced basis of the span of the tensor under repeated zero-mode
     raising and lowering (the finite-dimensional orbit)."""
     reducer = SpanReducer(_tensor_column_key)
@@ -573,7 +589,7 @@ def orbit_basis(t: LoopTensor, window: Window) -> list[LoopTensor]:
     def moved(vec):
         current = LoopTensor(t.n, vec, t.i_lo, t.i_hi)
         for color in (E1_COLOR, E2_COLOR, F1_COLOR, F2_COLOR):
-            yield loop_action(color, 0, current, window).terms
+            yield loop_action(color, 0, current).terms
 
     reducer.close(t.terms, moved)
     return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
@@ -620,7 +636,7 @@ def syzygy_dimensions(n: int, window: Window) -> dict[str, int]:
     for family, t in syzygy_tensors(n, window).items():
         v, _ = reference_form(family, t)
         one_slot = {((a, 0), lab): c for (a, lab), c in v.items()}
-        dims[family] = len(orbit_basis(LoopTensor(-2, one_slot, 0, 0), window))
+        dims[family] = len(orbit_basis(LoopTensor(-2, one_slot, 0, 0)))
     return dims
 
 
@@ -657,24 +673,7 @@ def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[
     return blocks
 
 
-def _premise_witness(window: Window, on_vacuum: dict) -> str | None:
-    """Check that each degree -2 relation vector lies in the maximal
-    submodule N: it must be killed by X_a(1) and X_a(2) for every color a.
-    Those modes generate the positive loop modes, and X_a(k) with k > 2
-    lowers depth 2 below 0, so such a vector is singular and generates a
-    submodule with no vacuum component.  The relations of other degrees are
-    modes of the same vertex operators, and the cubics products of them with
-    modes, so their vectors lie in N too.  Returns the first failure."""
-    for label in relation_space(-2, window).labels:
-        v = on_vacuum[label] = relation_on_vacuum(label, window)
-        for a in COLORS:
-            for k in (1, 2):
-                if apply_mode((a, k), v):
-                    return f"{format_partition(label.partition())} killed-by X_{a}({k}) fails"
-    return None
-
-
-def _factor_witness(n: int, window: Window, on_vacuum: dict) -> str | None:
+def _factor_witness(n: int, window: Window) -> str | None:
     """The first forbidden factor rho of degree -n, all of whose modes
     create, with lt(r_rho . vac) != rho; None if there is none.  Lemma: for
     j < 0, X_a(j) . u(p) . vac = u(p + (a, j)) . vac plus terms with fewer
@@ -687,9 +686,7 @@ def _factor_witness(n: int, window: Window, on_vacuum: dict) -> str | None:
     dim N_n >= pbw - ideal with no row built."""
     for rho in relation_set(-(n // 2), -1):
         if rho.degree() == -n:
-            v = on_vacuum.get(rho)
-            if v is None:
-                v = relation_on_vacuum(rho, window)
+            v = relation_on_vacuum(rho, window)
             if min(v, key=order_key, default=None) != rho.partition():
                 return format_partition(rho.partition())
     return None
@@ -707,15 +704,14 @@ def basis_counts_report(n_max: int, window: Window, progress=None) -> list[dict]
     oracle = character_oracle(n_max)
     pbw = colored_part_count_series(n_max, 8)
     ideal = ideal_count_series(n_max)
-    on_vacuum: dict[RelationLabel, dict] = {}
-    premise = _premise_witness(window, on_vacuum) if n_max >= 2 else None
+    premise = _premise_witness() if n_max >= 2 else None
     witness = None
     out = []
     for n in range(n_max + 1):
         if progress is not None:
             progress(f"basis check: depth {n}")
         if n >= 2 and witness is None:
-            witness = premise or _factor_witness(n, window, on_vacuum)
+            witness = premise or _factor_witness(n, window)
         rank = pbw[n] - ideal[n]
         out.append(
             {
@@ -748,7 +744,7 @@ def collapse_report(n: int, window: Window) -> dict:
     generator = vertex_mode(_GENERATOR, n, window).narrowed(
         image27.window.annihilation_bound
     )
-    _, t = _q27_combination(window)
+    _, t = _q27_combination()
     scalar = _proportionality(image27, generator.scale(t))
     out["c"] = scalar
     out["psi_27_match"] = scalar is not None

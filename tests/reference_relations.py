@@ -131,26 +131,41 @@ def x1_generator_coefficient(t: LoopTensor, i: int) -> Scalar:
     return t.terms.get(((1, i), _x1x1_label(-2)), 0)
 
 
-def canonical_tensor(t: LoopTensor, window: Window) -> LoopTensor:
+def canonical_tensor(t: LoopTensor) -> LoopTensor:
     """The tensor t over the canonical relation labels of each slot's
     degree, as the collapse reads it."""
-    return LoopTensor(t.n, _canonical_terms(t, window), t.i_lo, t.i_hi)
+    return LoopTensor(t.n, _canonical_terms(t), t.i_lo, t.i_hi)
 
 
-def canonical_orbit_basis(t: LoopTensor, window: Window) -> list[LoopTensor]:
+def canonical_orbit_basis(t: LoopTensor) -> list[LoopTensor]:
     """Reduced basis of the orbit of t over canonical labels: one row per
     leading term of the orbit."""
     reducer = SpanReducer(_tensor_column_key)
-    for vec in orbit_basis(t, window):
-        reducer.insert(canonical_tensor(vec, window).terms)
+    for vec in orbit_basis(t):
+        reducer.insert(canonical_tensor(vec).terms)
     return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
 
 
-def canonical_vector(v: dict, m: int, window: Window) -> dict:
+def canonical_vector(v: dict, m: int) -> dict:
     """Y(v)_m over the canonical labels of degree m, for a vector
     v = {label: c} of R in the degree -2 basis."""
     one_slot = LoopTensor(m, {((1, 0), lab): c for lab, c in v.items()}, 0, 0)
-    return {lab: c for (_, lab), c in _canonical_terms(one_slot, window).items()}
+    return {lab: c for (_, lab), c in _canonical_terms(one_slot).items()}
+
+
+def with_stray_term(apply_mode, first: dict):
+    """A wrapper of `apply_mode` under which a mode of degree 1 or 2 sees
+    the vector `first` with X_1(-2) . vac added, which X_4(1) does not
+    kill: a vector of R outside the maximal submodule, for the premise
+    checks.  The modes of other degrees, and so R, its zero modes and the
+    q27 combination, see `first` unchanged."""
+
+    def wrapped(mode, v):
+        if mode[1] in (1, 2) and v == first:
+            v = {**v, ((1, -2),): v.get(((1, -2),), 0) + 1}
+        return apply_mode(mode, v)
+
+    return wrapped
 
 
 def tensor_leading_partition(t: LoopTensor) -> tuple[Part, ...]:
@@ -179,9 +194,9 @@ def combined_weight_block(
     sum of the four syzygy orbits at degree n."""
     reducer = SpanReducer(_tensor_column_key)
     for t in syzygy_tensors(n, window).values():
-        for vec in orbit_basis(t, window):
+        for vec in orbit_basis(t):
             if tensor_weight(vec) == mu:
-                reducer.insert(canonical_tensor(vec, window).terms)
+                reducer.insert(canonical_tensor(vec).terms)
     return reducer.rank, {_tensor_partition(p) for p in reducer.pivots()}
 
 

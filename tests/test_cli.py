@@ -25,6 +25,7 @@ from affbasis.cli import (
 )
 from affbasis.enveloping import WindowError
 from reference_fixtures import load_report_schema
+from reference_relations import with_stray_term
 
 
 def run(capsys, *argv):
@@ -120,6 +121,9 @@ def test_negative_degree_and_order_are_usage_errors(capsys):
     assert code == EXIT_USAGE and out == "" and "--max-degree" in err
     code, out, err = run(capsys, "verify", "theorem-b", "--order", "-5")
     assert code == EXIT_USAGE and out == "" and "--order" in err
+    # an empty degree range would pass qdims with no check made
+    code, out, err = run(capsys, "verify", "qdims", "--window", "-3")
+    assert code == EXIT_USAGE and out == "" and "--window" in err
     assert run(capsys, "verify", "theorem-b", "--order", "0")[0] == EXIT_OK
 
 
@@ -404,6 +408,36 @@ def test_mutated_table_fails_prop3(tmp_path, module, old, new, fail_line):
     assert len(fail) == 1 and re.fullmatch(fail_line, fail[0]), fail
 
 
+# a mutation that each of lemma7 and lemma12 sees: swapped weights move an
+# excess embedding out of case a, and a transcribed overlap that no longer
+# matches the computed catalogue is a mismatch
+@pytest.mark.parametrize(
+    "module, old, new, target, fail_line",
+    [
+        (
+            "algebra.py",
+            "for c in COLORS}\n\n",
+            "for c in COLORS}\nWEIGHT[2], WEIGHT[3] = WEIGHT[3], WEIGHT[2]\n\n",
+            "lemma7",
+            "FAIL  case a excess total  expected=7 actual=6",
+        ),
+        (
+            "fixtures/lemma12_overlaps.txt",
+            "mark rho1.\n3:-3 3:-2 4:-1 1:-1 |",
+            "mark rho1.\n3:-3 3:-2 5:-1 1:-1 |",
+            "lemma12",
+            "FAIL  catalogue equals transcribed fixture  expected=73 pairs "
+            "actual=73 pairs, fixture mismatch",
+        ),
+    ],
+    ids=["lemma7_weights_2_3_swapped", "lemma12_fixture_row_changed"],
+)
+def test_mutation_fails_the_lemma_target(tmp_path, module, old, new, target, fail_line):
+    done = _run_mutated_copy(tmp_path, module, old, new, "verify", target)
+    assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
+    assert _fail_lines(done.stdout) == [fail_line]
+
+
 @pytest.mark.parametrize("error", [AssertionError, ValueError])
 def test_internal_error_is_a_failed_check(capsys, monkeypatch, error):
     from affbasis import relations
@@ -500,8 +534,8 @@ def test_rescaled_q27_fails_prop3(capsys, monkeypatch):
 
     original = relations._q27_combination
 
-    def doubled(window):
-        combo, t = original(window)
+    def doubled():
+        combo, t = original()
         return combo, 2 * t
 
     # psi(q27) is still proportional to the generator, with c(n) halved
@@ -527,8 +561,8 @@ def test_perturbed_35_slot_fails_qdims_with_its_slot(capsys, monkeypatch):
 
     # double slot i = 0 of the F1(-1) image at n = -3, which only the 35
     # family's lowering reads
-    def doubled(x_color, k, t, w):
-        image = original(x_color, k, t, w)
+    def doubled(x_color, k, t):
+        image = original(x_color, k, t)
         if (x_color, k, image.n) != (F1_COLOR, -1, -3):
             return image
         terms = {key: 2 * c if key[0][1] == 0 else c for key, c in image.terms.items()}
@@ -556,8 +590,8 @@ def test_transport_across_weights_fails_prop3(capsys, monkeypatch):
     # the transport also sends one label to the degree -3 generator, of
     # another weight; the collapse reads it at every odd slot degree, and
     # only the weight check sees it
-    def transport(w):
-        matrix = original(w)
+    def transport():
+        matrix = original()
         lab = crossed["label"] = max(matrix)
         return {**matrix, lab: {**matrix[lab], generator: 1}}
 
@@ -575,23 +609,13 @@ def test_transport_across_weights_fails_prop3(capsys, monkeypatch):
 @pytest.mark.parametrize("target, passed", [("prop3", 0), ("qdims", 6)])
 def test_failed_shift_premise_fails_the_syzygy_targets(capsys, monkeypatch, target, passed):
     from affbasis import relations
-    from affbasis.enveloping import Window
     from affbasis.partitions import format_partition
 
-    label = relations.relation_space(-2, Window(6)).labels[0]
-    original = relations.relation_on_vacuum
-
-    def with_stray_term(lab, window):
-        v = original(lab, window)
-        if lab == label:
-            # X_1(-2).vac, which X_4(1) does not kill
-            v[((1, -2),)] = v.get(((1, -2),), 0) + 1
-        return v
-
-    monkeypatch.setattr(relations, "relation_on_vacuum", with_stray_term)
+    label, first = next(iter(relations.r_basis().items()))
+    monkeypatch.setattr(relations, "apply_mode", with_stray_term(relations.apply_mode, first))
     # fresh, empty memos, so the premise is checked again and nothing
     # computed from the corrupted vector outlives the test
-    for name in ("shift_matrix", "_shift_premise", "_q27_combination"):
+    for name in ("shift_matrix", "_premise_witness", "_q27_combination"):
         monkeypatch.setattr(relations, name, functools.cache(getattr(relations, name).__wrapped__))
     code, out, _ = run(capsys, "verify", target, "--window", "3")
     assert code == EXIT_FALSIFIED

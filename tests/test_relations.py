@@ -57,6 +57,7 @@ from reference_relations import (
     tensor_leading_partition,
     tensor_scale,
     tensor_weight,
+    with_stray_term,
     x1_generator_coefficient,
 )
 
@@ -250,21 +251,17 @@ def test_shift_matrix_h_eigenvalue():
 
 def test_raising_shift_at_the_top_label_degree_is_exact():
     # the 64 tensor has slots up to degree bound + 1; a k = +2 action on it
-    # must agree term for term with the same action on a far wider window,
-    # and so must its canonical labels
+    # keeps the top of its interval and gives up two slots at the bottom
     window = Window(3)
     t = syzygy_tensor_64(0, window)
     assert max(t.n - i for (_, i), _ in t.terms) == 4
     for x_color in (E1_COLOR, 6, 7):
-        image = loop_action(x_color, 2, t, window)
-        wide = loop_action(x_color, 2, t, Window(10))
-        assert image.terms == wide.terms
-        assert canonical_tensor(image, window).terms == canonical_tensor(wide, Window(10)).terms
+        image = loop_action(x_color, 2, t)
         assert (image.i_lo, image.i_hi) == (t.i_lo + 2, t.i_hi)
 
 
 def test_transport_aligns_generator():
-    t = transport_matrix(W8)
+    t = transport_matrix()
     src = quad_same_label(1, 1, -1)
     assert t[src] == {quad_adjacent_label(1, 1, -1): Fraction(2)}
 
@@ -287,7 +284,7 @@ def test_parity_matrices_match_the_per_degree_computation():
     for window in (Window(4), Window(8)):
         labels = relation_space(-2, window).labels
         convert = {
-            m: {lab: canonical_vector({lab: 1}, m, window) for lab in labels}
+            m: {lab: canonical_vector({lab: 1}, m) for lab in labels}
             for m in range(-12, 5)
         }
         for m in range(-10, 3):
@@ -312,28 +309,19 @@ def test_a_failed_premise_stops_every_nonzero_shift(monkeypatch):
 
     import affbasis.relations as relations
 
-    window = Window(4)
-    label = relation_space(-2, window).labels[0]
-    original = relations.relation_on_vacuum
-
-    def with_stray_term(lab, w):
-        v = original(lab, w)
-        if lab == label:
-            v[((1, -2),)] = v.get(((1, -2),), 0) + 1
-        return v
-
-    monkeypatch.setattr(relations, "relation_on_vacuum", with_stray_term)
+    label, first = next(iter(r_basis().items()))
+    monkeypatch.setattr(relations, "apply_mode", with_stray_term(relations.apply_mode, first))
     monkeypatch.setattr(
-        relations, "_shift_premise", functools.cache(relations._shift_premise.__wrapped__)
+        relations, "_premise_witness", functools.cache(relations._premise_witness.__wrapped__)
     )
-    t = syzygy_tensor_64(-4, window)
+    t = syzygy_tensor_64(-4, Window(4))
     witness = f"{format_partition(label.partition())} killed-by X_4(1) fails"
     for k in (-2, -1, 1, 2):
         with pytest.raises(relations.PremiseError) as failed:
-            relations.loop_action(F1_COLOR, k, t, window)
+            relations.loop_action(F1_COLOR, k, t)
         assert failed.value.witness == witness
     # a zero mode does not need the premise, and reads no relation vector
-    assert relations.loop_action(F1_COLOR, 0, t, window).n == t.n
+    assert relations.loop_action(F1_COLOR, 0, t).n == t.n
 
 
 # --- syzygies ----------------------------------------------------------------------
@@ -351,9 +339,9 @@ def test_syzygy_64_highest_weight():
     t = syzygy_tensor_64(-3, W8)
     for e_color in (2, 3):
         for k in (-2, -1, 0, 1, 2):
-            image = loop_action(e_color, k, t, W8)
+            image = loop_action(e_color, k, t)
             assert tensor_is_zero(image), (e_color, k)
-    h_image = loop_action(4, 0, t, W8)
+    h_image = loop_action(4, 0, t)
     assert tensor_is_zero(h_image - tensor_scale(t, 3))
 
 
@@ -368,7 +356,7 @@ def test_syzygy_weights():
 def test_syzygy_27_highest_weight():
     t = syzygy_tensors(-2, W8)["27"]
     for e_color in (2, 3):
-        assert tensor_is_zero(loop_action(e_color, 0, t, W8))
+        assert tensor_is_zero(loop_action(e_color, 0, t))
 
 
 def test_orbit_dimensions():
@@ -381,7 +369,7 @@ def test_tensor_intervals_are_derived_from_the_collapse(n, bound):
     window = Window(bound)
     t64 = syzygy_tensor_64(n, window)
     assert (t64.i_lo, t64.i_hi) == (n - bound - 1, bound + 1)
-    lowered = lowering_pair(1, syzygy_tensor_64(n + 1, window), window)
+    lowered = lowering_pair(1, syzygy_tensor_64(n + 1, window))
     assert (lowered.n, lowered.i_lo, lowered.i_hi) == (n, n - bound, bound)
     tensors = syzygy_tensors(n, window)
     for name in ("35", "35u"):
@@ -403,14 +391,14 @@ def test_orbit_dimensions_match_the_whole_tensor_orbits():
     for n, window in ((0, Window(3)), (-2, Window(6))):
         dims = syzygy_dimensions(n, window)
         for family, t in syzygy_tensors(n, window).items():
-            assert dims[family] == len(orbit_basis(t, window)), (n, family)
+            assert dims[family] == len(orbit_basis(t)), (n, family)
 
 
 def test_reference_forms_of_the_syzygy_families():
     # 64: X1 tensor the reference generator with profile 3i - n; 27: the q27
     # pairs, negated to be positive at the least key, with a constant profile
     window = Window(3)
-    combo, _ = _q27_combination(window)
+    combo, _ = _q27_combination()
     for n in (-3, 0):
         tensors = syzygy_tensors(n, window)
         t = tensors["64"]
@@ -454,7 +442,7 @@ def test_tensor_leading_shapes():
     for name, shape in expected.items():
         shapes = {
             parts_shape(tensor_leading_partition(v))
-            for v in canonical_orbit_basis(tensors[name], window)
+            for v in canonical_orbit_basis(tensors[name])
         }
         assert shapes == {shape}, name
 
@@ -532,22 +520,18 @@ def test_a_window_too_small_for_a_factor_vector_raises():
 
 
 def test_a_relation_vector_outside_the_submodule_fails_the_premise(monkeypatch):
+    import functools
+
     from affbasis import relations
 
-    window = Window(6)
-    label = relation_space(-2, window).labels[0]
-    original = relations.relation_on_vacuum
-
-    def with_stray_term(lab, w):
-        v = original(lab, w)
-        if lab == label:
-            # X_1(-2).vac: greater than every depth-2 pair, so every row
-            # still leads with its own partition, but it is not singular
-            v[((1, -2),)] = v.get(((1, -2),), 0) + 1
-        return v
-
-    monkeypatch.setattr(relations, "relation_on_vacuum", with_stray_term)
-    rows = basis_counts_report(3, window)
+    # the stray X_1(-2).vac leaves every factor vector, so every row still
+    # leads with its own partition, but the first vector of R is not singular
+    label, first = next(iter(r_basis().items()))
+    monkeypatch.setattr(relations, "apply_mode", with_stray_term(relations.apply_mode, first))
+    monkeypatch.setattr(
+        relations, "_premise_witness", functools.cache(relations._premise_witness.__wrapped__)
+    )
+    rows = basis_counts_report(3, Window(6))
     assert [row["ok"] for row in rows] == [True, True, False, False]
     witness = f"{format_partition(label.partition())} killed-by X_4(1) fails"
     assert [row["witness"] for row in rows] == [None, None, witness, witness]
@@ -585,11 +569,11 @@ def test_loop_module_property_reconstruction():
         matrix = shift_matrix(x_color)
         for label in relation_space(-2, window).labels[:6]:
             body = EnvElement({}, window)
-            for lab2, c in canonical_vector({label: 1}, m, window).items():
+            for lab2, c in canonical_vector({label: 1}, m).items():
                 body = body + source.element(lab2).scale(c)
             image = adjoint_mode(body, x_color, k)
             rebuilt = image
-            for lab2, c in canonical_vector(matrix[label], m + k, window).items():
+            for lab2, c in canonical_vector(matrix[label], m + k).items():
                 rebuilt = rebuilt - target.element(lab2).narrowed(
                     image.window.annihilation_bound
                 ).scale(c)
@@ -601,7 +585,7 @@ def test_collapse_zero_mode_equivariance():
     window = Window(6)
     t = syzygy_tensor_64(-3, window)
     for x_color in (7, 6):
-        left = collapse(loop_action(x_color, 0, t, window), window)
+        left = collapse(loop_action(x_color, 0, t), window)
         right = adjoint_mode(collapse(t, window), x_color, 0)
         diff = left - right.narrowed(left.window.annihilation_bound)
         assert diff.is_zero()
@@ -612,8 +596,8 @@ def test_lemma2_auxiliary_conditions():
     window = Window(6)
     t = syzygy_tensor_64(-3, window)
     for h in (4, 5):
-        first = loop_action(h, -2, loop_action(h, 0, t, window), window)
-        second = loop_action(h, -1, loop_action(h, -1, t, window), window)
+        first = loop_action(h, -2, loop_action(h, 0, t))
+        second = loop_action(h, -1, loop_action(h, -1, t))
         assert tensor_is_zero(first - second)
 
 
@@ -671,7 +655,7 @@ def test_integral_layers_keep_int_coefficients():
         assert _ints(v.values()), label
     for color in range(1, 9):
         assert all(_ints(col.values()) for col in shift_matrix(color).values()), color
-    assert all(_ints(col.values()) for col in transport_matrix(window).values())
+    assert all(_ints(col.values()) for col in transport_matrix().values())
     for mode in [(a, d) for a in range(1, 9) for d in range(-2, 3)]:
         for p in graded_basis(2) + graded_basis(3):
             assert _ints(c for _, c in mode_on_partition(mode, p)), (mode, p)
@@ -681,15 +665,15 @@ def test_integral_layers_keep_int_coefficients():
     # labels too, their orbits, and their reference vectors and profiles
     for name, t in syzygy_tensors(0, window).items():
         assert _ints(t.terms.values()), name
-        assert _ints(canonical_tensor(t, window).terms.values()), name
-        for vec in orbit_basis(t, window):
+        assert _ints(canonical_tensor(t).terms.values()), name
+        for vec in orbit_basis(t):
             assert _ints(vec.terms.values()), name
         v, profile = reference_form(name, t)
         assert _ints(v.values()) and _ints(profile.values()), name
 
 
 def test_q27_combination_is_five_unit_pairs():
-    assert _q27_combination(Window(3)) == (
+    assert _q27_combination() == (
         [
             ((1, quad_same_label(5, 1, -1)), -1),
             ((2, quad_same_label(3, 1, -1)), 1),
@@ -708,9 +692,9 @@ def test_q27_combination_rejects_a_second_solution(monkeypatch):
 
     pairs = relations._weight_2theta_pairs
 
-    monkeypatch.setattr(relations, "_weight_2theta_pairs", lambda w: pairs(w) + pairs(w)[:1])
+    monkeypatch.setattr(relations, "_weight_2theta_pairs", lambda: pairs() + pairs()[:1])
     with pytest.raises(AssertionError, match="unique highest-weight"):
-        _q27_combination.__wrapped__(Window(4))
+        _q27_combination.__wrapped__()
 
 
 def test_rational_edges_never_give_floats():
@@ -722,7 +706,7 @@ def test_rational_edges_never_give_floats():
     assert type(collapse_report(0, window)["c"]) in exact
     gen = generator(0, window)
     assert type(_proportionality(gen.scale(-2), gen)) in exact
-    combo, t = _q27_combination(window)
+    combo, t = _q27_combination()
     assert combo and all(type(c) in exact for _, c in combo) and type(t) in exact
     for t in syzygy_tensors(0, window).values():
         for i in range(t.i_lo, t.i_hi + 1):
