@@ -3,12 +3,16 @@
 Everything here is exact: coefficients are Python ints, truncation order is
 explicit, and the three series being compared (the bounded-multiplicity
 product, the constrained three-color count, and the specialized ideal
-count) are produced by independent machinery: list arithmetic for the
-product, and for each count a transfer over its own state graph, lumped
-by future equivalence (`_lump`), in the packed-integer kernel `_transfer`
-(high degree first, so q^cost is one truncating right shift; each distinct
-tuple of sources is summed once).  The same kernel counts the ideal by
-depth for the basis theorem, on the layer graph as it is.
+count) are produced by independent machinery.  The product is one pass
+of its own on a packed integer, with its own byte-slot layout, slot width
+and decoding, and reads none of the counts' code; each count is a
+transfer over its own state graph, lumped by future equivalence (`_lump`),
+in the packed-integer kernel `_transfer` (high degree first, so q^cost is
+one truncating right shift; each distinct tuple of sources is summed
+once), at the slot width `_slot_width` certifies.  The same kernel counts
+the ideal by depth for the basis theorem, on the layer graph as it is.
+Every slot width is fixed before the pass that uses it, from a bound
+proved in advance, never read off the pass's own result.
 """
 
 from __future__ import annotations
@@ -88,13 +92,25 @@ def colored_part_count_series(order: int, colors: int) -> Series:
 
 
 def product_side(order: int) -> Series:
-    """prod_{r>=1} (1 + q^r + q^{2r}): parts repeat at most twice."""
-    coeffs = [1] + [0] * order
+    """prod_{r>=1} (1 + q^r + q^{2r}): parts repeat at most twice.
+
+    One packed integer, high degree first, in byte slots of its own: the
+    coefficient of q^k is bytes [k*size, (k+1)*size) of its big-endian
+    bytes, so times q^r is one right shift that drops every term past
+    q^order.  The slot is fixed before the pass: 1 + y + y^2 <= (1 + y)^2,
+    so every partial product, and every partial sum within a factor, is
+    coefficientwise at most prod_r (1 + q^r)^2, whose coefficients up to
+    q^n are at most exp(pi sqrt(2n/3)) (the lemma of `_slot_width`, j = 2),
+    and no slot carries.  The bound is written out here, not read from
+    `_power_bits`, so that the product reads no code the counts read."""
+    size = (math.isqrt(-(-(4533**2) * 2 * order // 3_000_000)) + 8) // 8
+    width = 8 * size
+    packed = 1 << order * width
     for r in range(1, order + 1):
-        old = coeffs[:]
-        coeffs[r:] = map(operator.add, coeffs[r:], old)
-        coeffs[2 * r :] = map(operator.add, coeffs[2 * r :], old)
-    return Series(coeffs)
+        shifted = packed >> r * width
+        packed += shifted + (shifted >> r * width)
+    data = packed.to_bytes((order + 1) * size, "big")
+    return Series([int.from_bytes(data[k : k + size], "big") for k in range(0, len(data), size)])
 
 
 # --- the packed transfer kernel ----------------------------------------------
@@ -116,22 +132,52 @@ def _slot_width(order: int) -> int:
     and the targets adding into one class count (configuration, move) pairs
     with distinct moves, which are distinct configurations one step on.
 
-    D = prod (1 + q^r) is one list pass; it is cubed by two truncated
-    multiplications of D packed into bytes, low degree first.  Each
-    coefficient of D^2 and D^3, the dropped ones past q^order included, is
-    a sum of at most (order + 1)^2 products of three coefficients of D, so
-    it fits 3 bits(max D) + 2 bits(order + 1) bits and the mask truncates
-    exactly."""
-    distinct = [1] + [0] * order
+    D = prod (1 + q^r) = prod 1/(1 - q^{2r-1}) is one packed pass, cubed
+    by two packed multiplications, each at a slot width fixed before it
+    runs, by this lemma: every coefficient of D^j up to q^n is at most
+    exp(pi sqrt(jn/3)).  Proof: log D(e^-t) = sum_k 1/(2k sinh(kt)) <=
+    sum_k 1/(2k^2 t) = pi^2/(12t) for t > 0, as sinh(x) >= x.  The
+    coefficient c_m of D^j (nonnegative, like all here) has c_m e^-mt <=
+    D(e^-t)^j, so c_m <= exp(mt + j pi^2/(12t)), which is exp(pi sqrt(jm/3))
+    at t = pi sqrt(j/(12m)) for m >= 1, and c_0 = 1.  In integers: 4533/1000
+    > pi/ln 2, so with M = ceil(4533^2 jn / (3 * 10^6)) each such c_m is at
+    most 2^sqrt(M) and has at most isqrt(M) + 1 bits, `_power_bits(j, n)`.
+    A partial product is coefficientwise at most the whole product, and
+    D^2 <= D^3, as every coefficient is nonnegative and D starts with 1.
+    The pass packs D high degree first, q^k in the k-th slot of the
+    big-endian bytes, at the j = 1 width: times q^r is one right shift that
+    drops every term past q^order, and each partial product
+    prod_{s<=r} (1 + q^s) is at most D, so no slot carries.  The cube packs
+    D low degree first at the j = 3 width and masks to q^0..q^order after
+    each multiplication: a carry runs only upward, and every kept
+    coefficient of D^2 and D^3 fits its slot, so the kept slots are exact
+    whatever the dropped ones hold."""
+
+    one = (_power_bits(1, order) + 7) // 8
+    packed = 1 << 8 * one * order
     for r in range(1, order + 1):
-        distinct[r:] = map(operator.add, distinct[r:], distinct[: order + 1 - r])
-    size = (3 * max(distinct).bit_length() + 2 * (order + 1).bit_length() + 7) // 8
-    mask = (1 << 8 * size * (order + 1)) - 1
-    packed = int.from_bytes(b"".join(c.to_bytes(size, "little") for c in distinct), "little")
-    cube = ((packed * packed & mask) * packed & mask).to_bytes(size * (order + 1), "little")
+        packed += packed >> 8 * one * r
+    distinct = packed.to_bytes(one * (order + 1), "big")
+    three = (_power_bits(3, order) + 7) // 8
+    mask = (1 << 8 * three * (order + 1)) - 1
+    packed = int.from_bytes(
+        b"".join(
+            int.from_bytes(distinct[k : k + one], "big").to_bytes(three, "little")
+            for k in range(0, len(distinct), one)
+        ),
+        "little",
+    )
+    cube = ((packed * packed & mask) * packed & mask).to_bytes(three * (order + 1), "little")
     return max(
-        int.from_bytes(cube[k : k + size], "little") for k in range(0, len(cube), size)
+        int.from_bytes(cube[k : k + three], "little") for k in range(0, len(cube), three)
     ).bit_length()
+
+
+def _power_bits(j: int, order: int) -> int:
+    """At least the bit length of every coefficient of prod_r (1 + q^r)^j
+    up to q^order, by the lemma of `_slot_width`: isqrt(M) + 1 with
+    M = ceil(4533^2 j order / (3 * 10^6))."""
+    return math.isqrt(-(-(4533**2) * j * order // 3_000_000)) + 1
 
 
 def _transfer(order: int, start, steps, width: int) -> Series:

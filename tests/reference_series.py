@@ -4,13 +4,15 @@ were.  Each state holds its truncated series as a list of ints and every
 shift-and-add runs coefficient by coefficient, so these share no
 arithmetic with the packed engines they check.
 
-Four additions: the optional ``observe`` hook, called with the dict of
+Five additions: the optional ``observe`` hook, called with the dict of
 states after every step, so a test can read the intermediate coefficients
 the packed engines must fit into their slots; ``transfer``, the packed
 kernel's contract on coefficient lists, for tests on random step graphs
 and on the steps an engine hands the kernel; ``slot_width``, the slot
-bound by its first, three-pass list arithmetic; and ``a2_theta_series_plus``,
-the root-lattice theta series from the other Gram form."""
+bound by its first, three-pass list arithmetic; ``product_side``, the
+product by the list arithmetic it had before it was packed; and
+``a2_theta_series_plus``, the root-lattice theta series from the other
+Gram form."""
 
 import math
 import operator
@@ -135,6 +137,16 @@ def slot_width(order: int) -> int:
         for _ in range(3):
             bound[r:] = map(operator.add, bound[r:], bound[: order + 1 - r])
     return max(bound).bit_length()
+
+
+def product_side(order: int) -> Series:
+    """prod_{r>=1} (1 + q^r + q^{2r}): parts repeat at most twice."""
+    coeffs = [1] + [0] * order
+    for r in range(1, order + 1):
+        old = coeffs[:]
+        coeffs[r:] = map(operator.add, coeffs[r:], old)
+        coeffs[2 * r :] = map(operator.add, coeffs[2 * r :], old)
+    return Series(coeffs)
 
 
 def truncated(s: Series, order: int) -> Series:

@@ -76,7 +76,13 @@ def test_structure_witness_names_the_failed_identity(monkeypatch, table, changes
     assert structure_witness() == witness
 
 
+_FLOAT_MATH = {"pi", "e", "tau", "inf", "nan", "sqrt", "exp", "log", "log2", "log10"}
+
+
 def test_no_floating_point_in_the_package():
+    # also no true division and no float-valued name of math: the slot
+    # widths of the series engines rest on integer bounds (isqrt, and a
+    # rational over-approximation of pi/ln 2), which a float would break
     sources = sorted(Path(affbasis.__file__).parent.rglob("*.py"))
     assert sources
     found = []
@@ -90,6 +96,21 @@ def test_no_floating_point_in_the_package():
                 and node.func.id == "float"
             ):
                 found.append(f"{path.name}:{node.lineno}: float() call")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}: true division")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+                and node.attr in _FLOAT_MATH
+            ):
+                found.append(f"{path.name}:{node.lineno}: math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found.extend(
+                    f"{path.name}:{node.lineno}: from math import {alias.name}"
+                    for alias in node.names
+                    if alias.name in _FLOAT_MATH
+                )
     assert found == []
 
 

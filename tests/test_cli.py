@@ -529,6 +529,22 @@ def test_corrupted_specialization_fails_theorem_b_with_a_witness(capsys, monkeyp
     ]
 
 
+def test_mutated_product_side_fails_theorem_b(tmp_path):
+    # the packed product's q^{2r} shift becomes q^{3r}: a part may now
+    # appear once or three times, never twice, and both counts disagree
+    done = _run_mutated_copy(
+        tmp_path, "qseries.py", "shifted + (shifted >> r * width)",
+        "shifted + (shifted >> 2 * r * width)", "verify", "theorem-b", "--order", "60",
+    )
+    assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
+    assert _fail_lines(done.stdout) == [
+        "FAIL  product side = specialized ideal count  expected=agree to order 60 "
+        "actual=first difference at 2: product=1 specialized=2",
+        "FAIL  product side = constrained three-color count  expected=agree to order 60 "
+        "actual=first difference at 2: product=1 constrained=2",
+    ]
+
+
 def test_rescaled_q27_fails_prop3(capsys, monkeypatch):
     from affbasis import relations
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ from affbasis.qseries import (
     Series,
     _layer_table,
     _local_part_ok,
+    _power_bits,
     _slot_width,
     _transfer,
     _tricolor_table,
@@ -85,6 +89,11 @@ def test_product_coefficients():
     p = product_side(10)
     assert p[0] == 1
     assert p[4] == 4  # 4, 3+1, 2+2, 2+1+1
+
+
+def test_product_side_matches_the_list_reference():
+    for order in [*range(151), 1000]:
+        assert product_side(order) == reference_series.product_side(order), order
 
 
 # --- the constrained count ----------------------------------------------------
@@ -276,6 +285,23 @@ def test_lumped_engines_fit_their_slot_width(monkeypatch, engine, order):
 def test_slot_width_matches_the_three_pass_reference():
     for order in [*range(151), 1000]:
         assert _slot_width(order) == reference_series.slot_width(order), order
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_power_bits_bound_the_distinct_parts_power(j):
+    # the lemma of _slot_width: every coefficient of prod (1 + q^r)^j up to
+    # q^n is at most exp(pi sqrt(jn/3)), so it has at most lemma bits, and
+    # _power_bits(j, n), the lemma in integers, is no fewer; the power by
+    # list passes, the lemma's own bound in floats (the package has none)
+    order = 1000
+    power = [1] + [0] * order
+    for r in range(1, order + 1):
+        for _ in range(j):
+            power[r:] = map(operator.add, power[r:], power[: order + 1 - r])
+    peak = list(itertools.accumulate(power, max))
+    for n in [*range(151), order]:
+        lemma = math.floor(math.pi / math.log(2) * math.sqrt(j * n / 3)) + 1
+        assert peak[n].bit_length() <= lemma <= _power_bits(j, n), (j, n)
 
 
 def _tricolor_moves(degree, window):
