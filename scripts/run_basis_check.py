@@ -21,7 +21,11 @@ def main() -> int:
     max_depth = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     bound = int(sys.argv[2]) if len(sys.argv) > 2 else max(8, max_depth + 2)
     started = time.monotonic()
-    rows = basis_counts_report(max_depth, Window(bound))
+    try:
+        rows = basis_counts_report(max_depth, Window(bound))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{'n':>3} {'ideal':>8} {'dim':>8} {'rank':>8} {'quotient':>8} {'oracle':>8}  verdict")
     ok = True
     for row in rows:

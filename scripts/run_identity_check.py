@@ -14,7 +14,11 @@ from affbasis.qseries import verify_identity
 def main() -> int:
     order = int(sys.argv[1]) if len(sys.argv) > 1 else 200
     started = time.monotonic()
-    rep = verify_identity(order)
+    try:
+        rep = verify_identity(order)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     product, constrained, specialized = (
         rep["product"],
         rep["constrained"],

@@ -9,10 +9,10 @@ and decoding, and reads none of the counts' code; each count is a
 transfer over its own state graph, lumped by future equivalence (`_lump`),
 in the packed-integer kernel `_transfer` (high degree first, so q^cost is
 one truncating right shift; each distinct tuple of sources is summed
-once), at the slot width `_slot_width` certifies.  The same kernel counts
-the ideal by depth for the basis theorem, on the layer graph as it is.
-Every slot width is fixed before the pass that uses it, from a bound
-proved in advance, never read off the pass's own result.
+once).  The same kernel counts the ideal by depth for the basis theorem,
+on the layer graph as it is.  Every slot width is fixed before the pass
+that uses it, from the bound `_power_bits` proves on the coefficients of
+prod (1 + q^r)^j, never read off the pass's own result.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def product_side(order: int) -> Series:
     q^order.  The slot is fixed before the pass: 1 + y + y^2 <= (1 + y)^2,
     so every partial product, and every partial sum within a factor, is
     coefficientwise at most prod_r (1 + q^r)^2, whose coefficients up to
-    q^n are at most exp(pi sqrt(2n/3)) (the lemma of `_slot_width`, j = 2),
+    q^n are at most exp(pi sqrt(2n/3)) (the lemma of `_power_bits`, j = 2),
     and no slot carries.  The bound is written out here, not read from
     `_power_bits`, so that the product reads no code the counts read."""
     size = (math.isqrt(-(-(4533**2) * 2 * order // 3_000_000)) + 8) // 8
@@ -116,80 +116,57 @@ def product_side(order: int) -> Series:
 # --- the packed transfer kernel ----------------------------------------------
 
 
-@functools.cache
-def _slot_width(order: int) -> int:
-    """Bit length of the largest coefficient of prod_r (1 + q^r)^3 up to
-    q^order, independently of the kernel.  It bounds every coefficient a
-    transfer holds (state, sum of sources, total), each of which counts some
-    of the configurations built so far, so no slot carries.
-    Three-color: at most one part per degree r, in one of three colors, and
-    1 + 3q^r <= (1 + q^r)^3.  Specialized: each mode at most once, and at
-    most three modes per degree r (colors 4, 5 at r = 0 mod 3; 1, 6, 7 at
-    r = 1 mod 3; 2, 3, 8 at r = 2 mod 3).  Both engines run lumped graphs
-    (`_lump`), and the counts stay distinct: a configuration ends in one
-    window or layer, so a class state counts the configurations ending in
-    any of its members, each once; a sum of sources reads distinct classes;
-    and the targets adding into one class count (configuration, move) pairs
-    with distinct moves, which are distinct configurations one step on.
+def _power_bits(j: int, order: int) -> int:
+    """At least the bit length of every coefficient of D^j up to q^order,
+    where D = prod_{r>=1} (1 + q^r): isqrt(M) + 1 with
+    M = ceil(4533^2 j order / (3 * 10^6)).
 
-    D = prod (1 + q^r) = prod 1/(1 - q^{2r-1}) is one packed pass, cubed
-    by two packed multiplications, each at a slot width fixed before it
-    runs, by this lemma: every coefficient of D^j up to q^n is at most
-    exp(pi sqrt(jn/3)).  Proof: log D(e^-t) = sum_k 1/(2k sinh(kt)) <=
-    sum_k 1/(2k^2 t) = pi^2/(12t) for t > 0, as sinh(x) >= x.  The
+    Lemma: every coefficient of D^j up to q^n is at most exp(pi sqrt(jn/3)).
+    Proof: D = prod 1/(1 - q^{2r-1}), so log D(e^-t) = sum_k 1/(2k sinh(kt))
+    <= sum_k 1/(2k^2 t) = pi^2/(12t) for t > 0, as sinh(x) >= x.  The
     coefficient c_m of D^j (nonnegative, like all here) has c_m e^-mt <=
     D(e^-t)^j, so c_m <= exp(mt + j pi^2/(12t)), which is exp(pi sqrt(jm/3))
-    at t = pi sqrt(j/(12m)) for m >= 1, and c_0 = 1.  In integers: 4533/1000
-    > pi/ln 2, so with M = ceil(4533^2 jn / (3 * 10^6)) each such c_m is at
-    most 2^sqrt(M) and has at most isqrt(M) + 1 bits, `_power_bits(j, n)`.
-    A partial product is coefficientwise at most the whole product, and
-    D^2 <= D^3, as every coefficient is nonnegative and D starts with 1.
-    The pass packs D high degree first, q^k in the k-th slot of the
-    big-endian bytes, at the j = 1 width: times q^r is one right shift that
-    drops every term past q^order, and each partial product
-    prod_{s<=r} (1 + q^s) is at most D, so no slot carries.  The cube packs
-    D low degree first at the j = 3 width and masks to q^0..q^order after
-    each multiplication: a carry runs only upward, and every kept
-    coefficient of D^2 and D^3 fits its slot, so the kept slots are exact
-    whatever the dropped ones hold."""
+    at t = pi sqrt(j/(12m)) for m >= 1, and c_0 = 1.  D starts with 1, so
+    the coefficients of D^j do not decrease in j.  In integers: 4533/1000 >
+    pi/ln 2, so each such c_m is at most 2^sqrt(M) and has at most
+    isqrt(M) + 1 bits.
 
-    one = (_power_bits(1, order) + 7) // 8
-    packed = 1 << 8 * one * order
-    for r in range(1, order + 1):
-        packed += packed >> 8 * one * r
-    distinct = packed.to_bytes(one * (order + 1), "big")
-    three = (_power_bits(3, order) + 7) // 8
-    mask = (1 << 8 * three * (order + 1)) - 1
-    packed = int.from_bytes(
-        b"".join(
-            int.from_bytes(distinct[k : k + one], "big").to_bytes(three, "little")
-            for k in range(0, len(distinct), one)
-        ),
-        "little",
-    )
-    cube = ((packed * packed & mask) * packed & mask).to_bytes(three * (order + 1), "little")
-    return max(
-        int.from_bytes(cube[k : k + three], "little") for k in range(0, len(cube), three)
-    ).bit_length()
-
-
-def _power_bits(j: int, order: int) -> int:
-    """At least the bit length of every coefficient of prod_r (1 + q^r)^j
-    up to q^order, by the lemma of `_slot_width`: isqrt(M) + 1 with
-    M = ceil(4533^2 j order / (3 * 10^6))."""
+    A count's transfer holds nothing past its bound: every coefficient of a
+    state, of a sum of sources and of the total counts distinct
+    configurations of one degree, each a set of (mode, degree) pairs, with
+    at most j modes per degree r, so D^j bounds it and no slot carries.
+    Three-color (j = 3): at most one part per degree, in one of three
+    colors, and 1 + 3q^r <= (1 + q^r)^3.  Specialized (j = 3): each mode at
+    most once, and at most three modes per degree r (colors 4, 5 at
+    r = 0 mod 3; 1, 6, 7 at r = 1 mod 3; 2, 3, 8 at r = 2 mod 3).  Ideal
+    (j = 8): a layer is a set of colors, so each (color, depth) at most
+    once.  The lumped engines (`_lump`) keep the counts distinct: a
+    configuration ends in one window or layer, so a class state counts the
+    configurations ending in any of its members, each once; a sum of
+    sources reads distinct classes; and the targets adding into one class
+    count (configuration, move) pairs with distinct moves, which are
+    distinct configurations one step on."""
     return math.isqrt(-(-(4533**2) * j * order // 3_000_000)) + 1
 
 
-def _transfer(order: int, start, steps, width: int) -> Series:
+def _slot_size(j: int, order: int) -> int:
+    """The byte slot of a count bounded by D^j up to q^order (`_power_bits`)."""
+    return (_power_bits(j, order) + 7) // 8
+
+
+def _transfer(order: int, start, steps, size: int) -> Series:
     """Sum of the final states of a transfer from `start` (series 1).  A
-    series is one int, high degree first: the coefficient of q^k is in bits
-    [(order-k)*width, (order-k+1)*width).  Each step lists targets (dst,
-    cost, sources): dst gets the sum of its sources' series (a state listed
-    twice is read twice) shifted right by cost*width, which is times q^cost
-    with every term past q^order dropped, as no slot carries in the `width`
-    the caller certifies; targets that share a dst add into it.  Targets of
-    a step with one `sources` tuple share its sum; unreached sources add
-    nothing.  A series with no term below q^d has (order-d+1)*width bits."""
+    series is one int, high degree first: the coefficient of q^k is bytes
+    [k*size, (k+1)*size) of its (order+1)*size big-endian bytes.  Each step
+    lists targets (dst, cost, sources): dst gets the sum of its sources'
+    series (a state listed twice is read twice) shifted right by
+    8*size*cost bits, which is times q^cost with every term past q^order
+    dropped, as no slot carries in the `size` the caller certifies; targets
+    that share a dst add into it.  Targets of a step with one `sources`
+    tuple share its sum; unreached sources add nothing.  A series with no
+    term below q^d is about (order-d+1)*size bytes long.  A total that
+    overflows its top slot raises OverflowError."""
+    width = 8 * size
     states = {start: 1 << order * width}
     for targets in steps:
         new, sums = {}, {}
@@ -200,9 +177,8 @@ def _transfer(order: int, start, steps, width: int) -> Series:
             if packed := packed >> cost * width:
                 new[dst] = new.get(dst, 0) + packed
         states = new
-    total = sum(states.values())
-    slot = (1 << width) - 1
-    return Series([(total >> (order - k) * width) & slot for k in range(order + 1)])
+    data = sum(states.values()).to_bytes((order + 1) * size, "big")
+    return Series([int.from_bytes(data[k : k + size], "big") for k in range(0, len(data), size)])
 
 
 def _lump(start, moves) -> tuple[dict, dict]:
@@ -215,7 +191,7 @@ def _lump(start, moves) -> tuple[dict, dict]:
     of each node and, per phase, the lumped targets (D, letter a, sources):
     for m = 1, 2, ..., the classes C whose members have at least m a-moves
     into D, so C is read once per a-move from any member into D, and a sum
-    of sources reads distinct classes (see `_slot_width`).
+    of sources reads distinct classes (see `_power_bits`).
 
     Lemma: let n(C, a, D) be that number of moves, the same for every member
     of C as the partition is stable, and X_C the sum of the states of C's
@@ -348,7 +324,7 @@ def tricolor_count_series(order: int) -> Series:
         [(dst, d * part, srcs) for dst, part, srcs in phases[min(d, 6 + d % 3)]]
         for d in range(1, order + 1)
     )
-    return _transfer(order, classes[0, (0, 0, 0, 0)], steps, _slot_width(order))
+    return _transfer(order, classes[0, (0, 0, 0, 0)], steps, _slot_size(3, order))
 
 
 # --- the specialized ideal count ---------------------------------------------
@@ -386,21 +362,19 @@ def specialized_count_series(order: int) -> Series:
         [(dst, 3 * i * size + offset, srcs) for dst, (size, offset), srcs in phases[0]]
         for i in range(1, (order + 2) // 3 + 1)
     )
-    return _transfer(order, classes[0, frozenset()], steps, _slot_width(order))
+    return _transfer(order, classes[0, frozenset()], steps, _slot_size(3, order))
 
 
 def ideal_count_series(order: int) -> Series:
     """Count of difference-condition partitions by depth: the same layer
     graph, unlumped, where a layer at depth i costs i per color.  Every
-    coefficient the transfer holds counts distinct eight-color partitions of
-    one depth, so prod (1-q^r)^-8, by list arithmetic, bounds it
-    independently of the kernel."""
+    coefficient the transfer holds counts distinct sets of (color, depth)
+    pairs of one depth, so D^8 bounds it (`_power_bits`, j = 8)."""
     graph = _layer_graph()
     steps = (
         [(layer, i * size, below) for layer, size, _, below in graph] for i in range(1, order + 1)
     )
-    width = max(colored_part_count_series(order, 8).coeffs).bit_length()
-    return _transfer(order, frozenset(), steps, width)
+    return _transfer(order, frozenset(), steps, _slot_size(8, order))
 
 
 # --- the independent character oracle ----------------------------------------
@@ -432,6 +406,8 @@ def character_oracle(order: int) -> Series:
 def verify_identity(order: int) -> dict:
     """Compare the product side, the constrained-count side and the
     specialized ideal count coefficientwise, all to q^order."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     product = product_side(order)
     specialized = specialized_count_series(order)
     constrained = tricolor_count_series(order)

@@ -701,6 +701,8 @@ def basis_counts_report(n_max: int, window: Window, progress=None) -> list[dict]
     quotient is then the ideal count.  A row is ok when both hold and
     ideal = oracle; otherwise `witness` names the premise failure or the
     first factor that leads elsewhere."""
+    if n_max < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {n_max}")
     oracle = character_oracle(n_max)
     pbw = colored_part_count_series(n_max, 8)
     ideal = ideal_count_series(n_max)

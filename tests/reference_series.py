@@ -4,12 +4,11 @@ were.  Each state holds its truncated series as a list of ints and every
 shift-and-add runs coefficient by coefficient, so these share no
 arithmetic with the packed engines they check.
 
-Five additions: the optional ``observe`` hook, called with the dict of
+Four additions: the optional ``observe`` hook, called with the dict of
 states after every step, so a test can read the intermediate coefficients
 the packed engines must fit into their slots; ``transfer``, the packed
 kernel's contract on coefficient lists, for tests on random step graphs
-and on the steps an engine hands the kernel; ``slot_width``, the slot
-bound by its first, three-pass list arithmetic; ``product_side``, the
+and on the steps an engine hands the kernel; ``product_side``, the
 product by the list arithmetic it had before it was packed; and
 ``a2_theta_series_plus``, the root-lattice theta series from the other
 Gram form."""
@@ -126,17 +125,6 @@ def transfer(order: int, start, steps, observe=None) -> Series:
         if observe is not None:
             observe(states)
     return Series([sum(column) for column in zip([0] * (order + 1), *states.values())])
-
-
-def slot_width(order: int) -> int:
-    """``affbasis.qseries._slot_width`` as it was computed before: the bit
-    length of the largest coefficient of prod_r (1 + q^r)^3 up to q^order,
-    by three list passes per r."""
-    bound = [1] + [0] * order
-    for r in range(1, order + 1):
-        for _ in range(3):
-            bound[r:] = map(operator.add, bound[r:], bound[: order + 1 - r])
-    return max(bound).bit_length()
 
 
 def product_side(order: int) -> Series:

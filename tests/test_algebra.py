@@ -212,3 +212,30 @@ def test_every_public_library_definition_is_live():
         live |= new
         todo.extend(new)
     assert [qualified for qualified, name in public if name not in live] == []
+
+
+def test_every_private_library_name_is_read():
+    # a private top-level name of the package (a function, class or
+    # assignment; dunders aside) must be loaded by some other top-level
+    # statement of the package, so no helper outlives its last caller
+    package = Path(affbasis.__file__).parent
+    statements = [
+        (path.stem, stmt)
+        for path in sorted(package.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), str(path)).body
+    ]
+    unread = []
+    for module, stmt in statements:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__") and not any(
+                name in _reads(other) for _, other in statements if other is not stmt
+            ):
+                unread.append(f"{module}.{name}")
+    assert unread == []

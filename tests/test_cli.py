@@ -545,6 +545,23 @@ def test_mutated_product_side_fails_theorem_b(tmp_path):
     ]
 
 
+def test_undersized_count_slot_fails_theorem_b(tmp_path):
+    # the counts' byte slot halved: 2 bytes at order 60, where the lemma
+    # asks for 5, so a coefficient carries into its neighbour and both
+    # counts disagree with the product, which keeps its own slot
+    done = _run_mutated_copy(
+        tmp_path, "qseries.py", "+ 7) // 8", "+ 7) // 16",
+        "verify", "theorem-b", "--order", "60",
+    )
+    assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
+    assert _fail_lines(done.stdout) == [
+        "FAIL  product side = specialized ideal count  expected=agree to order 60 "
+        "actual=first difference at 57: product=58338 specialized=58339",
+        "FAIL  product side = constrained three-color count  expected=agree to order 60 "
+        "actual=first difference at 57: product=58338 constrained=58339",
+    ]
+
+
 def test_rescaled_q27_fails_prop3(capsys, monkeypatch):
     from affbasis import relations
 

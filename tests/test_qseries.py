@@ -24,7 +24,7 @@ from affbasis.qseries import (
     _layer_table,
     _local_part_ok,
     _power_bits,
-    _slot_width,
+    _slot_size,
     _transfer,
     _tricolor_table,
     _window_violation,
@@ -224,15 +224,6 @@ def test_packed_engines_match_the_reference_engines(engine, reference):
     assert engine(0).coeffs == [1]
 
 
-def test_slot_width_is_the_cubed_distinct_parts_bound():
-    order = 40
-    bound = Series([1] + [0] * order)
-    for r in range(1, order + 1):
-        factor = Series([1 if k in (0, r) else 0 for k in range(order + 1)])
-        bound = bound * factor * factor * factor
-    assert _slot_width(order) == max(bound.coeffs).bit_length()
-
-
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 20, 61, 120])
 def test_slot_width_bounds_every_intermediate_coefficient(order):
     peak = 0
@@ -244,7 +235,7 @@ def test_slot_width_bounds_every_intermediate_coefficient(order):
 
     reference_series.tricolor_count_series(order, observe)
     reference_series.specialized_count_series(order, observe)
-    assert peak < 2 ** _slot_width(order)
+    assert peak < 2 ** (8 * _slot_size(3, order))
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 9, 20, 60, 61, 120])
@@ -257,19 +248,19 @@ def test_lumped_engines_fit_their_slot_width(monkeypatch, engine, order):
     # the steps each engine hands the kernel (lumped for the two Theorem B
     # counts, the plain layer graph for the ideal count), replayed on
     # coefficient lists: every state, every sum of sources and every step's
-    # total must fit the width the engine hands the kernel
+    # total must fit the byte slot the engine hands the kernel
     from affbasis import qseries
 
     seen = []
 
-    def spy(order, start, steps, width):
+    def spy(order, start, steps, size):
         steps = [list(targets) for targets in steps]
-        seen.append((start, steps, width))
-        return _transfer(order, start, steps, width)
+        seen.append((start, steps, size))
+        return _transfer(order, start, steps, size)
 
     monkeypatch.setattr(qseries, "_transfer", spy)
     series = engine(order)
-    (start, steps, width), = seen
+    (start, steps, size), = seen
     history = [{start: [1] + [0] * order}]
     assert reference_series.transfer(order, start, steps, history.append) == series
     zero = [0] * (order + 1)
@@ -279,17 +270,12 @@ def test_lumped_engines_fit_their_slot_width(monkeypatch, engine, order):
             peak = max(peak, *map(sum, zip(zero, *(before.get(src, zero) for src in sources))))
         peak = max(peak, *map(sum, zip(zero, *after.values())))
         peak = max(peak, *(c for series in after.values() for c in series))
-    assert peak < 2 ** width
+    assert peak < 2 ** (8 * size)
 
 
-def test_slot_width_matches_the_three_pass_reference():
-    for order in [*range(151), 1000]:
-        assert _slot_width(order) == reference_series.slot_width(order), order
-
-
-@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("j", [1, 2, 3, 8])
 def test_power_bits_bound_the_distinct_parts_power(j):
-    # the lemma of _slot_width: every coefficient of prod (1 + q^r)^j up to
+    # the lemma of _power_bits: every coefficient of prod (1 + q^r)^j up to
     # q^n is at most exp(pi sqrt(jn/3)), so it has at most lemma bits, and
     # _power_bits(j, n), the lemma in integers, is no fewer; the power by
     # list passes, the lemma's own bound in floats (the package has none)
@@ -400,8 +386,17 @@ def test_transfer_matches_the_list_reference(graph):
     order, start, steps = graph
     # a step has at most 6 targets of at most 5 reads each, so every state,
     # sum of sources and total is at most 30 times the largest state before
-    # it, and at most 30 ** len(steps) < 2 ** width
-    width = 5 * len(steps) + 1
-    assert _transfer(order, start, steps, width) == reference_series.transfer(
+    # it, and at most 30 ** len(steps) < 2 ** (5 * len(steps) + 1), which
+    # the byte slot holds
+    size = (5 * len(steps) + 8) // 8
+    assert _transfer(order, start, steps, size) == reference_series.transfer(
         order, start, steps
     )
+
+
+def test_transfer_overflow_out_of_the_top_slot_raises():
+    # eight doublings of the constant term: 256 does not fit one byte
+    doubling = [(0, 0, (0, 0))]
+    assert _transfer(0, 0, [doubling] * 7, 1) == Series([128])
+    with pytest.raises(OverflowError):
+        _transfer(0, 0, [doubling] * 8, 1)
