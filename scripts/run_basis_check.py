@@ -13,19 +13,24 @@ Usage: python scripts/run_basis_check.py [max_depth] [window]
 import sys
 import time
 
-from affbasis.enveloping import Window
+from affbasis.enveloping import Window, WindowError
 from affbasis.relations import basis_counts_report
 
 
 def main() -> int:
-    max_depth = int(sys.argv[1]) if len(sys.argv) > 1 else 5
-    bound = int(sys.argv[2]) if len(sys.argv) > 2 else max(8, max_depth + 2)
     started = time.monotonic()
     try:
+        max_depth = int(sys.argv[1]) if len(sys.argv) > 1 else 5
+        bound = int(sys.argv[2]) if len(sys.argv) > 2 else max(8, max_depth + 2)
+        if bound < 0:
+            raise ValueError(f"window must be nonnegative, got {bound}")
         rows = basis_counts_report(max_depth, Window(bound))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except WindowError as exc:
+        print(f"window insufficiency: {exc}", file=sys.stderr)
+        return 3
     print(f"{'n':>3} {'ideal':>8} {'dim':>8} {'rank':>8} {'quotient':>8} {'oracle':>8}  verdict")
     ok = True
     for row in rows:

@@ -12,9 +12,9 @@ from affbasis.qseries import verify_identity
 
 
 def main() -> int:
-    order = int(sys.argv[1]) if len(sys.argv) > 1 else 200
     started = time.monotonic()
     try:
+        order = int(sys.argv[1]) if len(sys.argv) > 1 else 200
         rep = verify_identity(order)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -498,14 +498,6 @@ def main(argv=None) -> int:
             fmt=args.format,
             timings=args.timings,
         )
-        # only theorem-a reads --max-degree, and asks for a window to match
-        if args.cmd == "verify" and args.target == "theorem-a" and (
-            cfg.window < cfg.max_degree + 2
-        ):
-            raise ValueError(
-                f"window ({cfg.window}) must be at least max_degree + 2 "
-                f"({cfg.max_degree + 2})"
-            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

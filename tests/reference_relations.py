@@ -7,7 +7,9 @@ leading terms of the syzygy orbits, the shift and transport matrices
 computed at each degree (the library keeps syzygy tensors in the
 coordinates of R and acts on them by one zero-mode matrix), and the tensor
 helpers (zero test, scale, weight, generator coefficient, canonical labels)
-that only the tests read.  The rank
+that only the tests read, with the collapse over canonical labels that the
+library's collapse, which reads each slot as a mode of R, is checked
+against.  The rank
 and the leading terms are independent of the per-factor leading terms that
 ``basis_counts_report`` checks: the rank eliminates every row of
 ``submodule_span_blocks`` with the library's span reducer
@@ -31,16 +33,17 @@ from affbasis.partitions import (
 from affbasis.relations import (
     LeadingTermError,
     LoopTensor,
-    _canonical_terms,
     _tensor_column_key,
     _tensor_partition,
     _x1x1_label,
     label_for_quadratic,
     orbit_basis,
+    relation_for,
     relation_on_vacuum,
     relation_space,
     submodule_span_blocks,
     syzygy_tensors,
+    transport_matrix,
 )
 from reference_enveloping import adjoint_mode
 from reference_partitions import quotient
@@ -77,7 +80,7 @@ def closure_relation_space(n: int, window: Window) -> dict[RelationLabel, EnvEle
 
     generator = x1_square_modes(n, window).terms
     if not generator:
-        raise WindowError(f"the window holds no term of the degree-{n} generator")
+        raise WindowError(f"the window holds no term of the generator of degree {n}")
     reducer.close(generator, lowered)
     reducer.back_eliminate()
     elements = {}
@@ -95,7 +98,7 @@ def closure_relation_space(n: int, window: Window) -> dict[RelationLabel, EnvEle
         elements[label] = elem
     if reducer.rank < 27:
         raise WindowError(
-            f"the degree-{n} relation space has rank {reducer.rank} in "
+            f"the relation space of degree {n} has rank {reducer.rank} in "
             f"window {window.annihilation_bound}, short of its 27-row table"
         )
     labels = sorted(elements, key=lambda l: order_key(l.partition()))
@@ -129,6 +132,58 @@ def x1_generator_coefficient(t: LoopTensor, i: int) -> Scalar:
     if not (t.i_lo <= i <= t.i_hi):
         raise WindowError(f"mode degree {i} outside the certified range")
     return t.terms.get(((1, i), _x1x1_label(-2)), 0)
+
+
+def _canonical_terms(t: LoopTensor) -> dict:
+    """The terms of t over canonical relation labels.  The slot of mode
+    degree i is Y(v)_m, m = n - i, whose canonical labels are those of v
+    re-anchored by (m + 2) / 2 at an even m, and those of the transport of
+    v re-anchored by (m + 3) / 2 at an odd m (the lemma at `shift_matrix`).
+    The transport must keep the weight of each label, or `AssertionError` is
+    raised."""
+    transport = transport_matrix()
+    for lab, column in transport.items():
+        weight = parts_weight(lab.partition())
+        for lab2 in column:
+            if parts_weight(lab2.partition()) != weight:
+                raise AssertionError(
+                    f"the transport maps {format_partition(lab.partition())} to "
+                    f"{format_partition(lab2.partition())} of another weight"
+                )
+    out: dict[tuple[Part, RelationLabel], int] = {}
+    for (mode, lab), c in t.terms.items():
+        m = t.n - mode[1]
+        if m % 2 == 0:
+            out[(mode, lab.translate((m + 2) // 2))] = c
+        else:
+            shift = (m + 3) // 2
+            images = transport[lab].items()
+            add_scaled(out, (((mode, lab2.translate(shift)), w) for lab2, w in images), c)
+    return out
+
+
+def canonical_collapse(t: LoopTensor, window: Window) -> EnvElement:
+    """The collapse of t as it was read over canonical labels: each slot's
+    body is the canonical element of the window's relation space (at odd
+    degrees through the transport), with the same interval check."""
+    bound = window.annihilation_bound
+    lo, hi = t.n - bound, bound
+    if t.i_lo > lo or t.i_hi < hi:
+        raise WindowError(
+            f"the tensor certifies mode degrees [{t.i_lo}, {t.i_hi}], and the "
+            f"collapse on window {bound} reads [{lo}, {hi}]"
+        )
+    total: dict[tuple[Part, ...], Scalar] = {}
+    for ((a, i), label), c in _canonical_terms(t).items():
+        if not lo <= i <= hi:
+            continue  # collapses outside the window
+        body = relation_for(label, window)
+        if i < 0:
+            product = body.mul_mode_left((a, i))
+        else:
+            product = body.mul_mode_right((a, i))
+        add_scaled(total, product.terms.items(), c)
+    return EnvElement(total, Window(bound))
 
 
 def canonical_tensor(t: LoopTensor) -> LoopTensor:
@@ -254,8 +309,8 @@ def per_degree_shift_matrix(x_color: int, k: int, n: int, window: Window):
     for label, pivot in target.leading.items():
         if not image_w.admits(pivot):
             raise WindowError(
-                f"pivot {format_partition(label.partition())} of the degree-{n + k} "
-                f"space lies outside the certified image window {image_w.annihilation_bound}"
+                f"pivot {format_partition(label.partition())} of the space of "
+                f"degree {n + k} lies outside the certified image window {image_w.annihilation_bound}"
             )
     return {
         label: target.coordinates(adjoint_mode(source.element(label), x_color, k))

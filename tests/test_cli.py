@@ -98,14 +98,19 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, "verify", "not-a-target")
     assert code == EXIT_USAGE
-    code, _, err = run(capsys, "verify", "theorem-a", "--window", "3")
-    assert code == EXIT_USAGE and "window" in err
+    # a small window is no usage error: theorem-a reads what its factors need
+    code, out, _ = run(capsys, "verify", "theorem-a", "--window", "3")
+    assert code == EXIT_OK and out.splitlines()[-1] == "PASS: 6/6 checks"
 
 
 def test_max_degree_window_bound_binds_theorem_a(capsys):
-    code, out, err = run(capsys, "verify", "theorem-a", "--max-degree", "10")
-    assert code == EXIT_USAGE and out == ""
-    assert "window (8) must be at least max_degree + 2 (12)" in err
+    # the bound is the factor vectors' own: depth 10 passes at the default
+    # window, and a cubic anchored at -2 is too deep for window 1
+    code, out, _ = run(capsys, "verify", "theorem-a", "--max-degree", "10")
+    assert code == EXIT_OK and out.splitlines()[-1] == "PASS: 11/11 checks"
+    code, out, err = run(capsys, "verify", "theorem-a", "--max-degree", "8", "--window", "1")
+    assert code == EXIT_WINDOW and out == ""
+    assert "window insufficiency: window bound -1 is too shallow" in err
 
 
 def test_max_degree_window_bound_spares_targets_that_do_not_read_it(capsys):
@@ -359,24 +364,16 @@ def test_mutated_cubic_fails_theorem_a_with_its_factor(tmp_path, old, new, witne
 _TABLE_CHECK = "FAIL  relation leading terms lie in the color tables  witness="
 
 
-# each table mutation fails prop3 where R or the transport reads the table:
-# the color tables at the pivots of R (degree -2) or of the first odd space
-# built (degree -3), the form in the premise on R, and the weights in the
-# transport's weight check
+# each table mutation that prop3 reads fails it: the color tables at the
+# pivots of R (degree -2) and the form in the premise on R.  prop3 reads no
+# relation space, so the adjacent-pair table fails qdims instead (below), and
+# swapped weights fail lemma7 (`test_mutation_fails_the_lemma_target`)
 @pytest.mark.parametrize(
     "module, old, new, fail_line",
     [
         (
-            "partitions.py", "(7, 8),\n    (8, 8),\n", "(7, 8),\n",
-            re.escape(_TABLE_CHECK + "8:-2 8:-1"),
-        ),
-        (
             "partitions.py", "(7, 3), (7, 4)", "(7, 2), (7, 4)",
             re.escape(_TABLE_CHECK + "7:-1 3:-1"),
-        ),
-        (
-            "partitions.py", "(4, 7), (4, 8)", "(4, 6), (4, 8)",
-            re.escape(_TABLE_CHECK + "4:-2 7:-1"),
         ),
         (
             "algebra.py", "FORM[(_a, _b)] = _trace(", "FORM[(_a, _b)] = 2 * _trace(",
@@ -385,27 +382,31 @@ _TABLE_CHECK = "FAIL  relation leading terms lie in the color tables  witness="
                 "witness=8:-1 8:-1 killed-by X_1(1) fails"
             ),
         ),
-        (
-            "algebra.py",
-            "for c in COLORS}\n\n",
-            "for c in COLORS}\nWEIGHT[2], WEIGHT[3] = WEIGHT[3], WEIGHT[2]\n\n",
-            re.escape(
-                "FAIL  target runs without an internal error  witness=AssertionError: "
-                "the transport maps "
-            )
-            + ".* of another weight",
-        ),
     ],
-    ids=[
-        "adjacent_88_dropped", "same_73_to_72", "adjacent_47_to_46",
-        "form_doubled", "weights_2_3_swapped",
-    ],
+    ids=["same_73_to_72", "form_doubled"],
 )
 def test_mutated_table_fails_prop3(tmp_path, module, old, new, fail_line):
     done = _run_mutated_copy(tmp_path, module, old, new, "verify", "prop3")
     assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
     fail = _fail_lines(done.stdout)
     assert len(fail) == 1 and re.fullmatch(fail_line, fail[0]), fail
+
+
+# the adjacent-pair table holds the pivots of the odd relation spaces: qdims
+# builds the spaces from degree -8 up, and the first odd one fails
+@pytest.mark.parametrize(
+    "old, new, witness",
+    [
+        ("(7, 8),\n    (8, 8),\n", "(7, 8),\n", "8:-4 8:-3"),
+        ("(4, 7), (4, 8)", "(4, 6), (4, 8)", "4:-4 7:-3"),
+    ],
+    ids=["adjacent_88_dropped", "adjacent_47_to_46"],
+)
+def test_mutated_table_fails_qdims(tmp_path, old, new, witness):
+    done = _run_mutated_copy(tmp_path, "partitions.py", old, new, "verify", "qdims")
+    assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
+    assert _fail_lines(done.stdout) == [_TABLE_CHECK + witness]
+    assert done.stdout.splitlines()[-1] == "FAIL: 1/2 checks"
 
 
 # a mutation that each of lemma7 and lemma12 sees: swapped weights move an
@@ -612,31 +613,18 @@ def test_perturbed_35_slot_fails_qdims_with_its_slot(capsys, monkeypatch):
     ]
 
 
-def test_transport_across_weights_fails_prop3(capsys, monkeypatch):
+def test_prop3_reads_no_relation_space_or_transport(capsys, monkeypatch):
     from affbasis import relations
-    from affbasis.partitions import format_partition
 
-    original = relations.transport_matrix
-    generator = relations._x1x1_label(-3)
-    crossed = {}
+    def disabled(*args):
+        raise AssertionError("read on the syzygy path")
 
-    # the transport also sends one label to the degree -3 generator, of
-    # another weight; the collapse reads it at every odd slot degree, and
-    # only the weight check sees it
-    def transport():
-        matrix = original()
-        lab = crossed["label"] = max(matrix)
-        return {**matrix, lab: {**matrix[lab], generator: 1}}
-
-    monkeypatch.setattr(relations, "transport_matrix", transport)
+    # each slot body is a mode of R, so the collapses pass without either
+    monkeypatch.setattr(relations, "relation_space", disabled)
+    monkeypatch.setattr(relations, "transport_matrix", disabled)
     code, out, _ = run(capsys, "verify", "prop3")
-    assert code == EXIT_FALSIFIED
-    assert _fail_lines(out) == [
-        "FAIL  target runs without an internal error  witness=AssertionError: "
-        "the transport maps "
-        f"{format_partition(crossed['label'].partition())} to "
-        f"{format_partition(generator.partition())} of another weight"
-    ]
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "PASS: 63/63 checks"
 
 
 @pytest.mark.parametrize("target, passed", [("prop3", 0), ("qdims", 6)])

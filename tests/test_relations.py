@@ -44,6 +44,7 @@ from affbasis.relations import (
 from reference_enveloping import adjoint_mode, coefficient, element_weight
 from reference_rank import markowitz_rank
 from reference_relations import (
+    canonical_collapse,
     canonical_orbit_basis,
     canonical_tensor,
     canonical_vector,
@@ -418,6 +419,39 @@ def test_collapse_annihilation_and_scalar():
     assert rep["psi_64_zero"] and rep["psi_35_zero"] and rep["psi_35u_zero"]
     assert rep["psi_27_match"]
     assert rep["c"] == 1  # - (n + 2) at n = -3
+
+
+def test_collapse_matches_the_canonical_label_reference():
+    # each slot's body read as Y(v_L)_(n-i) against the canonical elements of
+    # the window's relation spaces, through the transport at odd degrees
+    for bound in (3, 6):
+        window = Window(bound)
+        for n in range(-6, 1):
+            for family, t in syzygy_tensors(n, window).items():
+                image = collapse(t, window)
+                reference = canonical_collapse(t, window)
+                assert image.window == reference.window, (bound, n, family)
+                assert image.terms == reference.terms, (bound, n, family)
+    # and slot by slot: X_a(i) tensor v_L for every label, at both parities
+    window = Window(3)
+    for n in (-3, -2):
+        for label in r_basis():
+            for a, i in ((1, -1), (6, 0), (8, 1)):
+                t = LoopTensor(n, {((a, i), label): 1}, n - 3, 3)
+                image = collapse(t, window)
+                assert not image.is_zero(), (n, label, i)
+                assert image.terms == canonical_collapse(t, window).terms, (n, label, i)
+
+
+@pytest.mark.parametrize("n, bound", [(0, -1), (-3, -1), (1, 0), (2, 1)])
+def test_a_window_lighter_than_the_degree_raises(n, bound):
+    # a degree-n monomial weighs at least max(n, 0): on a lighter window
+    # every collapse is zero, and every check would pass with c = 0
+    window = Window(bound)
+    for check in (syzygy_tensors, syzygy_dimensions, collapse_report):
+        with pytest.raises(WindowError, match=f"window {bound} holds no monomial of degree {n}"):
+            check(n, window)
+    assert collapse_report(n, Window(max(n, 0)))["c"] == -(n + 2)
 
 
 def test_collapse_scalar_profile():

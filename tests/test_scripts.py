@@ -1,6 +1,7 @@
 """Smoke runs of the command-line scripts at small sizes: each must import
 what it uses from the library and end with exit 0 and a passing verdict,
-or with exit 2 and a named error on a size it cannot take."""
+with exit 2 and a named error on an argument it cannot take, or with exit 3
+on a window too small to certify, as `affbasis` does."""
 
 import os
 import subprocess
@@ -43,6 +44,13 @@ def test_script_runs_and_passes(script, args, verdict):
     [
         ("run_basis_check.py", ["-1"], "error: max_depth must be nonnegative, got -1"),
         ("run_identity_check.py", ["-5"], "error: order must be nonnegative, got -5"),
+        ("run_basis_check.py", ["3", "-1"], "error: window must be nonnegative, got -1"),
+        ("run_syzygy_check.py", ["0", "0", "-1"], "error: window must be nonnegative, got -1"),
+        ("run_identity_check.py", ["abc"], "error: invalid literal for int() with base 10: 'abc'"),
+        ("run_basis_check.py", ["3", "x"], "error: invalid literal for int() with base 10: 'x'"),
+        ("run_syzygy_check.py", ["0", "0", "x"], "error: invalid literal for int() with base 10: 'x'"),
+        # an empty degree range would pass with no check made
+        ("run_syzygy_check.py", ["1", "0"], "error: n_min (1) must be at most n_max (0)"),
     ],
 )
 def test_negative_size_is_a_named_error(script, args, error):
@@ -50,3 +58,23 @@ def test_negative_size_is_a_named_error(script, args, error):
     assert done.returncode == 2, done.stdout + done.stderr
     assert done.stderr.splitlines() == [error]
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "script, args, error",
+    [
+        (
+            "run_basis_check.py", ["8", "1"],
+            "window insufficiency: window bound -1 is too shallow for a vector of depth 0",
+        ),
+        (
+            "run_syzygy_check.py", ["2", "2", "1"],
+            "window insufficiency: window 1 holds no monomial of degree 2, which weighs at least 2",
+        ),
+    ],
+)
+def test_window_too_small_exits_3(script, args, error):
+    done = _run(script, args)
+    assert done.returncode == 3, done.stdout + done.stderr
+    assert done.stderr.splitlines() == [error]
+    assert "verdict" not in done.stdout
