@@ -260,8 +260,7 @@ def _verify_qdims(cfg: Config, report: Report):
 def _verify_theorem_a(cfg: Config, report: Report):
     from .relations import basis_counts_report
 
-    window = Window(cfg.window)
-    for row in basis_counts_report(cfg.max_degree, window, progress=_progress):
+    for row in basis_counts_report(cfg.max_degree, progress=_progress):
         report.add(
             f"depth {row['n']}: ideal = module - rank = oracle",
             row["ok"],
@@ -298,7 +297,7 @@ VERIFY_TARGETS = {
     "lemma12": (_verify_lemma12, ()),
     "prop3": (_verify_prop3, ()),
     "qdims": (_verify_qdims, ("window",)),
-    "theorem-a": (_verify_theorem_a, ("max_degree", "window")),
+    "theorem-a": (_verify_theorem_a, ("max_degree",)),
     "theorem-b": (_verify_theorem_b, ("order",)),
 }
 

@@ -5,8 +5,8 @@ X1(-1)^2 . vac generates in the depth-2 piece V_2, is built once with no
 window (`r_basis`), and the degree-n relation space is {Y(v)_n : v in R}
 (`vertex_mode`); echelonizing it against the monomial order gives a
 canonical basis whose leading terms are the two 27-element color tables,
-one per parity.  The two cubic relations are assembled from quadratic ones
-by the fixed two-term recipe.
+one per parity.  The two cubic relations act on the vacuum by the fixed
+two-term recipe on quadratic vectors (`relation_on_vacuum`).
 
 On top of these sit the syzygy tensors (the 64/35/35/27-dimensional
 families of relations among relations), the two-sided multiplication map
@@ -61,6 +61,7 @@ from .enveloping import (
 from .linalg import Scalar, SpanReducer, add_scaled, exact_quotient
 from .partitions import (
     ADJACENT_COLOR_PAIRS,
+    CUBIC_A,
     SAME_DEGREE_COLOR_PAIRS,
     Part,
     RelationLabel,
@@ -73,12 +74,6 @@ from .partitions import (
     sort_parts,
 )
 from .qseries import character_oracle, colored_part_count_series, ideal_count_series
-
-
-def _x1x1_label(m: int) -> RelationLabel:
-    if m % 2 == 0:
-        return quad_same_label(1, 1, m // 2)
-    return quad_adjacent_label(1, 1, (m + 1) // 2)
 
 
 # X1(-1)^2 . vac, the highest-weight vector that generates R
@@ -218,31 +213,13 @@ def relation_space(n: int, window: Window) -> RelationSpace:
     return RelationSpace(n, window)
 
 
-def relation_for(label: RelationLabel, window: Window) -> EnvElement:
-    """The canonical relation with the given leading term, normalized to
-    leading coefficient one."""
-    if len(label.colors) == 2:
-        return relation_space(label.degree(), window).element(label)
-    j = label.j
-    if label.kind == "cubic_a":
-        left = relation_for(quad_same_label(5, 1, j), window).mul_mode_left((3, j - 1))
-        right = relation_for(quad_adjacent_label(3, 5, j), window).mul_mode_right((1, j))
-    elif label.kind == "cubic_b":
-        left = relation_for(quad_same_label(8, 5, j - 1), window).mul_mode_right((6, j))
-        right = relation_for(quad_adjacent_label(5, 6, j), window).mul_mode_left((8, j - 1))
-    else:
-        raise ValueError(f"unknown label kind {label.kind}")
-    bound = min(left.window.annihilation_bound, right.window.annihilation_bound)
-    return left.narrowed(bound) - right.narrowed(bound)
-
-
 # --- the zero-mode action on R and the transport -------------------------------
 
 
 class PremiseError(Exception):
-    """A degree -2 relation vector is not killed by some X_a(1) or X_a(2),
-    so a loop mode of nonzero degree may not act on a relation slot as its
-    zero mode; `witness` names the label and the mode."""
+    """A degree -2 relation vector is not killed by some X_a(1), so a loop
+    mode of nonzero degree may not act on a relation slot as its zero mode;
+    `witness` names the label and the mode."""
 
     def __init__(self, witness: str):
         super().__init__(witness)
@@ -256,15 +233,16 @@ def _premise_witness() -> str | None:
     X_a(1) and X_a(2) for every color a.  Those modes generate the positive
     loop modes, and X_a(k) with k > 2 lowers depth 2 below 0, so such a
     vector is singular and generates a submodule with no vacuum component.
-    This is the check on the degree -2 relation vectors, as Y(v)_-2 . vac = v
-    makes them R's vectors; the relations of other degrees are modes of the
-    same vertex operators, and the cubics products of them with modes, so
-    their vectors lie in N too.  Returns the first failure."""
+    Only X_a(1) is applied: sl(3) is perfect and [X_a(1), X_b(1)] =
+    [X_a, X_b](2) has no central term, so every X_c(2) kills what the X_a(1)
+    kill.  This is the check on the degree -2 relation vectors, as
+    Y(v)_-2 . vac = v makes them R's vectors; the relations of other degrees
+    are modes of the same vertex operators, and the cubics products of them
+    with modes, so their vectors lie in N too.  Returns the first failure."""
     for label, v in r_basis().items():
         for a in COLORS:
-            for k in (1, 2):
-                if apply_mode((a, k), v):
-                    return f"{format_partition(label.partition())} killed-by X_{a}({k}) fails"
+            if apply_mode((a, 1), v):
+                return f"{format_partition(label.partition())} killed-by X_{a}(1) fails"
     return None
 
 
@@ -377,7 +355,7 @@ def syzygy_tensor_64(n: int, window: Window) -> LoopTensor:
     generator of R."""
     bound = window.annihilation_bound
     i_lo, i_hi = n - bound - _MARGIN, bound + _MARGIN
-    generator = _x1x1_label(-2)
+    generator = quad_same_label(1, 1, -1)  # the label of X1(-1)^2 . vac
     terms = {((1, i), generator): 3 * i - n for i in range(i_lo, i_hi + 1)}
     return LoopTensor(n, terms, i_lo, i_hi)
 
@@ -604,30 +582,54 @@ def reference_form(family: str, t: LoopTensor):
     return v, profile
 
 
+@cache
+def _orbit_dimension(v: frozenset) -> int:
+    """The dimension of the orbit of v ((key, coefficient) pairs) in 8 tensor R."""
+    one_slot = {((a, 0), lab): c for (a, lab), c in v}
+    return len(orbit_basis(LoopTensor(-2, one_slot, 0, 0)))
+
+
 def syzygy_dimensions(n: int, window: Window) -> dict[str, int]:
-    """The orbit dimension of each syzygy family at degree n, computed once.
-    A zero mode acts on every slot of a tensor by the same operator, the
-    bracket on the mode and x(0) on R (`loop_action`), and keeps each slot's
-    mode degree.  So when `reference_form` certifies that slot i is p_i v,
-    the map from the orbit of v to the family's is injective (p is not zero
-    at the least slot) and commutes with the zero modes, and the orbit has
-    the dimension of the orbit of v in 8 tensor R: `orbit_basis` of the
-    one-slot tensor, closed under E1, E2, F1 and F2."""
+    """The orbit dimension of each syzygy family at degree n.  A zero mode
+    acts on every slot of a tensor by the same operator, the bracket on the
+    mode and x(0) on R (`loop_action`), and keeps each slot's mode degree.
+    So when `reference_form` certifies that slot i is p_i v, the map from
+    the orbit of v to the family's is injective (p is not zero at the least
+    slot) and commutes with the zero modes, and the orbit has the dimension
+    of the orbit of v in 8 tensor R, closed once per distinct v."""
     dims = {}
     for family, t in syzygy_tensors(n, window).items():
         v, _ = reference_form(family, t)
-        one_slot = {((a, 0), lab): c for (a, lab), c in v.items()}
-        dims[family] = len(orbit_basis(LoopTensor(-2, one_slot, 0, 0)))
+        dims[family] = _orbit_dimension(frozenset(v.items()))
     return dims
 
 
 # --- Theorem A: the graded verification ---------------------------------------
 
 
-def relation_on_vacuum(label: RelationLabel, window: Window) -> dict:
-    """The module vector r . vac of the canonical relation r with this
-    label, as a fresh dict."""
-    return act(relation_for(label, window), {(): 1})
+def relation_on_vacuum(label: RelationLabel) -> dict:
+    """r . vac for the canonical relation r with this label, as a fresh
+    dict, with no window; for a cubic, its length-3 part, which holds its
+    lead.  A quadratic of degree m <= -2 comes from the space of degree m in
+    the window of bound 0: the space has full rank there (m <= 0), and the
+    window holds every creation term, the only terms that do not kill the
+    vacuum.  cubic_a is X_3(j-1) q(5,1,j) - q(3,5,j) X_1(j), and cubic_b
+    q(8,5,j-1) X_6(j) - X_8(j-1) q(5,6,j).  On the vacuum r X(j) . vac =
+    X(j) (r . vac) - [X(j), r] . vac, and the bracket has at most two modes,
+    so the length-3 part is that of X(j) (q . vac) - X(j') (q' . vac).  No
+    term has more than three parts, and `order_key` puts longer partitions
+    first, so this part holds the lead."""
+    if len(label.colors) == 2:
+        return act(relation_space(label.degree(), Window(0)).element(label), {(): 1})
+    j = label.j
+    if label.kind == CUBIC_A:
+        out = apply_mode((3, j - 1), relation_on_vacuum(quad_same_label(5, 1, j)))
+        minus = apply_mode((1, j), relation_on_vacuum(quad_adjacent_label(3, 5, j)))
+    else:
+        out = apply_mode((6, j), relation_on_vacuum(quad_same_label(8, 5, j - 1)))
+        minus = apply_mode((8, j - 1), relation_on_vacuum(quad_adjacent_label(5, 6, j)))
+    add_scaled(out, minus.items(), -1)
+    return {parts: c for parts, c in out.items() if len(parts) == 3}
 
 
 def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[dict]]:
@@ -642,7 +644,7 @@ def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[
     for m in range(-2, -n - 1, -1):
         space = relation_space(m, window)
         for label in space.labels:
-            v0 = relation_on_vacuum(label, window)
+            v0 = relation_on_vacuum(label)
             if not v0:
                 raise AssertionError(f"relation {label} vanished on the vacuum")
             base_weight = parts_weight(label.partition())
@@ -654,7 +656,7 @@ def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[
     return blocks
 
 
-def _factor_witness(n: int, window: Window) -> str | None:
+def _factor_witness(n: int) -> str | None:
     """The first forbidden factor rho of degree -n, all of whose modes
     create, with lt(r_rho . vac) != rho; None if there is none.  Lemma: for
     j < 0, X_a(j) . u(p) . vac = u(p + (a, j)) . vac plus terms with fewer
@@ -664,24 +666,27 @@ def _factor_witness(n: int, window: Window) -> str | None:
     degree -n..-2 leads with itself, each depth-n partition pi that a factor
     rho divides leads the vector u(pi / rho) . (r_rho . vac) of N (by
     `_premise_witness`), and these triangular vectors prove
-    dim N_n >= pbw - ideal with no row built."""
-    for rho in relation_set(-(n // 2), -1):
-        if rho.degree() == -n:
-            v = relation_on_vacuum(rho, window)
-            if min(v, key=order_key, default=None) != rho.partition():
-                return format_partition(rho.partition())
+    dim N_n >= pbw - ideal with no row built.  A count of factors other
+    than 27, plus a cubic when n >= 4 and n % 3 != 0, is a witness too."""
+    factors = [rho for rho in relation_set(-(n // 2), -1) if rho.degree() == -n]
+    for rho in factors:
+        if min(relation_on_vacuum(rho), key=order_key, default=None) != rho.partition():
+            return format_partition(rho.partition())
+    expected = 27 + (n >= 4 and n % 3 != 0)
+    if len(factors) != expected:
+        return f"checked {len(factors)} factors of degree {-n}, expected {expected}"
     return None
 
 
-def basis_counts_report(n_max: int, window: Window, progress=None) -> list[dict]:
+def basis_counts_report(n_max: int, window: Window | None = None, progress=None):
     """Per-depth comparison: spanning-ideal count, induced-module dimension
     minus the rank of the maximal submodule N, and the lattice character
     oracle.  The rank pbw - ideal is a lower bound on dim N_n that
     `_factor_witness` proves at every depth up to n, on the premise
     `_premise_witness` checks once; ideal = oracle makes it exact, and the
     quotient is then the ideal count.  A row is ok when both hold and
-    ideal = oracle; otherwise `witness` names the premise failure or the
-    first factor that leads elsewhere."""
+    ideal = oracle; otherwise `witness` names what failed.  `window` is not
+    read; perfbench/child.py passes one until the benchmark drops it."""
     if n_max < 0:
         raise ValueError(f"max_depth must be nonnegative, got {n_max}")
     oracle = character_oracle(n_max)
@@ -694,7 +699,7 @@ def basis_counts_report(n_max: int, window: Window, progress=None) -> list[dict]
         if progress is not None:
             progress(f"basis check: depth {n}")
         if n >= 2 and witness is None:
-            witness = premise or _factor_witness(n, window)
+            witness = premise or _factor_witness(n)
         rank = pbw[n] - ideal[n]
         out.append(
             {

@@ -1,6 +1,8 @@
 """Cross-checks of ``affbasis.relations`` for the tests, kept as they were
 there: the relation spaces closed from the quadratic generator under the
-adjoint zero modes (the library builds them from the 27 vectors of R), the
+adjoint zero modes (the library builds them from the 27 vectors of R), each
+forbidden factor's relation as a windowed element of the completed algebra
+(``relation_for``; the library writes its vacuum vector with no window), the
 rank of the full spanning family of the maximal submodule, the
 triangular certificate with one relation row per non-ideal partition, the
 leading terms of the syzygy orbits, the shift and transport matrices
@@ -19,7 +21,7 @@ reducer's pivots and a candidate scan (``partitions_at_most``), not from
 rank's independent check is ``reference_rank.markowitz_rank``."""
 
 from affbasis.algebra import F1_COLOR, F2_COLOR, WEIGHT, Weight
-from affbasis.enveloping import EnvElement, Window, WindowError, apply_word, graded_basis
+from affbasis.enveloping import EnvElement, Window, WindowError, act, apply_word, graded_basis
 from affbasis.linalg import Scalar, SpanReducer, add_scaled, sparse_rank
 from affbasis.partitions import (
     Part,
@@ -29,17 +31,16 @@ from affbasis.partitions import (
     order_key,
     partitions_at_most,
     parts_weight,
+    quad_adjacent_label,
+    quad_same_label,
 )
 from affbasis.relations import (
     LeadingTermError,
     LoopTensor,
     _tensor_column_key,
     _tensor_partition,
-    _x1x1_label,
     label_for_quadratic,
     orbit_basis,
-    relation_for,
-    relation_on_vacuum,
     relation_space,
     submodule_span_blocks,
     syzygy_tensors,
@@ -47,6 +48,33 @@ from affbasis.relations import (
 )
 from reference_enveloping import adjoint_mode
 from reference_partitions import quotient
+
+
+def x1x1_label(m: int) -> RelationLabel:
+    """The label of the degree-m relation that leads with X1 X1."""
+    if m % 2 == 0:
+        return quad_same_label(1, 1, m // 2)
+    return quad_adjacent_label(1, 1, (m + 1) // 2)
+
+
+def relation_for(label: RelationLabel, window: Window) -> EnvElement:
+    """The canonical relation with the given leading term, normalized to
+    leading coefficient one, as an element of the completed algebra on the
+    window: a quadratic from the window's relation space, a cubic by the
+    two-term recipe, whose products with modes cost |j| of the bound."""
+    if len(label.colors) == 2:
+        return relation_space(label.degree(), window).element(label)
+    j = label.j
+    if label.kind == "cubic_a":
+        left = relation_for(quad_same_label(5, 1, j), window).mul_mode_left((3, j - 1))
+        right = relation_for(quad_adjacent_label(3, 5, j), window).mul_mode_right((1, j))
+    elif label.kind == "cubic_b":
+        left = relation_for(quad_same_label(8, 5, j - 1), window).mul_mode_right((6, j))
+        right = relation_for(quad_adjacent_label(5, 6, j), window).mul_mode_left((8, j - 1))
+    else:
+        raise ValueError(f"unknown label kind {label.kind}")
+    bound = min(left.window.annihilation_bound, right.window.annihilation_bound)
+    return left.narrowed(bound) - right.narrowed(bound)
 
 
 def x1_square_modes(n: int, window: Window) -> EnvElement:
@@ -131,7 +159,7 @@ def x1_generator_coefficient(t: LoopTensor, i: int) -> Scalar:
     generator's label, and it is the only one of its weight."""
     if not (t.i_lo <= i <= t.i_hi):
         raise WindowError(f"mode degree {i} outside the certified range")
-    return t.terms.get(((1, i), _x1x1_label(-2)), 0)
+    return t.terms.get(((1, i), x1x1_label(-2)), 0)
 
 
 def _canonical_terms(t: LoopTensor) -> dict:
@@ -288,7 +316,7 @@ def certified_rank(n: int, window: Window, on_vacuum: dict) -> tuple[int, str | 
             continue
         v0 = on_vacuum.get(rho)
         if v0 is None:
-            v0 = on_vacuum[rho] = relation_on_vacuum(rho, window)
+            v0 = on_vacuum[rho] = act(relation_for(rho, window), {(): 1})
         row = apply_word(quotient(pi, rho.partition()), v0)
         lead = min(row, key=order_key, default=None)
         if lead is not None:
@@ -330,7 +358,7 @@ def per_degree_transport_matrix(m: int, window: Window):
     }
     reducer = SpanReducer(lambda col: (col[0] != "ref", order_key(col[1].partition())))
     # the generator's leading coefficient is 1 at an even degree, 2 at an odd one
-    seed = {("ref", _x1x1_label(-2)): 1, ("tgt", _x1x1_label(m)): 2 if m % 2 else 1}
+    seed = {("ref", x1x1_label(-2)): 1, ("tgt", x1x1_label(m)): 2 if m % 2 else 1}
 
     def lowered(row):
         for c in (F1_COLOR, F2_COLOR):

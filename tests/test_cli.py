@@ -98,19 +98,23 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run(capsys, "verify", "not-a-target")
     assert code == EXIT_USAGE
-    # a small window is no usage error: theorem-a reads what its factors need
+    # a small window is no usage error: theorem-a reads no window
     code, out, _ = run(capsys, "verify", "theorem-a", "--window", "3")
     assert code == EXIT_OK and out.splitlines()[-1] == "PASS: 6/6 checks"
 
 
 def test_max_degree_window_bound_binds_theorem_a(capsys):
-    # the bound is the factor vectors' own: depth 10 passes at the default
-    # window, and a cubic anchored at -2 is too deep for window 1
+    # no window bounds the depth: the factor vectors read none, so depth 10
+    # passes at the default window, and depth 8 at window 1
     code, out, _ = run(capsys, "verify", "theorem-a", "--max-degree", "10")
     assert code == EXIT_OK and out.splitlines()[-1] == "PASS: 11/11 checks"
-    code, out, err = run(capsys, "verify", "theorem-a", "--max-degree", "8", "--window", "1")
-    assert code == EXIT_WINDOW and out == ""
-    assert "window insufficiency: window bound -1 is too shallow" in err
+    code, out, _ = run(capsys, "verify", "theorem-a", "--max-degree", "8", "--window", "1")
+    assert code == EXIT_OK and out.splitlines()[-1] == "PASS: 9/9 checks"
+
+
+def test_theorem_a_reaches_depth_30_with_no_window(capsys):
+    code, out, _ = run(capsys, "verify", "theorem-a", "--max-degree", "30")
+    assert code == EXIT_OK and out.splitlines()[-1] == "PASS: 31/31 checks"
 
 
 def test_max_degree_window_bound_spares_targets_that_do_not_read_it(capsys):
@@ -295,17 +299,17 @@ def test_theorem_a_row_leading_elsewhere_names_its_partition(capsys, monkeypatch
     from affbasis.enveloping import Window
     from affbasis.partitions import format_partition
 
-    label = relations.relation_space(-3, Window(5)).labels[0]
+    label = relations.relation_space(-3, Window(0)).labels[0]
     original = relations.relation_on_vacuum
 
-    def without_leading_monomial(lab, window):
-        v = original(lab, window)
+    def without_leading_monomial(lab):
+        v = original(lab)
         if lab == label:
             del v[lab.partition()]
         return v
 
     monkeypatch.setattr(relations, "relation_on_vacuum", without_leading_monomial)
-    code, out, _ = run(capsys, "verify", "theorem-a", "--max-degree", "3", "--window", "5")
+    code, out, _ = run(capsys, "verify", "theorem-a", "--max-degree", "3")
     assert code == EXIT_FALSIFIED
     fail = [line for line in out.splitlines() if line.startswith("FAIL  ")]
     assert len(fail) == 1 and fail[0].startswith("FAIL  depth 3: ")
@@ -358,6 +362,21 @@ def test_mutated_cubic_fails_theorem_a_with_its_factor(tmp_path, old, new, witne
     assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
     fail = [line for line in done.stdout.splitlines() if line.startswith("FAIL  ")]
     assert [line.split(":")[0] for line in fail] == ["FAIL  depth 4", "FAIL  depth 5"]
+    assert all(line.endswith(f"  witness={witness}") for line in fail)
+
+
+def test_skipped_cubics_fail_theorem_a_by_the_factor_count(tmp_path):
+    # with the cubics left out of the loop every checked factor still leads
+    # with itself; only the count against the closed form catches the gap
+    done = _run_mutated_copy(
+        tmp_path, "relations.py", "if rho.degree() == -n]",
+        "if rho.degree() == -n and len(rho.colors) == 2]",
+        "verify", "theorem-a", "--max-degree", "5",
+    )
+    assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
+    fail = [line for line in done.stdout.splitlines() if line.startswith("FAIL  ")]
+    assert [line.split(":")[0] for line in fail] == ["FAIL  depth 4", "FAIL  depth 5"]
+    witness = "checked 27 factors of degree -4, expected 28"
     assert all(line.endswith(f"  witness={witness}") for line in fail)
 
 
@@ -625,6 +644,25 @@ def test_prop3_reads_no_relation_space_or_transport(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "prop3")
     assert code == EXIT_OK
     assert out.splitlines()[-1] == "PASS: 63/63 checks"
+
+
+def test_qdims_closes_one_orbit_per_distinct_reference_vector(capsys, monkeypatch):
+    from affbasis import relations
+
+    closed = []
+    original = relations.orbit_basis
+
+    def counted(t):
+        closed.append(t)
+        return original(t)
+
+    monkeypatch.setattr(relations, "orbit_basis", counted)
+    fresh = functools.cache(relations._orbit_dimension.__wrapped__)
+    monkeypatch.setattr(relations, "_orbit_dimension", fresh)
+    # 44 families over degrees -8..2 share four reference vectors
+    code, out, _ = run(capsys, "verify", "qdims")
+    assert code == EXIT_OK and out.splitlines()[-1] == "PASS: 22/22 checks"
+    assert len(closed) == 4
 
 
 @pytest.mark.parametrize("target, passed", [("prop3", 0), ("qdims", 6)])

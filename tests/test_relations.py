@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 
 from affbasis.algebra import E1_COLOR, F1_COLOR, Weight
-from affbasis.enveloping import EnvElement, Window, WindowError, act, apply_word, graded_basis
+from affbasis.enveloping import (
+    EnvElement,
+    Window,
+    WindowError,
+    act,
+    apply_mode,
+    apply_word,
+    graded_basis,
+)
 from affbasis.linalg import add_scaled
 from affbasis.partitions import (
     cubic_a_label,
@@ -31,7 +39,6 @@ from affbasis.relations import (
     orbit_basis,
     r_basis,
     reference_form,
-    relation_for,
     relation_on_vacuum,
     relation_space,
     shift_matrix,
@@ -54,6 +61,7 @@ from reference_relations import (
     max_submodule_rank,
     per_degree_shift_matrix,
     per_degree_transport_matrix,
+    relation_for,
     tensor_is_zero,
     tensor_leading_partition,
     tensor_scale,
@@ -148,9 +156,10 @@ def test_relation_spaces_match_the_closure_route():
             with pytest.raises(WindowError):
                 build(bound + 1, window)
     # R is the span of the degree -2 relation vectors, label for label
-    for bound in range(3, 9):
-        for label, v in r_basis().items():
-            assert v == relation_on_vacuum(label, Window(bound)), (bound, label)
+    for label, v in r_basis().items():
+        assert v == relation_on_vacuum(label), label
+        for bound in range(3, 9):
+            assert v == act(relation_for(label, Window(bound)), {(): 1}), (bound, label)
     # Y(v)_n is exact on its window: a far wider one narrows to it
     for bound in (3, 5):
         for n in (-bound - 3, -3, 0, bound):
@@ -542,15 +551,34 @@ def test_order_key_is_multiplicative_and_each_factor_leads_its_rows():
     factors = [rho for rho in relation_set(-2, -1) if rho.degree() >= -4]
     assert len(factors) == 27 + 27 + 28
     for rho in factors:
-        v0 = relation_on_vacuum(rho, W8)
+        v0 = relation_on_vacuum(rho)
         for kappa in (k for n in range(5 + rho.degree()) for k in graded_basis(n)):
             row = apply_word(kappa, v0)
             assert min(row, key=order_key) == sort_parts(kappa + rho.partition())
 
 
-def test_a_window_too_small_for_a_factor_vector_raises():
-    with pytest.raises(WindowError):
-        basis_counts_report(8, Window(1))
+def test_factor_vectors_match_the_windowed_relations():
+    # the windowless vector of each factor against its windowed relation
+    # applied to the vacuum, at two windows: a quadratic's vector is r . vac
+    # itself, and a cubic's is the length-3 part of r . vac, which holds the
+    # lead
+    factors = [rho for rho in relation_set(-4, -1) if rho.degree() >= -8]
+    assert sum(len(rho.colors) == 3 for rho in factors) == 4
+    for bound in (10, 14):
+        for rho in factors:
+            windowed = act(relation_for(rho, Window(bound)), {(): 1})
+            if len(rho.colors) == 3:
+                windowed = {p: c for p, c in windowed.items() if len(p) == 3}
+                assert min(windowed, key=order_key) == rho.partition(), rho
+            assert relation_on_vacuum(rho) == windowed, (bound, rho)
+
+
+def test_degree_2_modes_kill_r():
+    # the premise applies only X_a(1); X_a(2) = sums of [X_b(1), X_c(1)]
+    # kills R too
+    for label, v in r_basis().items():
+        for a in range(1, 9):
+            assert apply_mode((a, 2), v) == {}, (label, a)
 
 
 def test_a_relation_vector_outside_the_submodule_fails_the_premise(monkeypatch):

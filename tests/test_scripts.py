@@ -28,7 +28,7 @@ def _run(script, args):
 @pytest.mark.parametrize(
     "script, args, verdict",
     [
-        ("run_basis_check.py", ["3", "5"], "  3       46      192      146       46       46  ok"),
+        ("run_basis_check.py", ["3"], "  3       46      192      146       46       46  ok"),
         ("run_identity_check.py", ["40"], "verdict: all three sides agree"),
         ("run_syzygy_check.py", ["0", "0", "3"], "verdict: pass"),
     ],
@@ -44,10 +44,11 @@ def test_script_runs_and_passes(script, args, verdict):
     [
         ("run_basis_check.py", ["-1"], "error: max_depth must be nonnegative, got -1"),
         ("run_identity_check.py", ["-5"], "error: order must be nonnegative, got -5"),
-        ("run_basis_check.py", ["3", "-1"], "error: window must be nonnegative, got -1"),
+        # run_basis_check.py takes no window
+        ("run_basis_check.py", ["8", "1"], "error: takes at most one argument, got 2"),
         ("run_syzygy_check.py", ["0", "0", "-1"], "error: window must be nonnegative, got -1"),
         ("run_identity_check.py", ["abc"], "error: invalid literal for int() with base 10: 'abc'"),
-        ("run_basis_check.py", ["3", "x"], "error: invalid literal for int() with base 10: 'x'"),
+        ("run_basis_check.py", ["x"], "error: invalid literal for int() with base 10: 'x'"),
         ("run_syzygy_check.py", ["0", "0", "x"], "error: invalid literal for int() with base 10: 'x'"),
         # an empty degree range would pass with no check made
         ("run_syzygy_check.py", ["1", "0"], "error: n_min (1) must be at most n_max (0)"),
@@ -64,8 +65,8 @@ def test_negative_size_is_a_named_error(script, args, error):
     "script, args, error",
     [
         (
-            "run_basis_check.py", ["8", "1"],
-            "window insufficiency: window bound -1 is too shallow for a vector of depth 0",
+            "run_syzygy_check.py", ["1", "1", "0"],
+            "window insufficiency: window 0 holds no monomial of degree 1, which weighs at least 1",
         ),
         (
             "run_syzygy_check.py", ["2", "2", "1"],
