@@ -27,8 +27,10 @@ The verification of the basis theorem follows the paper, one leading-term
 check per forbidden factor: the monomial order is multiplicative, so once
 each factor's relation vector leads with the factor, every depth-n partition
 that a factor divides leads a vector of the maximal submodule (the lemma at
-`_factor_witness`).  That proves the rank with no row built and no
-elimination; the ideal count must then equal the character.
+`_factor_witness`).  On the vacuum Y(v_L)_m is a finite sum of creation
+pairs, so the quadratic vectors are written straight in module coordinates
+(`_quadratic_vectors`), with no window, algebra element or relation space.
+No row of N is built; the ideal count must then equal the character.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .enveloping import (
     EnvElement,
     Window,
     WindowError,
-    act,
     apply_mode,
     apply_word,
     graded_basis,
@@ -83,25 +84,30 @@ _GENERATOR = {((1, -1), (1, -1)): 1}
 @cache
 def r_basis() -> dict[RelationLabel, dict]:
     """The basis v_L of R, the g-module that X1(-1)^2 . vac generates in the
-    depth-2 piece V_2 of the module: the closure of the generator under F1(0)
-    and F2(0) on module vectors, back-eliminated, so that v_L has coefficient
-    1 at its degree -2 label L and 0 at the other pivots.  No window enters.
-    A rank other than 27 raises `AssertionError`, and a pivot that the color
-    table does not list raises `LeadingTermError`."""
+    depth-2 piece V_2, with no window: the closure of the generator under
+    F1(0) and F2(0) on module vectors, back-eliminated (`_labelled_rows`), so
+    that v_L has coefficient 1 at its degree -2 label L and 0 at the others."""
     reducer = SpanReducer(order_key)
     reducer.close(
         _GENERATOR, lambda v: (apply_mode((c, 0), v) for c in (F1_COLOR, F2_COLOR))
     )
+    return _labelled_rows(reducer, "R")
+
+
+def _labelled_rows(reducer: SpanReducer, name: str) -> dict[RelationLabel, dict]:
+    """The back-eliminated rows at pivot coefficient 1, keyed by the label of
+    their pivots in the monomial order.  A rank other than 27 raises
+    `AssertionError`, and a pivot off the color table `LeadingTermError`."""
     if reducer.rank != 27:
-        raise AssertionError(f"R has rank {reducer.rank}, not 27")
+        raise AssertionError(f"{name} has rank {reducer.rank}, not 27")
     reducer.back_eliminate()
-    basis = {}
+    rows = {}
     for pivot in sorted(reducer.pivots(), key=order_key):
         label = label_for_quadratic(pivot)
         if label is None:
             raise LeadingTermError(pivot)
-        basis[label] = reducer.row_for(pivot)
-    return basis
+        rows[label] = reducer.row_for(pivot)
+    return rows
 
 
 def vertex_mode(v: dict, n: int, window: Window) -> EnvElement:
@@ -114,6 +120,11 @@ def vertex_mode(v: dict, n: int, window: Window) -> EnvElement:
     mode of degree n).  A term X_a(-2) . vac gives the derivative of X_a(z):
     -(n + 1) X_a(n)."""
     bound = window.annihilation_bound
+    return EnvElement(_mode_terms(v, n, range(n - bound, bound + 1)), window)
+
+
+def _mode_terms(v: dict, n: int, degrees) -> dict:
+    """The terms of Y(v)_n (`vertex_mode`) over the modes p in `degrees`."""
     out: dict[tuple[Part, ...], Scalar] = {}
     for parts, c in v.items():
         if len(parts) == 1:
@@ -121,10 +132,10 @@ def vertex_mode(v: dict, n: int, window: Window) -> EnvElement:
             add_scaled(out, [(((a, n),), -(n + 1) * c)])
             continue
         (a, _), (b, _) = parts
-        for p in range(n - bound, bound + 1):
+        for p in degrees:
             word = ((a, p), (b, n - p)) if p < 0 else ((b, n - p), (a, p))
             add_scaled(out, straighten_word(word).items(), c)
-    return EnvElement(out, window)
+    return out
 
 
 class RelationSpace:
@@ -140,8 +151,6 @@ class RelationSpace:
         reducer.back_eliminate()
         self.dimension = reducer.rank
         self.elements: dict[RelationLabel, EnvElement] = {}
-        self.leading: dict[RelationLabel, tuple[Part, ...]] = {}
-        labels = []
         for pivot in reducer.pivots():
             elem = EnvElement(reducer.row_for(pivot), window)
             lead = elem.leading_term(max_length=2)
@@ -153,30 +162,25 @@ class RelationSpace:
             label = label_for_quadratic(lead)
             if label is None:
                 raise LeadingTermError(lead)
-            labels.append(label)
             self.elements[label] = elem
-            self.leading[label] = lead
         if self.dimension < 27:
             raise WindowError(
                 f"the relation space of degree {n} has rank {self.dimension} in "
                 f"window {window.annihilation_bound}, short of its 27-row table"
             )
-        self.labels = sorted(labels, key=lambda l: order_key(l.partition()))
-
-    def element(self, label: RelationLabel) -> EnvElement:
-        return self.elements[label]
+        self.labels = sorted(self.elements, key=lambda l: order_key(l.partition()))
 
     def coordinates(self, e: EnvElement) -> dict[RelationLabel, Scalar]:
         """Expand a member of the space over the canonical basis; raises if
         a certified in-window residual survives."""
         coords: dict[RelationLabel, Scalar] = {}
         residual = dict(e.terms)
-        for label, pivot in self.leading.items():
-            c = residual.get(pivot)
+        for label, elem in self.elements.items():
+            c = residual.get(label.partition())
             if not c:
                 continue
             coords[label] = c
-            add_scaled(residual, self.elements[label].terms.items(), -c)
+            add_scaled(residual, elem.terms.items(), -c)
         certified = e.window.narrowed(self.window.annihilation_bound)
         for parts in residual:
             if certified.admits(parts):
@@ -607,20 +611,31 @@ def syzygy_dimensions(n: int, window: Window) -> dict[str, int]:
 # --- Theorem A: the graded verification ---------------------------------------
 
 
+@cache
+def _quadratic_vectors(m: int) -> dict[RelationLabel, dict]:
+    """r . vac for the 27 canonical quadratics r of degree m <= -2, by label,
+    with no window: the vectors Y(v_L)_m . vac, back-eliminated, so their
+    pivots are the table `quadratic_leading_labels(m)` (`_labelled_rows`).
+    The range m < p < 0 keeps exactly the creation pairs X_a(p) X_b(m - p)
+    of `vertex_mode`, so no term needs dropping."""
+    reducer = SpanReducer(order_key)
+    for v in r_basis().values():
+        reducer.insert(_mode_terms(v, m, range(m + 1, 0)))
+    return _labelled_rows(reducer, f"the quadratics of degree {m}")
+
+
 def relation_on_vacuum(label: RelationLabel) -> dict:
     """r . vac for the canonical relation r with this label, as a fresh
-    dict, with no window; for a cubic, its length-3 part, which holds its
-    lead.  A quadratic of degree m <= -2 comes from the space of degree m in
-    the window of bound 0: the space has full rank there (m <= 0), and the
-    window holds every creation term, the only terms that do not kill the
-    vacuum.  cubic_a is X_3(j-1) q(5,1,j) - q(3,5,j) X_1(j), and cubic_b
-    q(8,5,j-1) X_6(j) - X_8(j-1) q(5,6,j).  On the vacuum r X(j) . vac =
-    X(j) (r . vac) - [X(j), r] . vac, and the bracket has at most two modes,
-    so the length-3 part is that of X(j) (q . vac) - X(j') (q' . vac).  No
-    term has more than three parts, and `order_key` puts longer partitions
-    first, so this part holds the lead."""
+    dict, with no window: a quadratic's from `_quadratic_vectors`; for a
+    cubic, its length-3 part, which holds its lead.  cubic_a is X_3(j-1)
+    q(5,1,j) - q(3,5,j) X_1(j), and cubic_b q(8,5,j-1) X_6(j) - X_8(j-1)
+    q(5,6,j).  On the vacuum r X(j) . vac = X(j) (r . vac) - [X(j), r] . vac,
+    and the bracket has at most two modes, so the length-3 part is that of
+    X(j) (q . vac) - X(j') (q' . vac).  No term has more than three parts,
+    and `order_key` puts longer partitions first, so this part holds the
+    lead."""
     if len(label.colors) == 2:
-        return act(relation_space(label.degree(), Window(0)).element(label), {(): 1})
+        return dict(_quadratic_vectors(label.degree())[label])
     j = label.j
     if label.kind == CUBIC_A:
         out = apply_mode((3, j - 1), relation_on_vacuum(quad_same_label(5, 1, j)))

@@ -57,20 +57,28 @@ def x1x1_label(m: int) -> RelationLabel:
     return quad_adjacent_label(1, 1, (m + 1) // 2)
 
 
-def relation_for(label: RelationLabel, window: Window) -> EnvElement:
+def relation_for(label: RelationLabel, window: Window, space=None) -> EnvElement:
     """The canonical relation with the given leading term, normalized to
     leading coefficient one, as an element of the completed algebra on the
-    window: a quadratic from the window's relation space, a cubic by the
-    two-term recipe, whose products with modes cost |j| of the bound."""
+    window: a quadratic from the window's relation space, or from
+    `space(degree, window)`, a {label: element} map such as
+    `closure_relation_space`; a cubic by the two-term recipe on those
+    quadratics, whose products with modes cost |j| of the bound."""
     if len(label.colors) == 2:
-        return relation_space(label.degree(), window).element(label)
+        if space is None:
+            return relation_space(label.degree(), window).elements[label]
+        return space(label.degree(), window)[label]
     j = label.j
+
+    def quadratic(lab):
+        return relation_for(lab, window, space)
+
     if label.kind == "cubic_a":
-        left = relation_for(quad_same_label(5, 1, j), window).mul_mode_left((3, j - 1))
-        right = relation_for(quad_adjacent_label(3, 5, j), window).mul_mode_right((1, j))
+        left = quadratic(quad_same_label(5, 1, j)).mul_mode_left((3, j - 1))
+        right = quadratic(quad_adjacent_label(3, 5, j)).mul_mode_right((1, j))
     elif label.kind == "cubic_b":
-        left = relation_for(quad_same_label(8, 5, j - 1), window).mul_mode_right((6, j))
-        right = relation_for(quad_adjacent_label(5, 6, j), window).mul_mode_left((8, j - 1))
+        left = quadratic(quad_same_label(8, 5, j - 1)).mul_mode_right((6, j))
+        right = quadratic(quad_adjacent_label(5, 6, j)).mul_mode_left((8, j - 1))
     else:
         raise ValueError(f"unknown label kind {label.kind}")
     bound = min(left.window.annihilation_bound, right.window.annihilation_bound)
@@ -334,14 +342,14 @@ def per_degree_shift_matrix(x_color: int, k: int, n: int, window: Window):
     source = relation_space(n, window)
     target = relation_space(n + k, window)
     image_w = Window(window.annihilation_bound - abs(k))
-    for label, pivot in target.leading.items():
-        if not image_w.admits(pivot):
+    for label in target.elements:
+        if not image_w.admits(label.partition()):
             raise WindowError(
                 f"pivot {format_partition(label.partition())} of the space of "
                 f"degree {n + k} lies outside the certified image window {image_w.annihilation_bound}"
             )
     return {
-        label: target.coordinates(adjoint_mode(source.element(label), x_color, k))
+        label: target.coordinates(adjoint_mode(source.elements[label], x_color, k))
         for label in source.labels
     }
 

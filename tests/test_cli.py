@@ -292,6 +292,15 @@ def test_corrupted_color_table_is_a_failed_check(capsys, monkeypatch):
     fail = [line for line in out.splitlines() if line.startswith("FAIL  ")]
     assert len(fail) == 1 and fail[0].endswith("witness=8:-5 8:-4")
     assert out.splitlines()[-1].startswith("FAIL: ")
+    # Theorem A writes its quadratics with no relation space, and checks
+    # their pivots against the same table
+    fresh = functools.cache(relations._quadratic_vectors.__wrapped__)
+    monkeypatch.setattr(relations, "_quadratic_vectors", fresh)
+    code, out, _ = run(capsys, "verify", "theorem-a", "--max-degree", "3")
+    assert code == EXIT_FALSIFIED
+    assert _fail_lines(out) == [
+        "FAIL  relation leading terms lie in the color tables  witness=8:-2 8:-1"
+    ]
 
 
 def test_theorem_a_row_leading_elsewhere_names_its_partition(capsys, monkeypatch):
@@ -644,6 +653,26 @@ def test_prop3_reads_no_relation_space_or_transport(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "prop3")
     assert code == EXIT_OK
     assert out.splitlines()[-1] == "PASS: 63/63 checks"
+
+
+def test_theorem_a_builds_no_relation_space_or_algebra_element(capsys, monkeypatch):
+    from affbasis import enveloping, relations
+
+    def disabled(*args):
+        raise AssertionError("read on the Theorem A path")
+
+    # each quadratic is written straight onto the vacuum, in module
+    # coordinates; a fresh memo makes every degree go through the writer
+    monkeypatch.setattr(relations, "relation_space", disabled)
+    monkeypatch.setattr(relations, "RelationSpace", disabled)
+    monkeypatch.setattr(relations, "EnvElement", disabled)
+    monkeypatch.setattr(enveloping, "act", disabled)
+    fresh = functools.cache(relations._quadratic_vectors.__wrapped__)
+    monkeypatch.setattr(relations, "_quadratic_vectors", fresh)
+    code, out, _ = run(capsys, "verify", "theorem-a", "--max-degree", "8")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "PASS: 9/9 checks"
+    assert fresh.cache_info().currsize == 7  # degrees -2..-8
 
 
 def test_qdims_closes_one_orbit_per_distinct_reference_vector(capsys, monkeypatch):

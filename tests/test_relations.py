@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -150,8 +151,8 @@ def test_relation_spaces_match_the_closure_route():
             closed = closure_relation_space(n, window)
             assert list(closed) == space.labels, (bound, n)
             for label, elem in closed.items():
-                assert elem.terms == space.element(label).terms, (bound, n, label)
-                assert elem.window == space.element(label).window
+                assert elem.terms == space.elements[label].terms, (bound, n, label)
+                assert elem.window == space.elements[label].window
         for build in (RelationSpace, closure_relation_space):
             with pytest.raises(WindowError):
                 build(bound + 1, window)
@@ -172,7 +173,7 @@ def test_zero_mode_images_need_no_window_filter():
     for n in (-3, 2):
         space = relation_space(n, Window(3))
         for label in space.labels:
-            elem = space.element(label)
+            elem = space.elements[label]
             for color in range(1, 9):
                 image = adjoint_mode(elem, color, 0)
                 filtered = EnvElement(image.terms, elem.window)
@@ -194,7 +195,7 @@ def test_relations_vanish_at_other_pivots():
     space = relation_space(-4, W8)
     labels = space.labels
     for label in labels[:5]:
-        elem = space.element(label)
+        elem = space.elements[label]
         for other in labels:
             expected = 1 if other == label else 0
             assert coefficient(elem, other.partition()) == expected
@@ -211,7 +212,7 @@ def test_relation_annihilates_quotient_spot_check():
 def test_coordinates_check_the_residual_on_the_common_window():
     space = relation_space(-2, Window(3))
     label = space.labels[0]
-    assert space.coordinates(space.element(label)) == {label: 1}
+    assert space.coordinates(space.elements[label]) == {label: 1}
     # annihilation weight 4 lies in the element's window but not the space's
     assert space.coordinates(EnvElement({((1, -6), (1, 4)): 1}, W8)) == {}
     with pytest.raises(WindowError, match="does not lie"):
@@ -559,18 +560,25 @@ def test_order_key_is_multiplicative_and_each_factor_leads_its_rows():
 
 def test_factor_vectors_match_the_windowed_relations():
     # the windowless vector of each factor against its windowed relation
-    # applied to the vacuum, at two windows: a quadratic's vector is r . vac
-    # itself, and a cubic's is the length-3 part of r . vac, which holds the
-    # lead
-    factors = [rho for rho in relation_set(-4, -1) if rho.degree() >= -8]
-    assert sum(len(rho.colors) == 3 for rho in factors) == 4
-    for bound in (10, 14):
+    # applied to the vacuum: a quadratic's vector is r . vac itself, and a
+    # cubic's is the length-3 part of r . vac, which holds the lead.  The
+    # relations come from the relation spaces, and to depth 12 also from the
+    # closure route, which shares no code with the vacuum writer
+    # (`vertex_mode` and the writer both read `relations._mode_terms`)
+    closure = functools.cache(closure_relation_space)
+    inputs = ((8, 10, None), (8, 14, None), (12, 12, None), (12, 4, closure))
+    for max_depth, bound, space in inputs:
+        factors = [
+            rho for rho in relation_set(-(max_depth // 2), -1) if rho.degree() >= -max_depth
+        ]
+        # cubic_a has degree 3j - 1 and cubic_b 3j - 2
+        assert sum(len(rho.colors) == 3 for rho in factors) == 2 * ((max_depth - 1) // 3)
         for rho in factors:
-            windowed = act(relation_for(rho, Window(bound)), {(): 1})
+            windowed = act(relation_for(rho, Window(bound), space), {(): 1})
             if len(rho.colors) == 3:
                 windowed = {p: c for p, c in windowed.items() if len(p) == 3}
                 assert min(windowed, key=order_key) == rho.partition(), rho
-            assert relation_on_vacuum(rho) == windowed, (bound, rho)
+            assert relation_on_vacuum(rho) == windowed, (max_depth, bound, rho)
 
 
 def test_degree_2_modes_kill_r():
@@ -632,11 +640,11 @@ def test_loop_module_property_reconstruction():
         for label in relation_space(-2, window).labels[:6]:
             body = EnvElement({}, window)
             for lab2, c in canonical_vector({label: 1}, m).items():
-                body = body + source.element(lab2).scale(c)
+                body = body + source.elements[lab2].scale(c)
             image = adjoint_mode(body, x_color, k)
             rebuilt = image
             for lab2, c in canonical_vector(matrix[label], m + k).items():
-                rebuilt = rebuilt - target.element(lab2).narrowed(
+                rebuilt = rebuilt - target.elements[lab2].narrowed(
                     image.window.annihilation_bound
                 ).scale(c)
             assert rebuilt.is_zero()
@@ -672,7 +680,7 @@ def test_relation_images_live_in_the_maximal_submodule():
     space = relation_space(-2, window)
     rows = []
     for label in space.labels:
-        v0 = act(space.element(label), {(): 1})
+        v0 = act(space.elements[label], {(): 1})
         for kappa in graded_basis(1):
             v = apply_word(kappa, v0)
             if v:
@@ -712,7 +720,7 @@ def test_integral_layers_keep_int_coefficients():
     for n in range(-3, 1):
         space = relation_space(n, window)
         for label in space.labels:
-            assert _ints(space.element(label).terms.values()), (n, label)
+            assert _ints(space.elements[label].terms.values()), (n, label)
     for label, v in r_basis().items():
         assert _ints(v.values()), label
     for color in range(1, 9):
