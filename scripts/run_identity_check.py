@@ -14,6 +14,8 @@ from affbasis.qseries import verify_identity
 def main() -> int:
     started = time.monotonic()
     try:
+        if len(sys.argv) > 2:
+            raise ValueError(f"takes at most one argument, got {len(sys.argv) - 1}")
         order = int(sys.argv[1]) if len(sys.argv) > 1 else 200
         rep = verify_identity(order)
     except ValueError as exc:

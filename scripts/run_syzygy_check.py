@@ -14,6 +14,8 @@ from affbasis.relations import collapse_report, syzygy_dimensions
 
 def main() -> int:
     try:
+        if len(sys.argv) > 4:
+            raise ValueError(f"takes at most three arguments, got {len(sys.argv) - 1}")
         n_min = int(sys.argv[1]) if len(sys.argv) > 1 else -6
         n_max = int(sys.argv[2]) if len(sys.argv) > 2 else 0
         bound = int(sys.argv[3]) if len(sys.argv) > 3 else 6

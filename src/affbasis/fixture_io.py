@@ -14,9 +14,9 @@ def _fixture_text(name: str) -> str:
     return resources.files("affbasis").joinpath(f"fixtures/{name}").read_text()
 
 
-def _data_lines(name: str) -> list[str]:
+def _data_lines(text: str) -> list[str]:
     out = []
-    for line in _fixture_text(name).splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             out.append(line)
@@ -25,7 +25,7 @@ def _data_lines(name: str) -> list[str]:
 
 def load_lemma12_fixture() -> set[tuple[tuple[Part, ...], tuple[Part, ...]]]:
     out = set()
-    for line in _data_lines("lemma12_overlaps.txt"):
+    for line in _data_lines(_fixture_text("lemma12_overlaps.txt")):
         pi_text, rho_text = line.split("|")
         out.add((parse_partition(pi_text), parse_partition(rho_text)))
     return out

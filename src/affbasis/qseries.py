@@ -8,11 +8,12 @@ of its own on a packed integer, with its own byte-slot layout, slot width
 and decoding, and reads none of the counts' code; each count is a
 transfer over its own state graph, lumped by future equivalence (`_lump`),
 in the packed-integer kernel `_transfer` (high degree first, so q^cost is
-one truncating right shift; each distinct tuple of sources is summed
-once).  The same kernel counts the ideal by depth for the basis theorem,
-on the layer graph as it is.  Every slot width is fixed before the pass
-that uses it, from the bound `_power_bits` proves on the coefficients of
-prod (1 + q^r)^j, never read off the pass's own result.
+one truncating right shift; each distinct tuple of sources is summed once,
+on top of the largest one it contains).  The same kernel counts the ideal
+by depth for the basis theorem, on the layer graph as it is.  Every slot
+width is fixed before the pass that uses it, from the bound `_power_bits`
+proves on the coefficients of prod (1 + q^r)^j, never read off the pass's
+own result.
 """
 
 from __future__ import annotations
@@ -145,13 +146,38 @@ def _power_bits(j: int, order: int) -> int:
     configurations ending in any of its members, each once; a sum of
     sources reads distinct classes; and the targets adding into one class
     count (configuration, move) pairs with distinct moves, which are
-    distinct configurations one step on."""
+    distinct configurations one step on.  So D^j also bounds the three
+    kinds of value `_transfer` forms on the way: a sum over a sub-multiset
+    of one target's sources (coefficientwise at most that target's full
+    sum, as every state is nonnegative), a target's sum after its shift
+    (the same counts at degrees raised by cost, with those past q^order
+    dropped, so at most the destination's state), and a partial sum of one
+    destination (at most its full state)."""
     return math.isqrt(-(-(4533**2) * j * order // 3_000_000)) + 1
 
 
 def _slot_size(j: int, order: int) -> int:
     """The byte slot of a count bounded by D^j up to q^order (`_power_bits`)."""
     return (_power_bits(j, order) + 7) // 8
+
+
+def _sum_plan(signature) -> list:
+    """How one step forms the sum of each distinct `sources` tuple of its
+    targets (`signature`, the step's tuples in order): (sources, base,
+    extra) entries, in the order to form them, where the sum of `sources`
+    is the sum already formed for `base` plus the states of `extra`.  A
+    tuple is a multiset, taken as the set of its (state, k) pairs for the
+    k-th listing of each state, so a state listed twice is read twice and
+    sub-multisets are subsets; the base is the largest one formed before
+    (() when there is none)."""
+    plan, formed = [], [((), frozenset())]
+    for sources in sorted(dict.fromkeys(signature), key=len):
+        pairs = [(src, sources[:k].count(src)) for k, src in enumerate(sources)]
+        need = frozenset(pairs)
+        base, have = next(f for f in reversed(formed) if f[1] <= need)
+        plan.append((sources, base, tuple(src for src, k in pairs if (src, k) not in have)))
+        formed.append((sources, need))
+    return plan
 
 
 def _transfer(order: int, start, steps, size: int) -> Series:
@@ -162,20 +188,36 @@ def _transfer(order: int, start, steps, size: int) -> Series:
     series (a state listed twice is read twice) shifted right by
     8*size*cost bits, which is times q^cost with every term past q^order
     dropped, as no slot carries in the `size` the caller certifies; targets
-    that share a dst add into it.  Targets of a step with one `sources`
-    tuple share its sum; unreached sources add nothing.  A series with no
-    term below q^d is about (order-d+1)*size bytes long.  A total that
-    overflows its top slot raises OverflowError."""
+    that share a dst add into it.  Each distinct `sources` tuple of a step
+    is summed once, on top of the largest sub-multiset summed before it
+    (`_sum_plan`, one plan per distinct list of tuples in a call), and an
+    unreached source adds nothing; the first term of a sum and the first
+    target into a dst are taken as they are, never added to 0, so no series
+    is copied.  A series with no term below q^d is about (order-d+1)*size
+    bytes long.  A total that overflows its top slot raises OverflowError."""
     width = 8 * size
     states = {start: 1 << order * width}
+    plans: dict = {}
     for targets in steps:
-        new, sums = {}, {}
+        signature = tuple(sources for *_, sources in targets)
+        plan = plans.get(signature)
+        if plan is None:
+            plan = plans[signature] = _sum_plan(signature)
+        sums = {(): 0}
+        for sources, base, extra in plan:
+            packed = sums[base]
+            for src in extra:
+                if term := states.get(src):
+                    packed = packed + term if packed else term
+            sums[sources] = packed
+        new = {}
         for dst, cost, sources in targets:
-            packed = sums.get(sources)
-            if packed is None:
-                packed = sums[sources] = sum(states.get(src, 0) for src in sources)
-            if packed := packed >> cost * width:
-                new[dst] = new.get(dst, 0) + packed
+            # each target is shifted on its own: one letter's targets into
+            # one dst, summed before the shift, count a class once per move,
+            # and the terms the shift drops are bounded only by D^j past
+            # q^order, so that sum need not fit the slot
+            if packed := sums[sources] >> cost * width:
+                new[dst] = new[dst] + packed if dst in new else packed
         states = new
     data = sum(states.values()).to_bytes((order + 1) * size, "big")
     return Series([int.from_bytes(data[k : k + size], "big") for k in range(0, len(data), size)])

@@ -25,6 +25,7 @@ from affbasis.qseries import (
     _local_part_ok,
     _power_bits,
     _slot_size,
+    _sum_plan,
     _transfer,
     _tricolor_table,
     _window_violation,
@@ -400,3 +401,22 @@ def test_transfer_overflow_out_of_the_top_slot_raises():
     assert _transfer(0, 0, [doubling] * 7, 1) == Series([128])
     with pytest.raises(OverflowError):
         _transfer(0, 0, [doubling] * 8, 1)
+
+
+def test_sum_plan_extends_the_largest_formed_sub_multiset():
+    # the specialized table's six distinct tuples are nested, so each one
+    # after the first extends the one before by one state: 5 additions,
+    # where summing each tuple from nothing reads 21 states
+    signature = tuple(sources for *_, sources in _layer_table()[1][0])
+    plan = _sum_plan(signature)
+    assert len(plan) == len(set(signature)) == 6
+    assert sum(map(len, set(signature))) == 21
+    assert sum(len(extra) - (not base) for _, base, extra in plan) == 5
+    # a tuple is a multiset: (a, a, b) is (a, b) and one more read of a,
+    # or (b,) and two more
+    a, b = "a", "b"
+    assert _sum_plan(((a, a, b), (a, b), (a, a, b))) == [
+        ((a, b), (), (a, b)),
+        ((a, a, b), (a, b), (a,)),
+    ]
+    assert _sum_plan(((a, a, b), (b,)))[1] == ((a, a, b), (b,), (a, a))

@@ -52,6 +52,12 @@ def test_script_runs_and_passes(script, args, verdict):
         ("run_syzygy_check.py", ["0", "0", "x"], "error: invalid literal for int() with base 10: 'x'"),
         # an empty degree range would pass with no check made
         ("run_syzygy_check.py", ["1", "0"], "error: n_min (1) must be at most n_max (0)"),
+        # an argument past the last one a script takes is not dropped
+        ("run_identity_check.py", ["10", "20"], "error: takes at most one argument, got 2"),
+        (
+            "run_syzygy_check.py", ["0", "0", "3", "9"],
+            "error: takes at most three arguments, got 4",
+        ),
     ],
 )
 def test_negative_size_is_a_named_error(script, args, error):
