@@ -17,11 +17,12 @@ column set, whose rows are primitive integer vectors.  It echelonizes R,
 each relation space (from its 27 vertex-operator modes), the 27 quadratic
 vectors of each degree on the vacuum and the orbit spans, where pivots must
 sit at the minimal column under a key built from ``partitions.order_key``.
-Its ``close`` is the one closure loop: the span of a seed under a few
-zero-mode operators on vectors, which gives R in the depth-2 piece of the
-module and the syzygy orbits (each the orbit of one reference vector in
-8 tensor R).  The one exact solve, the q27 nullspace,
-tags each column, and the tags sort after the columns to be eliminated.
+Its ``close`` is the one closure loop: the span of a highest-weight seed
+under the lowering zero modes F1(0) and F2(0), which gives R in the depth-2
+piece of the module and the syzygy orbits (each the orbit of one reference
+vector in 8 tensor R, certified highest-weight first).  The one exact
+solve, the q27 nullspace, tags each column, and the tags sort after the
+columns to be eliminated.
 ``sparse_rank`` ranks a list of rows in one reducer; no verdict ranks, since
 Theorem A is certified by leading terms, and the tests keep it as their
 rank cross-check.

@@ -374,16 +374,18 @@ def tricolor_count_series(order: int) -> Series:
 _PHI_OFFSET = {1: -2, 2: -1, 3: -1, 4: 0, 5: 0, 6: 1, 7: 1, 8: 2}
 
 
-def _layer_graph() -> list:
+@functools.cache
+def _layer_graph() -> tuple:
     """Each per-degree color set with its size, its specialized offset, and
     the sets that may sit one degree above it."""
-    return [
+    return tuple(
         (layer, len(layer), sum(_PHI_OFFSET[c] for c in layer),
          tuple(prev for prev in INDEPENDENT_COLOR_SETS if compatible_layers(layer, prev)))
         for layer in INDEPENDENT_COLOR_SETS
-    ]
+    )
 
 
+@functools.cache
 def _layer_table() -> tuple:
     """The layer transfer lumped by `_lump`, in one phase: each set moves to
     every set that may sit one degree below it, and the letter is the lower

@@ -21,7 +21,8 @@ k and every degree (the lemma at `shift_matrix`).  `collapse` reads each
 slot's body as that mode, `vertex_mode` of v at degree n - i.  A zero mode
 acts on every slot by the same operator, so a family whose slots are
 multiples of one vector v has the dimension of v's orbit
-(`syzygy_dimensions`).
+(`syzygy_dimensions`), which is closed under F1(0) and F2(0) alone once v is
+certified a highest-weight vector (`orbit_basis`).
 
 The verification of the basis theorem follows the paper, one leading-term
 check per forbidden factor: the monomial order is multiplicative, so once
@@ -275,12 +276,13 @@ def shift_matrix(x_color: int):
     So a syzygy slot holds its vector of R whatever its degree, and ad x(k)
     acts on every slot as x(0) on R once the premise holds."""
     basis = r_basis()
+    pivots = [(lab2, lab2.partition(), v2) for lab2, v2 in basis.items()]
     matrix = {}
     for label, v in basis.items():
         image = apply_mode((x_color, 0), v)
         column = matrix[label] = {}
-        for lab2, v2 in basis.items():
-            c = image.get(lab2.partition())
+        for lab2, pivot, v2 in pivots:
+            c = image.get(pivot)
             if c:
                 column[lab2] = c
                 add_scaled(image, v2.items(), -c)
@@ -538,6 +540,7 @@ def _tensor_partition(key) -> tuple[Part, ...]:
     return sort_parts(label.partition() + (mode,))
 
 
+@cache
 def _tensor_column_key(key):
     (a, i), label = key
     pi = _tensor_partition(key)
@@ -545,16 +548,33 @@ def _tensor_column_key(key):
 
 
 def orbit_basis(t: LoopTensor) -> list[LoopTensor]:
-    """Reduced basis of the span of the tensor under repeated zero-mode
-    raising and lowering (the finite-dimensional orbit)."""
+    """Reduced basis of the orbit U(g) . t of a highest-weight tensor, the
+    span of t under F1(0) and F2(0).  t is certified first: E1(0) and E2(0)
+    must kill it, and they generate n+ (E3 = [E1, E2]); and all its terms
+    must have one weight, so U(h) . t = C t.  Else `AssertionError` names
+    the raising mode and its least surviving term, or two differing
+    weights.  By PBW, U(g) = U(n-) U(h) U(n+), so U(g) . t = U(n-) . t,
+    and n- is generated by F1 and F2."""
+    for name, color in (("E1", E1_COLOR), ("E2", E2_COLOR)):
+        raised = loop_action(color, 0, t).terms
+        if raised:
+            (a, i), label = key = min(raised, key=_tensor_column_key)
+            raise AssertionError(
+                f"{name}(0) does not kill the seed: X_{a}({i}) tensor "
+                f"{format_partition(label.partition())} survives with {raised[key]}"
+            )
+    weights = {WEIGHT[a] + parts_weight(label.partition()) for (a, _), label in t.terms}
+    if len(weights) > 1:
+        w1, w2 = sorted(w.key() for w in weights)[:2]
+        raise AssertionError(f"the seed is not a weight vector: it has weights {w1} and {w2}")
     reducer = SpanReducer(_tensor_column_key)
 
-    def moved(vec):
+    def lowered(vec):
         current = LoopTensor(t.n, vec, t.i_lo, t.i_hi)
-        for color in (E1_COLOR, E2_COLOR, F1_COLOR, F2_COLOR):
+        for color in (F1_COLOR, F2_COLOR):
             yield loop_action(color, 0, current).terms
 
-    reducer.close(t.terms, moved)
+    reducer.close(t.terms, lowered)
     return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
 
 
@@ -600,7 +620,8 @@ def syzygy_dimensions(n: int, window: Window) -> dict[str, int]:
     So when `reference_form` certifies that slot i is p_i v, the map from
     the orbit of v to the family's is injective (p is not zero at the least
     slot) and commutes with the zero modes, and the orbit has the dimension
-    of the orbit of v in 8 tensor R, closed once per distinct v."""
+    of the orbit of v in 8 tensor R, closed once per distinct v under F1(0)
+    and F2(0) from v, which `orbit_basis` certifies highest-weight."""
     dims = {}
     for family, t in syzygy_tensors(n, window).items():
         v, _ = reference_form(family, t)

@@ -11,7 +11,9 @@ coordinates of R and acts on them by one zero-mode matrix), and the tensor
 helpers (zero test, scale, weight, generator coefficient, canonical labels)
 that only the tests read, with the collapse over canonical labels that the
 library's collapse, which reads each slot as a mode of R, is checked
-against.  The rank
+against, and the orbit closed under all four zero modes E1, E2, F1 and F2
+(``full_orbit_basis``; the library closes a certified highest-weight seed
+under F1 and F2 alone).  The rank
 and the leading terms are independent of the per-factor leading terms that
 ``basis_counts_report`` checks: the rank eliminates every row of
 ``submodule_span_blocks`` with the library's span reducer
@@ -20,7 +22,7 @@ reducer's pivots and a candidate scan (``partitions_at_most``), not from
 ``embeddings``.  They are not independent of ``affbasis.linalg``; the
 rank's independent check is ``reference_rank.markowitz_rank``."""
 
-from affbasis.algebra import F1_COLOR, F2_COLOR, WEIGHT, Weight
+from affbasis.algebra import E1_COLOR, E2_COLOR, F1_COLOR, F2_COLOR, WEIGHT, Weight
 from affbasis.enveloping import EnvElement, Window, WindowError, act, apply_word, graded_basis
 from affbasis.linalg import Scalar, SpanReducer, add_scaled, sparse_rank
 from affbasis.partitions import (
@@ -40,6 +42,7 @@ from affbasis.relations import (
     _tensor_column_key,
     _tensor_partition,
     label_for_quadratic,
+    loop_action,
     orbit_basis,
     relation_space,
     submodule_span_blocks,
@@ -234,6 +237,20 @@ def canonical_orbit_basis(t: LoopTensor) -> list[LoopTensor]:
     reducer = SpanReducer(_tensor_column_key)
     for vec in orbit_basis(t):
         reducer.insert(canonical_tensor(vec).terms)
+    return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
+
+
+def full_orbit_basis(t: LoopTensor) -> list[LoopTensor]:
+    """Reduced basis of the span of the tensor under repeated zero-mode
+    raising and lowering (the finite-dimensional orbit)."""
+    reducer = SpanReducer(_tensor_column_key)
+
+    def moved(vec):
+        current = LoopTensor(t.n, vec, t.i_lo, t.i_hi)
+        for color in (E1_COLOR, E2_COLOR, F1_COLOR, F2_COLOR):
+            yield loop_action(color, 0, current).terms
+
+    reducer.close(t.terms, moved)
     return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
 
 

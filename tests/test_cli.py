@@ -549,6 +549,9 @@ def test_corrupted_specialization_fails_theorem_b_with_a_witness(capsys, monkeyp
     from affbasis import qseries
 
     monkeypatch.setattr(qseries, "_PHI_OFFSET", {**qseries._PHI_OFFSET, 8: 3})
+    # fresh memos, so the layer tables are built from the corrupted offsets
+    for name in ("_layer_graph", "_layer_table"):
+        monkeypatch.setattr(qseries, name, functools.cache(getattr(qseries, name).__wrapped__))
     code, out, _ = run(capsys, "verify", "theorem-b", "--order", "60")
     assert code == EXIT_FALSIFIED
     fail = [line for line in out.splitlines() if line.startswith("FAIL  ")]
@@ -638,6 +641,29 @@ def test_perturbed_35_slot_fails_qdims_with_its_slot(capsys, monkeypatch):
         "FAIL  target runs without an internal error  witness=AssertionError: "
         "35 family at n=-3, slot i=0: the slot is not a multiple of the "
         "reference vector solved from slot i=-6"
+    ]
+
+
+def test_lowered_reference_vector_fails_qdims_with_its_witness(capsys, monkeypatch):
+    from affbasis import relations
+    from affbasis.algebra import F1_COLOR
+
+    original = relations.reference_form
+
+    # each family's reference vector replaced by its F1(0) image, which no
+    # longer generates the orbit from the top
+    def lowered(family, t):
+        v, profile = original(family, t)
+        one_slot = {((a, 0), lab): c for (a, lab), c in v.items()}
+        image = relations.loop_action(F1_COLOR, 0, relations.LoopTensor(t.n, one_slot, 0, 0))
+        return {(a, lab): c for ((a, _), lab), c in image.terms.items()}, profile
+
+    monkeypatch.setattr(relations, "reference_form", lowered)
+    code, out, _ = run(capsys, "verify", "qdims")
+    assert code == EXIT_FALSIFIED
+    assert _fail_lines(out) == [
+        "FAIL  target runs without an internal error  witness=AssertionError: "
+        "E1(0) does not kill the seed: X_1(0) tensor 1:-1 1:-1 survives with 3"
     ]
 
 

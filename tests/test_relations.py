@@ -1,9 +1,10 @@
 import functools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from affbasis.algebra import E1_COLOR, F1_COLOR, Weight
+from affbasis.algebra import E1_COLOR, E2_COLOR, F1_COLOR, F2_COLOR, Weight
 from affbasis.enveloping import (
     EnvElement,
     Window,
@@ -13,7 +14,7 @@ from affbasis.enveloping import (
     apply_word,
     graded_basis,
 )
-from affbasis.linalg import add_scaled
+from affbasis.linalg import SpanReducer, add_scaled
 from affbasis.partitions import (
     cubic_a_label,
     cubic_b_label,
@@ -31,6 +32,7 @@ from affbasis.relations import (
     LoopTensor,
     RelationSpace,
     _q27_combination,
+    _tensor_column_key,
     basis_counts_report,
     collapse,
     collapse_report,
@@ -59,6 +61,7 @@ from reference_relations import (
     certified_rank,
     closure_relation_space,
     combined_weight_block,
+    full_orbit_basis,
     max_submodule_rank,
     per_degree_shift_matrix,
     per_degree_transport_matrix,
@@ -403,6 +406,73 @@ def test_orbit_dimensions_match_the_whole_tensor_orbits():
         dims = syzygy_dimensions(n, window)
         for family, t in syzygy_tensors(n, window).items():
             assert dims[family] == len(orbit_basis(t)), (n, family)
+
+
+@pytest.mark.parametrize("n, bound", [(0, 3), (-2, 6)])
+def test_lowered_orbit_is_the_four_mode_orbit(n, bound):
+    # the closure under F1(0) and F2(0) from a highest-weight seed against
+    # the closure under E1, E2, F1 and F2: the same rank, and each basis
+    # lies in the other's span
+    for family, t in syzygy_tensors(n, Window(bound)).items():
+        lowered, full = orbit_basis(t), full_orbit_basis(t)
+        assert len(lowered) == len(full), family
+        for rows, others in ((lowered, full), (full, lowered)):
+            reducer = SpanReducer(_tensor_column_key)
+            for vec in others:
+                reducer.insert(vec.terms)
+            assert not any(reducer.reduce(vec.terms) for vec in rows), family
+
+
+def _one_slot_reference(family: str) -> LoopTensor:
+    """The family's reference vector as a one-slot tensor, as
+    `_orbit_dimension` closes it."""
+    v, _ = reference_form(family, syzygy_tensors(0, Window(3))[family])
+    return LoopTensor(-2, {((a, 0), lab): c for (a, lab), c in v.items()}, 0, 0)
+
+
+def test_orbit_basis_rejects_a_lowered_seed():
+    lowered = loop_action(F1_COLOR, 0, _one_slot_reference("64"))
+    with pytest.raises(AssertionError) as info:
+        orbit_basis(lowered)
+    assert str(info.value) == "E1(0) does not kill the seed: X_1(0) tensor 1:-1 1:-1 survives with 3"
+
+
+def test_orbit_basis_rejects_a_seed_of_two_weights():
+    t64, t27 = _one_slot_reference("64"), _one_slot_reference("27")
+    mixed = LoopTensor(-2, add_scaled(dict(t64.terms), t27.terms.items()), 0, 0)
+    # both are highest-weight vectors, so E1(0) and E2(0) kill the sum
+    with pytest.raises(AssertionError) as info:
+        orbit_basis(mixed)
+    assert str(info.value) == "the seed is not a weight vector: it has weights (2, 2) and (3, 3)"
+
+
+def test_orbit_closure_applies_no_raising_mode(monkeypatch):
+    # each closure applies E1(0) and E2(0) once, to its seed, and F1(0) and
+    # F2(0) once to each of its basis vectors: 64 + 35 + 35 + 27 = 161
+    from affbasis import relations
+
+    calls = Counter()
+    closing = []
+    original_action, original_basis = relations.loop_action, relations.orbit_basis
+
+    def counted_action(x_color, k, t):
+        if closing:
+            calls[x_color, k] += 1
+        return original_action(x_color, k, t)
+
+    def counted_basis(t):
+        closing.append(t)
+        try:
+            return original_basis(t)
+        finally:
+            closing.pop()
+
+    monkeypatch.setattr(relations, "loop_action", counted_action)
+    monkeypatch.setattr(relations, "orbit_basis", counted_basis)
+    fresh = functools.cache(relations._orbit_dimension.__wrapped__)
+    monkeypatch.setattr(relations, "_orbit_dimension", fresh)
+    assert sorted(relations.syzygy_dimensions(0, Window(3)).values()) == [27, 35, 35, 64]
+    assert calls == {(E1_COLOR, 0): 4, (E2_COLOR, 0): 4, (F1_COLOR, 0): 161, (F2_COLOR, 0): 161}
 
 
 def test_reference_forms_of_the_syzygy_families():
