@@ -12,6 +12,13 @@ on the graded piece down to depth D exactly.
 
 Straightening uses the level-one commutator: swapping X_a(m) past X_b(n)
 emits [X_a, X_b](m+n) plus the central term m * delta_{m+n,0} * <X_a, X_b>.
+
+An element keeps only what a verdict reads: its terms and window, sums,
+scalings, and its action on the module.  No leading term is read off an
+element.  The leading terms are the pivots of one labelled echelon
+(`relations._labelled_rows`), which serves R, the quadratics on the vacuum
+and every windowed relation space.  A product with one mode is
+straightened term by term into its caller's sum (`relations.collapse`).
 """
 
 from __future__ import annotations
@@ -21,14 +28,7 @@ from functools import cache
 
 from .algebra import BRACKET, FORM
 from .linalg import Scalar, add_scaled
-from .partitions import (
-    Part,
-    order_key,
-    parts_degree,
-    parts_shape,
-    shapes_at_most,
-    sort_parts,
-)
+from .partitions import Part, order_key, parts_degree, sort_parts
 
 
 class WindowError(RuntimeError):
@@ -135,64 +135,6 @@ class EnvElement:
 
     def scale(self, s: Scalar) -> "EnvElement":
         return EnvElement({w: s * c for w, c in self.terms.items()}, self.window)
-
-    def narrowed(self, bound: int) -> "EnvElement":
-        return EnvElement(self.terms, self.window.narrowed(bound))
-
-    def total_degree(self) -> int | None:
-        degs = {parts_degree(w) for w in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    # -- products with single modes ------------------------------------------
-
-    def mul_mode_left(self, mode: Part) -> "EnvElement":
-        """X_mode * self.  Multiplying by a creation mode keeps the window;
-        an annihilation mode costs its degree in certified bound."""
-        color, degree = mode
-        window = Window(self.window.annihilation_bound - max(degree, 0))
-        out: dict[tuple[Part, ...], Scalar] = {}
-        for w, c in self.terms.items():
-            add_scaled(out, straighten_word((mode,) + w).items(), c)
-        return EnvElement(out, window)
-
-    def mul_mode_right(self, mode: Part) -> "EnvElement":
-        """self * X_mode.  Multiplying by an annihilation mode keeps (indeed
-        extends) the window; a creation mode costs its absolute degree."""
-        color, degree = mode
-        # an annihilation mode shifts every term's weight up by its degree,
-        # so the certified region moves with it; a creation mode can merge
-        # into the annihilation side and costs its absolute degree.
-        window = Window(self.window.annihilation_bound + degree)
-        out: dict[tuple[Part, ...], Scalar] = {}
-        for w, c in self.terms.items():
-            add_scaled(out, straighten_word(w + (mode,)).items(), c)
-        return EnvElement(out, window)
-
-    # -- leading terms ----------------------------------------------------------
-
-    def leading_term(self, max_length: int) -> tuple[Part, ...]:
-        """The minimal monomial, certified: every candidate partition at or
-        below it (same degree, at most `max_length` parts) must lie in the
-        window."""
-        if not self.terms:
-            raise ValueError("zero element has no leading term")
-        degree = self.total_degree()
-        if degree is None:
-            raise ValueError("leading terms are defined for homogeneous elements")
-        best = min(self.terms, key=order_key)
-        if len(best) < max_length:
-            raise WindowError(
-                "window minimum is shorter than the possible maximal length; "
-                "longer monomials may hide outside the window"
-            )
-        # the window reads only degrees, so one check per shape covers all its
-        # colorings; the top shape is that of the stored, admitted minimum
-        for shape in shapes_at_most(parts_shape(best), len(best), degree):
-            if sum(d for d in shape if d > 0) > self.window.annihilation_bound:
-                raise WindowError(f"shape {shape} below the minimum is outside the window")
-        return best
 
     def __repr__(self) -> str:
         return f"EnvElement({len(self.terms)} terms, window={self.window})"

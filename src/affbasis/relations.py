@@ -97,8 +97,10 @@ def r_basis() -> dict[RelationLabel, dict]:
 
 def _labelled_rows(reducer: SpanReducer, name: str) -> dict[RelationLabel, dict]:
     """The back-eliminated rows at pivot coefficient 1, keyed by the label of
-    their pivots in the monomial order.  A rank other than 27 raises
-    `AssertionError`, and a pivot off the color table `LeadingTermError`."""
+    their pivots in the monomial order: the one labelled echelon, of R, of
+    the quadratics on the vacuum and of every windowed relation space.  A
+    rank other than 27 raises `AssertionError`, and a pivot off the color
+    table `LeadingTermError`."""
     if reducer.rank != 27:
         raise AssertionError(f"{name} has rank {reducer.rank}, not 27")
     reducer.back_eliminate()
@@ -141,7 +143,17 @@ def _mode_terms(v: dict, n: int, degrees) -> dict:
 
 class RelationSpace:
     """Canonical echelon basis of the degree-n relation space, the span of
-    the 27 vectors Y(v_L)_n (the lemma at `shift_matrix`)."""
+    the 27 vectors Y(v_L)_n (the lemma at `shift_matrix`), labelled by
+    `_labelled_rows` once the window holds all 27 rows.
+
+    Each pivot is the leading term of its row in the completed algebra,
+    with no candidate scan.  A reducer pivot is the `order_key`-least term
+    of its row, and Y(v)_n has no term with more than two parts.  A
+    two-part shape of degree n at or below a two-part pivot has a top part
+    no higher than the pivot's, so it weighs no more than the pivot: the
+    window holds it exactly, and its coefficient is 0.  A pivot with fewer
+    than two parts is on neither table, so it raises `LeadingTermError`
+    like any off-table pivot."""
 
     def __init__(self, n: int, window: Window):
         self.n = n
@@ -149,27 +161,15 @@ class RelationSpace:
         reducer = SpanReducer(order_key)
         for v in r_basis().values():
             reducer.insert(vertex_mode(v, n, window).terms)
-        reducer.back_eliminate()
         self.dimension = reducer.rank
-        self.elements: dict[RelationLabel, EnvElement] = {}
-        for pivot in reducer.pivots():
-            elem = EnvElement(reducer.row_for(pivot), window)
-            lead = elem.leading_term(max_length=2)
-            if lead != pivot:
-                raise WindowError(
-                    f"pivot {format_partition(pivot)} is not the certified "
-                    f"leading term {format_partition(lead)}"
-                )
-            label = label_for_quadratic(lead)
-            if label is None:
-                raise LeadingTermError(lead)
-            self.elements[label] = elem
         if self.dimension < 27:
             raise WindowError(
                 f"the relation space of degree {n} has rank {self.dimension} in "
                 f"window {window.annihilation_bound}, short of its 27-row table"
             )
-        self.labels = sorted(self.elements, key=lambda l: order_key(l.partition()))
+        rows = _labelled_rows(reducer, f"the relation space of degree {n}")
+        self.elements = {label: EnvElement(row, window) for label, row in rows.items()}
+        self.labels = list(rows)
 
     def coordinates(self, e: EnvElement) -> dict[RelationLabel, Scalar]:
         """Expand a member of the space over the canonical basis; raises if
@@ -505,11 +505,14 @@ def collapse(t: LoopTensor, window: Window) -> EnvElement:
     is X_a(i) times its body Y(v_L)_{n-i}, from the left for a negative i
     and from the right otherwise.  Exact on the target window: only the
     mode degrees in [n - bound, bound] reach it (see `_MARGIN`), so the
-    tensor must certify all of them, or `WindowError` is raised; each body
-    is exact on the window (`vertex_mode`), the products are summed once,
-    and only the certified region of the sum is kept (window admission is
-    per monomial, so filtering the sum equals summing the filtered
-    products)."""
+    tensor must certify all of them, or `WindowError` is raised.  Each body
+    is exact on the window (`vertex_mode`), and every product term is
+    straightened into one sum, filtered once.  A creation mode on the left
+    moves only past creation modes, so each product term keeps its body
+    term's weight; an annihilation mode on the right moves only past higher
+    annihilation modes, so each product term gains exactly i.  So filtering
+    the sum once at the bound equals filtering each product at its own,
+    wider bound."""
     bound = window.annihilation_bound
     lo, hi = t.n - bound, bound
     if t.i_lo > lo or t.i_hi < hi:
@@ -521,12 +524,10 @@ def collapse(t: LoopTensor, window: Window) -> EnvElement:
     for ((a, i), label), c in t.terms.items():
         if not lo <= i <= hi:
             continue  # collapses outside the window
-        body = _slot_body(label, t.n - i, window)
-        if i < 0:
-            product = body.mul_mode_left((a, i))
-        else:
-            product = body.mul_mode_right((a, i))
-        add_scaled(total, product.terms.items(), c)
+        mode = ((a, i),)
+        for w, b in _slot_body(label, t.n - i, window).terms.items():
+            word = mode + w if i < 0 else w + mode
+            add_scaled(total, straighten_word(word).items(), c * b)
     return EnvElement(total, Window(bound))
 
 
@@ -765,9 +766,7 @@ def collapse_report(n: int, window: Window) -> dict:
         image = collapse(tensors[name], window)
         out[f"psi_{name}_zero"] = image.is_zero()
     image27 = collapse(tensors["27"], window)
-    generator = vertex_mode(_GENERATOR, n, window).narrowed(
-        image27.window.annihilation_bound
-    )
+    generator = vertex_mode(_GENERATOR, n, window)
     _, t = _q27_combination()
     scalar = _proportionality(image27, generator.scale(t))
     out["c"] = scalar
@@ -776,10 +775,8 @@ def collapse_report(n: int, window: Window) -> dict:
 
 
 def _proportionality(e: EnvElement, f: EnvElement) -> Scalar | None:
-    """The scalar c with e = c f on the common window, or None."""
-    bound = min(e.window.annihilation_bound, f.window.annihilation_bound)
-    e = e.narrowed(bound)
-    f = f.narrowed(bound)
+    """The scalar c with e = c f, or None; the two share one window, or
+    `WindowError` is raised when they are combined."""
     if f.is_zero():
         return 0 if e.is_zero() else None
     witness = min(f.terms, key=order_key)

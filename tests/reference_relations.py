@@ -49,7 +49,13 @@ from affbasis.relations import (
     syzygy_tensors,
     transport_matrix,
 )
-from reference_enveloping import adjoint_mode
+from reference_enveloping import (
+    adjoint_mode,
+    leading_term,
+    mul_mode_left,
+    mul_mode_right,
+    narrowed,
+)
 from reference_partitions import quotient
 
 
@@ -77,15 +83,15 @@ def relation_for(label: RelationLabel, window: Window, space=None) -> EnvElement
         return relation_for(lab, window, space)
 
     if label.kind == "cubic_a":
-        left = quadratic(quad_same_label(5, 1, j)).mul_mode_left((3, j - 1))
-        right = quadratic(quad_adjacent_label(3, 5, j)).mul_mode_right((1, j))
+        left = mul_mode_left(quadratic(quad_same_label(5, 1, j)), (3, j - 1))
+        right = mul_mode_right(quadratic(quad_adjacent_label(3, 5, j)), (1, j))
     elif label.kind == "cubic_b":
-        left = quadratic(quad_same_label(8, 5, j - 1)).mul_mode_right((6, j))
-        right = quadratic(quad_adjacent_label(5, 6, j)).mul_mode_left((8, j - 1))
+        left = mul_mode_right(quadratic(quad_same_label(8, 5, j - 1)), (6, j))
+        right = mul_mode_left(quadratic(quad_adjacent_label(5, 6, j)), (8, j - 1))
     else:
         raise ValueError(f"unknown label kind {label.kind}")
     bound = min(left.window.annihilation_bound, right.window.annihilation_bound)
-    return left.narrowed(bound) - right.narrowed(bound)
+    return narrowed(left, bound) - narrowed(right, bound)
 
 
 def x1_square_modes(n: int, window: Window) -> EnvElement:
@@ -125,7 +131,7 @@ def closure_relation_space(n: int, window: Window) -> dict[RelationLabel, EnvEle
     elements = {}
     for pivot in reducer.pivots():
         elem = EnvElement(reducer.row_for(pivot), window)
-        lead = elem.leading_term(max_length=2)
+        lead = leading_term(elem, max_length=2)
         if lead != pivot:
             raise WindowError(
                 f"pivot {format_partition(pivot)} is not the certified "
@@ -218,9 +224,9 @@ def canonical_collapse(t: LoopTensor, window: Window) -> EnvElement:
             continue  # collapses outside the window
         body = relation_for(label, window)
         if i < 0:
-            product = body.mul_mode_left((a, i))
+            product = mul_mode_left(body, (a, i))
         else:
-            product = body.mul_mode_right((a, i))
+            product = mul_mode_right(body, (a, i))
         add_scaled(total, product.terms.items(), c)
     return EnvElement(total, Window(bound))
 

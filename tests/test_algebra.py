@@ -211,7 +211,8 @@ def test_every_public_library_definition_is_live():
         new = reads.get(todo.pop(), set()) - live
         live |= new
         todo.extend(new)
-    assert [qualified for qualified, name in public if name not in live] == []
+    dead = [qualified for qualified, name in public if name not in live]
+    assert dead == [], "definitions no live name reads:\n" + "\n".join(dead)
 
 
 def test_every_private_library_name_is_read():
@@ -238,4 +239,4 @@ def test_every_private_library_name_is_read():
                 name in _reads(other) for _, other in statements if other is not stmt
             ):
                 unread.append(f"{module}.{name}")
-    assert unread == []
+    assert unread == [], "private names nothing else reads:\n" + "\n".join(unread)

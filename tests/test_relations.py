@@ -26,6 +26,7 @@ from affbasis.partitions import (
     quad_same_label,
     quadratic_leading_labels,
     relation_set,
+    shapes_at_most,
     sort_parts,
 )
 from affbasis.relations import (
@@ -51,7 +52,14 @@ from affbasis.relations import (
     transport_matrix,
     vertex_mode,
 )
-from reference_enveloping import adjoint_mode, coefficient, element_weight
+from reference_enveloping import (
+    adjoint_mode,
+    coefficient,
+    element_weight,
+    leading_term,
+    narrowed,
+    total_degree,
+)
 from reference_rank import markowitz_rank
 from reference_relations import (
     canonical_collapse,
@@ -89,7 +97,7 @@ def test_generator_examples():
     e = generator(-2, W8)
     v = act(e, {(): 1})
     assert v == {parse_partition("1:-1 1:-1"): 1}
-    assert format_partition(generator(-3, W8).leading_term(max_length=2)) == "1:-2 1:-1"
+    assert format_partition(leading_term(generator(-3, W8), max_length=2)) == "1:-2 1:-1"
     assert element_weight(generator(-3, W8)) == Weight(2, 2)
 
 
@@ -143,6 +151,27 @@ def test_space_short_of_its_table_is_a_window_error():
         RelationSpace(4, Window(3))
 
 
+def test_space_pivots_are_their_leading_terms():
+    # the argument at `RelationSpace`, wherever the space has rank 27 (n <=
+    # bound): a pivot is the order_key-least term of its row, no term has
+    # more than two parts, and every shape at or below the pivot weighs no
+    # more than it, so the reference candidate scan certifies the pivot
+    def weight(shape):
+        return sum(d for d in shape if d > 0)
+
+    for bound in range(9):
+        for n in range(-11, bound + 1):
+            space = relation_space(n, Window(bound))
+            for label, elem in space.elements.items():
+                lead = label.partition()
+                assert min(elem.terms, key=order_key) == lead, (n, bound, label)
+                assert max(map(len, elem.terms)) == 2
+                assert leading_term(elem, 2) == lead
+                top = parts_shape(lead)
+                for shape in shapes_at_most(top, len(top), n):
+                    assert weight(shape) <= weight(top), (n, bound, label, shape)
+
+
 def test_relation_spaces_match_the_closure_route():
     # the span of Y(v_L)_n against the windowed closure of the generator
     # under the adjoint F1(0) and F2(0), label for label and element for
@@ -168,7 +197,7 @@ def test_relation_spaces_match_the_closure_route():
     for bound in (3, 5):
         for n in (-bound - 3, -3, 0, bound):
             for v in r_basis().values():
-                wide = vertex_mode(v, n, Window(bound + 6)).narrowed(bound)
+                wide = narrowed(vertex_mode(v, n, Window(bound + 6)), bound)
                 assert vertex_mode(v, n, Window(bound)).terms == wide.terms, (bound, n)
 
 
@@ -227,7 +256,7 @@ def test_coordinates_check_the_residual_on_the_common_window():
 
 def test_cubic_a():
     body = relation_for(cubic_a_label(-1), W8)
-    assert format_partition(body.leading_term(max_length=3)) == "3:-2 4:-1 1:-1"
+    assert format_partition(leading_term(body, max_length=3)) == "3:-2 4:-1 1:-1"
     ordered = sorted(body.terms.items(), key=lambda kv: order_key(kv[0]))
     assert ordered[:2] == [
         (parse_partition("3:-2 4:-1 1:-1"), 1),
@@ -237,9 +266,9 @@ def test_cubic_a():
 
 def test_cubic_b():
     body = relation_for(cubic_b_label(-1), W8)
-    assert format_partition(body.leading_term(max_length=3)) == "8:-2 4:-2 6:-1"
+    assert format_partition(leading_term(body, max_length=3)) == "8:-2 4:-2 6:-1"
     assert element_weight(body) == Weight(-1, -2)
-    assert body.total_degree() == -5
+    assert total_degree(body) == -5
 
 
 def test_cubic_translation_consistency():
@@ -249,8 +278,8 @@ def test_cubic_translation_consistency():
         tuple((c, d - 3) for c, d in parts) for parts in a1.terms
     }
     # degree shifts by 3 per anchor step; leading terms must translate
-    assert a2.leading_term(max_length=3) == parse_partition("3:-3 4:-2 1:-2")
-    assert a1.total_degree() == -4 and a2.total_degree() == -7
+    assert leading_term(a2, max_length=3) == parse_partition("3:-3 4:-2 1:-2")
+    assert total_degree(a1) == -4 and total_degree(a2) == -7
     assert translated  # smoke: nonempty
 
 
@@ -714,8 +743,8 @@ def test_loop_module_property_reconstruction():
             image = adjoint_mode(body, x_color, k)
             rebuilt = image
             for lab2, c in canonical_vector(matrix[label], m + k).items():
-                rebuilt = rebuilt - target.elements[lab2].narrowed(
-                    image.window.annihilation_bound
+                rebuilt = rebuilt - narrowed(
+                    target.elements[lab2], image.window.annihilation_bound
                 ).scale(c)
             assert rebuilt.is_zero()
 
@@ -727,7 +756,7 @@ def test_collapse_zero_mode_equivariance():
     for x_color in (7, 6):
         left = collapse(loop_action(x_color, 0, t), window)
         right = adjoint_mode(collapse(t, window), x_color, 0)
-        diff = left - right.narrowed(left.window.annihilation_bound)
+        diff = left - narrowed(right, left.window.annihilation_bound)
         assert diff.is_zero()
 
 
