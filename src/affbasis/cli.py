@@ -285,8 +285,13 @@ def _verify_theorem_b(cfg: Config, report: Report):
             expected=f"agree to order {rep['order']}",
             actual="agree"
             if k is None
-            else f"first difference at {k}: product={rep['product'][k]} {side}={rep[side][k]}",
+            else f"first difference at {k}: product={_coefficient(rep['product'], k)} "
+            f"{side}={_coefficient(rep[side], k)}",
         )
+
+
+def _coefficient(series, k: int) -> str:
+    return str(series[k]) if k <= series.order else "missing"
 
 
 # each target with the Config flags it reads, which are all its report's inputs

@@ -14,14 +14,30 @@ by depth for the basis theorem, on the layer graph as it is.  Every slot
 width is fixed before the pass that uses it, from the bound `_power_bits`
 proves on the coefficients of prod (1 + q^r)^j, never read off the pass's
 own result.
+
+`verify_identity` computes Theorem B's three series on two cores where it
+can: the specialized count in a child made with `os.fork`, which sends its
+coefficients back through a pipe, while the parent computes the product
+and the three-color count, the longer share, so the parent rarely waits.
+The gain needs a second free core; on one core the fork costs about 1-2
+ms, and below order `_FORK_FROM_ORDER` it costs more than it saves even
+on two.  The child inherits every signal handler, the benchmark's SIGALRM
+pace sampler among them, but no interval timer (POSIX), so none fires in
+it; it never writes to stdout or stderr (`_fork_specialized`).  Where
+`os.fork` does not exist, the three series are computed in-process, one
+after another.
 """
 
 from __future__ import annotations
 
+import builtins
 import functools
 import itertools
+import marshal
 import math
 import operator
+import os
+import sys
 
 from .partitions import INDEPENDENT_COLOR_SETS, compatible_layers
 
@@ -66,11 +82,13 @@ class Series:
         return Series(out)
 
     def first_difference(self, other: "Series") -> int | None:
+        """The first index where the two differ, a coefficient that only one
+        of them holds included; None if they are equal."""
         n = self._common(other)
         for k in range(n + 1):
             if self.coeffs[k] != other.coeffs[k]:
                 return k
-        return None
+        return None if self.order == other.order else n + 1
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -447,14 +465,132 @@ def character_oracle(order: int) -> Series:
 # --- the triple comparison ----------------------------------------------------
 
 
+def _fork_specialized(order: int) -> tuple[int, int]:
+    """Start `specialized_count_series(order)` in a child made with
+    `os.fork`; returns the child's pid and the read end of its pipe.  The child sends one
+    `marshal` payload, ("ok", coefficients) or ("raised", exception type
+    name, message), and leaves through `os._exit`, so it writes nothing to
+    stdout or stderr, flushes no buffer it inherited and runs no exit
+    hook.  It inherits every signal handler (under the benchmark, the
+    pace sampler's SIGALRM one) but no interval timer (POSIX), so no
+    handler fires in it."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:
+        os.close(read_end)
+        try:
+            payload = ("ok", specialized_count_series(order).coeffs)
+        except BaseException as exc:  # the parent raises it
+            payload = ("raised", type(exc).__name__, str(exc))
+        with open(write_end, "wb") as pipe:
+            pipe.write(marshal.dumps(payload))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read_end: int) -> tuple[bytes, int]:
+    """Read a `_fork_specialized` child's pipe to its end, then reap the child
+    (also when the read fails); returns the bytes and the exit code of
+    `os.waitstatus_to_exitcode` (minus the signal for a killed child)."""
+    try:
+        with open(read_end, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return data, os.waitstatus_to_exitcode(status)
+
+
+def _child_series(data: bytes, code: int, order: int) -> Series:
+    """The series a `_fork_specialized` child sent.  Raises if the child failed:
+    its exception again (the same type for a builtin one, RuntimeError
+    naming the type otherwise, the message kept), or RuntimeError for a
+    nonzero or signal exit, or for a series that does not hold exactly
+    order + 1 coefficients."""
+    if code:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise RuntimeError(f"the specialized count's child {how}")
+    payload = marshal.loads(data)
+    if payload[0] == "raised":
+        _, name, message = payload
+        kind = getattr(builtins, name, None)
+        if not (isinstance(kind, type) and issubclass(kind, Exception)):
+            kind, message = RuntimeError, f"{name}: {message}"
+        raise kind(message)
+    coeffs = payload[1]
+    if len(coeffs) != order + 1:
+        raise RuntimeError(
+            f"the specialized count's child sent {len(coeffs)} coefficients, not {order + 1}"
+        )
+    return Series(coeffs)
+
+
+# The order from which `verify_identity` forks.  The fork costs about 1 ms,
+# with the copy-on-write faults it leaves in this process.  Cold runs on a
+# 2-core x86_64 host, nine alternating pairs per order: forking lost every
+# pair at order 100 (median 15.2 against 13.3 ms), broke even at 200 and
+# 300, and won every pair from 400 on (17.0 against 18.6 ms; 77 against
+# 130 ms at 1000).
+_FORK_FROM_ORDER = 300
+
+
+def _forks(order: int) -> bool:
+    """Whether `verify_identity` computes the specialized count in a forked
+    child: from order `_FORK_FROM_ORDER` on, where `os.fork` exists, and
+    only while this process runs no other thread, as a lock another thread
+    held at the fork would stay held in the child.  The library starts no
+    thread; without `threading` imported, no Python code has started one."""
+    threading = sys.modules.get("threading")
+    return (
+        order >= _FORK_FROM_ORDER
+        and hasattr(os, "fork")
+        and (threading is None or threading.active_count() == 1)
+    )
+
+
 def verify_identity(order: int) -> dict:
     """Compare the product side, the constrained-count side and the
-    specialized ideal count coefficientwise, all to q^order."""
+    specialized ideal count coefficientwise, all to q^order.
+
+    From order `_FORK_FROM_ORDER` on, the specialized count runs in a
+    forked child (`_fork_specialized`) while this process computes the product
+    and the constrained count.  Those two are the longer share (at order
+    1000 about 0.06 s against 0.05 s), so a second free core cuts the wall
+    time to that share, and this process, whose calls a tracer or a
+    profiler sees, rarely sits idle on the pipe.  The child is reaped in
+    every case; if one of this process's sides raises, the child is killed
+    first and that exception goes on.  Below that order, where `os.fork`
+    does not exist, or in a process with other threads (`_forks`), all
+    three run here, one after another.  The report is the same either
+    way."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    product = product_side(order)
-    specialized = specialized_count_series(order)
-    constrained = tricolor_count_series(order)
+    if not _forks(order):
+        product = product_side(order)
+        specialized = specialized_count_series(order)
+        constrained = tricolor_count_series(order)
+    else:
+        pid, read_end = _fork_specialized(order)
+        try:
+            product = product_side(order)
+            constrained = tricolor_count_series(order)
+        except BaseException:
+            import signal  # here, off the start-up path of every other call
+
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            data, code = _reap(pid, read_end)
+        specialized = _child_series(data, code, order)
     d1 = product.first_difference(specialized)
     d2 = product.first_difference(constrained)
     return {

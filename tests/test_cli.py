@@ -561,6 +561,59 @@ def test_corrupted_specialization_fails_theorem_b_with_a_witness(capsys, monkeyp
     ]
 
 
+@pytest.mark.parametrize(
+    "engine, forked, fail_lines",
+    [
+        (
+            "product_side",
+            False,
+            [
+                "FAIL  product side = specialized ideal count  expected=agree to order 60 "
+                "actual=first difference at 60: product=missing specialized=84726",
+                "FAIL  product side = constrained three-color count  expected=agree to order 60 "
+                "actual=first difference at 60: product=missing constrained=84726",
+            ],
+        ),
+        (
+            "tricolor_count_series",
+            False,
+            [
+                "FAIL  product side = constrained three-color count  expected=agree to order 60 "
+                "actual=first difference at 60: product=84726 constrained=missing",
+            ],
+        ),
+        (
+            "specialized_count_series",
+            False,
+            [
+                "FAIL  product side = specialized ideal count  expected=agree to order 60 "
+                "actual=first difference at 60: product=84726 specialized=missing",
+            ],
+        ),
+        (
+            # the forked count's series is checked for its length when it
+            # comes back, so a short one is an internal error
+            "specialized_count_series",
+            True,
+            [
+                "FAIL  target runs without an internal error  witness=RuntimeError: "
+                "the specialized count's child sent 60 coefficients, not 61",
+            ],
+        ),
+    ],
+    ids=["product", "constrained", "specialized", "specialized-forked"],
+)
+def test_side_short_of_its_order_fails_theorem_b(capsys, monkeypatch, engine, forked, fail_lines):
+    from affbasis import qseries
+
+    full = getattr(qseries, engine)
+    monkeypatch.setattr(qseries, engine, lambda order: full(order - 1))
+    monkeypatch.setattr(qseries, "_FORK_FROM_ORDER", 0 if forked else 61)
+    code, out, _ = run(capsys, "verify", "theorem-b", "--order", "60")
+    assert code == EXIT_FALSIFIED
+    assert _fail_lines(out) == fail_lines
+
+
 def test_mutated_product_side_fails_theorem_b(tmp_path):
     # the packed product's q^{2r} shift becomes q^{3r}: a part may now
     # appear once or three times, never twice, and both counts disagree

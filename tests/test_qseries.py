@@ -1,6 +1,10 @@
 import itertools
 import math
 import operator
+import os
+import signal
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_series
+from affbasis.enveloping import WindowError
 from affbasis.partitions import (
     INDEPENDENT_COLOR_SETS,
     compatible_layers,
@@ -206,6 +211,144 @@ def test_identity_reports_discrepancy_location():
     b = Series([1, 2, 4])
     assert a.first_difference(b) == 2
     assert a.first_difference(a) is None
+    # a coefficient only one side holds is a difference at its index
+    assert a.first_difference(Series([1, 2])) == 2
+    assert Series([1]).first_difference(a) == 1
+    assert Series([1, 5]).first_difference(a) == 1
+
+
+# --- the forked specialized count -------------------------------------------------
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _no_fork():
+    raise OSError("forked")
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """verify_identity forks at every order, and a parent that never sees
+    its child's pipe close fails with TimeoutError instead of hanging."""
+    from affbasis import qseries
+
+    def expire(signum, frame):
+        raise TimeoutError("no answer in 60 s")
+
+    monkeypatch.setattr(qseries, "_FORK_FROM_ORDER", 0)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        yield qseries
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_orders_below_the_fork_threshold_run_in_process(monkeypatch):
+    from affbasis import qseries
+
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert verify_identity(qseries._FORK_FROM_ORDER - 1)["ok"]
+    with pytest.raises(OSError, match="forked"):
+        verify_identity(qseries._FORK_FROM_ORDER)
+    _assert_no_child_left()
+
+
+def test_process_with_another_thread_does_not_fork(forking, monkeypatch):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert verify_identity(40)["ok"]
+    finally:
+        stop.set()
+        other.join(10)
+    assert not other.is_alive()
+    with pytest.raises(OSError, match="forked"):
+        verify_identity(40)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 40, 300])
+def test_forked_report_equals_the_engines_in_process(forking, order):
+    rep = verify_identity(order)
+    sides = (rep["product"], rep["specialized"], rep["constrained"])
+    assert sides == (
+        product_side(order),
+        specialized_count_series(order),
+        tricolor_count_series(order),
+    )
+    assert rep["order"] == order and rep["ok"]
+    assert rep["product_vs_specialized"] is None and rep["product_vs_constrained"] is None
+    _assert_no_child_left()
+
+
+def test_report_without_fork_is_the_same(forking, monkeypatch):
+    forked = verify_identity(40)
+    monkeypatch.delattr(os, "fork")
+    assert verify_identity(40) == forked
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "error, raised",
+    [
+        (OverflowError("x"), OverflowError("x")),
+        (WindowError("short"), RuntimeError("WindowError: short")),
+    ],
+    ids=["builtin", "library"],
+)
+def test_child_exception_is_raised_in_the_parent(forking, monkeypatch, error, raised):
+    def failing(order):
+        raise error
+
+    monkeypatch.setattr(forking, "specialized_count_series", failing)
+    with pytest.raises(type(raised)) as caught:
+        verify_identity(40)
+    assert type(caught.value) is type(raised) and str(caught.value) == str(raised)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "end, message",
+    [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+        (lambda: os._exit(3), "exited with status 3"),
+    ],
+    ids=["sigkill", "exit-3"],
+)
+def test_child_that_dies_raises_in_the_parent(forking, monkeypatch, end, message):
+    parent = os.getpid()
+
+    def dying(order):
+        if os.getpid() == parent:
+            raise AssertionError("the specialized count ran in the parent")
+        end()
+
+    monkeypatch.setattr(forking, "specialized_count_series", dying)
+    with pytest.raises(RuntimeError, match=message):
+        verify_identity(40)
+    _assert_no_child_left()
+
+
+def test_parent_side_error_kills_and_reaps_the_child(forking, monkeypatch):
+    def failing(order):
+        raise ValueError("parent side")
+
+    def slow(order):  # runs in the child, which is killed long before
+        time.sleep(30)
+
+    monkeypatch.setattr(forking, "product_side", failing)
+    monkeypatch.setattr(forking, "specialized_count_series", slow)
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="parent side"):
+        verify_identity(40)
+    assert time.monotonic() - started < 10
+    _assert_no_child_left()
 
 
 # --- the packed transfer kernel ----------------------------------------------------
