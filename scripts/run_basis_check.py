@@ -3,7 +3,7 @@
 spanning-ideal count, the induced-module dimension minus the rank of the
 maximal submodule, and the lattice character oracle must agree
 (`relations.basis_counts_report`).  No window enters; depth 50 takes
-about 0.6 s (0.54-0.86 s over five cold runs on a 2-core x86_64 host).
+about 0.35 s (0.31-0.37 s over five cold runs on a 2-core x86_64 host).
 
 Usage: python scripts/run_basis_check.py [max_depth]
 """

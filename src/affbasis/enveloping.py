@@ -16,8 +16,8 @@ emits [X_a, X_b](m+n) plus the central term m * delta_{m+n,0} * <X_a, X_b>.
 An element keeps only what a verdict reads: its terms and window, sums,
 scalings, and its action on the module.  No leading term is read off an
 element.  The leading terms are the pivots of one labelled echelon
-(`relations._labelled_rows`), which serves R, the quadratics on the vacuum
-and every windowed relation space.  A product with one mode is
+(`relations._labelled_rows`), which serves R, R on the vacuum per parity
+and each windowed relation space.  A product with one mode is
 straightened term by term into its caller's sum (`relations.collapse`).
 """
 

@@ -16,10 +16,9 @@ One elimination engine: an incremental span reducer over a totally ordered
 column set, whose rows are primitive integer vectors.  It echelonizes the
 orbit spans and the 27-row spaces, where pivots must sit at the minimal
 column under a key built from ``partitions.order_key``.  The 27-row spaces
-share one labelled echelon (``relations._labelled_rows``): R, the 27
-quadratic vectors of each degree on the vacuum, and each windowed relation
-space (from its 27 vertex-operator modes).  Its pivots are the leading
-terms, with no second scan.
+share one labelled echelon (``relations._labelled_rows``): R, R on the
+vacuum once per parity, and each windowed relation space.  Its pivots are
+the leading terms, with no second scan.
 Its ``close`` is the one closure loop: the span of a highest-weight seed
 under the lowering zero modes F1(0) and F2(0), which gives R in the depth-2
 piece of the module and the syzygy orbits (each the orbit of one reference

@@ -3,6 +3,8 @@ there: the relation spaces closed from the quadratic generator under the
 adjoint zero modes (the library builds them from the 27 vectors of R), each
 forbidden factor's relation as a windowed element of the completed algebra
 (``relation_for``; the library writes its vacuum vector with no window), the
+quadratic vectors on the vacuum echelonized at each degree
+(``per_degree_quadratics``; the library echelonizes once per parity), the
 rank of the full spanning family of the maximal submodule, the
 triangular certificate with one relation row per non-ideal partition, the
 leading terms of the syzygy orbits, the shift and transport matrices
@@ -39,11 +41,14 @@ from affbasis.partitions import (
 from affbasis.relations import (
     LeadingTermError,
     LoopTensor,
+    _labelled_rows,
+    _mode_terms,
     _tensor_column_key,
     _tensor_partition,
     label_for_quadratic,
     loop_action,
     orbit_basis,
+    r_basis,
     relation_space,
     submodule_span_blocks,
     syzygy_tensors,
@@ -408,3 +413,16 @@ def per_degree_transport_matrix(m: int, window: Window):
         lab: {l2: v for (side, l2), v in reducer.row_for(("ref", lab)).items() if side == "tgt"}
         for lab in ref_labels
     }
+
+
+def per_degree_quadratics(m: int) -> dict[RelationLabel, dict]:
+    """r . vac for the 27 canonical quadratics r of degree m <= -2, by label,
+    echelonized at that degree: the vectors Y(v_L)_m . vac, back-eliminated,
+    so their pivots are the table `quadratic_leading_labels(m)`.  The range
+    m < p < 0 keeps exactly the creation pairs X_a(p) X_b(m - p) of
+    `vertex_mode`.  The library echelonizes once per parity instead
+    (`relations._parity_basis`)."""
+    reducer = SpanReducer(order_key)
+    for v in r_basis().values():
+        reducer.insert(_mode_terms(v, m, range(m + 1, 0)))
+    return _labelled_rows(reducer, f"the quadratics of degree {m}")

@@ -284,18 +284,16 @@ def test_corrupted_color_table_is_a_failed_check(capsys, monkeypatch):
     corrupted = partitions.ADJACENT_COLOR_PAIRS[:-1] + ((8, 7),)
     monkeypatch.setattr(partitions, "ADJACENT_COLOR_PAIRS", corrupted)
     monkeypatch.setattr(relations, "ADJACENT_COLOR_PAIRS", corrupted)
-    # a fresh, empty cache, so the spaces are rebuilt from the corrupted table
-    fresh = functools.cache(relations.relation_space.__wrapped__)
-    monkeypatch.setattr(relations, "relation_space", fresh)
+    # a fresh, empty cache, so the odd echelon of R on the vacuum is rebuilt
+    # against the corrupted table; lemma1 reaches it at degree -9
+    fresh = functools.cache(relations._parity_basis.__wrapped__)
+    monkeypatch.setattr(relations, "_parity_basis", fresh)
     code, out, _ = run(capsys, "verify", "lemma1")
     assert code == EXIT_FALSIFIED
     fail = [line for line in out.splitlines() if line.startswith("FAIL  ")]
-    assert len(fail) == 1 and fail[0].endswith("witness=8:-5 8:-4")
+    assert len(fail) == 1 and fail[0].endswith("witness=8:-2 8:-1")
     assert out.splitlines()[-1].startswith("FAIL: ")
-    # Theorem A writes its quadratics with no relation space, and checks
-    # their pivots against the same table
-    fresh = functools.cache(relations._quadratic_vectors.__wrapped__)
-    monkeypatch.setattr(relations, "_quadratic_vectors", fresh)
+    # Theorem A reads its quadratics from the same echelon
     code, out, _ = run(capsys, "verify", "theorem-a", "--max-degree", "3")
     assert code == EXIT_FALSIFIED
     assert _fail_lines(out) == [
@@ -324,6 +322,31 @@ def test_theorem_a_row_leading_elsewhere_names_its_partition(capsys, monkeypatch
     assert len(fail) == 1 and fail[0].startswith("FAIL  depth 3: ")
     assert fail[0].endswith(f"  witness={format_partition(label.partition())}")
     assert out.splitlines()[-1] == "FAIL: 3/4 checks"
+
+
+def test_lemma1_row_leading_elsewhere_names_its_label(capsys, monkeypatch):
+    from affbasis import relations
+    from affbasis.partitions import format_partition, quadratic_leading_labels
+
+    # one row of degree -5 loses its leading monomial: that degree's line
+    # alone fails, and names the label
+    label = quadratic_leading_labels(-5)[4]
+    original = relations.relation_on_vacuum
+
+    def without_leading_monomial(lab):
+        v = original(lab)
+        if lab == label:
+            del v[lab.partition()]
+        return v
+
+    monkeypatch.setattr(relations, "relation_on_vacuum", without_leading_monomial)
+    code, out, _ = run(capsys, "verify", "lemma1")
+    assert code == EXIT_FALSIFIED
+    assert _fail_lines(out) == [
+        "FAIL  leading-terms degree -5  expected=27 labels actual=26 labels"
+        f"  witness={format_partition(label.partition())}"
+    ]
+    assert out.splitlines()[-1] == "FAIL: 7/8 checks"
 
 
 # Runs the command line of the package copy on sys.argv[1], which it checks
@@ -394,8 +417,8 @@ _TABLE_CHECK = "FAIL  relation leading terms lie in the color tables  witness="
 
 # each table mutation that prop3 reads fails it: the color tables at the
 # pivots of R (degree -2) and the form in the premise on R.  prop3 reads no
-# relation space, so the adjacent-pair table fails qdims instead (below), and
-# swapped weights fail lemma7 (`test_mutation_fails_the_lemma_target`)
+# odd-parity pivot, so the adjacent-pair table fails lemma1 instead (below),
+# and swapped weights fail lemma7 (`test_mutation_fails_the_lemma_target`)
 @pytest.mark.parametrize(
     "module, old, new, fail_line",
     [
@@ -420,18 +443,18 @@ def test_mutated_table_fails_prop3(tmp_path, module, old, new, fail_line):
     assert len(fail) == 1 and re.fullmatch(fail_line, fail[0]), fail
 
 
-# the adjacent-pair table holds the pivots of the odd relation spaces: qdims
-# builds the spaces from degree -8 up, and the first odd one fails
+# the adjacent-pair table holds the pivots of the odd echelon of R on the
+# vacuum, built at degree -3: lemma1 passes degree -8 and fails at -9
 @pytest.mark.parametrize(
     "old, new, witness",
     [
-        ("(7, 8),\n    (8, 8),\n", "(7, 8),\n", "8:-4 8:-3"),
-        ("(4, 7), (4, 8)", "(4, 6), (4, 8)", "4:-4 7:-3"),
+        ("(7, 8),\n    (8, 8),\n", "(7, 8),\n", "8:-2 8:-1"),
+        ("(4, 7), (4, 8)", "(4, 6), (4, 8)", "4:-2 7:-1"),
     ],
     ids=["adjacent_88_dropped", "adjacent_47_to_46"],
 )
-def test_mutated_table_fails_qdims(tmp_path, old, new, witness):
-    done = _run_mutated_copy(tmp_path, "partitions.py", old, new, "verify", "qdims")
+def test_mutated_table_fails_lemma1(tmp_path, old, new, witness):
+    done = _run_mutated_copy(tmp_path, "partitions.py", old, new, "verify", "lemma1")
     assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
     assert _fail_lines(done.stdout) == [_TABLE_CHECK + witness]
     assert done.stdout.splitlines()[-1] == "FAIL: 1/2 checks"
@@ -471,16 +494,16 @@ def test_mutation_fails_the_lemma_target(tmp_path, module, old, new, target, fai
 def test_internal_error_is_a_failed_check(capsys, monkeypatch, error):
     from affbasis import relations
 
-    def broken(n, window):
-        raise error(f"broken space {n}")
+    def broken(m):
+        raise error(f"broken space {m}")
 
-    monkeypatch.setattr(relations, "relation_space", broken)
+    monkeypatch.setattr(relations, "_parity_basis", broken)
     code, out, _ = run(capsys, "verify", "lemma1")
     assert code == EXIT_FALSIFIED
     lines = out.splitlines()
     assert lines[0] == (
         "FAIL  target runs without an internal error"
-        f"  witness={error.__name__}: broken space -8"
+        f"  witness={error.__name__}: broken space -2"
     )
     assert lines[-1] == "FAIL: 0/1 checks"
 
@@ -488,10 +511,10 @@ def test_internal_error_is_a_failed_check(capsys, monkeypatch, error):
 def test_window_error_in_a_target_keeps_exit_3(capsys, monkeypatch):
     from affbasis import relations
 
-    def too_small(n, window):
+    def too_small(m):
         raise WindowError("too small")
 
-    monkeypatch.setattr(relations, "relation_space", too_small)
+    monkeypatch.setattr(relations, "_parity_basis", too_small)
     code, out, err = run(capsys, "verify", "lemma1")
     assert code == EXIT_WINDOW
     assert out == "" and "window insufficiency: too small" in err
@@ -720,38 +743,45 @@ def test_lowered_reference_vector_fails_qdims_with_its_witness(capsys, monkeypat
     ]
 
 
-def test_prop3_reads_no_relation_space_or_transport(capsys, monkeypatch):
-    from affbasis import relations
-
-    def disabled(*args):
-        raise AssertionError("read on the syzygy path")
-
-    # each slot body is a mode of R, so the collapses pass without either
-    monkeypatch.setattr(relations, "relation_space", disabled)
-    monkeypatch.setattr(relations, "transport_matrix", disabled)
-    code, out, _ = run(capsys, "verify", "prop3")
-    assert code == EXIT_OK
-    assert out.splitlines()[-1] == "PASS: 63/63 checks"
-
-
-def test_theorem_a_builds_no_relation_space_or_algebra_element(capsys, monkeypatch):
+# no target builds a windowed relation space or the transport, and only
+# prop3 builds an algebra element: each slot body of a collapse is a mode of
+# R, and lemma1 and Theorem A write each quadratic straight onto the vacuum
+# from R's echelon of its parity.  A fresh memo makes those go through the
+# writer, which builds two echelons, one per parity, whatever the depth
+@pytest.mark.parametrize(
+    "target, argv, passed, echelons",
+    [
+        ("lemma1", (), 8, 2),
+        ("lemma6", (), 8, 0),
+        ("lemma7", (), 5, 0),
+        ("lemma12", (), 1, 0),
+        ("prop3", (), 63, 0),
+        ("qdims", (), 11, 0),
+        ("theorem-a", ("--max-degree", "8"), 9, 2),
+        ("theorem-b", (), 2, 0),
+    ],
+    ids=["lemma1", "lemma6", "lemma7", "lemma12", "prop3", "qdims", "theorem-a", "theorem-b"],
+)
+def test_no_target_builds_a_relation_space(
+    capsys, monkeypatch, target, argv, passed, echelons
+):
     from affbasis import enveloping, relations
 
     def disabled(*args):
-        raise AssertionError("read on the Theorem A path")
+        raise AssertionError(f"read by {target}")
 
-    # each quadratic is written straight onto the vacuum, in module
-    # coordinates; a fresh memo makes every degree go through the writer
-    monkeypatch.setattr(relations, "relation_space", disabled)
-    monkeypatch.setattr(relations, "RelationSpace", disabled)
-    monkeypatch.setattr(relations, "EnvElement", disabled)
-    monkeypatch.setattr(enveloping, "act", disabled)
-    fresh = functools.cache(relations._quadratic_vectors.__wrapped__)
-    monkeypatch.setattr(relations, "_quadratic_vectors", fresh)
-    code, out, _ = run(capsys, "verify", "theorem-a", "--max-degree", "8")
+    names = ["relation_space", "RelationSpace", "transport_matrix"]
+    if target != "prop3":
+        names.append("EnvElement")
+        monkeypatch.setattr(enveloping, "act", disabled)
+    for name in names:
+        monkeypatch.setattr(relations, name, disabled)
+    fresh = functools.cache(relations._parity_basis.__wrapped__)
+    monkeypatch.setattr(relations, "_parity_basis", fresh)
+    code, out, _ = run(capsys, "verify", target, *argv)
     assert code == EXIT_OK
-    assert out.splitlines()[-1] == "PASS: 9/9 checks"
-    assert fresh.cache_info().currsize == 7  # degrees -2..-8
+    assert out.splitlines()[-1] == f"PASS: {passed}/{passed} checks"
+    assert fresh.cache_info().currsize == echelons
 
 
 def test_qdims_closes_one_orbit_per_distinct_reference_vector(capsys, monkeypatch):
@@ -769,11 +799,11 @@ def test_qdims_closes_one_orbit_per_distinct_reference_vector(capsys, monkeypatc
     monkeypatch.setattr(relations, "_orbit_dimension", fresh)
     # 44 families over degrees -8..2 share four reference vectors
     code, out, _ = run(capsys, "verify", "qdims")
-    assert code == EXIT_OK and out.splitlines()[-1] == "PASS: 22/22 checks"
+    assert code == EXIT_OK and out.splitlines()[-1] == "PASS: 11/11 checks"
     assert len(closed) == 4
 
 
-@pytest.mark.parametrize("target, passed", [("prop3", 0), ("qdims", 6)])
+@pytest.mark.parametrize("target, passed", [("prop3", 0), ("qdims", 0)])
 def test_failed_shift_premise_fails_the_syzygy_targets(capsys, monkeypatch, target, passed):
     from affbasis import relations
     from affbasis.partitions import format_partition

@@ -71,6 +71,7 @@ from reference_relations import (
     combined_weight_block,
     full_orbit_basis,
     max_submodule_rank,
+    per_degree_quadratics,
     per_degree_shift_matrix,
     per_degree_transport_matrix,
     relation_for,
@@ -137,7 +138,7 @@ def test_r_short_of_27_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(relations, "F2_COLOR", F1_COLOR)
     monkeypatch.setattr(relations, "r_basis", functools.cache(r_basis.__wrapped__))
     monkeypatch.setattr(
-        relations, "relation_space", functools.cache(relation_space.__wrapped__)
+        relations, "_parity_basis", functools.cache(relations._parity_basis.__wrapped__)
     )
     with pytest.raises(AssertionError, match="R has rank"):
         relations.r_basis()
@@ -655,6 +656,40 @@ def test_order_key_is_multiplicative_and_each_factor_leads_its_rows():
         for kappa in (k for n in range(5 + rho.degree()) for k in graded_basis(n)):
             row = apply_word(kappa, v0)
             assert min(row, key=order_key) == sort_parts(kappa + rho.partition())
+
+
+def test_parity_rows_match_the_per_degree_echelons():
+    # each quadratic row on the vacuum, written from R's echelon of its
+    # parity, against the echelon built at its own degree: term for term,
+    # and with int coefficients, though the odd echelon's w_L has halves
+    for m in range(-2, -41, -1):
+        per_degree = per_degree_quadratics(m)
+        assert sorted(per_degree) == sorted(quadratic_leading_labels(m)), m
+        for label, row in per_degree.items():
+            vacuum = relation_on_vacuum(label)
+            assert vacuum == row, (m, label)
+            assert all(type(c) is int for c in vacuum.values()), (m, label)
+
+
+def test_factor_anchors_list_the_scanned_factors(monkeypatch):
+    # `_factor_witness` reads each factor at its anchor, against the scan of
+    # every anchor from -(n // 2) to -1; no anchor j >= 0 is read, where
+    # cubic_b at j = 0 has degree -2 and a zero mode
+    from affbasis import relations
+
+    listed = []
+
+    def leading_with_itself(label):
+        listed.append(label)
+        return {label.partition(): 1}
+
+    monkeypatch.setattr(relations, "relation_on_vacuum", leading_with_itself)
+    assert cubic_b_label(0).degree() == -2
+    for n in range(2, 201):
+        listed.clear()
+        assert relations._factor_witness(n) is None, n
+        assert listed == [rho for rho in relation_set(-(n // 2), -1) if rho.degree() == -n], n
+        assert all(rho.j <= -1 for rho in listed), n
 
 
 def test_factor_vectors_match_the_windowed_relations():
