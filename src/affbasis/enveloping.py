@@ -120,18 +120,10 @@ class EnvElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _plus(self, other: "EnvElement", s) -> "EnvElement":
+    def __sub__(self, other: "EnvElement") -> "EnvElement":
         if self.window != other.window:
             raise WindowError("cannot combine elements with different windows")
-        return EnvElement(
-            add_scaled(dict(self.terms), other.terms.items(), s), self.window
-        )
-
-    def __add__(self, other: "EnvElement") -> "EnvElement":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "EnvElement") -> "EnvElement":
-        return self._plus(other, -1)
+        return EnvElement(add_scaled(dict(self.terms), other.terms.items(), -1), self.window)
 
     def scale(self, s: Scalar) -> "EnvElement":
         return EnvElement({w: s * c for w, c in self.terms.items()}, self.window)

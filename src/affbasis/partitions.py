@@ -391,16 +391,16 @@ EXCEPTIONAL_CASES = {
 }
 
 
-def exceptional_class(weight: Weight, shape_class: str, j: int = -1):
-    """The length-3 partitions of the given weight and shape, with the sum
-    of their quadratic-only excess counts.  Only the two exceptional
-    weight/shape combinations are supported."""
+def exceptional_class(weight: Weight, shape_class: str):
+    """The length-3 partitions of the given weight and shape at j = -1,
+    with the sum of their quadratic-only excess counts.  Only the two
+    exceptional weight/shape combinations are supported."""
     if (weight, shape_class) not in EXCEPTIONAL_CASES.values():
         raise ValueError(
             "supported cases: weight alpha1+2alpha2 with shape (j-1)j^2, "
             "or its negative with shape (j-1)^2j"
         )
-    shape = shape_of_class(shape_class, j)
+    shape = shape_of_class(shape_class, -1)
     found = sorted(
         (p for p in colorings_of_shape(shape) if parts_weight(p) == weight), key=order_key
     )

@@ -10,10 +10,10 @@ transfer over its own state graph, lumped by future equivalence (`_lump`),
 in the packed-integer kernel `_transfer` (high degree first, so q^cost is
 one truncating right shift; each distinct tuple of sources is summed once,
 on top of the largest one it contains).  The same kernel counts the ideal
-by depth for the basis theorem, on the layer graph as it is.  Every slot
-width is fixed before the pass that uses it, from the bound `_power_bits`
-proves on the coefficients of prod (1 + q^r)^j, never read off the pass's
-own result.
+by depth for the basis theorem, on the specialized count's lumped layer
+table, read through the layer size alone.  Every slot width is fixed
+before the pass that uses it, from the bound `_power_bits` proves on the
+coefficients of prod (1 + q^r)^j, never read off the pass's own result.
 
 `verify_identity` computes Theorem B's three series on two cores where it
 can: the specialized count in a child made with `os.fork`, which sends its
@@ -62,29 +62,10 @@ class Series:
     def __eq__(self, other) -> bool:
         return isinstance(other, Series) and self.coeffs == other.coeffs
 
-    def _common(self, other: "Series") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other: "Series") -> "Series":
-        n = self._common(other)
-        return Series([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-
-    def __mul__(self, other: "Series") -> "Series":
-        n = self._common(other)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(out)
-
     def first_difference(self, other: "Series") -> int | None:
         """The first index where the two differ, a coefficient that only one
         of them holds included; None if they are equal."""
-        n = self._common(other)
+        n = min(self.order, other.order)
         for k in range(n + 1):
             if self.coeffs[k] != other.coeffs[k]:
                 return k
@@ -393,27 +374,19 @@ _PHI_OFFSET = {1: -2, 2: -1, 3: -1, 4: 0, 5: 0, 6: 1, 7: 1, 8: 2}
 
 
 @functools.cache
-def _layer_graph() -> tuple:
-    """Each per-degree color set with its size, its specialized offset, and
-    the sets that may sit one degree above it."""
-    return tuple(
-        (layer, len(layer), sum(_PHI_OFFSET[c] for c in layer),
-         tuple(prev for prev in INDEPENDENT_COLOR_SETS if compatible_layers(layer, prev)))
-        for layer in INDEPENDENT_COLOR_SETS
-    )
-
-
-@functools.cache
 def _layer_table() -> tuple:
     """The layer transfer lumped by `_lump`, in one phase: each set moves to
     every set that may sit one degree below it, and the letter is the lower
     set's (size, specialized offset)."""
-    graph = _layer_graph()
-    moves: dict = {layer: [] for layer, *_ in graph}
-    for layer, size, offset, above in graph:
-        for prev in above:
-            moves[prev].append(((size, offset), (0, layer)))
-    return _lump((0, frozenset()), lambda node: moves[node[1]])
+
+    def moves(node):
+        return [
+            ((len(layer), sum(_PHI_OFFSET[c] for c in layer)), (0, layer))
+            for layer in INDEPENDENT_COLOR_SETS
+            if compatible_layers(layer, node[1])
+        ]
+
+    return _lump((0, frozenset()), moves)
 
 
 def specialized_count_series(order: int) -> Series:
@@ -428,15 +401,18 @@ def specialized_count_series(order: int) -> Series:
 
 
 def ideal_count_series(order: int) -> Series:
-    """Count of difference-condition partitions by depth: the same layer
-    graph, unlumped, where a layer at depth i costs i per color.  Every
-    coefficient the transfer holds counts distinct sets of (color, depth)
-    pairs of one depth, so D^8 bounds it (`_power_bits`, j = 8)."""
-    graph = _layer_graph()
+    """Count of difference-condition partitions by depth: the same lumped
+    layer table, where a layer at depth i costs i per color.  The lumping is
+    stable for the size alone, as a member's multiset of (size, class of
+    target) moves is the image of its multiset of (letter, class of target)
+    moves, so the lemma of `_lump` holds with the cost read off the size.
+    Every coefficient the transfer holds counts distinct sets of (color,
+    depth) pairs of one depth, so D^8 bounds it (`_power_bits`, j = 8)."""
+    classes, phases = _layer_table()
     steps = (
-        [(layer, i * size, below) for layer, size, _, below in graph] for i in range(1, order + 1)
+        [(dst, i * size, srcs) for dst, (size, _), srcs in phases[0]] for i in range(1, order + 1)
     )
-    return _transfer(order, frozenset(), steps, _slot_size(8, order))
+    return _transfer(order, classes[0, frozenset()], steps, _slot_size(8, order))
 
 
 # --- the independent character oracle ----------------------------------------
@@ -458,8 +434,13 @@ def a2_theta_series(order: int) -> Series:
 
 def character_oracle(order: int) -> Series:
     """Homogeneous-grading dimension series of the vacuum module quotient:
-    the root-lattice theta series times two free boson partitions."""
-    return a2_theta_series(order) * colored_part_count_series(order, 2)
+    the root-lattice theta series times two free boson partitions, each
+    multiplied in, in place, as `colored_part_count_series` does."""
+    coeffs = a2_theta_series(order).coeffs
+    for _ in range(2):
+        for r in range(1, order + 1):
+            _multiply_geometric(coeffs, r)
+    return Series(coeffs)
 
 
 # --- the triple comparison ----------------------------------------------------

@@ -394,13 +394,8 @@ def lowering_pair(i: int, t: LoopTensor) -> LoopTensor:
 
 def _weight_2theta_pairs():
     """Pairs (mode color, label of R) of joint weight 2*theta."""
-    target = Weight(2, 2)
-    pairs = []
-    for lab in r_basis():
-        for a in range(1, 9):
-            if (WEIGHT[a] + parts_weight(lab.partition())) == target:
-                pairs.append((a, lab))
-    return pairs
+    joint = lambda a, lab: WEIGHT[a] + parts_weight(lab.partition())
+    return [(a, lab) for lab in r_basis() for a in COLORS if joint(a, lab) == Weight(2, 2)]
 
 
 @cache
@@ -675,6 +670,13 @@ def relation_on_vacuum(label: RelationLabel) -> dict:
     return {parts: c for parts, c in out.items() if len(parts) == 3}
 
 
+def leading_elsewhere(labels) -> list[RelationLabel]:
+    """The labels, in order, whose r . vac (`relation_on_vacuum`) does not
+    lead, under `order_key`, with the label's own partition."""
+    lead = lambda x: min(relation_on_vacuum(x), key=order_key, default=None)
+    return [x for x in labels if lead(x) != x.partition()]
+
+
 def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[dict]]:
     """The spanning family of the depth-n piece of the maximal submodule
     (creation monomials applied to relation vectors), grouped by weight.
@@ -682,8 +684,6 @@ def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[
     the tests rank it against the triangular certificate, and the benchmark
     traces it."""
     blocks: dict[tuple[int, int], list[dict]] = {}
-    if n < 2:
-        return blocks
     for m in range(-2, -n - 1, -1):
         space = relation_space(m, window)
         for label in space.labels:
@@ -715,9 +715,8 @@ def _factor_witness(n: int) -> str | None:
     is -(n // k); cubic_b at j = 0 has degree -2 but a zero mode."""
     anchors = sorted({-(n // 2), -(n // 3)})
     factors = [rho for j in anchors if j < 0 for rho in relation_set(j, j) if rho.degree() == -n]
-    for rho in factors:
-        if min(relation_on_vacuum(rho), key=order_key, default=None) != rho.partition():
-            return format_partition(rho.partition())
+    if wrong := leading_elsewhere(factors):
+        return format_partition(wrong[0].partition())
     expected = 27 + (n >= 4 and n % 3 != 0)
     if len(factors) != expected:
         return f"checked {len(factors)} factors of degree {-n}, expected {expected}"

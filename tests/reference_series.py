@@ -4,14 +4,16 @@ were.  Each state holds its truncated series as a list of ints and every
 shift-and-add runs coefficient by coefficient, so these share no
 arithmetic with the packed engines they check.
 
-Four additions: the optional ``observe`` hook, called with the dict of
+Six additions: the optional ``observe`` hook, called with the dict of
 states after every step, so a test can read the intermediate coefficients
 the packed engines must fit into their slots; ``transfer``, the packed
 kernel's contract on coefficient lists, for tests on random step graphs
 and on the steps an engine hands the kernel; ``product_side``, the
-product by the list arithmetic it had before it was packed; and
+product by the list arithmetic it had before it was packed;
 ``a2_theta_series_plus``, the root-lattice theta series from the other
-Gram form."""
+Gram form; ``ideal_count_series``, the ideal count by depth on the layer
+graph as it is, unlumped; and ``character_oracle``, the theta series
+convolved with two boson factors."""
 
 import math
 import operator
@@ -102,6 +104,42 @@ def specialized_count_series(order: int, observe=None) -> Series:
         for k, v in enumerate(series):
             total[k] += v
     return Series(total)
+
+
+def ideal_count_series(order: int) -> Series:
+    """Count of difference-condition partitions by depth, via a
+    layer-transfer over the per-degree color sets as they are, unlumped: a
+    layer at depth i costs i per color."""
+    zero = [0] * (order + 1)
+    states: dict[frozenset, list[int]] = {frozenset(): [1] + zero[1:]}
+    for i in range(1, order + 1):
+        new: dict[frozenset, list[int]] = {}
+        for layer in INDEPENDENT_COLOR_SETS:
+            cost = i * len(layer)
+            if cost > order:
+                continue
+            below = [s for prev, s in states.items() if compatible_layers(layer, prev)]
+            summed = list(map(sum, zip(zero, *below)))
+            if any(summed):
+                new[layer] = zero[:cost] + summed[: order + 1 - cost]
+        states = new
+    return Series(list(map(sum, zip(zero, *states.values()))))
+
+
+def character_oracle(order: int) -> Series:
+    """The root-lattice theta series (``a2_theta_series_plus``) times two
+    free boson partitions, each prod 1/(1 - q^k) counted as the number of
+    partitions p(n), multiplied by list convolution."""
+    partitions = [1] + [0] * order
+    for part in range(1, order + 1):
+        for n in range(part, order + 1):
+            partitions[n] += partitions[n - part]
+    series = a2_theta_series_plus(order).coeffs
+    for _ in range(2):
+        series = [
+            sum(series[k] * partitions[n - k] for k in range(n + 1)) for n in range(order + 1)
+        ]
+    return Series(series)
 
 
 def transfer(order: int, start, steps, observe=None) -> Series:

@@ -2,6 +2,8 @@ import ast
 import importlib
 import importlib.util
 import itertools
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,6 +114,30 @@ def test_no_floating_point_in_the_package():
                     if alias.name in _FLOAT_MATH
                 )
     assert found == []
+
+
+def test_the_package_imports_only_itself_and_the_standard_library():
+    # no runtime dependencies: every import of the package, those inside a
+    # function included, is relative or names a standard-library module,
+    # and the project declares no dependency
+    package = Path(affbasis.__file__).parent
+    outside = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            outside.extend(
+                f"{path.name}:{node.lineno}: import {name}"
+                for name in modules
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            )
+    assert outside == []
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r"^dependencies\s*=.*$", pyproject, re.M) == ["dependencies = []"]
 
 
 def test_only_linalg_imports_fractions():

@@ -572,9 +572,8 @@ def test_corrupted_specialization_fails_theorem_b_with_a_witness(capsys, monkeyp
     from affbasis import qseries
 
     monkeypatch.setattr(qseries, "_PHI_OFFSET", {**qseries._PHI_OFFSET, 8: 3})
-    # fresh memos, so the layer tables are built from the corrupted offsets
-    for name in ("_layer_graph", "_layer_table"):
-        monkeypatch.setattr(qseries, name, functools.cache(getattr(qseries, name).__wrapped__))
+    # a fresh memo, so the layer table is built from the corrupted offsets
+    monkeypatch.setattr(qseries, "_layer_table", functools.cache(qseries._layer_table.__wrapped__))
     code, out, _ = run(capsys, "verify", "theorem-b", "--order", "60")
     assert code == EXIT_FALSIFIED
     fail = [line for line in out.splitlines() if line.startswith("FAIL  ")]

@@ -55,21 +55,7 @@ from reference_counts import (
     tricolor_partitions_bruteforce,
 )
 
-series_strategy = st.lists(st.integers(-9, 9), min_size=1, max_size=12).map(Series)
-
-
-# --- ring laws -------------------------------------------------------------
-
-
-@settings(max_examples=200)
-@given(series_strategy, series_strategy, series_strategy)
-def test_series_ring_laws(a, b, c):
-    assert (a + b).coeffs == (b + a).coeffs
-    n = min(a.order, b.order, c.order)
-    t = lambda s: reference_series.truncated(s, n)
-    assert t((a + b) + c) == t(a + (b + c))
-    assert t((a * b) * c) == t(a * (b * c))
-    assert t(a * (b + c)) == t(a * b + a * c)
+# --- the series type ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("value", [0.5, Fraction(1, 2), 1.0, Fraction(2)])
@@ -190,6 +176,11 @@ def test_theta_small_values():
 def test_oracle_values():
     o = character_oracle(6)
     assert o.coeffs == [1, 8, 17, 46, 98, 198, 371]
+
+
+def test_oracle_matches_the_list_reference():
+    for order in [*range(31), 1000]:
+        assert character_oracle(order) == reference_series.character_oracle(order), order
 
 
 def test_colored_part_counts():
@@ -359,8 +350,9 @@ def test_parent_side_error_kills_and_reaps_the_child(forking, monkeypatch):
     [
         (tricolor_count_series, reference_series.tricolor_count_series),
         (specialized_count_series, reference_series.specialized_count_series),
+        (ideal_count_series, reference_series.ideal_count_series),
     ],
-    ids=["tricolor", "specialized"],
+    ids=["tricolor", "specialized", "ideal"],
 )
 def test_packed_engines_match_the_reference_engines(engine, reference):
     for order in [*range(61), 300]:
@@ -389,8 +381,8 @@ def test_slot_width_bounds_every_intermediate_coefficient(order):
     ids=["tricolor", "specialized", "ideal"],
 )
 def test_lumped_engines_fit_their_slot_width(monkeypatch, engine, order):
-    # the steps each engine hands the kernel (lumped for the two Theorem B
-    # counts, the plain layer graph for the ideal count), replayed on
+    # the steps each engine hands the kernel (each on its lumped table, the
+    # ideal count on the specialized count's, by size alone), replayed on
     # coefficient lists: every state, every sum of sources and every step's
     # total must fit the byte slot the engine hands the kernel
     from affbasis import qseries
@@ -489,6 +481,13 @@ def test_lumped_graphs_are_lumpable():
     layers = _layer_table()
     assert len(layers[0]) == len(INDEPENDENT_COLOR_SETS) == 19
     assert _assert_lumpable(layers, lambda node: [_layer_moves(node[1])]) == {0: 6}
+    # the ideal count reads the same table by the letter's size alone: the
+    # classes must be stable for that letter too, and the size-only targets
+    # must read each class once per move
+    classes, tables = layers
+    by_size = {p: [(dst, size, srcs) for dst, (size, _), srcs in ts] for p, ts in tables.items()}
+    sizes = lambda node: [[(size, dst) for (size, _), dst in _layer_moves(node[1])]]
+    assert _assert_lumpable((classes, by_size), sizes) == {0: 6}
 
 
 def test_ideal_count_series_is_the_ideal_count():

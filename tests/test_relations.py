@@ -774,7 +774,7 @@ def test_loop_module_property_reconstruction():
         for label in relation_space(-2, window).labels[:6]:
             body = EnvElement({}, window)
             for lab2, c in canonical_vector({label: 1}, m).items():
-                body = body + source.elements[lab2].scale(c)
+                body = body - source.elements[lab2].scale(-c)
             image = adjoint_mode(body, x_color, k)
             rebuilt = image
             for lab2, c in canonical_vector(matrix[label], m + k).items():
