@@ -13,16 +13,17 @@ Color indices follow the fixed ordering X1 > X2 > ... > X8, i.e. a
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import add_scaled
 
 COLORS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
-@dataclass(frozen=True)
-class Weight:
-    """h-weight written in the simple-root basis (a1*alpha1 + a2*alpha2)."""
+class Weight(NamedTuple):
+    """h-weight written in the simple-root basis (a1*alpha1 + a2*alpha2), a
+    plain tuple like `partitions.RelationLabel`: `Weight(2, 2) == (2, 2)`,
+    but `+` adds weights."""
 
     a1: int
     a2: int

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .algebra import Weight, structure_witness
 from .enveloping import Window, WindowError
@@ -42,27 +41,12 @@ EXIT_WINDOW = 3
 ENV_PREFIX = "AFFBASIS_"
 
 
-@dataclass
-class Config:
-    max_degree: int = 5
-    window: int = 8
-    order: int = 200
-    fmt: str = "text"
-    timings: bool = False
-
-    def __post_init__(self):
-        flags = ("--max-degree", self.max_degree), ("--window", self.window), ("--order", self.order)
-        for flag, value in flags:
-            if value < 0:
-                raise ValueError(f"{flag} must be nonnegative, got {value}")
-
-
-@dataclass
 class Report:
-    command: str
-    inputs: dict
-    checks: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
+    def __init__(self, command: str, inputs: dict):
+        self.command = command
+        self.inputs = inputs
+        self.checks: list[dict] = []
+        self.timings: dict[str, str] = {}
 
     def add(self, name: str, ok: bool, expected=None, actual=None, witness=None):
         entry = {"name": name, "verdict": "pass" if ok else "fail"}
@@ -138,7 +122,7 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def _verify_lemma1(cfg: Config, report: Report):
+def _verify_lemma1(cfg: argparse.Namespace, report: Report):
     from .relations import leading_elsewhere
 
     for j in range(-4, 0):
@@ -154,7 +138,7 @@ def _verify_lemma1(cfg: Config, report: Report):
             )
 
 
-def _verify_lemma6(cfg: Config, report: Report):
+def _verify_lemma6(cfg: argparse.Namespace, report: Report):
     expected = {"j^3": 97, "(j-1)j(j+1)": 64, "(j-1)j^2": 162, "(j-1)^2j": 162}
     for cls in SHAPE_CLASSES:
         for j in (-3, -7):
@@ -167,7 +151,7 @@ def _verify_lemma6(cfg: Config, report: Report):
             )
 
 
-def _verify_lemma7(cfg: Config, report: Report):
+def _verify_lemma7(cfg: argparse.Namespace, report: Report):
     for case, (weight, cls) in EXCEPTIONAL_CASES.items():
         found, total = exceptional_class(weight, cls)
         report.add(
@@ -183,7 +167,7 @@ def _verify_lemma7(cfg: Config, report: Report):
     )
 
 
-def _verify_lemma12(cfg: Config, report: Report):
+def _verify_lemma12(cfg: argparse.Namespace, report: Report):
     from .fixture_io import load_lemma12_fixture
 
     computed = set(overlap_catalogue(-1))
@@ -197,7 +181,7 @@ def _verify_lemma12(cfg: Config, report: Report):
     )
 
 
-def _verify_prop3(cfg: Config, report: Report):
+def _verify_prop3(cfg: argparse.Namespace, report: Report):
     from .relations import collapse_report
 
     values: dict[int, list] = {}
@@ -231,7 +215,7 @@ def _verify_prop3(cfg: Config, report: Report):
         )
 
 
-def _verify_qdims(cfg: Config, report: Report):
+def _verify_qdims(cfg: argparse.Namespace, report: Report):
     from .relations import syzygy_dimensions
 
     window = Window(cfg.window)
@@ -247,7 +231,7 @@ def _verify_qdims(cfg: Config, report: Report):
         )
 
 
-def _verify_theorem_a(cfg: Config, report: Report):
+def _verify_theorem_a(cfg: argparse.Namespace, report: Report):
     from .relations import basis_counts_report
 
     for row in basis_counts_report(cfg.max_degree, progress=_progress):
@@ -260,7 +244,7 @@ def _verify_theorem_a(cfg: Config, report: Report):
         )
 
 
-def _verify_theorem_b(cfg: Config, report: Report):
+def _verify_theorem_b(cfg: argparse.Namespace, report: Report):
     from .qseries import verify_identity
 
     rep = verify_identity(cfg.order)
@@ -284,7 +268,7 @@ def _coefficient(series, k: int) -> str:
     return str(series[k]) if k <= series.order else "missing"
 
 
-# each target with the Config flags it reads, which are all its report's inputs
+# each target with the parsed flags it reads, which are all its report's inputs
 VERIFY_TARGETS = {
     "lemma1": (_verify_lemma1, ()),
     "lemma6": (_verify_lemma6, ()),
@@ -300,16 +284,16 @@ VERIFY_TARGETS = {
 # --- subcommands ----------------------------------------------------------------
 
 
-def _cmd_enumerate(args, cfg: Config) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> int:
     parts = enumerate_ideal(args.degree, args.weight)
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "degree": args.degree,
             "count": len(parts),
             "partitions": [format_partition(p) for p in parts],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         print("partition")
         for p in parts:
             print(format_partition(p))
@@ -321,11 +305,11 @@ def _cmd_enumerate(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, cfg: Config) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     target, flags = VERIFY_TARGETS[args.target]
     report = Report(
         command=f"verify {args.target}",
-        inputs={flag: getattr(cfg, flag) for flag in flags},
+        inputs={flag: getattr(args, flag) for flag in flags},
     )
     started = time.monotonic()
     try:
@@ -333,7 +317,7 @@ def _cmd_verify(args, cfg: Config) -> int:
         # failed check of its own and the target does not run
         broken = structure_witness()
         if broken is None:
-            target(cfg, report)
+            target(args, report)
         else:
             report.add(
                 "sl(3) structure tables satisfy their identities", False, witness=broken
@@ -359,16 +343,16 @@ def _cmd_verify(args, cfg: Config) -> int:
             witness=f"{type(exc).__name__}: {exc}",
         )
     report.timings["seconds"] = f"{time.monotonic() - started:.3f}"
-    if cfg.fmt == "text":
+    if args.format == "text":
         print(report.to_text())
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         print(report.to_csv())
     else:
-        print(report.to_json(include_timings=cfg.timings))
+        print(report.to_json(include_timings=args.timings))
     return EXIT_OK if report.ok else EXIT_FALSIFIED
 
 
-def _cmd_tables(args, cfg: Config) -> int:
+def _cmd_tables(args: argparse.Namespace) -> int:
     j = args.j
     if args.which == "R":
         for label in relation_set(j, j):
@@ -399,6 +383,16 @@ def _report_format(text: str) -> str:
     return text
 
 
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _common_flags(with_defaults: bool) -> argparse.ArgumentParser:
     """The flags accepted before and after the subcommand.  Only the
     top-level copy carries defaults: a subcommand copy leaves an unset flag
@@ -414,19 +408,19 @@ def _common_flags(with_defaults: bool) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--max-degree",
-        type=int,
+        type=_nonnegative,
         default=default("MAX_DEGREE", "5"),
         help="largest module depth for graded verifications",
     )
     common.add_argument(
         "--window",
-        type=int,
+        type=_nonnegative,
         default=default("WINDOW", "8"),
         help="annihilation-weight bound of the truncation window",
     )
     common.add_argument(
         "--order",
-        type=int,
+        type=_nonnegative,
         default=default("ORDER", "200"),
         help="series truncation order",
     )
@@ -459,15 +453,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser(
         "enumerate", parents=[common], help="stream spanning-ideal partitions"
     )
-    p_enum.add_argument("--degree", "-n", type=int, required=True)
+    p_enum.add_argument("--degree", "-n", type=_nonnegative, required=True)
     p_enum.add_argument(
         "--weight", type=_parse_weight, help="filter by weight, e.g. 2,2"
     )
+    p_enum.set_defaults(command=_cmd_enumerate)
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run a named verification"
     )
     p_verify.add_argument("target", choices=sorted(VERIFY_TARGETS))
+    p_verify.set_defaults(command=_cmd_verify)
 
     p_tables = sub.add_parser(
         "tables", parents=[common], help="emit fixture-format tables"
@@ -475,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("which", choices=("R", "lt-tables", "lemma12"))
     p_tables.add_argument("--j", type=int, default=-1)
     p_tables.add_argument("--parity", choices=("even", "odd"), default="even")
+    p_tables.set_defaults(command=_cmd_tables)
     return parser
 
 
@@ -485,33 +482,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = Config(
-            max_degree=args.max_degree,
-            window=args.window,
-            order=args.order,
-            fmt=args.format,
-            timings=args.timings,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.cmd == "enumerate":
-            if args.degree < 0:
-                print("error: --degree must be nonnegative", file=sys.stderr)
-                return EXIT_USAGE
-            return _cmd_enumerate(args, cfg)
-        if args.cmd == "verify":
-            return _cmd_verify(args, cfg)
-        if args.cmd == "tables":
-            return _cmd_tables(args, cfg)
+        return args.command(args)
     except WindowError as exc:
         print(f"window insufficiency: {exc}", file=sys.stderr)
         return EXIT_WINDOW
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

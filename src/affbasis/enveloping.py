@@ -23,8 +23,8 @@ straightened term by term into its caller's sum (`relations.collapse`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .algebra import BRACKET, FORM
 from .linalg import Scalar, add_scaled
@@ -35,10 +35,9 @@ class WindowError(RuntimeError):
     """The requested computation exceeds the certified truncation window."""
 
 
-@dataclass(frozen=True)
-class Window:
-    """Truncation descriptor.  `annihilation_bound` is the certified exact
-    region."""
+class Window(NamedTuple):
+    """Truncation descriptor, a plain tuple like `partitions.RelationLabel`
+    (`Window(3) == (3,)`).  `annihilation_bound` is the certified exact region."""
 
     annihilation_bound: int
 

@@ -408,20 +408,19 @@ def _q27_combination():
     exactly in the reference coordinates; no truncation enters."""
     pairs = _weight_2theta_pairs()
     basis = r_basis()
-    raising = {c: shift_matrix(c) for c in (E1_COLOR, E2_COLOR)}
     # one column per unknown.  A pair (a, r) gives the entries of
-    # e . (X_a tensor r) = [e, X_a] tensor r + X_a tensor (e . r), which must
-    # cancel, and of its state X_a(-1) . (r . vac); the last unknown t gives
+    # e . (X_a tensor r) = [e, X_a] tensor r + X_a tensor (e . r), the zero
+    # mode e(0) on the one-slot tensor (`loop_action`), which must cancel,
+    # and of its state X_a(-1) . (r . vac); the last unknown t gives
     # -2 X1(-2)X1(-1).vac.  A dependency among the columns is a
     # highest-weight combination whose state is t times the target.
     columns = []
     for a, lab in pairs:
         column: dict = {}
+        one_slot = LoopTensor(-2, {((a, 0), lab): 1}, 0, 0)
         for e in (E1_COLOR, E2_COLOR):
-            bracket = ((("raise", e, (c, lab)), v) for c, v in BRACKET[(e, a)])
-            raised = ((("raise", e, (a, l2)), v) for l2, v in raising[e][lab].items())
-            add_scaled(column, bracket)
-            add_scaled(column, raised)
+            raised = loop_action(e, 0, one_slot).terms.items()
+            add_scaled(column, ((("raise", e, (c, l2)), v) for ((c, _), l2), v in raised))
         state = apply_mode((a, -1), basis[lab])
         add_scaled(column, ((("state", parts), v) for parts, v in state.items()))
         columns.append(column)

@@ -175,13 +175,6 @@ def product_side(order: int) -> Series:
     return Series(coeffs)
 
 
-def truncated(s: Series, order: int) -> Series:
-    """The series cut to the given order; it cannot be extended."""
-    if order > s.order:
-        raise ValueError("cannot extend a truncated series")
-    return Series(s.coeffs[: order + 1])
-
-
 def a2_theta_series_plus(order: int) -> Series:
     """Theta series of the hexagonal root lattice from the Gram matrix
     [[2, 1], [1, 2]]: (x, y) -> (x, -y) carries it to the library's

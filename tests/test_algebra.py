@@ -2,7 +2,9 @@ import ast
 import importlib
 import importlib.util
 import itertools
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -138,6 +140,21 @@ def test_the_package_imports_only_itself_and_the_standard_library():
     assert outside == []
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     assert re.findall(r"^dependencies\s*=.*$", pyproject, re.M) == ["dependencies = []"]
+
+
+def test_importing_the_package_loads_no_dataclass_machinery():
+    # every `affbasis verify` run and benchmark child starts a fresh
+    # interpreter, and `dataclasses` drags in `inspect` (with `ast`, `dis`
+    # and `tokenize`), a start-up and peak-memory cost paid before any work
+    probe = (
+        "import sys, affbasis, affbasis.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(affbasis.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 def test_only_linalg_imports_fractions():

@@ -94,8 +94,8 @@ def test_enumerate_json_and_csv(capsys):
 
 
 def test_usage_errors(capsys):
-    code, _, err = run(capsys, "enumerate", "--degree", "-3")
-    assert code == EXIT_USAGE
+    code, out, err = run(capsys, "enumerate", "--degree", "-3")
+    assert code == EXIT_USAGE and out == "" and "--degree" in err
     code, _, _ = run(capsys, "verify", "not-a-target")
     assert code == EXIT_USAGE
     # a small window is no usage error: theorem-a reads no window
@@ -244,6 +244,20 @@ def test_environment_defaults(capsys, monkeypatch):
     monkeypatch.setenv("AFFBASIS_WINDOW", "abc")
     code, _, err = run(capsys, "verify", "lemma6")
     assert code == EXIT_USAGE and "--window" in err
+
+
+@pytest.mark.parametrize("name, value", [("ORDER", "-2"), ("MAX_DEGREE", "-1")])
+def test_negative_environment_defaults_are_usage_errors(capsys, monkeypatch, name, value):
+    # argparse validates an environment default like the flag it stands
+    # for, even under a target that reads neither
+    monkeypatch.setenv("AFFBASIS_" + name, value)
+    flag = "--" + name.lower().replace("_", "-")
+    code, out, err = run(capsys, "verify", "lemma6")
+    assert code == EXIT_USAGE and out == ""
+    assert f"argument {flag}: must be nonnegative, got {value}" in err
+    # a flag on the command line replaces the default before it is read
+    for argv in ([flag, "5", "verify", "theorem-b"], ["verify", "theorem-b", flag, "5"]):
+        assert run(capsys, *argv)[0] == EXIT_OK, argv
 
 
 def test_report_inputs_are_the_flags_the_target_reads(capsys):

@@ -64,12 +64,6 @@ def test_series_rejects_non_integers(value):
         Series([1, value])
 
 
-def test_series_truncation_errors():
-    s = Series([1, 2, 3])
-    with pytest.raises(ValueError):
-        reference_series.truncated(s, 5)
-
-
 # --- product sides -----------------------------------------------------------
 
 
