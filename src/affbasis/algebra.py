@@ -31,9 +31,6 @@ class Weight(NamedTuple):
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.a1 + other.a1, self.a2 + other.a2)
 
-    def key(self) -> tuple[int, int]:
-        return (self.a1, self.a2)
-
 
 # --- defining 3x3 realization -------------------------------------------
 #

@@ -352,22 +352,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_FALSIFIED
 
 
+def _relation_table(args: argparse.Namespace):
+    for label in relation_set(args.j, args.j):
+        yield format_partition(label.partition())
+
+
+def _leading_term_table(args: argparse.Namespace):
+    n = 2 * args.j if args.parity == "even" else 2 * args.j - 1
+    for label in quadratic_leading_labels(n):
+        yield format_partition(label.partition())
+
+
+def _overlap_table(args: argparse.Namespace):
+    for pi, rho in overlap_catalogue(args.j):
+        yield f"{format_partition(pi)} | {format_partition(rho)}"
+
+
+# each table's lines, from the parsed flags
+TABLES = {"R": _relation_table, "lt-tables": _leading_term_table, "lemma12": _overlap_table}
+
+
 def _cmd_tables(args: argparse.Namespace) -> int:
-    j = args.j
-    if args.which == "R":
-        for label in relation_set(j, j):
-            print(format_partition(label.partition()))
-        return EXIT_OK
-    if args.which == "lt-tables":
-        n = 2 * j if args.parity == "even" else 2 * j - 1
-        for label in quadratic_leading_labels(n):
-            print(format_partition(label.partition()))
-        return EXIT_OK
-    if args.which == "lemma12":
-        for pi, rho in overlap_catalogue(j):
-            print(f"{format_partition(pi)} | {format_partition(rho)}")
-        return EXIT_OK
-    raise AssertionError(args.which)
+    for line in TABLES[args.which](args):
+        print(line)
+    return EXIT_OK
 
 
 REPORT_FORMATS = ("text", "json", "csv")
@@ -468,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables = sub.add_parser(
         "tables", parents=[common], help="emit fixture-format tables"
     )
-    p_tables.add_argument("which", choices=("R", "lt-tables", "lemma12"))
+    p_tables.add_argument("which", choices=tuple(TABLES))
     p_tables.add_argument("--j", type=int, default=-1)
     p_tables.add_argument("--parity", choices=("even", "odd"), default="even")
     p_tables.set_defaults(command=_cmd_tables)

@@ -20,9 +20,9 @@ can: the specialized count in a child made with `os.fork`, which sends its
 coefficients back through a pipe, while the parent computes the product
 and the three-color count, the longer share, so the parent rarely waits.
 The gain needs a second free core; on one core the fork costs about 1-2
-ms, and below order `_FORK_FROM_ORDER` it costs more than it saves even
-on two.  The child inherits every signal handler, the benchmark's SIGALRM
-pace sampler among them, but no interval timer (POSIX), so none fires in
+ms, and below order `_FORK_FROM_ORDER` it saves nothing even on two.  The
+child inherits every signal handler, the benchmark's SIGALRM pace
+sampler among them, but no interval timer (POSIX), so none fires in
 it; it never writes to stdout or stderr (`_fork_specialized`).  Where
 `os.fork` does not exist, the three series are computed in-process, one
 after another.
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import builtins
 import functools
-import itertools
 import marshal
 import math
 import operator
@@ -190,10 +189,12 @@ def _transfer(order: int, start, steps, size: int) -> Series:
     that share a dst add into it.  Each distinct `sources` tuple of a step
     is summed once, on top of the largest sub-multiset summed before it
     (`_sum_plan`, one plan per distinct list of tuples in a call), and an
-    unreached source adds nothing; the first term of a sum and the first
-    target into a dst are taken as they are, never added to 0, so no series
-    is copied.  A series with no term below q^d is about (order-d+1)*size
-    bytes long.  A total that overflows its top slot raises OverflowError."""
+    unreached source adds nothing; the first term of a sum, the sum of a
+    target of cost 0 and the first target into a dst are taken as they
+    are, never added to 0 or shifted by 0, so no series is copied (an int
+    is immutable, so one series may stand in several sums and states).  A
+    series with no term below q^d is about (order-d+1)*size bytes long.  A
+    total that overflows its top slot raises OverflowError."""
     width = 8 * size
     states = {start: 1 << order * width}
     plans: dict = {}
@@ -215,7 +216,7 @@ def _transfer(order: int, start, steps, size: int) -> Series:
             # one dst, summed before the shift, count a class once per move,
             # and the terms the shift drops are bounded only by D^j past
             # q^order, so that sum need not fit the slot
-            if packed := sums[sources] >> cost * width:
+            if packed := sums[sources] >> cost * width if cost else sums[sources]:
                 new[dst] = new[dst] + packed if dst in new else packed
         states = new
     data = sum(states.values()).to_bytes((order + 1) * size, "big")
@@ -323,36 +324,30 @@ def _window_violation(d: int, window: tuple[int, ...]) -> bool:
     return False
 
 
-def _window_moves(d: int) -> dict:
-    """The moves at degree d: each window (the colors at four consecutive
-    degrees, no two adjacent) to its (places a part at d, next window)
-    pairs.  Only d % 3 and min(d, 6) matter: no rule has a degree threshold
-    over 5."""
-    moves = {}
-    for window in itertools.product((0, PLAIN, UNDER, DUNDER), repeat=4):
-        if any(a and b for a, b in zip(window, window[1:])):
-            continue
-        moves[window] = [
-            (choice != 0, window[1:] + (choice,))
-            for choice in (0, PLAIN, UNDER, DUNDER)
-            if (not choice or _local_part_ok(d, choice))
-            and not _window_violation(d, window + (choice,))
-        ]
-    return moves
+def _window_moves(d: int, window: tuple[int, ...]) -> list:
+    """The moves of one window (the colors at the four degrees below d, no
+    two adjacent) at degree d: its (places a part at d, next window) pairs.
+    Only d % 3 and min(d, 6) matter: no rule has a degree threshold over 5."""
+    return [
+        (choice != 0, window[1:] + (choice,))
+        for choice in (0, PLAIN, UNDER, DUNDER)
+        if (not choice or _local_part_ok(d, choice))
+        and not _window_violation(d, window + (choice,))
+    ]
 
 
 @functools.cache
 def _tricolor_table() -> tuple:
-    """The window transfer lumped by `_lump`: the class of each (phase,
-    window) node and the targets of each phase.  Degree d has the moves of
-    `_window_moves(min(d, 6 + d % 3))`, so phases 1..8 stand for those
-    indices, and phase 8 is followed by phase 6."""
-    phases = {p: _window_moves(p) for p in range(1, 9)}
+    """The window transfer lumped by `_lump`, over the (phase, window) nodes
+    it reaches from the empty window: the class of each node and the
+    targets of each phase.  Degree d has the moves of
+    `_window_moves(min(d, 6 + d % 3), window)`, so phases 1..8 stand for
+    those degrees, and phase 8 is followed by phase 6."""
 
     def moves(node):
         phase, window = node
         following = 6 if phase == 8 else phase + 1
-        return [(part, (following, dst)) for part, dst in phases[following][window]]
+        return [(part, (following, dst)) for part, dst in _window_moves(following, window)]
 
     return _lump((0, (0, 0, 0, 0)), moves)
 
@@ -516,11 +511,12 @@ def _child_series(data: bytes, code: int, order: int) -> Series:
 
 
 # The order from which `verify_identity` forks.  The fork costs about 1 ms,
-# with the copy-on-write faults it leaves in this process.  Cold runs on a
-# 2-core x86_64 host, nine alternating pairs per order: forking lost every
-# pair at order 100 (median 15.2 against 13.3 ms), broke even at 200 and
-# 300, and won every pair from 400 on (17.0 against 18.6 ms; 77 against
-# 130 ms at 1000).
+# with the copy-on-write faults it leaves in this process.  Cold calls on a
+# 2-core x86_64 host, nine alternating pairs per order, forking forced
+# against forking disabled: forking lost 8 of 9 pairs at order 100 (median
+# 4.3 against 4.0 ms), broke even at 200 (6.2 against 6.0 ms, 4 of 9 won),
+# won 6 of 9 at 300 (10.7 against 12.3 ms), and won 8 or 9 of 9 from 400
+# on (9.4 against 12.5 ms; 49 against 62 ms at 1000).
 _FORK_FROM_ORDER = 300
 
 
@@ -543,16 +539,16 @@ def verify_identity(order: int) -> dict:
     specialized ideal count coefficientwise, all to q^order.
 
     From order `_FORK_FROM_ORDER` on, the specialized count runs in a
-    forked child (`_fork_specialized`) while this process computes the product
-    and the constrained count.  Those two are the longer share (at order
-    1000 about 0.06 s against 0.05 s), so a second free core cuts the wall
-    time to that share, and this process, whose calls a tracer or a
-    profiler sees, rarely sits idle on the pipe.  The child is reaped in
-    every case; if one of this process's sides raises, the child is killed
-    first and that exception goes on.  Below that order, where `os.fork`
-    does not exist, or in a process with other threads (`_forks`), all
-    three run here, one after another.  The report is the same either
-    way."""
+    forked child (`_fork_specialized`) while this process computes the
+    product and the constrained count.  Those two are the longer share (in
+    cold calls at order 1000, about 31 ms against 27 ms), so a second free
+    core cuts the wall time to that share, and this process, whose calls a
+    tracer or a profiler sees, rarely sits idle on the pipe.  The child is
+    reaped in every case; if one of this process's sides raises, the child
+    is killed first and that exception goes on.  Below that order, where
+    `os.fork` does not exist, or in a process with other threads
+    (`_forks`), all three run here, one after another.  The report is the
+    same either way."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     if not _forks(order):

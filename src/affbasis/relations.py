@@ -558,7 +558,7 @@ def orbit_basis(t: LoopTensor) -> list[LoopTensor]:
             )
     weights = {WEIGHT[a] + parts_weight(label.partition()) for (a, _), label in t.terms}
     if len(weights) > 1:
-        w1, w2 = sorted(w.key() for w in weights)[:2]
+        w1, w2 = sorted(tuple(w) for w in weights)[:2]
         raise AssertionError(f"the seed is not a weight vector: it has weights {w1} and {w2}")
     reducer = SpanReducer(_tensor_column_key)
 
@@ -676,13 +676,13 @@ def leading_elsewhere(labels) -> list[RelationLabel]:
     return [x for x in labels if lead(x) != x.partition()]
 
 
-def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[dict]]:
+def submodule_span_blocks(n: int, window: Window) -> dict[Weight, list[dict]]:
     """The spanning family of the depth-n piece of the maximal submodule
     (creation monomials applied to relation vectors), grouped by weight.
     Rows are sparse vectors over depth-n partitions.  No verdict reads it:
     the tests rank it against the triangular certificate, and the benchmark
     traces it."""
-    blocks: dict[tuple[int, int], list[dict]] = {}
+    blocks: dict[Weight, list[dict]] = {}
     for m in range(-2, -n - 1, -1):
         space = relation_space(m, window)
         for label in space.labels:
@@ -693,7 +693,7 @@ def submodule_span_blocks(n: int, window: Window) -> dict[tuple[int, int], list[
             for kappa in graded_basis(n + m):
                 v = apply_word(kappa, v0)
                 if v:
-                    w = (base_weight + parts_weight(kappa)).key()
+                    w = base_weight + parts_weight(kappa)
                     blocks.setdefault(w, []).append(v)
     return blocks
 

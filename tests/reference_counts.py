@@ -2,11 +2,19 @@
 the three-color and specialized counts one partition at a time, the
 specialization map on single modes, and prod over r not divisible by 3 of
 1/(1 - q^r).  They were part of ``affbasis.qseries`` and are kept as they
-were.  They build no transfer and share nothing with the packed kernel
-``_transfer`` or the compiled table ``_tricolor_table``, which they check.
-They do read the rule data those engines read: the window families
+were.  The searches build no transfer and share nothing with the packed
+kernel ``_transfer`` or the compiled table ``_tricolor_table``, which they
+check.  They do read the rule data those engines read: the window families
 (``_local_part_ok``, ``_window_violation``), the specialized degrees
-(``_PHI_OFFSET``) and the layer rule (``compatible_layers``)."""
+(``_PHI_OFFSET``) and the layer rule (``compatible_layers``).
+
+``tricolor_table_reference`` is the three-color table's former route,
+also kept as it was: the moves of every window at every phase (the 40 of
+the 256 color choices with no two adjacent), compiled before ``_lump``
+runs, where ``_tricolor_table`` compiles only the windows the lumping
+reaches."""
+
+import itertools
 
 from affbasis.partitions import (
     INDEPENDENT_COLOR_SETS,
@@ -21,6 +29,7 @@ from affbasis.qseries import (
     UNDER,
     Series,
     _local_part_ok,
+    _lump,
     _multiply_geometric,
     _window_violation,
 )
@@ -57,6 +66,37 @@ def tricolor_admissible(parts) -> bool:
         if _window_violation(d, window):
             return False
     return True
+
+
+def all_window_moves(d: int) -> dict:
+    """The moves at degree d: each window (the colors at four consecutive
+    degrees, no two adjacent) to its (places a part at d, next window)
+    pairs."""
+    moves = {}
+    for window in itertools.product((0, PLAIN, UNDER, DUNDER), repeat=4):
+        if any(a and b for a, b in zip(window, window[1:])):
+            continue
+        moves[window] = [
+            (choice != 0, window[1:] + (choice,))
+            for choice in (0, PLAIN, UNDER, DUNDER)
+            if (not choice or _local_part_ok(d, choice))
+            and not _window_violation(d, window + (choice,))
+        ]
+    return moves
+
+
+def tricolor_table_reference() -> tuple:
+    """``_tricolor_table`` by the former route: every window's moves at
+    phases 1..8, then ``_lump`` from the empty window at phase 0, phase 8
+    followed by phase 6."""
+    phases = {p: all_window_moves(p) for p in range(1, 9)}
+
+    def moves(node):
+        phase, window = node
+        following = 6 if phase == 8 else phase + 1
+        return [(part, (following, dst)) for part, dst in phases[following][window]]
+
+    return _lump((0, (0, 0, 0, 0)), moves)
 
 
 def tricolor_partitions_bruteforce(order: int) -> list[frozenset]:

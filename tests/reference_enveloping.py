@@ -34,11 +34,8 @@ def coefficient(e: EnvElement, parts) -> Scalar:
 
 def element_weight(e: EnvElement) -> Weight | None:
     """The common weight of the element's terms, or None if they differ."""
-    weights = {parts_weight(w).key() for w in e.terms}
-    if len(weights) == 1:
-        a1, a2 = weights.pop()
-        return Weight(a1, a2)
-    return None
+    weights = {parts_weight(w) for w in e.terms}
+    return weights.pop() if len(weights) == 1 else None
 
 
 def adjoint_mode(e: EnvElement, x: int, k: int) -> EnvElement:

@@ -165,14 +165,8 @@ def tensor_scale(t: LoopTensor, s: int) -> LoopTensor:
 
 def tensor_weight(t: LoopTensor) -> Weight | None:
     """The common weight of the tensor's terms, or None if they differ."""
-    seen = set()
-    for (color, _), label in t.terms:
-        w = WEIGHT[color] + parts_weight(label.partition())
-        seen.add(w.key())
-    if len(seen) == 1:
-        a1, a2 = seen.pop()
-        return Weight(a1, a2)
-    return None
+    seen = {WEIGHT[color] + parts_weight(label.partition()) for (color, _), label in t.terms}
+    return seen.pop() if len(seen) == 1 else None
 
 
 def x1_generator_coefficient(t: LoopTensor, i: int) -> Scalar:

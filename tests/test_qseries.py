@@ -53,6 +53,7 @@ from reference_counts import (
     tricolor_admissible,
     tricolor_count_bruteforce,
     tricolor_partitions_bruteforce,
+    tricolor_table_reference,
 )
 
 # --- the series type ----------------------------------------------------------
@@ -482,6 +483,17 @@ def test_lumped_graphs_are_lumpable():
     by_size = {p: [(dst, size, srcs) for dst, (size, _), srcs in ts] for p, ts in tables.items()}
     sizes = lambda node: [[(size, dst) for (size, _), dst in _layer_moves(node[1])]]
     assert _assert_lumpable((classes, by_size), sizes) == {0: 6}
+
+
+def test_tricolor_table_reaches_every_window_the_full_table_reaches():
+    # the table compiles the moves of each window as the lumping reaches
+    # it; the reference compiles every window at every phase first, so a
+    # reachable window the lazy route dropped would change a class or target
+    classes, tables = _tricolor_table()
+    reference_classes, reference_tables = tricolor_table_reference()
+    assert classes == reference_classes
+    assert tables == reference_tables
+    assert len(classes) == 126 and len(set(classes.values())) == 34
 
 
 def test_ideal_count_series_is_the_ideal_count():
