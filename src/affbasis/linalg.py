@@ -22,7 +22,8 @@ the leading terms, with no second scan.
 Its ``close`` is the one closure loop: the span of a highest-weight seed
 under the lowering zero modes F1(0) and F2(0), which gives R in the depth-2
 piece of the module and the syzygy orbits (each the orbit of one reference
-vector in 8 tensor R, certified highest-weight first).  The one exact
+vector in 8 tensor R, certified highest-weight first, closed over int
+columns: the indices of the 216 pairs (a, L) of 8 tensor R).  The one exact
 solve, the q27 nullspace, tags each column, and the tags sort after the
 columns to be eliminated.
 ``sparse_rank`` ranks a list of rows in one reducer; no verdict ranks, since

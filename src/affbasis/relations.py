@@ -22,7 +22,9 @@ slot's body as that mode, `vertex_mode` of v at degree n - i.  A zero mode
 acts on every slot by the same operator, so a family whose slots are
 multiples of one vector v has the dimension of v's orbit
 (`syzygy_dimensions`), which is closed under F1(0) and F2(0) alone once v is
-certified a highest-weight vector (`orbit_basis`).
+certified a highest-weight vector (`orbit_basis`).  The orbit is closed on a
+fixed numbering of the 216 pairs (a, L) of 8 tensor R, with one precomputed
+column of each zero mode per pair (`_zero_mode_columns`), not on tensors.
 
 The verification of the basis theorem follows the paper, one leading-term
 check per forbidden factor: the monomial order is multiplicative, so once
@@ -383,6 +385,39 @@ def loop_action(x_color: int, k: int, t: LoopTensor) -> LoopTensor:
     return LoopTensor(t.n + k, out, lo, hi)
 
 
+@cache
+def _pair_numbering() -> tuple[tuple, dict]:
+    """The 216 pairs (a, L) of 8 tensor R, the labels of `r_basis` in order,
+    then the colors, and the index of each pair."""
+    pairs = tuple((a, label) for label in r_basis() for a in COLORS)
+    return pairs, {pair: k for k, pair in enumerate(pairs)}
+
+
+@cache
+def _zero_mode_columns(x_color: int) -> tuple[tuple, ...]:
+    """The column of x(0) on each pair of 8 tensor R, by pair index: the
+    bracket on the mode and x(0) on R (`shift_matrix`), the operator that
+    `loop_action(x_color, 0, .)` applies to every slot of a tensor."""
+    pairs, index = _pair_numbering()
+    zero_mode = shift_matrix(x_color)
+    columns = []
+    for a, label in pairs:
+        column: dict[int, int] = {}
+        add_scaled(column, ((index[color, label], c) for color, c in BRACKET[(x_color, a)]))
+        add_scaled(column, ((index[a, lab2], w) for lab2, w in zero_mode[label].items()))
+        columns.append(tuple(column.items()))
+    return tuple(columns)
+
+
+def _apply_zero_mode(x_color: int, vec: dict[int, int]) -> dict[int, int]:
+    """x(0) on a vector of 8 tensor R keyed by pair index."""
+    columns = _zero_mode_columns(x_color)
+    out: dict[int, int] = {}
+    for k, c in vec.items():
+        add_scaled(out, columns[k], c)
+    return out
+
+
 def lowering_pair(i: int, t: LoopTensor) -> LoopTensor:
     """The operator f_i(-1) h_i(0) - f_i(0) h_i(-1) on tensors."""
     f = F1_COLOR if i == 1 else F2_COLOR
@@ -408,19 +443,19 @@ def _q27_combination():
     exactly in the reference coordinates; no truncation enters."""
     pairs = _weight_2theta_pairs()
     basis = r_basis()
+    _, index = _pair_numbering()
     # one column per unknown.  A pair (a, r) gives the entries of
     # e . (X_a tensor r) = [e, X_a] tensor r + X_a tensor (e . r), the zero
-    # mode e(0) on the one-slot tensor (`loop_action`), which must cancel,
+    # mode e(0) on 8 tensor R (`_zero_mode_columns`), which must cancel,
     # and of its state X_a(-1) . (r . vac); the last unknown t gives
     # -2 X1(-2)X1(-1).vac.  A dependency among the columns is a
     # highest-weight combination whose state is t times the target.
     columns = []
     for a, lab in pairs:
         column: dict = {}
-        one_slot = LoopTensor(-2, {((a, 0), lab): 1}, 0, 0)
         for e in (E1_COLOR, E2_COLOR):
-            raised = loop_action(e, 0, one_slot).terms.items()
-            add_scaled(column, ((("raise", e, (c, l2)), v) for ((c, _), l2), v in raised))
+            raised = _zero_mode_columns(e)[index[a, lab]]
+            add_scaled(column, ((("raise", e, k), v) for k, v in raised))
         state = apply_mode((a, -1), basis[lab])
         add_scaled(column, ((("state", parts), v) for parts, v in state.items()))
         columns.append(column)
@@ -540,35 +575,32 @@ def _tensor_column_key(key):
     return (order_key(pi), i, a, order_key(label.partition()))
 
 
-def orbit_basis(t: LoopTensor) -> list[LoopTensor]:
-    """Reduced basis of the orbit U(g) . t of a highest-weight tensor, the
-    span of t under F1(0) and F2(0).  t is certified first: E1(0) and E2(0)
-    must kill it, and they generate n+ (E3 = [E1, E2]); and all its terms
-    must have one weight, so U(h) . t = C t.  Else `AssertionError` names
-    the raising mode and its least surviving term, or two differing
-    weights.  By PBW, U(g) = U(n-) U(h) U(n+), so U(g) . t = U(n-) . t,
-    and n- is generated by F1 and F2."""
+def orbit_basis(v: dict) -> list[dict]:
+    """Reduced basis of the orbit U(g) . v of a highest-weight vector v of
+    8 tensor R, keyed by pairs (a, L), the span of v under F1(0) and F2(0),
+    closed over the pair indices (`_zero_mode_columns`).  v is certified
+    first: E1(0) and E2(0) must kill it, and they generate n+ (E3 = [E1,
+    E2]); and all its terms must have one weight, so U(h) . v = C v.  Else
+    `AssertionError` names the raising mode and its least surviving term,
+    or two differing weights.  By PBW, U(g) = U(n-) U(h) U(n+), so U(g) . v
+    = U(n-) . v, and n- is generated by F1 and F2."""
+    pairs, index = _pair_numbering()
+    seed = {index[pair]: c for pair, c in v.items()}
     for name, color in (("E1", E1_COLOR), ("E2", E2_COLOR)):
-        raised = loop_action(color, 0, t).terms
-        if raised:
-            (a, i), label = key = min(raised, key=_tensor_column_key)
+        if raised := _apply_zero_mode(color, seed):
+            survivors = {((pairs[k][0], 0), pairs[k][1]): c for k, c in raised.items()}
+            (a, _), label = key = min(survivors, key=_tensor_column_key)
             raise AssertionError(
-                f"{name}(0) does not kill the seed: X_{a}({i}) tensor "
-                f"{format_partition(label.partition())} survives with {raised[key]}"
+                f"{name}(0) does not kill the seed: X_{a}(0) tensor "
+                f"{format_partition(label.partition())} survives with {survivors[key]}"
             )
-    weights = {WEIGHT[a] + parts_weight(label.partition()) for (a, _), label in t.terms}
+    weights = {WEIGHT[a] + parts_weight(label.partition()) for a, label in v}
     if len(weights) > 1:
         w1, w2 = sorted(tuple(w) for w in weights)[:2]
         raise AssertionError(f"the seed is not a weight vector: it has weights {w1} and {w2}")
-    reducer = SpanReducer(_tensor_column_key)
-
-    def lowered(vec):
-        current = LoopTensor(t.n, vec, t.i_lo, t.i_hi)
-        for color in (F1_COLOR, F2_COLOR):
-            yield loop_action(color, 0, current).terms
-
-    reducer.close(t.terms, lowered)
-    return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
+    reducer = SpanReducer(int)  # the pair index orders the columns
+    reducer.close(seed, lambda vec: (_apply_zero_mode(c, vec) for c in (F1_COLOR, F2_COLOR)))
+    return [{pairs[k]: c for k, c in row.items()} for row in reducer.rows.values()]
 
 
 def reference_form(family: str, t: LoopTensor):
@@ -602,8 +634,7 @@ def reference_form(family: str, t: LoopTensor):
 @cache
 def _orbit_dimension(v: frozenset) -> int:
     """The dimension of the orbit of v ((key, coefficient) pairs) in 8 tensor R."""
-    one_slot = {((a, 0), lab): c for (a, lab), c in v}
-    return len(orbit_basis(LoopTensor(-2, one_slot, 0, 0)))
+    return len(orbit_basis(dict(v)))
 
 
 def syzygy_dimensions(n: int, window: Window) -> dict[str, int]:
@@ -614,7 +645,8 @@ def syzygy_dimensions(n: int, window: Window) -> dict[str, int]:
     the orbit of v to the family's is injective (p is not zero at the least
     slot) and commutes with the zero modes, and the orbit has the dimension
     of the orbit of v in 8 tensor R, closed once per distinct v under F1(0)
-    and F2(0) from v, which `orbit_basis` certifies highest-weight."""
+    and F2(0) from v on the numbered pairs (a, L) of 8 tensor R, with no
+    tensor built (`orbit_basis`, which certifies v highest-weight)."""
     dims = {}
     for family, t in syzygy_tensors(n, window).items():
         v, _ = reference_form(family, t)

@@ -13,9 +13,11 @@ coordinates of R and acts on them by one zero-mode matrix), and the tensor
 helpers (zero test, scale, weight, generator coefficient, canonical labels)
 that only the tests read, with the collapse over canonical labels that the
 library's collapse, which reads each slot as a mode of R, is checked
-against, and the orbit closed under all four zero modes E1, E2, F1 and F2
-(``full_orbit_basis``; the library closes a certified highest-weight seed
-under F1 and F2 alone).  The rank
+against, the orbit of a whole windowed tensor closed under F1 and F2 from
+a certified highest-weight seed (``tensor_orbit_basis``; the library
+closes one vector of 8 tensor R on its numbered pairs), and the orbit
+closed under all four zero modes E1, E2, F1 and F2
+(``full_orbit_basis``).  The rank
 and the leading terms are independent of the per-factor leading terms that
 ``basis_counts_report`` checks: the rank eliminates every row of
 ``submodule_span_blocks`` with the library's span reducer
@@ -47,7 +49,6 @@ from affbasis.relations import (
     _tensor_partition,
     label_for_quadratic,
     loop_action,
-    orbit_basis,
     r_basis,
     relation_space,
     submodule_span_blocks,
@@ -240,23 +241,50 @@ def canonical_orbit_basis(t: LoopTensor) -> list[LoopTensor]:
     """Reduced basis of the orbit of t over canonical labels: one row per
     leading term of the orbit."""
     reducer = SpanReducer(_tensor_column_key)
-    for vec in orbit_basis(t):
+    for vec in tensor_orbit_basis(t):
         reducer.insert(canonical_tensor(vec).terms)
     return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
+
+
+def _zero_mode_closure(t: LoopTensor, colors) -> list[LoopTensor]:
+    """Reduced basis of the span of t under the zero modes of `colors`,
+    acting on the whole tensor (`loop_action`)."""
+    reducer = SpanReducer(_tensor_column_key)
+
+    def moved(vec):
+        current = LoopTensor(t.n, vec, t.i_lo, t.i_hi)
+        for color in colors:
+            yield loop_action(color, 0, current).terms
+
+    reducer.close(t.terms, moved)
+    return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
+
+
+def tensor_orbit_basis(t: LoopTensor) -> list[LoopTensor]:
+    """Reduced basis of the orbit U(g) . t of a highest-weight tensor, the
+    span of the whole tensor under F1(0) and F2(0), with the certificates of
+    `relations.orbit_basis`: E1(0) and E2(0) must kill t, and all its terms
+    must have one weight, or `AssertionError` names the raising mode and
+    its least surviving term, or two differing weights."""
+    for name, color in (("E1", E1_COLOR), ("E2", E2_COLOR)):
+        raised = loop_action(color, 0, t).terms
+        if raised:
+            (a, i), label = key = min(raised, key=_tensor_column_key)
+            raise AssertionError(
+                f"{name}(0) does not kill the seed: X_{a}({i}) tensor "
+                f"{format_partition(label.partition())} survives with {raised[key]}"
+            )
+    weights = {WEIGHT[a] + parts_weight(label.partition()) for (a, _), label in t.terms}
+    if len(weights) > 1:
+        w1, w2 = sorted(tuple(w) for w in weights)[:2]
+        raise AssertionError(f"the seed is not a weight vector: it has weights {w1} and {w2}")
+    return _zero_mode_closure(t, (F1_COLOR, F2_COLOR))
 
 
 def full_orbit_basis(t: LoopTensor) -> list[LoopTensor]:
     """Reduced basis of the span of the tensor under repeated zero-mode
     raising and lowering (the finite-dimensional orbit)."""
-    reducer = SpanReducer(_tensor_column_key)
-
-    def moved(vec):
-        current = LoopTensor(t.n, vec, t.i_lo, t.i_hi)
-        for color in (E1_COLOR, E2_COLOR, F1_COLOR, F2_COLOR):
-            yield loop_action(color, 0, current).terms
-
-    reducer.close(t.terms, moved)
-    return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
+    return _zero_mode_closure(t, (E1_COLOR, E2_COLOR, F1_COLOR, F2_COLOR))
 
 
 def canonical_vector(v: dict, m: int) -> dict:
@@ -307,7 +335,7 @@ def combined_weight_block(
     sum of the four syzygy orbits at degree n."""
     reducer = SpanReducer(_tensor_column_key)
     for t in syzygy_tensors(n, window).values():
-        for vec in orbit_basis(t):
+        for vec in tensor_orbit_basis(t):
             if tensor_weight(vec) == mu:
                 reducer.insert(canonical_tensor(vec).terms)
     return reducer.rank, {_tensor_partition(p) for p in reducer.pivots()}

@@ -756,6 +756,61 @@ def test_lowered_reference_vector_fails_qdims_with_its_witness(capsys, monkeypat
     ]
 
 
+def _qdims_with_zero_modes(capsys, monkeypatch, mutate):
+    """`verify qdims` with each color's zero-mode columns replaced by
+    mutate(color, columns), and an empty orbit memo."""
+    from affbasis import relations
+
+    original = relations._zero_mode_columns
+    mutated = functools.cache(lambda x_color: mutate(x_color, original(x_color)))
+    monkeypatch.setattr(relations, "_zero_mode_columns", mutated)
+    fresh = functools.cache(relations._orbit_dimension.__wrapped__)
+    monkeypatch.setattr(relations, "_orbit_dimension", fresh)
+    return run(capsys, "verify", "qdims")
+
+
+def _orbit_dims_fail_lines(actual):
+    return [
+        f"FAIL  syzygy orbit dims at degree {n}  expected=[27, 35, 35, 64] actual={actual}"
+        for n in range(-8, 3)
+    ]
+
+
+def test_orbits_closed_under_f1_alone_fail_qdims(capsys, monkeypatch):
+    from affbasis.algebra import F2_COLOR
+
+    # with F2(0)'s columns empty, every orbit is closed under F1(0) alone
+    def f1_alone(x_color, columns):
+        return tuple(() for _ in columns) if x_color == F2_COLOR else columns
+
+    code, out, _ = _qdims_with_zero_modes(capsys, monkeypatch, f1_alone)
+    assert code == EXIT_FALSIFIED
+    assert _fail_lines(out) == _orbit_dims_fail_lines("[2, 3, 4, 5]")
+    assert out.splitlines()[-1] == "FAIL: 0/11 checks"
+
+
+def test_doubled_zero_mode_coefficient_fails_qdims(capsys, monkeypatch):
+    from affbasis import relations
+    from affbasis.algebra import F1_COLOR
+
+    # the bracket term of F1(0) on X_1 tensor v_L, L the generator's label,
+    # doubled: the 64 family's orbit grows to 94, and the other three keep
+    # their dimensions
+    _, index = relations._pair_numbering()
+    k = index[1, relations.quad_same_label(1, 1, -1)]
+
+    def doubled(x_color, columns):
+        if x_color != F1_COLOR:
+            return columns
+        (j, c), *rest = columns[k]
+        return columns[:k] + (((j, 2 * c), *rest),) + columns[k + 1 :]
+
+    code, out, _ = _qdims_with_zero_modes(capsys, monkeypatch, doubled)
+    assert code == EXIT_FALSIFIED
+    assert _fail_lines(out) == _orbit_dims_fail_lines("[27, 35, 35, 94]")
+    assert out.splitlines()[-1] == "FAIL: 0/11 checks"
+
+
 # no target builds a windowed relation space or the transport, and only
 # prop3 builds an algebra element: each slot body of a collapse is a mode of
 # R, and lemma1 and Theorem A write each quadratic straight onto the vacuum

@@ -77,6 +77,7 @@ from reference_relations import (
     relation_for,
     tensor_is_zero,
     tensor_leading_partition,
+    tensor_orbit_basis,
     tensor_scale,
     tensor_weight,
     with_stray_term,
@@ -429,13 +430,32 @@ def test_collapse_of_a_trimmed_tensor_is_a_window_error():
             collapse(LoopTensor(t.n, t.terms, lo, hi), window)
 
 
+def test_zero_mode_columns_are_the_loop_action_at_degree_zero():
+    # the image of each numbered pair (a, L) under x(0) is the loop action
+    # x(0) on the one-slot tensor X_a(0) tensor v_L, with the slot dropped
+    from affbasis import relations
+
+    pairs, index = relations._pair_numbering()
+    assert len(pairs) == 216 == len(index)
+    labels = list(r_basis())
+    assert pairs[:9] == tuple((a, labels[0]) for a in range(1, 9)) + ((1, labels[1]),)
+    for x_color in range(1, 9):
+        columns = relations._zero_mode_columns(x_color)
+        assert len(columns) == 216
+        for (a, label), column in zip(pairs, columns):
+            one_slot = LoopTensor(-2, {((a, 0), label): 1}, 0, 0)
+            image = loop_action(x_color, 0, one_slot).terms
+            assert {i for (_, i), _ in image} <= {0}
+            assert dict(column) == {index[b, l2]: c for ((b, _), l2), c in image.items()}
+
+
 def test_orbit_dimensions_match_the_whole_tensor_orbits():
-    # the reference-coordinate orbit of each family against the direct
-    # closure of its whole tensor
+    # the orbit of each family's reference vector, closed on the numbered
+    # pairs of 8 tensor R, against the closure of its whole tensor
     for n, window in ((0, Window(3)), (-2, Window(6))):
         dims = syzygy_dimensions(n, window)
         for family, t in syzygy_tensors(n, window).items():
-            assert dims[family] == len(orbit_basis(t)), (n, family)
+            assert dims[family] == len(tensor_orbit_basis(t)), (n, family)
 
 
 @pytest.mark.parametrize("n, bound", [(0, 3), (-2, 6)])
@@ -444,7 +464,7 @@ def test_lowered_orbit_is_the_four_mode_orbit(n, bound):
     # the closure under E1, E2, F1 and F2: the same rank, and each basis
     # lies in the other's span
     for family, t in syzygy_tensors(n, Window(bound)).items():
-        lowered, full = orbit_basis(t), full_orbit_basis(t)
+        lowered, full = tensor_orbit_basis(t), full_orbit_basis(t)
         assert len(lowered) == len(full), family
         for rows, others in ((lowered, full), (full, lowered)):
             reducer = SpanReducer(_tensor_column_key)
@@ -453,23 +473,25 @@ def test_lowered_orbit_is_the_four_mode_orbit(n, bound):
             assert not any(reducer.reduce(vec.terms) for vec in rows), family
 
 
-def _one_slot_reference(family: str) -> LoopTensor:
-    """The family's reference vector as a one-slot tensor, as
-    `_orbit_dimension` closes it."""
+def _reference_vector(family: str) -> dict:
+    """The family's reference vector in 8 tensor R, as `_orbit_dimension`
+    closes it."""
     v, _ = reference_form(family, syzygy_tensors(0, Window(3))[family])
-    return LoopTensor(-2, {((a, 0), lab): c for (a, lab), c in v.items()}, 0, 0)
+    return v
 
 
 def test_orbit_basis_rejects_a_lowered_seed():
-    lowered = loop_action(F1_COLOR, 0, _one_slot_reference("64"))
+    # F1(0) on the 64 family's vector, by the loop action on its one-slot tensor
+    one_slot = {((a, 0), lab): c for (a, lab), c in _reference_vector("64").items()}
+    image = loop_action(F1_COLOR, 0, LoopTensor(-2, one_slot, 0, 0)).terms
+    lowered = {(a, lab): c for ((a, _), lab), c in image.items()}
     with pytest.raises(AssertionError) as info:
         orbit_basis(lowered)
     assert str(info.value) == "E1(0) does not kill the seed: X_1(0) tensor 1:-1 1:-1 survives with 3"
 
 
 def test_orbit_basis_rejects_a_seed_of_two_weights():
-    t64, t27 = _one_slot_reference("64"), _one_slot_reference("27")
-    mixed = LoopTensor(-2, add_scaled(dict(t64.terms), t27.terms.items()), 0, 0)
+    mixed = add_scaled(_reference_vector("64"), _reference_vector("27").items())
     # both are highest-weight vectors, so E1(0) and E2(0) kill the sum
     with pytest.raises(AssertionError) as info:
         orbit_basis(mixed)
@@ -482,27 +504,17 @@ def test_orbit_closure_applies_no_raising_mode(monkeypatch):
     from affbasis import relations
 
     calls = Counter()
-    closing = []
-    original_action, original_basis = relations.loop_action, relations.orbit_basis
+    original = relations._apply_zero_mode
 
-    def counted_action(x_color, k, t):
-        if closing:
-            calls[x_color, k] += 1
-        return original_action(x_color, k, t)
+    def counted(x_color, vec):
+        calls[x_color] += 1
+        return original(x_color, vec)
 
-    def counted_basis(t):
-        closing.append(t)
-        try:
-            return original_basis(t)
-        finally:
-            closing.pop()
-
-    monkeypatch.setattr(relations, "loop_action", counted_action)
-    monkeypatch.setattr(relations, "orbit_basis", counted_basis)
+    monkeypatch.setattr(relations, "_apply_zero_mode", counted)
     fresh = functools.cache(relations._orbit_dimension.__wrapped__)
     monkeypatch.setattr(relations, "_orbit_dimension", fresh)
     assert sorted(relations.syzygy_dimensions(0, Window(3)).values()) == [27, 35, 35, 64]
-    assert calls == {(E1_COLOR, 0): 4, (E2_COLOR, 0): 4, (F1_COLOR, 0): 161, (F2_COLOR, 0): 161}
+    assert calls == {E1_COLOR: 4, E2_COLOR: 4, F1_COLOR: 161, F2_COLOR: 161}
 
 
 def test_reference_forms_of_the_syzygy_families():
@@ -870,10 +882,11 @@ def test_integral_layers_keep_int_coefficients():
     for name, t in syzygy_tensors(0, window).items():
         assert _ints(t.terms.values()), name
         assert _ints(canonical_tensor(t).terms.values()), name
-        for vec in orbit_basis(t):
+        for vec in tensor_orbit_basis(t):
             assert _ints(vec.terms.values()), name
         v, profile = reference_form(name, t)
         assert _ints(v.values()) and _ints(profile.values()), name
+        assert all(_ints(row.values()) for row in orbit_basis(v)), name
 
 
 def test_q27_combination_is_five_unit_pairs():
