@@ -12,6 +12,9 @@ on the graded piece down to depth D exactly.
 
 Straightening uses the level-one commutator: swapping X_a(m) past X_b(n)
 emits [X_a, X_b](m+n) plus the central term m * delta_{m+n,0} * <X_a, X_b>.
+A mode acts on the vacuum module by the same commutator, one part at a
+time (the Leibniz rule of `mode_on_partition`), memoized over suffixes,
+not by straightening a whole word.
 
 An element keeps only what a verdict reads: its terms and window, sums,
 scalings, and its action on the module.  No leading term is read off an
@@ -77,21 +80,17 @@ def _first_inversion(w: tuple[Part, ...]) -> int | None:
     return None
 
 
-def straighten_word(word, on_vacuum: bool = False) -> dict[tuple[Part, ...], int]:
+def straighten_word(word) -> dict[tuple[Part, ...], int]:
     """Expand a mode word over sorted monomials; exact, integer output.
-    The first inversion is rewritten first.  With `on_vacuum` the word acts
-    on the vacuum: a word whose rightmost mode has degree >= 0 is dropped
-    as soon as it appears.  A sorted word, which callers often hand in,
-    comes back at once as a fresh {word: 1}."""
+    The first inversion is rewritten first.  A sorted word, which callers
+    often hand in, comes back at once as a fresh {word: 1}."""
     w = tuple(word)
     if _first_inversion(w) is None:
-        return {} if on_vacuum and w and w[-1][1] >= 0 else {w: 1}
+        return {w: 1}
     out: dict[tuple[Part, ...], int] = {}
     stack: list[tuple[tuple[Part, ...], int]] = [(w, 1)]
     while stack:
         w, c = stack.pop()
-        if on_vacuum and w and w[-1][1] >= 0:
-            continue  # the rightmost mode annihilates the vacuum
         i = _first_inversion(w)
         if i is None:
             out[w] = out.get(w, 0) + c
@@ -135,17 +134,50 @@ class EnvElement:
 #
 # Module vectors are plain sparse dicts, {strictly-negative parts: nonzero
 # int}, combined through `add_scaled` like every other vector: the vacuum is
-# {(): 1} and u(p).vac is {p: 1}.  A single mode acts by straightening
-# the word (mode,) + parts on the vacuum, which drops every word whose
-# rightmost mode annihilates it; the pure integer result is memoized with
-# `functools.cache`.
+# {(): 1} and u(p).vac is {p: 1}.  A single mode acts on u(p).vac by the
+# Leibniz rule over the head part of p, one commutator at a time, each step
+# a memoized call on a suffix of p (`mode_on_partition`).
 
 
 @cache
 def mode_on_partition(mode: Part, parts: tuple[Part, ...]):
     """X_mode applied to the basis vector u(parts) . vacuum, as a tuple of
-    (partition, integer coefficient) pairs."""
-    return tuple(straighten_word((mode,) + parts, on_vacuum=True).items())
+    (partition, nonzero integer coefficient) pairs.  `parts` is a sorted
+    tuple of creation modes (degree < 0), and so is every partition out.
+
+    The vacuum: X_m . vac is u((m,)) . vac if m creates and 0 if not.  If
+    X_m sorts at or before the head X_h of parts = (h,) + rest, the word
+    (m,) + parts is sorted and is the result.  Otherwise, by the Leibniz
+    rule (the commutator of `_rewrite_once`),
+        X_m X_h u(rest) = X_h (X_m u(rest)) + [X_m, X_h] u(rest)
+                          + m delta_{m+h,0} <X_m, X_h> u(rest),
+    and each mode on the right acts by a call of this function again.
+
+    Termination.  X_m on u(rest) and the bracket mode on u(rest) are calls
+    on a shorter suffix.  X_h on each partition of X_m u(rest) inserts a
+    creation mode into a sorted partition, and such an insertion X_c u(s),
+    s = (s0,) + t, ends by induction on the total degree |c + s| and then
+    the number of parts: its central term vanishes, as two creation degrees
+    do not sum to 0; X_c on u(t) has a smaller total degree; the bracket
+    mode on u(t) has the same total degree on fewer parts; and X_s0 on a
+    partition of X_c u(t) has fewer parts than s, or is the sorted
+    partition of c and t together, before whose head s0 sorts, so that
+    call returns at once."""
+    a, m = mode
+    if not parts:
+        return (((mode,), 1),) if m < 0 else ()
+    head = b, n = parts[0]
+    if m < n or (m == n and a >= b):
+        return (((mode,) + parts, 1),)
+    rest = parts[1:]
+    out: dict[tuple[Part, ...], int] = {}
+    for q, c in mode_on_partition(mode, rest):
+        add_scaled(out, mode_on_partition(head, q), c)
+    for color, coef in BRACKET[(a, b)]:
+        add_scaled(out, mode_on_partition((color, m + n), rest), coef)
+    if m + n == 0 and FORM[(a, b)]:
+        add_scaled(out, ((rest, m * FORM[(a, b)]),))
+    return tuple(out.items())
 
 
 def apply_mode(mode: Part, v: dict) -> dict:

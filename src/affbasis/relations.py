@@ -57,6 +57,7 @@ from .enveloping import (
     EnvElement,
     Window,
     WindowError,
+    _rewrite_once,
     apply_mode,
     apply_word,
     graded_basis,
@@ -139,8 +140,13 @@ def _mode_terms(v: dict, n: int, degrees) -> dict:
             continue
         (a, _), (b, _) = parts
         for p in degrees:
-            word = ((a, p), (b, n - p)) if p < 0 else ((b, n - p), (a, p))
-            add_scaled(out, straighten_word(word).items(), c)
+            word = (x, i), (y, k) = ((a, p), (b, n - p)) if p < 0 else ((b, n - p), (a, p))
+            if i > k or (i == k and x < y):
+                # one rewrite sorts a pair: the swapped pair is sorted, and
+                # the bracket and the central term are one mode or none
+                add_scaled(out, _rewrite_once(word, 0), c)
+            else:
+                add_scaled(out, ((word, c),))
     return out
 
 
@@ -238,16 +244,34 @@ def _premise_witness() -> str | None:
     X_a(1) and X_a(2) for every color a.  Those modes generate the positive
     loop modes, and X_a(k) with k > 2 lowers depth 2 below 0, so such a
     vector is singular and generates a submodule with no vacuum component.
-    Only X_a(1) is applied: sl(3) is perfect and [X_a(1), X_b(1)] =
-    [X_a, X_b](2) has no central term, so every X_c(2) kills what the X_a(1)
-    kill.  This is the check on the degree -2 relation vectors, as
-    Y(v)_-2 . vac = v makes them R's vectors; the relations of other degrees
-    are modes of the same vertex operators, and the cubics products of them
-    with modes, so their vectors lie in N too.  Returns the first failure."""
+    This is the check on the degree -2 relation vectors, as Y(v)_-2 . vac =
+    v makes them R's vectors; the relations of other degrees are modes of
+    the same vertex operators, and the cubics products of them with modes,
+    so their vectors lie in N too.
+
+    Two steps, each with its witness; the first failure is returned.
+      - The generator X1(-1)^2 . vac is certified a highest-weight vector:
+        E1(0) and E2(0) kill it, and they generate n+; its terms have one
+        weight.  By PBW, U(g) = U(n-) U(h) U(n+), so R = U(n-) . generator
+        (`r_basis`) is g-stable.
+      - X_4(1) (H1) alone is applied to the 27 vectors of R.
+    Lemma.  When R is g-stable, the z in g with z(1) R = 0 form an ideal:
+    [y(0), z(1)] = [y, z](1) has no central term, so [y, z](1) v = y(0)
+    z(1) v - z(1) y(0) v = 0 for v in R, as y(0) v lies in R.  sl(3) is
+    simple, so once H1 lies in the ideal, every X_a(1) kills R.  sl(3) is
+    perfect and [X_a(1), X_b(1)] = [X_a, X_b](2) has no central term, so
+    every X_c(2) kills R too."""
+    for color in (E1_COLOR, E2_COLOR):
+        if apply_mode((color, 0), _GENERATOR):
+            least = min(_GENERATOR, key=order_key)
+            return f"generator {format_partition(least)} killed-by X_{color}(0) fails"
+    weights = sorted({tuple(parts_weight(parts)) for parts in _GENERATOR})
+    if len(weights) > 1:
+        w1, w2 = weights[:2]
+        return f"the generator is not a weight vector: it has weights {w1} and {w2}"
     for label, v in r_basis().items():
-        for a in COLORS:
-            if apply_mode((a, 1), v):
-                return f"{format_partition(label.partition())} killed-by X_{a}(1) fails"
+        if apply_mode((H1_COLOR, 1), v):
+            return f"{format_partition(label.partition())} killed-by X_{H1_COLOR}(1) fails"
     return None
 
 

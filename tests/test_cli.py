@@ -444,7 +444,7 @@ _TABLE_CHECK = "FAIL  relation leading terms lie in the color tables  witness="
             "algebra.py", "FORM[(_a, _b)] = _trace(", "FORM[(_a, _b)] = 2 * _trace(",
             re.escape(
                 "FAIL  degree -2 relation vectors are killed by X(1) and X(2)  "
-                "witness=8:-1 8:-1 killed-by X_1(1) fails"
+                "witness=7:-1 6:-1 killed-by X_4(1) fails"
             ),
         ),
     ],

@@ -83,15 +83,17 @@ def test_straighten_sorted_word_is_a_fresh_unit_term():
 
 def test_straighten_empty_word():
     assert straighten_word(()) == {(): 1}
-    assert straighten_word((), on_vacuum=True) == {(): 1}
 
 
 def test_sorted_word_ending_in_an_annihilation_mode_kills_the_vacuum():
+    vac = {(): 1}
     for word in (((4, -1), (2, 0)), ((3, 0),), ((7, -2), (5, 1))):
         assert straighten_word(word) == {word: 1}
-        assert straighten_word(word, on_vacuum=True) == {}
+        assert apply_word(word, vac) == {}
     creation = ((4, -1), (2, -1))
-    assert straighten_word(creation, on_vacuum=True) == {creation: 1}
+    assert apply_word(creation, vac) == {creation: 1}
+    assert mode_on_partition((3, 0), ()) == ()
+    assert mode_on_partition((4, -1), ((2, -1),)) == ((creation, 1),)
 
 
 def test_unsorted_word_still_matches_the_random_straightener():
@@ -150,10 +152,31 @@ def reference_mode_on_partition(mode, parts):
 )
 def test_mode_on_partition_matches_reference_rewriter(mode, parts):
     parts = sort_parts(parts)
-    expected = reference_mode_on_partition(mode, parts)
-    # equal tuples: same terms, same coefficients, same term order
-    assert mode_on_partition(mode, parts) == expected
-    assert mode_on_partition(mode, parts) == expected  # the cached copy
+    expected = dict(reference_mode_on_partition(mode, parts))
+    # equal vectors: same terms, same coefficients; no caller reads the order
+    assert dict(mode_on_partition(mode, parts)) == expected
+    assert dict(mode_on_partition(mode, parts)) == expected  # the cached copy
+
+
+def test_mode_on_partition_is_the_whole_word_straightened_on_the_vacuum():
+    # every (mode, partition) with 8 colors, mode degrees -3..3 and depth <=
+    # 3: the Leibniz recursion against the whole word straightened with no
+    # vacuum in mind, of which the vacuum keeps the terms whose modes all
+    # create (a sorted word with a mode of degree >= 0 ends in one)
+    cases = 0
+    for depth in range(4):
+        for parts in graded_basis(depth):
+            for mode in itertools.product(range(1, 9), range(-3, 4)):
+                got = mode_on_partition(mode, parts)
+                word = straighten_word((mode,) + parts)
+                expected = {w: c for w, c in word.items() if all(d < 0 for _, d in w)}
+                assert dict(got) == expected, (mode, parts)
+                assert len(dict(got)) == len(got), (mode, parts)
+                for w, c in got:
+                    assert c and isinstance(c, int), (mode, parts, w)
+                    assert w == sort_parts(w) and all(d < 0 for _, d in w), (mode, parts, w)
+                cases += 1
+    assert cases == 245 * 56
 
 
 coefficient_strategy = st.one_of(

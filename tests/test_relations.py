@@ -727,8 +727,16 @@ def test_factor_vectors_match_the_windowed_relations():
             assert relation_on_vacuum(rho) == windowed, (max_depth, bound, rho)
 
 
+def test_degree_1_modes_kill_r():
+    # the premise applies only X_4(1): the z with z(1) R = 0 form an ideal
+    # of the simple sl(3), so every X_a(1) kills R once H1 does
+    for label, v in r_basis().items():
+        for a in range(1, 9):
+            assert apply_mode((a, 1), v) == {}, (label, a)
+
+
 def test_degree_2_modes_kill_r():
-    # the premise applies only X_a(1); X_a(2) = sums of [X_b(1), X_c(1)]
+    # the premise applies only X_4(1); X_a(2) = sums of [X_b(1), X_c(1)]
     # kills R too
     for label, v in r_basis().items():
         for a in range(1, 9):
@@ -752,6 +760,41 @@ def test_a_relation_vector_outside_the_submodule_fails_the_premise(monkeypatch):
     witness = f"{format_partition(label.partition())} killed-by X_4(1) fails"
     assert [row["witness"] for row in rows] == [None, None, witness, witness]
     assert [row["rank"] for row in rows] == [0, 0, 27, 146]
+
+
+@pytest.mark.parametrize(
+    "generator, witness",
+    [
+        # [E1, E2] = X1, so E1(0) moves X3(-1) X1(-1) . vac to X1(-1)^2 . vac
+        ({((3, -1), (1, -1)): 1}, "generator 3:-1 1:-1 killed-by X_2(0) fails"),
+        # [E2, E1] = -X1, so E2(0) moves X2(-1) X1(-1) . vac, which E1(0) kills
+        ({((2, -1), (1, -1)): 1}, "generator 2:-1 1:-1 killed-by X_3(0) fails"),
+        # E1(0) and E2(0) kill both terms, of weights 2 theta and theta
+        (
+            {((1, -1), (1, -1)): 1, ((1, -2),): 1},
+            "the generator is not a weight vector: it has weights (1, 1) and (2, 2)",
+        ),
+    ],
+    ids=["e1_survives", "e2_survives", "two_weights"],
+)
+def test_a_generator_that_is_not_highest_weight_fails_the_premise(
+    monkeypatch, generator, witness
+):
+    from affbasis import relations
+
+    # R stays the closure of the true generator; only the certificate of
+    # the generator sees the other vector
+    r_basis()
+    monkeypatch.setattr(relations, "_GENERATOR", generator)
+    monkeypatch.setattr(
+        relations, "_premise_witness", functools.cache(relations._premise_witness.__wrapped__)
+    )
+    assert relations._premise_witness() == witness
+    with pytest.raises(relations.PremiseError) as failed:
+        relations.loop_action(F1_COLOR, -1, syzygy_tensor_64(-4, Window(4)))
+    assert failed.value.witness == witness
+    rows = basis_counts_report(2)
+    assert [row["witness"] for row in rows] == [None, None, witness]
 
 
 def test_label_for_quadratic():
