@@ -13,8 +13,7 @@ on the graded piece down to depth D exactly.
 Straightening uses the level-one commutator: swapping X_a(m) past X_b(n)
 emits [X_a, X_b](m+n) plus the central term m * delta_{m+n,0} * <X_a, X_b>.
 A mode acts on the vacuum module by the same commutator, one part at a
-time (the Leibniz rule of `mode_on_partition`), memoized over suffixes,
-not by straightening a whole word.
+time (the Leibniz rule of `mode_on_partition`), memoized over suffixes.
 
 An element keeps only what a verdict reads: its terms and window, sums,
 scalings, and its action on the module.  No leading term is read off an

@@ -140,8 +140,9 @@ def _mode_terms(v: dict, n: int, degrees) -> dict:
             continue
         (a, _), (b, _) = parts
         for p in degrees:
-            word = (x, i), (y, k) = ((a, p), (b, n - p)) if p < 0 else ((b, n - p), (a, p))
-            if i > k or (i == k and x < y):
+            word = ((a, p), (b, n - p)) if p < 0 else ((b, n - p), (a, p))
+            (x, i), (y, k) = word
+            if i > k or (i == k and x < y):  # `_first_inversion`, inline
                 # one rewrite sorts a pair: the swapped pair is sorted, and
                 # the bracket and the central term are one mode or none
                 add_scaled(out, _rewrite_once(word, 0), c)
