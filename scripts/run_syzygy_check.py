@@ -12,6 +12,14 @@ from affbasis.enveloping import Window, WindowError
 from affbasis.relations import collapse_report, syzygy_dimensions
 
 
+def _zero_cell(rep: dict, name: str) -> str:
+    """A collapse column: 0, BAD for a nonzero residual, or zero tensor for
+    a family that has no terms, whose collapse vanishes with nothing read."""
+    if name in rep["zero_tensors"]:
+        return "zero tensor"
+    return "0" if rep[f"psi_{name}_zero"] else "BAD"
+
+
 def main() -> int:
     try:
         if len(sys.argv) > 4:
@@ -38,12 +46,11 @@ def main() -> int:
         except WindowError as exc:
             print(f"window insufficiency: {exc}", file=sys.stderr)
             return 3
-        zero = lambda key: "0" if rep[key] else "BAD"
         ok &= all(rep[k] for k in ("psi_64_zero", "psi_35_zero", "psi_35u_zero", "psi_27_match"))
         ok &= dims == {"64": 64, "35": 35, "35u": 35, "27": 27}
         print(
-            f"{n:>4} {str(sorted(dims.values())):>18} {zero('psi_64_zero'):>6} "
-            f"{zero('psi_35_zero'):>6} {zero('psi_35u_zero'):>7} {str(rep['c']):>6}"
+            f"{n:>4} {str(sorted(dims.values())):>18} {_zero_cell(rep, '64'):>6} "
+            f"{_zero_cell(rep, '35'):>6} {_zero_cell(rep, '35u'):>7} {str(rep['c']):>6}"
         )
     print(f"elapsed: {time.monotonic() - started:.1f}s")
     print("verdict:", "pass" if ok else "FAIL")

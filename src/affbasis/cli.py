@@ -1,10 +1,10 @@
 """Batch command line front end.
 
 Three subcommands: `enumerate` streams the spanning-ideal partitions of a
-given depth, `verify` runs one of the named check suites and emits a JSON
-report (exit 0 on pass, 1 on falsification or an exception inside a target,
-2 on usage error, 3 when a truncation window is too small), and `tables`
-prints fixture-format tables for diffing.  All numeric output is exact
+given depth, `affbasis verify` runs one of the named check suites and emits
+a JSON report (exit 0 on pass, 1 on falsification or an exception inside a
+target, 2 on usage error, 3 when a truncation window is too small), and
+`tables` prints fixture-format tables for diffing.  All numeric output is exact
 decimal strings.
 """
 
@@ -192,11 +192,14 @@ def _verify_prop3(cfg: argparse.Namespace, report: Report):
             rep = collapse_report(n, window)
             for name in ("64", "35", "35u"):
                 ok = rep[f"psi_{name}_zero"]
+                actual = "0" if ok else "nonzero residual in window"
+                if name in rep["zero_tensors"]:
+                    actual = "zero tensor"  # its collapse vanishes with nothing read
                 report.add(
                     f"psi(q{name}({n})) = 0 on depth <= {bound}",
                     ok,
                     expected="0",
-                    actual="0" if ok else "nonzero residual in window",
+                    actual=actual,
                 )
             report.add(
                 f"psi(q27({n})) = c({n}) generator on depth <= {bound}",

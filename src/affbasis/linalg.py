@@ -7,9 +7,10 @@ vacuum module is such a dict itself, keyed by partitions, with no wrapper
 type.  Since no zero is ever stored, two vectors are equal exactly when
 their dicts are.
 Coefficients are Python ints; a ``Fraction`` appears only where a true
-division happens, through ``exact_quotient``: ``SpanReducer.row_for``,
-the profile of a syzygy slot (``relations.reference_form``) and the scalar
-c(n) of the collapse.  Ints and Fractions mix exactly, and
+division happens, through ``exact_quotient``: ``SpanReducer.row_for``
+and the scalar c(n) of the collapse.  The profile of a syzygy tensor
+(``relations.reference_form``) divides by a primitive vector, so it stays
+integral.  Ints and Fractions mix exactly, and
 ``Fraction(2) == 2`` with equal hashes.
 
 One elimination engine: an incremental span reducer over a totally ordered

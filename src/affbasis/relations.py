@@ -13,14 +13,17 @@ families of relations among relations), the two-sided multiplication map
 that collapses a tensor into the completed algebra, and the graded
 verification of the basis theorem.
 
-A syzygy tensor is stored in the coordinates of R: the relation slot of
-mode degree i holds a vector v of R, written in the basis v_L, and stands
-for Y(v)_{n-i}.  When X(1) and X(2) kill R (the premise, checked once),
-ad x(k) acts on every slot as the zero mode x(0) on R, one matrix for every
-k and every degree (the lemma at `shift_matrix`).  `collapse` reads each
+A syzygy tensor is stored in the coordinates of R as an exact affine
+profile over every mode degree: a term ((a, L), p) of coefficient c, with p
+in {0, 1} and v_L the basis of R, stands for the sum over every i of c i^p
+X_a(i) tensor Y(v_L)_{n-i}.  When X(1) and X(2) kill R (the premise, checked
+once), ad x(k) acts on every relation slot as the zero mode x(0) on R, one
+matrix for every k and every degree (the lemma at `shift_matrix`), and moves
+each mode degree by k, so a profile stays affine (`loop_action`).
+`collapse` writes out only the slots its window reads, and reads each
 slot's body as that mode, `vertex_mode` of v at degree n - i.  A zero mode
-acts on every slot by the same operator, so a family whose slots are
-multiples of one vector v has the dimension of v's orbit
+acts on every slot by the same operator, so a family whose slope and
+constant parts are multiples of one vector v has the dimension of v's orbit
 (`syzygy_dimensions`), which is closed under F1(0) and F2(0) alone once v is
 certified a highest-weight vector (`orbit_basis`).  The orbit is closed on a
 fixed numbering of the 216 pairs (a, L) of 8 tensor R, with one precomputed
@@ -338,76 +341,59 @@ def transport_matrix():
 
 
 class LoopTensor:
-    """Exact element of the degree-n piece of (loop algebra) tensor R: a
-    sparse vector keyed by a single mode (a, i) and the label L of a basis
-    vector v_L of R (`r_basis`), with int coefficients.  The term
-    ((a, i), L) stands for X_a(i) tensor Y(v_L)_{n-i} (the lemma at
-    `shift_matrix`).  Mode degrees are tracked on the certified interval
-    [i_lo, i_hi]."""
+    """Exact element of the degree-n piece of (loop algebra) tensor R, as an
+    affine profile over every mode degree: a sparse vector keyed by a pair
+    (a, L), a color and the label of a basis vector v_L of R (`r_basis`),
+    and a power p in {0, 1}, with int coefficients.  The term ((a, L), p) of
+    coefficient c stands for the sum over every i of c i^p X_a(i) tensor
+    Y(v_L)_{n-i} (the lemma at `shift_matrix`).  The powers are separate
+    keys, so tensors combine term by term."""
 
-    __slots__ = ("n", "terms", "i_lo", "i_hi")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n, terms, i_lo, i_hi):
+    def __init__(self, n, terms):
         self.n = n
-        self.i_lo = i_lo
-        self.i_hi = i_hi
-        self.terms: dict[tuple[Part, RelationLabel], int] = {
-            key: c for key, c in terms.items() if c and i_lo <= key[0][1] <= i_hi
+        self.terms: dict[tuple[tuple[int, RelationLabel], int], int] = {
+            key: c for key, c in terms.items() if c
         }
 
     def __sub__(self, other: "LoopTensor") -> "LoopTensor":
         if self.n != other.n:
             raise ValueError("cannot combine tensors of different degrees")
-        lo, hi = max(self.i_lo, other.i_lo), min(self.i_hi, other.i_hi)
-        out = add_scaled(dict(self.terms), other.terms.items(), -1)
-        return LoopTensor(self.n, out, lo, hi)
+        return LoopTensor(self.n, add_scaled(dict(self.terms), other.terms.items(), -1))
 
     def __repr__(self):
-        return (
-            f"LoopTensor(n={self.n}, {len(self.terms)} terms, "
-            f"range=[{self.i_lo}, {self.i_hi}])"
-        )
+        return f"LoopTensor(n={self.n}, {len(self.terms)} terms)"
 
 
-# Mode degrees a syzygy tensor certifies past [n - bound, bound] on either
-# side, for a target window of annihilation bound `bound`.  `collapse` reads
-# exactly the mode degrees in [n - bound, bound]: a creation mode multiplies
-# its body from the left and keeps every weight, a body of degree D > bound
-# has every weight >= D, and an annihilation mode i > bound adds weight i, so
-# every other slot collapses outside the window.  The one step between
-# building a tensor and collapsing it that shrinks its interval is the single
-# k = -1 step of `lowering_pair`: it costs one slot at the top, and lowers the
-# degree, so the bottom of the interval read, by one.
-_MARGIN = 1
-
-
-def syzygy_tensor_64(n: int, window: Window) -> LoopTensor:
+def syzygy_tensor_64(n: int) -> LoopTensor:
     """sum_i (3i - n) X1(i) tensor Y(g)_{n-i}, g = X1(-1)^2 . vac the
     generator of R."""
-    bound = window.annihilation_bound
-    i_lo, i_hi = n - bound - _MARGIN, bound + _MARGIN
-    generator = quad_same_label(1, 1, -1)  # the label of X1(-1)^2 . vac
-    terms = {((1, i), generator): 3 * i - n for i in range(i_lo, i_hi + 1)}
-    return LoopTensor(n, terms, i_lo, i_hi)
+    pair = (1, quad_same_label(1, 1, -1))  # X1 and the label of X1(-1)^2 . vac
+    return LoopTensor(n, {(pair, 1): 3, (pair, 0): -n})
 
 
 def loop_action(x_color: int, k: int, t: LoopTensor) -> LoopTensor:
     """Action of x(k) on a tensor: the bracket on the mode slot, and x(0) on
     every relation slot, which keeps its vector of R and moves from degree
     n - i to n + k - i (the lemma at `shift_matrix`; for k != 0 its premise
-    is checked first, and a failure raises `PremiseError`)."""
+    is checked first, and a failure raises `PremiseError`).  The bracket
+    moves mode degree i to j = i + k, and c i = c j - k c, so a slope c
+    adds -k c to the constant term of its new key; x(0) on R keeps each
+    key's power."""
     if k:
         witness = _premise_witness()
         if witness is not None:
             raise PremiseError(witness)
     zero_mode = shift_matrix(x_color)
-    lo, hi = t.i_lo + max(k, 0), t.i_hi + min(k, 0)
-    out: dict[tuple[Part, RelationLabel], int] = {}
-    for ((a, i), label), c in t.terms.items():
-        bracket = BRACKET[(x_color, a)]
-        add_scaled(out, ((((color, i + k), label), coef) for color, coef in bracket), c)
-        add_scaled(out, ((((a, i), lab2), w) for lab2, w in zero_mode[label].items()), c)
-    return LoopTensor(t.n + k, out, lo, hi)
+    out: dict[tuple[tuple[int, RelationLabel], int], int] = {}
+    for ((a, label), p), c in t.terms.items():
+        bracket = [((color, label), coef) for color, coef in BRACKET[(x_color, a)]]
+        add_scaled(out, (((pair, p), coef) for pair, coef in bracket), c)
+        if p:
+            add_scaled(out, (((pair, 0), coef) for pair, coef in bracket), -k * c)
+        add_scaled(out, ((((a, lab2), p), w) for lab2, w in zero_mode[label].items()), c)
+    return LoopTensor(t.n + k, out)
 
 
 @cache
@@ -514,15 +500,12 @@ def _q27_combination():
     return [(pair, c) for pair, c in zip(pairs, combo) if c], t
 
 
-def syzygy_tensor_27(n: int, window: Window) -> LoopTensor:
+def syzygy_tensor_27(n: int) -> LoopTensor:
     """The weight-2*theta syzygy, scaled by the t of `_q27_combination` to
     integer coefficients: the highest-weight pair combination at every mode
     degree."""
     combo, _ = _q27_combination()
-    bound = window.annihilation_bound
-    i_lo, i_hi = n - bound - _MARGIN, bound + _MARGIN
-    terms = {((a, i), lab): c for i in range(i_lo, i_hi + 1) for (a, lab), c in combo}
-    return LoopTensor(n, terms, i_lo, i_hi)
+    return LoopTensor(n, {(pair, 0): c for pair, c in combo})
 
 
 def syzygy_tensors(n: int, window: Window) -> dict[str, LoopTensor]:
@@ -537,12 +520,12 @@ def syzygy_tensors(n: int, window: Window) -> dict[str, LoopTensor]:
             f"window {bound} holds no monomial of degree {n}, which weighs at "
             f"least {max(n, 0)}"
         )
-    above = syzygy_tensor_64(n + 1, window)
+    above = syzygy_tensor_64(n + 1)
     return {
-        "64": syzygy_tensor_64(n, window),
+        "64": syzygy_tensor_64(n),
         "35": lowering_pair(1, above),
         "35u": lowering_pair(2, above),
-        "27": syzygy_tensor_27(n, window),
+        "27": syzygy_tensor_27(n),
     }
 
 
@@ -555,27 +538,25 @@ def _slot_body(label: RelationLabel, m: int, window: Window) -> EnvElement:
 def collapse(t: LoopTensor, window: Window) -> EnvElement:
     """The two-sided multiplication image of a tensor: the slot ((a, i), L)
     is X_a(i) times its body Y(v_L)_{n-i}, from the left for a negative i
-    and from the right otherwise.  Exact on the target window: only the
-    mode degrees in [n - bound, bound] reach it (see `_MARGIN`), so the
-    tensor must certify all of them, or `WindowError` is raised.  Each body
-    is exact on the window (`vertex_mode`), and every product term is
-    straightened into one sum, filtered once.  A creation mode on the left
-    moves only past creation modes, so each product term keeps its body
-    term's weight; an annihilation mode on the right moves only past higher
-    annihilation modes, so each product term gains exactly i.  So filtering
-    the sum once at the bound equals filtering each product at its own,
-    wider bound."""
+    and from the right otherwise.  Exact on the target window: a creation
+    mode on the left keeps every weight, a body of degree D > bound has
+    every weight >= D, and an annihilation mode i > bound adds weight i, so
+    only the mode degrees in [n - bound, bound] reach it, and only those
+    slots are written out, a term ((a, L), p) of coefficient c giving c i^p
+    at slot ((a, i), L).  Each body is exact on the window (`vertex_mode`),
+    and every product term is straightened into one sum, filtered once.  A
+    creation mode on the left moves only past creation modes, so each
+    product term keeps its body term's weight; an annihilation mode on the
+    right moves only past higher annihilation modes, so each product term
+    gains exactly i.  So filtering the sum once at the bound equals
+    filtering each product at its own, wider bound."""
     bound = window.annihilation_bound
-    lo, hi = t.n - bound, bound
-    if t.i_lo > lo or t.i_hi < hi:
-        raise WindowError(
-            f"the tensor certifies mode degrees [{t.i_lo}, {t.i_hi}], and the "
-            f"collapse on window {bound} reads [{lo}, {hi}]"
-        )
+    degrees = range(t.n - bound, bound + 1)
+    slots: dict[tuple[Part, RelationLabel], int] = {}
+    for ((a, label), p), c in t.terms.items():
+        add_scaled(slots, ((((a, i), label), c * i**p) for i in degrees))
     total: dict[tuple[Part, ...], Scalar] = {}
-    for ((a, i), label), c in t.terms.items():
-        if not lo <= i <= hi:
-            continue  # collapses outside the window
+    for ((a, i), label), c in slots.items():
         mode = ((a, i),)
         for w, b in _slot_body(label, t.n - i, window).terms.items():
             word = mode + w if i < 0 else w + mode
@@ -629,31 +610,30 @@ def orbit_basis(v: dict) -> list[dict]:
 
 
 def reference_form(family: str, t: LoopTensor):
-    """The syzygy tensor t as one vector v in 8 tensor R and an exact
-    profile {i: p_i} over its nonzero slots: slot i (the terms of mode
-    degree i) is p_i v.  v is the least slot made primitive and positive at
-    its least key; a slot that is not a multiple of it raises
-    `AssertionError` naming the family, n and the slot."""
-    slots: dict[int, dict] = {}
-    for ((a, i), lab), c in t.terms.items():
-        slots.setdefault(i, {})[(a, lab)] = c
-    if not slots:
-        return {}, {}
-    i0 = min(slots)
-    least = slots[i0]
-    g = gcd(*least.values()) if least[min(least)] > 0 else -gcd(*least.values())
-    v = {key: c // g for key, c in least.items()}
-    key = min(v)
-    profile = {}
-    for i, slot in sorted(slots.items()):
-        p = exact_quotient(slot.get(key, 0), v[key])
-        if add_scaled(dict(slot), v.items(), -p):
-            raise AssertionError(
-                f"{family} family at n={t.n}, slot i={i}: the slot is not a "
-                f"multiple of the reference vector solved from slot i={i0}"
-            )
-        profile[i] = p
-    return v, profile
+    """The syzygy tensor t as one vector v in 8 tensor R and its exact
+    affine profile (alpha, beta): the slope part of t, its terms of power 1,
+    is alpha v, and its constant part beta v, so slot i is (alpha i + beta)
+    v.  v is the slope part, or the constant part if t has no slope, made
+    primitive and positive at its least key; a constant part that is not a
+    multiple of the slope part raises `AssertionError` naming the family
+    and n."""
+    constant: dict = {}
+    slope: dict = {}
+    for (pair, p), c in t.terms.items():
+        (slope if p else constant)[pair] = c
+    base = slope or constant
+    if not base:
+        return {}, (0, 0)
+    key = min(base)
+    g = gcd(*base.values()) if base[key] > 0 else -gcd(*base.values())
+    v = {pair: c // g for pair, c in base.items()}
+    beta = constant.get(key, 0) // v[key]
+    if add_scaled(dict(constant), v.items(), -beta):
+        raise AssertionError(
+            f"{family} family at n={t.n}: the constant part is not a multiple "
+            f"of the slope part"
+        )
+    return v, (slope.get(key, 0) // v[key], beta)
 
 
 @cache
@@ -666,12 +646,13 @@ def syzygy_dimensions(n: int, window: Window) -> dict[str, int]:
     """The orbit dimension of each syzygy family at degree n.  A zero mode
     acts on every slot of a tensor by the same operator, the bracket on the
     mode and x(0) on R (`loop_action`), and keeps each slot's mode degree.
-    So when `reference_form` certifies that slot i is p_i v, the map from
-    the orbit of v to the family's is injective (p is not zero at the least
-    slot) and commutes with the zero modes, and the orbit has the dimension
-    of the orbit of v in 8 tensor R, closed once per distinct v under F1(0)
-    and F2(0) from v on the numbered pairs (a, L) of 8 tensor R, with no
-    tensor built (`orbit_basis`, which certifies v highest-weight)."""
+    So when `reference_form` certifies that slot i is (alpha i + beta) v,
+    the map from the orbit of v to the family's is injective (alpha and
+    beta are not both zero) and commutes with the zero modes, and the orbit
+    has the dimension of the orbit of v in 8 tensor R, closed once per
+    distinct v under F1(0) and F2(0) from v on the numbered pairs (a, L) of
+    8 tensor R, with no tensor built (`orbit_basis`, which certifies v
+    highest-weight)."""
     dims = {}
     for family, t in syzygy_tensors(n, window).items():
         v, _ = reference_form(family, t)
@@ -822,13 +803,16 @@ def basis_counts_report(n_max: int, window: Window | None = None, progress=None)
 
 def collapse_report(n: int, window: Window) -> dict:
     """Collapse the four syzygies at degree n.  The first three must vanish
-    identically on the certified window; the fourth, t times q27, collapses
-    to t c(n) times the quadratic generator, and c(n) is returned."""
+    identically on the certified window, and none may be a zero tensor,
+    whose collapse vanishes with nothing read: such a family is listed under
+    "zero_tensors" and fails.  The fourth, t times q27, collapses to t c(n)
+    times the quadratic generator, and c(n) is returned."""
     tensors = syzygy_tensors(n, window)
-    out: dict = {"n": n, "bound": window.annihilation_bound}
+    empty = [name for name in ("64", "35", "35u") if not tensors[name].terms]
+    out: dict = {"n": n, "bound": window.annihilation_bound, "zero_tensors": empty}
     for name in ("64", "35", "35u"):
         image = collapse(tensors[name], window)
-        out[f"psi_{name}_zero"] = image.is_zero()
+        out[f"psi_{name}_zero"] = image.is_zero() and name not in empty
     image27 = collapse(tensors["27"], window)
     generator = vertex_mode(_GENERATOR, n, window)
     _, t = _q27_combination()

@@ -9,7 +9,11 @@ rank of the full spanning family of the maximal submodule, the
 triangular certificate with one relation row per non-ideal partition, the
 leading terms of the syzygy orbits, the shift and transport matrices
 computed at each degree (the library keeps syzygy tensors in the
-coordinates of R and acts on them by one zero-mode matrix), and the tensor
+coordinates of R and acts on them by one zero-mode matrix), the syzygy
+tensors written out slot by slot over a certified interval of mode degrees,
+with their loop action, lowering pairs and collapse (``WindowedTensor``;
+the library keeps each tensor as an exact affine profile over every mode
+degree, and ``written_out`` writes one out), and the tensor
 helpers (zero test, scale, weight, generator coefficient, canonical labels)
 that only the tests read, with the collapse over canonical labels that the
 library's collapse, which reads each slot as a mode of R, is checked
@@ -26,8 +30,26 @@ reducer's pivots and a candidate scan (``partitions_at_most``), not from
 ``embeddings``.  They are not independent of ``affbasis.linalg``; the
 rank's independent check is ``reference_rank.markowitz_rank``."""
 
-from affbasis.algebra import E1_COLOR, E2_COLOR, F1_COLOR, F2_COLOR, WEIGHT, Weight
-from affbasis.enveloping import EnvElement, Window, WindowError, act, apply_word, graded_basis
+from affbasis.algebra import (
+    BRACKET,
+    E1_COLOR,
+    E2_COLOR,
+    F1_COLOR,
+    F2_COLOR,
+    H1_COLOR,
+    H2_COLOR,
+    WEIGHT,
+    Weight,
+)
+from affbasis.enveloping import (
+    EnvElement,
+    Window,
+    WindowError,
+    act,
+    apply_word,
+    graded_basis,
+    straighten_word,
+)
 from affbasis.linalg import Scalar, SpanReducer, add_scaled, sparse_rank
 from affbasis.partitions import (
     Part,
@@ -45,14 +67,17 @@ from affbasis.relations import (
     LoopTensor,
     _labelled_rows,
     _mode_terms,
+    _premise_witness,
+    _q27_combination,
+    _slot_body,
     _tensor_column_key,
     _tensor_partition,
+    PremiseError,
     label_for_quadratic,
-    loop_action,
     r_basis,
     relation_space,
+    shift_matrix,
     submodule_span_blocks,
-    syzygy_tensors,
     transport_matrix,
 )
 from reference_enveloping import (
@@ -156,30 +181,166 @@ def closure_relation_space(n: int, window: Window) -> dict[RelationLabel, EnvEle
     return {label: elements[label] for label in labels}
 
 
-def tensor_is_zero(t: LoopTensor) -> bool:
+# --- the windowed syzygy tensors ------------------------------------------------
+
+
+class WindowedTensor:
+    """A syzygy tensor written out slot by slot, as the library kept it
+    before its affine profiles: a sparse vector keyed by a single mode
+    (a, i) and the label L of a basis vector v_L of R, with int
+    coefficients.  The term ((a, i), L) stands for X_a(i) tensor
+    Y(v_L)_{n-i}.  Mode degrees are tracked on the certified interval
+    [i_lo, i_hi]."""
+
+    __slots__ = ("n", "terms", "i_lo", "i_hi")
+
+    def __init__(self, n, terms, i_lo, i_hi):
+        self.n = n
+        self.i_lo = i_lo
+        self.i_hi = i_hi
+        self.terms: dict[tuple[Part, RelationLabel], int] = {
+            key: c for key, c in terms.items() if c and i_lo <= key[0][1] <= i_hi
+        }
+
+    def __sub__(self, other: "WindowedTensor") -> "WindowedTensor":
+        if self.n != other.n:
+            raise ValueError("cannot combine tensors of different degrees")
+        lo, hi = max(self.i_lo, other.i_lo), min(self.i_hi, other.i_hi)
+        out = add_scaled(dict(self.terms), other.terms.items(), -1)
+        return WindowedTensor(self.n, out, lo, hi)
+
+
+# Mode degrees a windowed tensor certifies past [n - bound, bound] on either
+# side, for a target window of annihilation bound `bound`: the collapse
+# reads exactly the mode degrees in [n - bound, bound], and the one step
+# between building a tensor and collapsing it that shrinks its interval is
+# the single k = -1 step of a lowering pair.  It costs one slot at the top,
+# and lowers the degree, so the bottom of the interval read, by one.
+_MARGIN = 1
+
+
+def written_out(t: LoopTensor, i_lo: int, i_hi: int) -> WindowedTensor:
+    """The affine profile t written out slot by slot over [i_lo, i_hi]: the
+    term ((a, L), p) of coefficient c gives c i^p at slot ((a, i), L)."""
+    slots: dict[tuple[Part, RelationLabel], int] = {}
+    for ((a, label), p), c in t.terms.items():
+        add_scaled(slots, ((((a, i), label), c * i**p) for i in range(i_lo, i_hi + 1)))
+    return WindowedTensor(t.n, slots, i_lo, i_hi)
+
+
+def windowed_loop_action(x_color: int, k: int, t: WindowedTensor) -> WindowedTensor:
+    """x(k) on a windowed tensor, slot by slot: the bracket moves each mode
+    degree i to i + k, and x(0) acts on every relation slot, so the interval
+    gives up k slots at its bottom for k > 0 and -k at its top for k < 0.
+    The premise is checked first for k != 0, as in the library."""
+    if k:
+        witness = _premise_witness()
+        if witness is not None:
+            raise PremiseError(witness)
+    zero_mode = shift_matrix(x_color)
+    lo, hi = t.i_lo + max(k, 0), t.i_hi + min(k, 0)
+    out: dict[tuple[Part, RelationLabel], int] = {}
+    for ((a, i), label), c in t.terms.items():
+        bracket = BRACKET[(x_color, a)]
+        add_scaled(out, ((((color, i + k), label), coef) for color, coef in bracket), c)
+        add_scaled(out, ((((a, i), lab2), w) for lab2, w in zero_mode[label].items()), c)
+    return WindowedTensor(t.n + k, out, lo, hi)
+
+
+def windowed_syzygy_tensor_64(n: int, window: Window) -> WindowedTensor:
+    """sum_i (3i - n) X1(i) tensor Y(g)_{n-i} over the interval that the
+    collapse on the window reads, widened by `_MARGIN`."""
+    bound = window.annihilation_bound
+    i_lo, i_hi = n - bound - _MARGIN, bound + _MARGIN
+    generator = quad_same_label(1, 1, -1)
+    terms = {((1, i), generator): 3 * i - n for i in range(i_lo, i_hi + 1)}
+    return WindowedTensor(n, terms, i_lo, i_hi)
+
+
+def windowed_lowering_pair(i: int, t: WindowedTensor) -> WindowedTensor:
+    """f_i(-1) h_i(0) - f_i(0) h_i(-1) on windowed tensors."""
+    f = F1_COLOR if i == 1 else F2_COLOR
+    h = H1_COLOR if i == 1 else H2_COLOR
+    first = windowed_loop_action(f, -1, windowed_loop_action(h, 0, t))
+    second = windowed_loop_action(f, 0, windowed_loop_action(h, -1, t))
+    return first - second
+
+
+def windowed_syzygy_tensors(n: int, window: Window) -> dict[str, WindowedTensor]:
+    """The four syzygy families at degree n, written out slot by slot: the
+    64 and 27 over [n - bound - 1, bound + 1], the two 35s, lowered from the
+    64 of degree n + 1, over [n - bound, bound]."""
+    bound = window.annihilation_bound
+    i_lo, i_hi = n - bound - _MARGIN, bound + _MARGIN
+    combo, _ = _q27_combination()
+    above = windowed_syzygy_tensor_64(n + 1, window)
+    terms27 = {((a, i), lab): c for i in range(i_lo, i_hi + 1) for (a, lab), c in combo}
+    return {
+        "64": windowed_syzygy_tensor_64(n, window),
+        "35": windowed_lowering_pair(1, above),
+        "35u": windowed_lowering_pair(2, above),
+        "27": WindowedTensor(n, terms27, i_lo, i_hi),
+    }
+
+
+def _read_interval(t: WindowedTensor, window: Window) -> tuple[int, int]:
+    """The mode degrees [n - bound, bound] that a collapse on the window
+    reads; a tensor that does not certify all of them raises
+    `WindowError`."""
+    bound = window.annihilation_bound
+    lo, hi = t.n - bound, bound
+    if t.i_lo > lo or t.i_hi < hi:
+        raise WindowError(
+            f"the tensor certifies mode degrees [{t.i_lo}, {t.i_hi}], and the "
+            f"collapse on window {bound} reads [{lo}, {hi}]"
+        )
+    return lo, hi
+
+
+def windowed_collapse(t: WindowedTensor, window: Window) -> EnvElement:
+    """The collapse of a windowed tensor, slot by slot: X_a(i) times its
+    body Y(v_L)_{n-i}, from the left for a negative i and from the right
+    otherwise, over the certified mode degrees that reach the window."""
+    lo, hi = _read_interval(t, window)
+    total: dict[tuple[Part, ...], Scalar] = {}
+    for ((a, i), label), c in t.terms.items():
+        if not lo <= i <= hi:
+            continue  # collapses outside the window
+        mode = ((a, i),)
+        for w, b in _slot_body(label, t.n - i, window).terms.items():
+            word = mode + w if i < 0 else w + mode
+            add_scaled(total, straighten_word(word).items(), c * b)
+    return EnvElement(total, Window(window.annihilation_bound))
+
+
+def tensor_is_zero(t: LoopTensor | WindowedTensor) -> bool:
     return not t.terms
 
 
 def tensor_scale(t: LoopTensor, s: int) -> LoopTensor:
-    return LoopTensor(t.n, {k: s * c for k, c in t.terms.items()}, t.i_lo, t.i_hi)
+    return LoopTensor(t.n, {k: s * c for k, c in t.terms.items()})
 
 
-def tensor_weight(t: LoopTensor) -> Weight | None:
+def tensor_weight(t: LoopTensor | WindowedTensor) -> Weight | None:
     """The common weight of the tensor's terms, or None if they differ."""
-    seen = {WEIGHT[color] + parts_weight(label.partition()) for (color, _), label in t.terms}
+    if isinstance(t, LoopTensor):
+        pairs = [pair for pair, _ in t.terms]
+    else:
+        pairs = [(color, label) for (color, _), label in t.terms]
+    seen = {WEIGHT[color] + parts_weight(label.partition()) for color, label in pairs}
     return seen.pop() if len(seen) == 1 else None
 
 
 def x1_generator_coefficient(t: LoopTensor, i: int) -> Scalar:
-    """Coefficient of t against X1(i) tensor (full quadratic generator at
-    degree n-i): the generator of R is the degree -2 basis vector with the
-    generator's label, and it is the only one of its weight."""
-    if not (t.i_lo <= i <= t.i_hi):
-        raise WindowError(f"mode degree {i} outside the certified range")
-    return t.terms.get(((1, i), x1x1_label(-2)), 0)
+    """Coefficient of the profile t at slot i against X1(i) tensor (full
+    quadratic generator at degree n-i): the generator of R is the degree -2
+    basis vector with the generator's label, and it is the only one of its
+    weight."""
+    pair = (1, x1x1_label(-2))
+    return sum(t.terms.get((pair, p), 0) * i**p for p in (0, 1))
 
 
-def _canonical_terms(t: LoopTensor) -> dict:
+def _canonical_terms(t: WindowedTensor) -> dict:
     """The terms of t over canonical relation labels.  The slot of mode
     degree i is Y(v)_m, m = n - i, whose canonical labels are those of v
     re-anchored by (m + 2) / 2 at an even m, and those of the transport of
@@ -207,17 +368,11 @@ def _canonical_terms(t: LoopTensor) -> dict:
     return out
 
 
-def canonical_collapse(t: LoopTensor, window: Window) -> EnvElement:
+def canonical_collapse(t: WindowedTensor, window: Window) -> EnvElement:
     """The collapse of t as it was read over canonical labels: each slot's
     body is the canonical element of the window's relation space (at odd
     degrees through the transport), with the same interval check."""
-    bound = window.annihilation_bound
-    lo, hi = t.n - bound, bound
-    if t.i_lo > lo or t.i_hi < hi:
-        raise WindowError(
-            f"the tensor certifies mode degrees [{t.i_lo}, {t.i_hi}], and the "
-            f"collapse on window {bound} reads [{lo}, {hi}]"
-        )
+    lo, hi = _read_interval(t, window)
     total: dict[tuple[Part, ...], Scalar] = {}
     for ((a, i), label), c in _canonical_terms(t).items():
         if not lo <= i <= hi:
@@ -228,46 +383,46 @@ def canonical_collapse(t: LoopTensor, window: Window) -> EnvElement:
         else:
             product = mul_mode_right(body, (a, i))
         add_scaled(total, product.terms.items(), c)
-    return EnvElement(total, Window(bound))
+    return EnvElement(total, Window(window.annihilation_bound))
 
 
-def canonical_tensor(t: LoopTensor) -> LoopTensor:
+def canonical_tensor(t: WindowedTensor) -> WindowedTensor:
     """The tensor t over the canonical relation labels of each slot's
     degree, as the collapse reads it."""
-    return LoopTensor(t.n, _canonical_terms(t), t.i_lo, t.i_hi)
+    return WindowedTensor(t.n, _canonical_terms(t), t.i_lo, t.i_hi)
 
 
-def canonical_orbit_basis(t: LoopTensor) -> list[LoopTensor]:
+def canonical_orbit_basis(t: WindowedTensor) -> list[WindowedTensor]:
     """Reduced basis of the orbit of t over canonical labels: one row per
     leading term of the orbit."""
     reducer = SpanReducer(_tensor_column_key)
     for vec in tensor_orbit_basis(t):
         reducer.insert(canonical_tensor(vec).terms)
-    return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
+    return [WindowedTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
 
 
-def _zero_mode_closure(t: LoopTensor, colors) -> list[LoopTensor]:
+def _zero_mode_closure(t: WindowedTensor, colors) -> list[WindowedTensor]:
     """Reduced basis of the span of t under the zero modes of `colors`,
-    acting on the whole tensor (`loop_action`)."""
+    acting on the whole tensor (`windowed_loop_action`)."""
     reducer = SpanReducer(_tensor_column_key)
 
     def moved(vec):
-        current = LoopTensor(t.n, vec, t.i_lo, t.i_hi)
+        current = WindowedTensor(t.n, vec, t.i_lo, t.i_hi)
         for color in colors:
-            yield loop_action(color, 0, current).terms
+            yield windowed_loop_action(color, 0, current).terms
 
     reducer.close(t.terms, moved)
-    return [LoopTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
+    return [WindowedTensor(t.n, row, t.i_lo, t.i_hi) for row in reducer.rows.values()]
 
 
-def tensor_orbit_basis(t: LoopTensor) -> list[LoopTensor]:
+def tensor_orbit_basis(t: WindowedTensor) -> list[WindowedTensor]:
     """Reduced basis of the orbit U(g) . t of a highest-weight tensor, the
     span of the whole tensor under F1(0) and F2(0), with the certificates of
     `relations.orbit_basis`: E1(0) and E2(0) must kill t, and all its terms
     must have one weight, or `AssertionError` names the raising mode and
     its least surviving term, or two differing weights."""
     for name, color in (("E1", E1_COLOR), ("E2", E2_COLOR)):
-        raised = loop_action(color, 0, t).terms
+        raised = windowed_loop_action(color, 0, t).terms
         if raised:
             (a, i), label = key = min(raised, key=_tensor_column_key)
             raise AssertionError(
@@ -281,7 +436,7 @@ def tensor_orbit_basis(t: LoopTensor) -> list[LoopTensor]:
     return _zero_mode_closure(t, (F1_COLOR, F2_COLOR))
 
 
-def full_orbit_basis(t: LoopTensor) -> list[LoopTensor]:
+def full_orbit_basis(t: WindowedTensor) -> list[WindowedTensor]:
     """Reduced basis of the span of the tensor under repeated zero-mode
     raising and lowering (the finite-dimensional orbit)."""
     return _zero_mode_closure(t, (E1_COLOR, E2_COLOR, F1_COLOR, F2_COLOR))
@@ -290,7 +445,7 @@ def full_orbit_basis(t: LoopTensor) -> list[LoopTensor]:
 def canonical_vector(v: dict, m: int) -> dict:
     """Y(v)_m over the canonical labels of degree m, for a vector
     v = {label: c} of R in the degree -2 basis."""
-    one_slot = LoopTensor(m, {((1, 0), lab): c for lab, c in v.items()}, 0, 0)
+    one_slot = WindowedTensor(m, {((1, 0), lab): c for lab, c in v.items()}, 0, 0)
     return {lab: c for (_, lab), c in _canonical_terms(one_slot).items()}
 
 
@@ -309,7 +464,7 @@ def with_stray_term(apply_mode, first: dict):
     return wrapped
 
 
-def tensor_leading_partition(t: LoopTensor) -> tuple[Part, ...]:
+def tensor_leading_partition(t: WindowedTensor) -> tuple[Part, ...]:
     """Leading colored partition of a plain tensor, certified against the
     mode-degree range."""
     if not t.terms:
@@ -334,7 +489,7 @@ def combined_weight_block(
     """Dimension and leading-term set of the weight-mu block of the direct
     sum of the four syzygy orbits at degree n."""
     reducer = SpanReducer(_tensor_column_key)
-    for t in syzygy_tensors(n, window).values():
+    for t in windowed_syzygy_tensors(n, window).values():
         for vec in tensor_orbit_basis(t):
             if tensor_weight(vec) == mu:
                 reducer.insert(canonical_tensor(vec).terms)

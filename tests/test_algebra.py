@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 import importlib.util
 import itertools
@@ -283,3 +284,60 @@ def test_every_private_library_name_is_read():
             ):
                 unread.append(f"{module}.{name}")
     assert unread == [], "private names nothing else reads:\n" + "\n".join(unread)
+
+
+def _backticked_resolves(ident: str, modules: dict, defined: set) -> bool:
+    """A backticked identifier resolves when it is a name the package
+    defines or a builtin, or, dotted, an attribute path from a package
+    module, a name one of them holds, or an importable module."""
+    head, *rest = ident.split(".")
+    if not rest:
+        return head in defined
+    holders = [m for m in modules.values() if hasattr(m, head)]
+    if head in modules:
+        obj = modules[head]
+    elif holders:
+        obj = getattr(holders[0], head)
+    else:
+        try:
+            obj = importlib.import_module(head)
+        except ImportError:
+            return False
+    for name in rest:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def test_every_backticked_identifier_in_the_library_resolves():
+    # a docstring or comment that names `_MARGIN` after it is gone is stale.
+    # Defined: every name the package binds (definitions, arguments,
+    # assignment targets, stored attributes, imports), the package's module
+    # names and the builtins.  Backticked text that is not an identifier
+    # (`X1(-1)^2 . vac`, `affbasis verify`) is prose and is not checked
+    package = Path(affbasis.__file__).parent
+    modules = {
+        path.stem: importlib.import_module(f"affbasis.{path.stem}")
+        for path in package.glob("*.py")
+    }
+    defined = set(dir(builtins)) | set(modules) | {"affbasis"}
+    sources = {path: path.read_text() for path in sorted(package.glob("*.py"))}
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.alias):
+                defined.add((node.asname or node.name).split(".")[0])
+    pattern = re.compile(r"(?<!`)(`{1,2})([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)\1(?!`)")
+    stale = [
+        f"{path.name}:{text.count(chr(10), 0, match.start()) + 1}: {match.group(2)}"
+        for path, text in sources.items()
+        for match in pattern.finditer(text)
+        if not _backticked_resolves(match.group(2), modules, defined)
+    ]
+    assert stale == [], "backticked names that resolve to nothing:\n" + "\n".join(stale)

@@ -534,25 +534,6 @@ def test_window_error_in_a_target_keeps_exit_3(capsys, monkeypatch):
     assert out == "" and "window insufficiency: too small" in err
 
 
-def test_collapse_of_a_trimmed_tensor_keeps_exit_3(capsys, monkeypatch):
-    from affbasis import relations
-
-    original = relations.syzygy_tensors
-
-    # the 35 family loses its least slot: the collapse cannot be certified,
-    # and must not report a nonzero residual
-    def trimmed(n, window):
-        tensors = original(n, window)
-        t = tensors["35"]
-        tensors["35"] = relations.LoopTensor(t.n, t.terms, t.i_lo + 1, t.i_hi)
-        return tensors
-
-    monkeypatch.setattr(relations, "syzygy_tensors", trimmed)
-    code, out, err = run(capsys, "verify", "prop3")
-    assert code == EXIT_WINDOW
-    assert out == "" and "window insufficiency: the tensor certifies" in err
-
-
 def _drop_family_0(families):
     return families[1:]
 
@@ -713,23 +694,23 @@ def test_perturbed_35_slot_fails_qdims_with_its_slot(capsys, monkeypatch):
 
     original = relations.loop_action
 
-    # double slot i = 0 of the F1(-1) image at n = -3, which only the 35
-    # family's lowering reads
+    # double the constant terms of the F1(-1) image at n = -3, which only
+    # the 35 family's lowering reads
     def doubled(x_color, k, t):
         image = original(x_color, k, t)
         if (x_color, k, image.n) != (F1_COLOR, -1, -3):
             return image
-        terms = {key: 2 * c if key[0][1] == 0 else c for key, c in image.terms.items()}
-        return relations.LoopTensor(image.n, terms, image.i_lo, image.i_hi)
+        terms = {key: 2 * c if key[1] == 0 else c for key, c in image.terms.items()}
+        return relations.LoopTensor(image.n, terms)
 
     monkeypatch.setattr(relations, "loop_action", doubled)
     code, out, _ = run(capsys, "--max-degree", "1", "--window", "3", "verify", "qdims")
     assert code == EXIT_FALSIFIED
-    # the 35 family certifies [n - bound, bound], so its least slot is -6
+    # the 35 family has no slope, so its perturbed constant part becomes
+    # its reference vector, which E1(0) does not kill
     assert _fail_lines(out) == [
         "FAIL  target runs without an internal error  witness=AssertionError: "
-        "35 family at n=-3, slot i=0: the slot is not a multiple of the "
-        "reference vector solved from slot i=-6"
+        "E1(0) does not kill the seed: X_1(0) tensor 1:-1 1:-1 survives with 9"
     ]
 
 
@@ -743,9 +724,9 @@ def test_lowered_reference_vector_fails_qdims_with_its_witness(capsys, monkeypat
     # longer generates the orbit from the top
     def lowered(family, t):
         v, profile = original(family, t)
-        one_slot = {((a, 0), lab): c for (a, lab), c in v.items()}
-        image = relations.loop_action(F1_COLOR, 0, relations.LoopTensor(t.n, one_slot, 0, 0))
-        return {(a, lab): c for ((a, _), lab), c in image.terms.items()}, profile
+        constant = relations.LoopTensor(t.n, {(pair, 0): c for pair, c in v.items()})
+        image = relations.loop_action(F1_COLOR, 0, constant)
+        return {pair: c for (pair, _), c in image.terms.items()}, profile
 
     monkeypatch.setattr(relations, "reference_form", lowered)
     code, out, _ = run(capsys, "verify", "qdims")
@@ -787,6 +768,41 @@ def test_orbits_closed_under_f1_alone_fail_qdims(capsys, monkeypatch):
     assert code == EXIT_FALSIFIED
     assert _fail_lines(out) == _orbit_dims_fail_lines("[2, 3, 4, 5]")
     assert out.splitlines()[-1] == "FAIL: 0/11 checks"
+
+
+def test_loop_action_without_its_shift_term_fails_qdims_and_prop3(tmp_path):
+    # without the -k c that a slope adds to the constant term when x(k)
+    # moves a mode degree, both lowering pairs of the 64 family cancel: the
+    # two 35 families are zero tensors, with empty orbits and collapses
+    mutation = ("relations.py", "bracket), -k * c)", "bracket), 0)")
+    done = _run_mutated_copy(tmp_path / "qdims", *mutation, "verify", "qdims")
+    assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
+    assert _fail_lines(done.stdout) == _orbit_dims_fail_lines("[0, 0, 27, 64]")
+    assert done.stdout.splitlines()[-1] == "FAIL: 0/11 checks"
+    done = _run_mutated_copy(tmp_path / "prop3", *mutation, "verify", "prop3")
+    assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
+    assert _fail_lines(done.stdout) == _zero_35_fail_lines()
+
+
+def _zero_35_fail_lines():
+    return [
+        f"FAIL  psi(q{name}({n})) = 0 on depth <= {bound}  expected=0 actual=zero tensor"
+        for bound in (6, 7)
+        for n in range(-6, 1)
+        for name in ("35", "35u")
+    ]
+
+
+def test_zero_35_tensors_fail_prop3(capsys, monkeypatch):
+    from affbasis import relations
+
+    # a zero tensor collapses to zero with nothing read, so "psi = 0" must
+    # not pass on it
+    monkeypatch.setattr(relations, "lowering_pair", lambda i, t: t - t)
+    code, out, _ = run(capsys, "verify", "prop3")
+    assert code == EXIT_FALSIFIED
+    assert _fail_lines(out) == _zero_35_fail_lines()
+    assert out.splitlines()[-1] == "FAIL: 35/63 checks"
 
 
 def test_doubled_zero_mode_coefficient_fails_qdims(capsys, monkeypatch):

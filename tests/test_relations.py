@@ -39,7 +39,6 @@ from affbasis.relations import (
     collapse_report,
     label_for_quadratic,
     loop_action,
-    lowering_pair,
     orbit_basis,
     r_basis,
     reference_form,
@@ -80,7 +79,12 @@ from reference_relations import (
     tensor_orbit_basis,
     tensor_scale,
     tensor_weight,
+    windowed_collapse,
+    windowed_loop_action,
+    windowed_syzygy_tensors,
+    WindowedTensor,
     with_stray_term,
+    written_out,
     x1_generator_coefficient,
 )
 
@@ -295,14 +299,16 @@ def test_shift_matrix_h_eigenvalue():
 
 
 def test_raising_shift_at_the_top_label_degree_is_exact():
-    # the 64 tensor has slots up to degree bound + 1; a k = +2 action on it
-    # keeps the top of its interval and gives up two slots at the bottom
+    # the windowed 64 tensor has slots up to degree bound + 1; a k = +2
+    # action on the profile, written out where the windowed image is
+    # certified, is that image slot for slot
     window = Window(3)
-    t = syzygy_tensor_64(0, window)
+    t = windowed_syzygy_tensors(0, window)["64"]
     assert max(t.n - i for (_, i), _ in t.terms) == 4
     for x_color in (E1_COLOR, 6, 7):
-        image = loop_action(x_color, 2, t)
-        assert (image.i_lo, image.i_hi) == (t.i_lo + 2, t.i_hi)
+        image = windowed_loop_action(x_color, 2, t)
+        exact = loop_action(x_color, 2, syzygy_tensor_64(0))
+        assert written_out(exact, image.i_lo, image.i_hi).terms == image.terms, x_color
 
 
 def test_transport_aligns_generator():
@@ -359,7 +365,7 @@ def test_a_failed_premise_stops_every_nonzero_shift(monkeypatch):
     monkeypatch.setattr(
         relations, "_premise_witness", functools.cache(relations._premise_witness.__wrapped__)
     )
-    t = syzygy_tensor_64(-4, Window(4))
+    t = syzygy_tensor_64(-4)
     witness = f"{format_partition(label.partition())} killed-by X_4(1) fails"
     for k in (-2, -1, 1, 2):
         with pytest.raises(relations.PremiseError) as failed:
@@ -374,14 +380,14 @@ def test_a_failed_premise_stops_every_nonzero_shift(monkeypatch):
 
 def test_syzygy_64_coefficients():
     for j in (-1, -2):
-        t = syzygy_tensor_64(3 * j, W8)
+        t = syzygy_tensor_64(3 * j)
         assert x1_generator_coefficient(t, j) == 0
-        t2 = syzygy_tensor_64(3 * j - 1, W8)
+        t2 = syzygy_tensor_64(3 * j - 1)
         assert x1_generator_coefficient(t2, j) == 1
 
 
 def test_syzygy_64_highest_weight():
-    t = syzygy_tensor_64(-3, W8)
+    t = syzygy_tensor_64(-3)
     for e_color in (2, 3):
         for k in (-2, -1, 0, 1, 2):
             image = loop_action(e_color, k, t)
@@ -409,27 +415,6 @@ def test_orbit_dimensions():
     assert dims == {"64": 64, "35": 35, "35u": 35, "27": 27}
 
 
-@pytest.mark.parametrize("n, bound", [(0, 3), (-3, 6)])
-def test_tensor_intervals_are_derived_from_the_collapse(n, bound):
-    window = Window(bound)
-    t64 = syzygy_tensor_64(n, window)
-    assert (t64.i_lo, t64.i_hi) == (n - bound - 1, bound + 1)
-    lowered = lowering_pair(1, syzygy_tensor_64(n + 1, window))
-    assert (lowered.n, lowered.i_lo, lowered.i_hi) == (n, n - bound, bound)
-    tensors = syzygy_tensors(n, window)
-    for name in ("35", "35u"):
-        assert (tensors[name].i_lo, tensors[name].i_hi) == (n - bound, bound)
-
-
-def test_collapse_of_a_trimmed_tensor_is_a_window_error():
-    window = Window(3)
-    t = syzygy_tensors(0, window)["35"]
-    assert collapse(t, window).is_zero()
-    for lo, hi in ((t.i_lo + 1, t.i_hi), (t.i_lo, t.i_hi - 1)):
-        with pytest.raises(WindowError, match="reads \\[-3, 3\\]"):
-            collapse(LoopTensor(t.n, t.terms, lo, hi), window)
-
-
 def test_zero_mode_columns_are_the_loop_action_at_degree_zero():
     # the image of each numbered pair (a, L) under x(0) is the loop action
     # x(0) on the one-slot tensor X_a(0) tensor v_L, with the slot dropped
@@ -443,8 +428,8 @@ def test_zero_mode_columns_are_the_loop_action_at_degree_zero():
         columns = relations._zero_mode_columns(x_color)
         assert len(columns) == 216
         for (a, label), column in zip(pairs, columns):
-            one_slot = LoopTensor(-2, {((a, 0), label): 1}, 0, 0)
-            image = loop_action(x_color, 0, one_slot).terms
+            one_slot = WindowedTensor(-2, {((a, 0), label): 1}, 0, 0)
+            image = windowed_loop_action(x_color, 0, one_slot).terms
             assert {i for (_, i), _ in image} <= {0}
             assert dict(column) == {index[b, l2]: c for ((b, _), l2), c in image.items()}
 
@@ -454,7 +439,7 @@ def test_orbit_dimensions_match_the_whole_tensor_orbits():
     # pairs of 8 tensor R, against the closure of its whole tensor
     for n, window in ((0, Window(3)), (-2, Window(6))):
         dims = syzygy_dimensions(n, window)
-        for family, t in syzygy_tensors(n, window).items():
+        for family, t in windowed_syzygy_tensors(n, window).items():
             assert dims[family] == len(tensor_orbit_basis(t)), (n, family)
 
 
@@ -463,7 +448,7 @@ def test_lowered_orbit_is_the_four_mode_orbit(n, bound):
     # the closure under F1(0) and F2(0) from a highest-weight seed against
     # the closure under E1, E2, F1 and F2: the same rank, and each basis
     # lies in the other's span
-    for family, t in syzygy_tensors(n, Window(bound)).items():
+    for family, t in windowed_syzygy_tensors(n, Window(bound)).items():
         lowered, full = tensor_orbit_basis(t), full_orbit_basis(t)
         assert len(lowered) == len(full), family
         for rows, others in ((lowered, full), (full, lowered)):
@@ -483,7 +468,7 @@ def _reference_vector(family: str) -> dict:
 def test_orbit_basis_rejects_a_lowered_seed():
     # F1(0) on the 64 family's vector, by the loop action on its one-slot tensor
     one_slot = {((a, 0), lab): c for (a, lab), c in _reference_vector("64").items()}
-    image = loop_action(F1_COLOR, 0, LoopTensor(-2, one_slot, 0, 0)).terms
+    image = windowed_loop_action(F1_COLOR, 0, WindowedTensor(-2, one_slot, 0, 0)).terms
     lowered = {(a, lab): c for ((a, _), lab), c in image.items()}
     with pytest.raises(AssertionError) as info:
         orbit_basis(lowered)
@@ -524,16 +509,26 @@ def test_reference_forms_of_the_syzygy_families():
     combo, _ = _q27_combination()
     for n in (-3, 0):
         tensors = syzygy_tensors(n, window)
-        t = tensors["64"]
-        v, profile = reference_form("64", t)
+        v, profile = reference_form("64", tensors["64"])
         assert v == {(1, quad_same_label(1, 1, -1)): 1}
-        assert profile == {i: 3 * i - n for i in range(t.i_lo, t.i_hi + 1) if 3 * i != n}
+        assert profile == (3, -n)
         v, profile = reference_form("27", tensors["27"])
         assert v == {pair: -c for pair, c in combo}
-        assert set(profile.values()) == {-1}
+        assert profile == (0, -1)
         for family, p in (("35", -6), ("35u", 6)):
             v, profile = reference_form(family, tensors[family])
-            assert len(v) == 2 and set(profile.values()) == {p}, family
+            assert len(v) == 2 and profile == (0, p), family
+
+
+def test_reference_form_rejects_a_constant_part_off_the_slope():
+    # X2 tensor the generator's label added to the 64 family's constant part
+    t = syzygy_tensor_64(-3)
+    label = quad_same_label(1, 1, -1)
+    with pytest.raises(AssertionError) as info:
+        reference_form("64", LoopTensor(-3, {**t.terms, ((2, label), 0): 1}))
+    assert str(info.value) == (
+        "64 family at n=-3: the constant part is not a multiple of the slope part"
+    )
 
 
 def test_collapse_annihilation_and_scalar():
@@ -549,9 +544,10 @@ def test_collapse_matches_the_canonical_label_reference():
     for bound in (3, 6):
         window = Window(bound)
         for n in range(-6, 1):
+            windowed = windowed_syzygy_tensors(n, window)
             for family, t in syzygy_tensors(n, window).items():
                 image = collapse(t, window)
-                reference = canonical_collapse(t, window)
+                reference = canonical_collapse(windowed[family], window)
                 assert image.window == reference.window, (bound, n, family)
                 assert image.terms == reference.terms, (bound, n, family)
     # and slot by slot: X_a(i) tensor v_L for every label, at both parities
@@ -559,10 +555,31 @@ def test_collapse_matches_the_canonical_label_reference():
     for n in (-3, -2):
         for label in r_basis():
             for a, i in ((1, -1), (6, 0), (8, 1)):
-                t = LoopTensor(n, {((a, i), label): 1}, n - 3, 3)
-                image = collapse(t, window)
+                t = WindowedTensor(n, {((a, i), label): 1}, n - 3, 3)
+                image = windowed_collapse(t, window)
                 assert not image.is_zero(), (n, label, i)
                 assert image.terms == canonical_collapse(t, window).terms, (n, label, i)
+
+
+def test_profiles_match_the_windowed_reference():
+    # the four families, their images under x(k) and their collapses,
+    # against the tensors written out slot by slot over a certified interval
+    for bound in range(6, 11):
+        window = Window(bound)
+        for n in range(-8, 3):
+            windowed = windowed_syzygy_tensors(n, window)
+            for family, t in syzygy_tensors(n, window).items():
+                reference = windowed[family]
+                case = (bound, n, family)
+                assert written_out(t, reference.i_lo, reference.i_hi).terms == reference.terms, case
+                for k in range(-2, 3):
+                    for x_color in range(1, 9):
+                        image = windowed_loop_action(x_color, k, reference)
+                        exact = loop_action(x_color, k, t)
+                        assert exact.n == image.n, (case, x_color, k)
+                        written = written_out(exact, image.i_lo, image.i_hi)
+                        assert written.terms == image.terms, (case, x_color, k)
+                assert collapse(t, window).terms == windowed_collapse(reference, window).terms, case
 
 
 @pytest.mark.parametrize("n, bound", [(0, -1), (-3, -1), (1, 0), (2, 1)])
@@ -593,7 +610,7 @@ def test_collapse_acts_as_zero_spot_check():
 
 def test_tensor_leading_shapes():
     window = Window(6)
-    tensors = syzygy_tensors(-6, window)
+    tensors = windowed_syzygy_tensors(-6, window)
     expected = {"64": (-3, -2, -1), "27": (-2, -2, -2), "35": (-2, -2, -2), "35u": (-2, -2, -2)}
     for name, shape in expected.items():
         shapes = {
@@ -791,7 +808,7 @@ def test_a_generator_that_is_not_highest_weight_fails_the_premise(
     )
     assert relations._premise_witness() == witness
     with pytest.raises(relations.PremiseError) as failed:
-        relations.loop_action(F1_COLOR, -1, syzygy_tensor_64(-4, Window(4)))
+        relations.loop_action(F1_COLOR, -1, syzygy_tensor_64(-4))
     assert failed.value.witness == witness
     rows = basis_counts_report(2)
     assert [row["witness"] for row in rows] == [None, None, witness]
@@ -814,7 +831,7 @@ def test_label_for_quadratic():
 def test_psi_of_zero_tensor():
     from affbasis.relations import LoopTensor
 
-    zero = LoopTensor(-2, {}, -8, 8)
+    zero = LoopTensor(-2, {})
     assert collapse(zero, Window(6)).is_zero()
 
 
@@ -842,7 +859,7 @@ def test_loop_module_property_reconstruction():
 def test_collapse_zero_mode_equivariance():
     # the zero-mode action commutes with the two-sided collapse
     window = Window(6)
-    t = syzygy_tensor_64(-3, window)
+    t = syzygy_tensor_64(-3)
     for x_color in (7, 6):
         left = collapse(loop_action(x_color, 0, t), window)
         right = adjoint_mode(collapse(t, window), x_color, 0)
@@ -852,8 +869,7 @@ def test_collapse_zero_mode_equivariance():
 
 def test_lemma2_auxiliary_conditions():
     # (h_i(-2) h_i(0) - h_i(-1) h_i(-1)) kills the top syzygy
-    window = Window(6)
-    t = syzygy_tensor_64(-3, window)
+    t = syzygy_tensor_64(-3)
     for h in (4, 5):
         first = loop_action(h, -2, loop_action(h, 0, t))
         second = loop_action(h, -1, loop_action(h, -1, t))
@@ -922,13 +938,14 @@ def test_integral_layers_keep_int_coefficients():
         assert all(_ints(row.values()) for row in rows)
     # the four syzygy tensors, the 27 one scaled by its t, over canonical
     # labels too, their orbits, and their reference vectors and profiles
+    windowed = windowed_syzygy_tensors(0, window)
     for name, t in syzygy_tensors(0, window).items():
         assert _ints(t.terms.values()), name
-        assert _ints(canonical_tensor(t).terms.values()), name
-        for vec in tensor_orbit_basis(t):
+        assert _ints(canonical_tensor(windowed[name]).terms.values()), name
+        for vec in tensor_orbit_basis(windowed[name]):
             assert _ints(vec.terms.values()), name
         v, profile = reference_form(name, t)
-        assert _ints(v.values()) and _ints(profile.values()), name
+        assert _ints(v.values()) and _ints(profile), name
         assert all(_ints(row.values()) for row in orbit_basis(v)), name
 
 
@@ -969,5 +986,5 @@ def test_rational_edges_never_give_floats():
     combo, t = _q27_combination()
     assert combo and all(type(c) in exact for _, c in combo) and type(t) in exact
     for t in syzygy_tensors(0, window).values():
-        for i in range(t.i_lo, t.i_hi + 1):
+        for i in range(-4, 5):
             assert type(x1_generator_coefficient(t, i)) in exact, i

@@ -4,6 +4,7 @@ with exit 2 and a named error on an argument it cannot take, or with exit 3
 on a window too small to certify, as `affbasis` does."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -85,3 +86,18 @@ def test_window_too_small_exits_3(script, args, error):
     assert done.returncode == 3, done.stdout + done.stderr
     assert done.stderr.splitlines() == [error]
     assert "verdict" not in done.stdout
+
+
+def test_zero_35_tensors_fail_the_syzygy_script(capsys, monkeypatch):
+    # a zero tensor collapses to zero with nothing read: its column names
+    # it, and the verdict fails
+    from affbasis import relations
+
+    monkeypatch.setattr(relations, "lowering_pair", lambda i, t: t - t)
+    monkeypatch.setattr(sys, "argv", ["run_syzygy_check.py", "0", "0", "3"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(ROOT / "scripts" / "run_syzygy_check.py"), run_name="__main__")
+    assert done.value.code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "   0     [0, 0, 27, 64]      0 zero tensor zero tensor     -2"
+    assert lines[-1] == "verdict: FAIL"
