@@ -65,6 +65,7 @@ from affbasis.partitions import (
 from affbasis.relations import (
     LeadingTermError,
     LoopTensor,
+    PremiseError,
     _labelled_rows,
     _mode_terms,
     _premise_witness,
@@ -72,7 +73,6 @@ from affbasis.relations import (
     _slot_body,
     _tensor_column_key,
     _tensor_partition,
-    PremiseError,
     label_for_quadratic,
     r_basis,
     relation_space,

@@ -61,6 +61,7 @@ from reference_enveloping import (
 )
 from reference_rank import markowitz_rank
 from reference_relations import (
+    WindowedTensor,
     canonical_collapse,
     canonical_orbit_basis,
     canonical_tensor,
@@ -82,7 +83,6 @@ from reference_relations import (
     windowed_collapse,
     windowed_loop_action,
     windowed_syzygy_tensors,
-    WindowedTensor,
     with_stray_term,
     written_out,
     x1_generator_coefficient,
