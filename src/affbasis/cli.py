@@ -201,11 +201,12 @@ def _verify_prop3(cfg: argparse.Namespace, report: Report):
                     expected="0",
                     actual=actual,
                 )
+            actual = f"c={rep['c']}" if rep["psi_27_match"] else "not proportional"
             report.add(
                 f"psi(q27({n})) = c({n}) generator on depth <= {bound}",
                 rep["psi_27_match"],
                 expected="proportional",
-                actual=f"c={rep['c']}" if rep["psi_27_match"] else "not proportional",
+                actual="zero tensor" if "27" in rep["zero_tensors"] else actual,
             )
             values.setdefault(n, []).append(rep["c"])
     for n, cs in values.items():

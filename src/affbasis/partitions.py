@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import cache
+from operator import neg
 from typing import NamedTuple
 
 from .algebra import COLORS, WEIGHT, Weight
@@ -62,10 +64,11 @@ def shape_key(shape: tuple[int, ...]) -> tuple:
 
 
 def order_key(parts: tuple[Part, ...]) -> tuple:
-    """Sort key of the strict monomial order on sorted part tuples: the
-    shape key, then at equal shape the reverse positional scan on colors,
-    greater color index first.  This is the one definition of the order."""
-    return shape_key(parts_shape(parts)) + (tuple(-c for c, _ in reversed(parts)),)
+    """Sort key of the strict monomial order on sorted part tuples: `shape_key`
+    (inlined in C-level calls), then at equal shape the reverse positional
+    scan on colors, greater color index first.  The one definition of the order."""
+    colors, shape = zip(*parts) if parts else ((), ())
+    return (-len(shape), sum(shape), shape[::-1], tuple(map(neg, colors[::-1])))
 
 
 # --- plain-text format ------------------------------------------------------
@@ -255,9 +258,15 @@ _LAYER_FACTORS = tuple(
 )
 
 
+@cache
+def _lows_below(shallower: frozenset[int]) -> tuple[frozenset[int], ...]:
+    """The offset -1 colors of the two-degree factors with offset 0 colors in `shallower`."""
+    return tuple(low for low, high in _LAYER_FACTORS if high <= shallower)
+
+
 def compatible_layers(deeper: frozenset[int], shallower: frozenset[int]) -> bool:
     """May colors `deeper` sit at degree j-1 below colors `shallower` at j?"""
-    return not any(low <= deeper and high <= shallower for low, high in _LAYER_FACTORS)
+    return not any(low <= deeper for low in _lows_below(shallower))
 
 
 def enumerate_ideal(n: int, weight: Weight | None = None) -> list[tuple[Part, ...]]:

@@ -3,10 +3,10 @@
 Every relation is a mode of one vertex operator.  R, the g-module that
 X1(-1)^2 . vac generates in the depth-2 piece V_2, is built once with no
 window (`r_basis`), and the degree-n relation space is {Y(v)_n : v in R}
-(`vertex_mode`).  Its pivots depend on n only through its parity, so R is
-echelonized on the vacuum once per parity (`_parity_basis`), with the two
-27-element color tables as leading terms.  The two cubic relations act on
-the vacuum by the fixed two-term recipe on quadratic vectors.
+(`vertex_mode`).  Its pivots, the two 27-element color tables, depend on n
+only through its parity: R is its own echelon at n = -2, and is echelonized
+on the vacuum once more at n = -3 (`_parity_basis`).  The two cubic
+relations act on the vacuum by the fixed two-term recipe on quadratic vectors.
 
 On top of these sit the syzygy tensors (the 64/35/35/27-dimensional
 families of relations among relations), the two-sided multiplication map
@@ -104,7 +104,7 @@ def r_basis() -> dict[RelationLabel, dict]:
 def _labelled_rows(reducer: SpanReducer, name: str) -> dict[RelationLabel, dict]:
     """The back-eliminated rows at pivot coefficient 1, keyed by the label of
     their pivots in the monomial order: the one labelled echelon, of R, of
-    R on the vacuum per parity and of each windowed relation space.  A rank
+    R on the vacuum at odd degree and of each windowed relation space.  A rank
     other than 27, not counting tags (`_parity_basis`), raises
     `AssertionError`, and a pivot off the color table `LeadingTermError`."""
     pivots = [p for p in reducer.pivots() if p[0] != "tag"]
@@ -666,12 +666,17 @@ def syzygy_dimensions(n: int, window: Window) -> dict[str, int]:
 @cache
 def _parity_basis(m: int) -> dict[RelationLabel, dict]:
     """2 w_L for each label L of degree m = -2 or -3, where Y(w_L)_m . vac
-    is the row of L (`_labelled_rows`): each Y(v)_m . vac, v in R, is tagged
-    with 2 v, as `_q27_combination` tags its columns.  The pivots depend on
-    m only through its parity (the lemma at `shift_matrix`), so
-    Y(w_L)_m' . vac is the row of L at every m' <= -2 of that parity.  The
-    even w_L is v_L, as Y(v)_-2 . vac = v; the odd pivots read 2 C_cc on a
-    diagonal pair, so the odd w_L has halves, and 2 w_L is integral."""
+    is the row of L (`_labelled_rows`).  The pivots depend on m only through
+    its parity (the lemma at `shift_matrix`), so Y(w_L)_m' . vac is the row
+    of L at every m' <= -2 of that parity.  The even w_L is v_L of `r_basis`,
+    as Y(v)_-2 . vac = v, checked.  The odd Y(v)_-3 . vac are echelonized,
+    each tagged with 2 v; the odd pivots read 2 C_cc on a diagonal pair, so
+    the odd w_L has halves, and 2 w_L is integral."""
+    if m == -2:
+        for lab, v in r_basis().items():
+            if _mode_terms(v, -2, range(-1, 0)) != v:
+                raise AssertionError(f"Y(v)_-2 . vac != v at {format_partition(lab.partition())}")
+        return {lab: {k: 2 * c for k, c in v.items()} for lab, v in r_basis().items()}
     tagged = SpanReducer(lambda k: (1, k) if k[0] == "tag" else (0, order_key(k)))
     for v in r_basis().values():
         tags = ((("tag", parts), 2 * c) for parts, c in v.items())
@@ -803,12 +808,12 @@ def basis_counts_report(n_max: int, window: Window | None = None, progress=None)
 
 def collapse_report(n: int, window: Window) -> dict:
     """Collapse the four syzygies at degree n.  The first three must vanish
-    identically on the certified window, and none may be a zero tensor,
-    whose collapse vanishes with nothing read: such a family is listed under
-    "zero_tensors" and fails.  The fourth, t times q27, collapses to t c(n)
-    times the quadratic generator, and c(n) is returned."""
+    identically on the certified window; the fourth, t times q27, collapses
+    to t c(n) times the quadratic generator, and c(n) is returned.  None may
+    be a zero tensor, whose collapse vanishes with nothing read (c = 0 for
+    the fourth): it is listed under "zero_tensors" and fails."""
     tensors = syzygy_tensors(n, window)
-    empty = [name for name in ("64", "35", "35u") if not tensors[name].terms]
+    empty = [name for name, t in tensors.items() if not t.terms]
     out: dict = {"n": n, "bound": window.annihilation_bound, "zero_tensors": empty}
     for name in ("64", "35", "35u"):
         image = collapse(tensors[name], window)
@@ -818,7 +823,7 @@ def collapse_report(n: int, window: Window) -> dict:
     _, t = _q27_combination()
     scalar = _proportionality(image27, generator.scale(t))
     out["c"] = scalar
-    out["psi_27_match"] = scalar is not None
+    out["psi_27_match"] = scalar is not None and "27" not in empty
     return out
 
 

@@ -4,9 +4,11 @@ adjoint zero modes (the library builds them from the 27 vectors of R), each
 forbidden factor's relation as a windowed element of the completed algebra
 (``relation_for``; the library writes its vacuum vector with no window), the
 quadratic vectors on the vacuum echelonized at each degree
-(``per_degree_quadratics``; the library echelonizes once per parity), the
-rank of the full spanning family of the maximal submodule, the
-triangular certificate with one relation row per non-ideal partition, the
+(``per_degree_quadratics``; the library reads the rows of each parity) and
+the tagged echelon at both parities (``tagged_parity_basis``; the library
+reads the even rows from R itself), the rank of the full spanning family
+of the maximal submodule, the triangular certificate with one relation row
+per non-ideal partition, the
 leading terms of the syzygy orbits, the shift and transport matrices
 computed at each degree (the library keeps syzygy tensors in the
 coordinates of R and acts on them by one zero-mode matrix), the syzygy
@@ -597,9 +599,22 @@ def per_degree_quadratics(m: int) -> dict[RelationLabel, dict]:
     echelonized at that degree: the vectors Y(v_L)_m . vac, back-eliminated,
     so their pivots are the table `quadratic_leading_labels(m)`.  The range
     m < p < 0 keeps exactly the creation pairs X_a(p) X_b(m - p) of
-    `vertex_mode`.  The library echelonizes once per parity instead
+    `vertex_mode`.  The library reads the rows of each parity instead
     (`relations._parity_basis`)."""
     reducer = SpanReducer(order_key)
     for v in r_basis().values():
         reducer.insert(_mode_terms(v, m, range(m + 1, 0)))
     return _labelled_rows(reducer, f"the quadratics of degree {m}")
+
+
+def tagged_parity_basis(m: int) -> dict[RelationLabel, dict]:
+    """2 w_L for each label L of degree m = -2 or -3, where Y(w_L)_m . vac
+    is the row of L, by the tagged echelon of both parities: each
+    Y(v)_m . vac, v in R, tagged with 2 v.  The library builds it at m = -3
+    alone, and at m = -2 reads R's own echelon (`relations._parity_basis`)."""
+    tagged = SpanReducer(lambda k: (1, k) if k[0] == "tag" else (0, order_key(k)))
+    for v in r_basis().values():
+        tags = ((("tag", parts), 2 * c) for parts, c in v.items())
+        tagged.insert(add_scaled(_mode_terms(v, m, range(m + 1, 0)), tags))
+    rows = _labelled_rows(tagged, f"the quadratics of degree {m}")
+    return {lab: {k[1]: c for k, c in r.items() if k[0] == "tag"} for lab, r in rows.items()}

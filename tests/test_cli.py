@@ -504,6 +504,22 @@ def test_mutation_fails_the_lemma_target(tmp_path, module, old, new, target, fai
     assert _fail_lines(done.stdout) == [fail_line]
 
 
+# X_a(-2) . vac gives -(n + 1) X_a(n); with the sign flipped, Y(v)_-2 . vac
+# is not v, so the even rows, R's own, fail their check on the first vector
+# of R with such a term, at a failed check that names its label
+@pytest.mark.parametrize("target", ["lemma1", "theorem-a"])
+def test_sign_flipped_derivative_fails_the_even_rows(tmp_path, target):
+    done = _run_mutated_copy(
+        tmp_path, "relations.py", "-(n + 1) * c)", "(n + 1) * c)", "verify", target
+    )
+    assert done.returncode == EXIT_FALSIFIED, done.stdout + done.stderr
+    assert _fail_lines(done.stdout) == [
+        "FAIL  target runs without an internal error"
+        "  witness=AssertionError: Y(v)_-2 . vac != v at 7:-1 6:-1"
+    ]
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("error", [AssertionError, ValueError])
 def test_internal_error_is_a_failed_check(capsys, monkeypatch, error):
     from affbasis import relations
@@ -805,6 +821,28 @@ def test_zero_35_tensors_fail_prop3(capsys, monkeypatch):
     assert out.splitlines()[-1] == "FAIL: 35/63 checks"
 
 
+def test_zero_27_tensor_fails_prop3(capsys, monkeypatch):
+    from affbasis import relations
+
+    # an empty 27 tensor collapses to zero, which is c = 0 times the
+    # generator: it fails as a zero tensor at every n, also at n = -2, where
+    # c(-2) = 0 and the stability check passes
+    monkeypatch.setattr(relations, "syzygy_tensor_27", lambda n: relations.LoopTensor(n, {}))
+    code, out, _ = run(capsys, "verify", "prop3")
+    assert code == EXIT_FALSIFIED
+    assert _fail_lines(out) == [
+        f"FAIL  psi(q27({n})) = c({n}) generator on depth <= {bound}"
+        "  expected=proportional actual=zero tensor"
+        for bound in (6, 7)
+        for n in range(-6, 1)
+    ] + [
+        f"FAIL  c({n}) stable under window growth  expected={-(n + 2)} actual=0"
+        for n in range(-6, 1)
+        if n != -2
+    ]
+    assert out.splitlines()[-1] == "FAIL: 43/63 checks"
+
+
 def test_doubled_zero_mode_coefficient_fails_qdims(capsys, monkeypatch):
     from affbasis import relations
     from affbasis.algebra import F1_COLOR
@@ -831,7 +869,8 @@ def test_doubled_zero_mode_coefficient_fails_qdims(capsys, monkeypatch):
 # prop3 builds an algebra element: each slot body of a collapse is a mode of
 # R, and lemma1 and Theorem A write each quadratic straight onto the vacuum
 # from R's echelon of its parity.  A fresh memo makes those go through the
-# writer, which builds two echelons, one per parity, whatever the depth
+# writer, which memoizes one row set per parity, whatever the depth: R's own
+# for the even rows, and one echelon for the odd
 @pytest.mark.parametrize(
     "target, argv, passed, echelons",
     [

@@ -9,6 +9,7 @@ from affbasis.algebra import Weight
 from affbasis.enveloping import graded_basis
 from affbasis.fixture_io import load_lemma12_fixture
 from affbasis.partitions import (
+    _LAYER_FACTORS,
     ADJACENT_COLOR_PAIRS,
     EXCEPTIONAL_CASES,
     INDEPENDENT_COLOR_SETS,
@@ -175,6 +176,16 @@ def test_order_key_sorts_like_reference_comparator(pool):
     assert sorted(pool, key=order_key) == sorted(pool, key=cmp_to_key(parts_compare))
 
 
+def test_order_key_extends_the_shape_key():
+    # `order_key` writes the shape key out inline, so `shape_key` stays the
+    # one definition of the shape order only while the two agree
+    for n in range(7):
+        for p in graded_basis(n):
+            expected = shape_key(parts_shape(p)) + (tuple(-c for c, _ in reversed(p)),)
+            assert order_key(p) == expected, p
+    assert order_key(()) == shape_key(()) + ((),) == (0, 0, (), ())
+
+
 # --- monoid ops ----------------------------------------------------------
 
 
@@ -294,6 +305,18 @@ def test_layer_rule_matches_divisibility():
         for shallower in INDEPENDENT_COLOR_SETS:
             p = sort_parts([(c, -2) for c in deeper] + [(c, -1) for c in shallower])
             assert compatible_layers(deeper, shallower) == satisfies_difference_conditions(p)
+
+
+def test_layer_rule_matches_the_direct_formula():
+    # `compatible_layers` reads the factors of each shallower set from a
+    # memo; on every pair of allowed sets it is the scan of all factors
+    assert len(INDEPENDENT_COLOR_SETS) == 19
+    for deeper in INDEPENDENT_COLOR_SETS:
+        for shallower in INDEPENDENT_COLOR_SETS:
+            direct = not any(
+                low <= deeper and high <= shallower for low, high in _LAYER_FACTORS
+            )
+            assert compatible_layers(deeper, shallower) == direct, (deeper, shallower)
 
 
 def test_label_translation():

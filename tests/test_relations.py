@@ -14,7 +14,7 @@ from affbasis.enveloping import (
     apply_word,
     graded_basis,
 )
-from affbasis.linalg import SpanReducer, add_scaled
+from affbasis.linalg import SpanReducer, add_scaled, exact_quotient
 from affbasis.partitions import (
     cubic_a_label,
     cubic_b_label,
@@ -32,6 +32,7 @@ from affbasis.partitions import (
 from affbasis.relations import (
     LoopTensor,
     RelationSpace,
+    _mode_terms,
     _q27_combination,
     _tensor_column_key,
     basis_counts_report,
@@ -75,6 +76,7 @@ from reference_relations import (
     per_degree_shift_matrix,
     per_degree_transport_matrix,
     relation_for,
+    tagged_parity_basis,
     tensor_is_zero,
     tensor_leading_partition,
     tensor_orbit_basis,
@@ -698,6 +700,24 @@ def test_parity_rows_match_the_per_degree_echelons():
             vacuum = relation_on_vacuum(label)
             assert vacuum == row, (m, label)
             assert all(type(c) is int for c in vacuum.values()), (m, label)
+
+
+def test_even_rows_are_read_from_r():
+    # the even 2 w_L are R's own rows, checked against Y(v)_-2 . vac = v, in
+    # place of the tagged echelon the odd rows keep: both routes agree, label
+    # by label and in order, and the even rows written from them are the
+    # echelons built at their own degrees
+    from affbasis import relations
+
+    for m in (-2, -3):
+        library = relations._parity_basis.__wrapped__(m)
+        reference = tagged_parity_basis(m)
+        assert library == reference and list(library) == list(reference), m
+    even = relations._parity_basis.__wrapped__(-2)
+    for m in (-2, -4, -6, -8):
+        for label, row in per_degree_quadratics(m).items():
+            written = _mode_terms(even[label.translate(-1 - label.j)], m, range(m + 1, 0))
+            assert {k: exact_quotient(c, 2) for k, c in written.items()} == row, (m, label)
 
 
 def test_factor_anchors_list_the_scanned_factors(monkeypatch):
