@@ -709,11 +709,10 @@ def test_even_rows_are_read_from_r():
     # echelons built at their own degrees
     from affbasis import relations
 
-    for m in (-2, -3):
-        library = relations._parity_basis.__wrapped__(m)
+    even = relations._parity_basis.__wrapped__(-2)
+    for m, library in ((-2, even), (-3, relations._parity_basis.__wrapped__(-3))):
         reference = tagged_parity_basis(m)
         assert library == reference and list(library) == list(reference), m
-    even = relations._parity_basis.__wrapped__(-2)
     for m in (-2, -4, -6, -8):
         for label, row in per_degree_quadratics(m).items():
             written = _mode_terms(even[label.translate(-1 - label.j)], m, range(m + 1, 0))
